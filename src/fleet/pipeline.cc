@@ -80,17 +80,19 @@ void ScreeningStats::MergeFrom(ScreeningStats&& other) {
     detected_by_arch[static_cast<size_t>(arch)] +=
         other.detected_by_arch[static_cast<size_t>(arch)];
   }
-  if (detections.empty()) {
+  // No exact-size reserve here: repeated merges must keep vector growth geometric, or a
+  // chain of N shard merges degrades to O(N * detections) element moves. The other
+  // side's buffer is taken over only while this side owns none, so a fold presized from
+  // the shard totals (PresizeFold) keeps its one allocation.
+  if (detections.capacity() == 0) {
     detections = std::move(other.detections);
   } else {
-    detections.reserve(detections.size() + other.detections.size());
     detections.insert(detections.end(), std::make_move_iterator(other.detections.begin()),
                       std::make_move_iterator(other.detections.end()));
   }
-  if (provenance.empty()) {
+  if (provenance.capacity() == 0) {
     provenance = std::move(other.provenance);
   } else {
-    provenance.reserve(provenance.size() + other.provenance.size());
     provenance.insert(provenance.end(),
                       std::make_move_iterator(other.provenance.begin()),
                       std::make_move_iterator(other.provenance.end()));
@@ -416,7 +418,6 @@ void ScreeningPipeline::ScreenShardRange(const ScreeningShardView& view,
   const auto first = std::lower_bound(view.faulty_serials.begin(),
                                       view.faulty_serials.end(), view.begin);
   const auto last = std::lower_bound(first, view.faulty_serials.end(), view.end);
-  stats.detections.reserve(stats.detections.size() + static_cast<size_t>(last - first));
   for (auto it = first; it != last; ++it) {
     ++stats.faulty;
     const uint64_t faulty_serial = *it;
@@ -462,7 +463,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   const auto first = std::lower_bound(view.faulty_serials.begin(),
                                       view.faulty_serials.end(), view.begin);
   const auto last = std::lower_bound(first, view.faulty_serials.end(), view.end);
-  const size_t shard_faulty = static_cast<size_t>(last - first);
 
   std::vector<size_t> first_detection(k_count);
   std::vector<uint64_t> faulty_before(k_count);
@@ -476,7 +476,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     for (int arch = 0; arch < kArchCount; ++arch) {
       stats[k].tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
     }
-    stats[k].detections.reserve(stats[k].detections.size() + shard_faulty);
   }
 
   // Scenarios whose stage parameters are bit-identical share one survive-term table per
@@ -578,6 +577,19 @@ bool IsSeriesBoundary(uint64_t end_serial, uint64_t fleet_size) {
   return end_serial % kFleetShardGrain == 0 || end_serial == fleet_size;
 }
 
+// Sizes an ordered fold's accumulator once from the shard totals, so every MergeFrom
+// into it appends in place -- the idiom of ScrubDiscoveryObserver::EndStream.
+// shard_stats(s) names shard s's stats.
+template <typename ShardStats>
+void PresizeFold(ScreeningStats& total, size_t shard_count, ShardStats shard_stats) {
+  size_t detections = 0;
+  for (size_t shard = 0; shard < shard_count; ++shard) {
+    detections += shard_stats(shard).detections.size();
+  }
+  total.detections.reserve(detections);
+  total.provenance.reserve(detections);
+}
+
 }  // namespace
 
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
@@ -659,6 +671,8 @@ ScreeningStats ScreeningPipeline::RunWith(const FleetPopulation& fleet,
         return result;
       });
   ShardResult total;
+  PresizeFold(total.stats, shard_results.size(),
+              [&](size_t shard) -> const ScreeningStats& { return shard_results[shard].stats; });
   for (size_t shard = 0; shard < shard_results.size(); ++shard) {
     ShardResult& shard_result = shard_results[shard];
     total.stats.MergeFrom(std::move(shard_result.stats));
@@ -817,6 +831,11 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatchWith(
   total.stats.resize(k_count);
   total.deltas.resize(k_count);
   total.traces.resize(k_count);
+  for (size_t k = 0; k < k_count; ++k) {
+    PresizeFold(total.stats[k], shard_results.size(), [&](size_t shard) -> const ScreeningStats& {
+      return shard_results[shard].stats[k];
+    });
+  }
   for (size_t shard = 0; shard < shard_results.size(); ++shard) {
     ShardResult& shard_result = shard_results[shard];
     for (size_t k = 0; k < k_count; ++k) {
@@ -1106,6 +1125,11 @@ void StreamingScreen::EndStream() {
       pinned_trace_.empty() ? nullptr : pinned_trace_.front(), "screening.aggregate",
       "aggregate", kTraceTrackAggregate);
   std::vector<MetricsDelta> total_deltas(k_count);
+  for (size_t k = 0; k < k_count; ++k) {
+    PresizeFold(stats_[k], shard_stats_.size(), [&](size_t shard) -> const ScreeningStats& {
+      return shard_stats_[shard][k];
+    });
+  }
   for (size_t shard = 0; shard < shard_stats_.size(); ++shard) {
     for (size_t k = 0; k < k_count; ++k) {
       stats_[k].MergeFrom(std::move(shard_stats_[shard][k]));

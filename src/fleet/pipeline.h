@@ -183,9 +183,11 @@ struct ScreeningStats {
   double ArchRate(int arch_index) const;     // detections / tested within one arch
   double PreProductionRate() const;          // factory + datacenter + re-install
 
-  // Adds `other`'s counters and move-appends its detections (reserving first, so the
-  // shard-order reduce never reallocates per element). Shard results merged in shard
-  // order reproduce the serial stats exactly, detections in serial order included.
+  // Adds `other`'s counters and move-appends its detections. It never reserves: an
+  // exact-size reserve on every call would reallocate the whole accumulated array once
+  // per shard. Callers folding many shards presize the accumulator once from the shard
+  // totals, which this keeps. Shard results merged in shard order reproduce the serial
+  // stats exactly, detections in serial order included.
   void MergeFrom(ScreeningStats&& other);
 };
 

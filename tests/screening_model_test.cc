@@ -285,5 +285,78 @@ TEST_F(ScreeningBatchTest, PerScenarioMetricsMatchIndependentRuns) {
   }
 }
 
+// ----- ordered shard fold (ScreeningStats::MergeFrom) ---------------------------------
+//
+// A 100M streaming pass folds ~12k shard results on one thread. An exact-size reserve in
+// MergeFrom would reallocate and move the whole accumulated array on every merge, making
+// the fold quadratic in shards. Counted as buffer moves rather than timed, so a busy host
+// cannot make these flake.
+
+constexpr uint64_t kFoldShards = 20000;
+
+ScreeningStats OneDetectionShard(uint64_t serial) {
+  ScreeningStats shard;
+  shard.tested = 1;
+  shard.faulty = 1;
+  ++shard.detected_by_stage[static_cast<size_t>(TestStage::kFactory)];
+  shard.detections.push_back({serial, 0, true, TestStage::kFactory, 0.0});
+  DetectionProvenance record;
+  record.serial = serial;
+  record.defect_id = "fold-test-defect-" + std::to_string(serial);
+  shard.provenance.push_back(std::move(record));
+  return shard;
+}
+
+void ExpectFoldedInOrder(const ScreeningStats& total, uint64_t shard_count) {
+  EXPECT_EQ(total.tested, shard_count);
+  EXPECT_EQ(total.total_detected(), shard_count);
+  ASSERT_EQ(total.detections.size(), shard_count);
+  ASSERT_EQ(total.provenance.size(), shard_count);
+  for (uint64_t serial = 0; serial < shard_count; ++serial) {
+    ASSERT_EQ(total.detections[serial].serial, serial);
+    ASSERT_EQ(total.provenance[serial].defect_id,
+              "fold-test-defect-" + std::to_string(serial));
+  }
+}
+
+TEST(ScreeningFoldTest, RepeatedMergesReallocateLogarithmically) {
+  ScreeningStats total;
+  const ProcessorOutcome* detections = nullptr;
+  const DetectionProvenance* provenance = nullptr;
+  int detection_moves = 0;
+  int provenance_moves = 0;
+  for (uint64_t serial = 0; serial < kFoldShards; ++serial) {
+    total.MergeFrom(OneDetectionShard(serial));
+    detection_moves += total.detections.data() != detections ? 1 : 0;
+    provenance_moves += total.provenance.data() != provenance ? 1 : 0;
+    detections = total.detections.data();
+    provenance = total.provenance.data();
+  }
+  // Geometric growth moves the buffer O(log N) times (~15 for 20k); an exact-size
+  // reserve per merge would move it on all 20k merges.
+  EXPECT_LE(detection_moves, 64);
+  EXPECT_LE(provenance_moves, 64);
+  ExpectFoldedInOrder(total, kFoldShards);
+}
+
+TEST(ScreeningFoldTest, PresizedFoldKeepsItsOneAllocation) {
+  // The shard-ordered folds reserve the summed shard totals once; every merge after that,
+  // including the first into an empty accumulator, must append in place.
+  ScreeningStats total;
+  total.detections.reserve(kFoldShards);
+  total.provenance.reserve(kFoldShards);
+  const ProcessorOutcome* detections = total.detections.data();
+  const DetectionProvenance* provenance = total.provenance.data();
+  total.MergeFrom(ScreeningStats{});  // a shard without detections comes first
+  for (uint64_t serial = 0; serial < kFoldShards; ++serial) {
+    total.MergeFrom(OneDetectionShard(serial));
+  }
+  EXPECT_EQ(total.detections.capacity(), kFoldShards);
+  EXPECT_EQ(total.provenance.capacity(), kFoldShards);
+  EXPECT_EQ(total.detections.data(), detections);
+  EXPECT_EQ(total.provenance.data(), provenance);
+  ExpectFoldedInOrder(total, kFoldShards);
+}
+
 }  // namespace
 }  // namespace sdc

@@ -11,13 +11,14 @@
 // worker lanes (an owned ThreadPool), the vector level for the screening clean path, and
 // the optional telemetry sinks (MetricsRegistry, TraceRecorder, EventLog) -- and the
 // environment (SDC_THREADS, SDC_SIMD) is consulted exactly once, inside the constructor.
-// Every pipeline entry point takes a context (FleetPopulation::Generate,
-// FleetShardStream::Drive, ScreeningPipeline::Run/RunBatch, TestFramework::RunPlan,
-// Farron via FarronConfig::context); the legacy context-free overloads remain and simply
-// construct a fresh context per call, so one-shot callers keep their exact behavior.
-// After construction, no engine path reads an environment variable or any other mutable
-// process-global -- the invariant the sdcd campaign daemon (docs/daemon.md) and the
-// concurrent-campaign tests (tests/context_test.cc) are built on.
+// Every pipeline entry point runs on a context (FleetPopulation::Generate,
+// FleetShardStream::Drive, ScreeningPipeline::Run/RunBatch, FleetScrubber::Run,
+// TestFramework::RunPlan, Farron via FarronConfig::context). The context-free overloads
+// of Generate, Drive, Run/RunBatch and FleetScrubber::Run have no body of their own: each
+// builds one fresh context (no sinks, the config's thread count) and calls its context
+// overload. After construction, no engine path reads an environment variable or any other
+// mutable process-global -- the invariant the sdcd campaign daemon (docs/daemon.md) and
+// the concurrent-campaign tests (tests/context_test.cc) are built on.
 //
 // Sink lifecycle: Attach*/Detach may be called at any time, from any thread, but engine
 // passes PIN the attached sinks once when the pass starts and keep merging per-shard

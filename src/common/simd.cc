@@ -18,7 +18,7 @@ namespace {
 
 // Scalar reference: four interleaved sub-histograms keep the counter increments out of
 // each other's store-to-load dependency chains (~4x over a naive scan) -- this is the
-// former inline histogram of ScreenShardRange, now the fallback every vector path is
+// former inline histogram of the screening kernel, now the fallback every vector path is
 // checked against (tests/simd_test.cc).
 void CountBytesScalar(const uint8_t* data, size_t size, int bucket_count,
                       uint64_t* counts) {
@@ -341,8 +341,8 @@ void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
     return;
   }
   // Last-line clamp so an unresolved request can never execute an unsupported
-  // instruction; callers normally pass through ResolveSimdLevel (which also reads
-  // SDC_SIMD) once per run.
+  // instruction; engine callers pass the level their EngineContext pinned at pass start
+  // (SDC_SIMD is read once, when the context is built).
   if (level == SimdLevel::kAuto || !LevelSupported(level)) {
     level = BestSupportedSimdLevel();
   }

@@ -10,10 +10,11 @@
 // Dispatch layers, strongest wins:
 //   1. -DSDC_FORCE_SCALAR (CMake option SDC_FORCE_SCALAR) pins every call to the scalar
 //      path at compile time -- the CI matrix leg that proves the fallback end-to-end.
-//   2. The SDC_SIMD environment variable ("scalar", "sse2", "avx2", "neon", "auto")
-//      overrides whatever the caller requested, clamped to what the host supports.
-//   3. The caller's requested level (e.g. ScreeningConfig::simd), kAuto meaning "best
-//      supported". Requests above the host's capability clamp down, never fault.
+//   2. An explicit per-config level (ScreeningConfig::simd, PopulationConfig::simd).
+//   3. The EngineContext's level, which backs a kAuto config request: the SDC_SIMD
+//      environment variable ("scalar", "sse2", "avx2", "neon", "auto"), read once when
+//      the context is built (src/common/context.h), else the best supported level.
+//   Requests above the host's capability clamp down, never fault.
 
 #ifndef SDC_SRC_COMMON_SIMD_H_
 #define SDC_SRC_COMMON_SIMD_H_
@@ -54,8 +55,9 @@ SimdLevel ResolveSimdLevel(SimdLevel requested);
 
 // counts[v] += number of bytes in [data, data + size) equal to v, for v in
 // [0, bucket_count). Every byte must be < bucket_count (the screening columns guarantee
-// arch bytes < kArchCount); bucket_count must be in [1, 256]. `level` kAuto resolves via
-// ResolveSimdLevel; any level yields bit-identical counts. Alignment-agnostic: unaligned
+// arch bytes < kArchCount); bucket_count must be in [1, 256]. `level` kAuto (or a level
+// the host cannot run) takes BestSupportedSimdLevel(); any level yields bit-identical
+// counts. Alignment-agnostic: unaligned
 // begins and tails shorter than the vector width take the scalar epilogue.
 void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
                        uint64_t* counts, SimdLevel level = SimdLevel::kAuto);

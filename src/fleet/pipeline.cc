@@ -224,7 +224,7 @@ MetricsDelta DeltaFromShardStats(const ScreeningStats& stats) {
 
 // Provenance shared by the memoized and reference models: the defect context is reduced
 // the same way in both (first id, min onset, min trigger), so the two models emit
-// byte-identical records. sub_shard / rng_stream are stamped later by ScreenShardRange,
+// byte-identical records. sub_shard / rng_stream are stamped later by FinishShardRange,
 // the one frame that knows the shard index.
 DetectionProvenance ProvenanceOf(uint64_t serial, int arch_index,
                                  std::span<const Defect> defects,
@@ -390,49 +390,6 @@ FleetProcessorView ScreeningShardView::processor(uint64_t serial) const {
           (flags & FleetPopulation::kDetectableFlag) != 0, DefectsOf(serial)};
 }
 
-void ScreeningPipeline::ScreenShardRange(const ScreeningShardView& view,
-                                         const ScreeningConfig& config,
-                                         const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                                         uint64_t sub_shard, SimdLevel simd, Rng& rng,
-                                         ScreeningStats& stats, TraceDelta* trace) const {
-  const size_t first_detection = stats.detections.size();
-  const uint64_t faulty_before = stats.faulty;
-  if (config.use_reference_model) {
-    for (uint64_t serial = view.begin; serial < view.end; ++serial) {
-      ScreenProcessorReference(view.processor(serial), config, rng, stats);
-    }
-    FinishShardRange(view, sub_shard, first_detection, faulty_before, stats, trace);
-    return;
-  }
-  // Clean-processor fast path: the shard's tested counters come from a vectorized scan of
-  // the packed arch bytes (src/common/simd.h -- any level yields the same exact counts);
-  // the detection model only ever runs for the (rare) faulty parts, located via the
-  // sorted faulty-serial index.
-  stats.tested += view.end - view.begin;
-  uint64_t hist[kArchCount] = {};
-  CountBytesByValue(view.arch_bytes.data() + (view.begin - view.column_base),
-                    view.end - view.begin, kArchCount, hist, simd);
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    stats.tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
-  }
-  const auto first = std::lower_bound(view.faulty_serials.begin(),
-                                      view.faulty_serials.end(), view.begin);
-  const auto last = std::lower_bound(first, view.faulty_serials.end(), view.end);
-  for (auto it = first; it != last; ++it) {
-    ++stats.faulty;
-    const uint64_t faulty_serial = *it;
-    if (!view.toolchain_detectable(faulty_serial)) {
-      continue;  // escapes every stage (Section 2.3's false negatives)
-    }
-    const int arch_index = view.arch_index(faulty_serial);
-    const size_t ordinal = static_cast<size_t>(it - view.faulty_serials.begin());
-    ScreenFaultyProcessor(faulty_serial, arch_index, view.FaultyDefects(ordinal), config,
-                          arch_specs[static_cast<size_t>(arch_index)].physical_cores, rng,
-                          stats);
-  }
-  FinishShardRange(view, sub_shard, first_detection, faulty_before, stats, trace);
-}
-
 void ScreeningPipeline::ScreenShardRangeBatch(
     const ScreeningShardView& view, std::span<const ScreeningConfig> scenarios,
     const std::array<ProcessorSpec, kArchCount>& arch_specs, uint64_t sub_shard,
@@ -444,12 +401,16 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   // below.
   bool any_cached = false;
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      ScreenShardRange(view, scenarios[k], arch_specs, sub_shard, simd, rngs[k], stats[k],
-                       traces[k]);
-    } else {
+    if (!scenarios[k].use_reference_model) {
       any_cached = true;
+      continue;
     }
+    const size_t first_detection = stats[k].detections.size();
+    const uint64_t faulty_before = stats[k].faulty;
+    for (uint64_t serial = view.begin; serial < view.end; ++serial) {
+      ScreenProcessorReference(view.processor(serial), scenarios[k], rngs[k], stats[k]);
+    }
+    FinishShardRange(view, sub_shard, first_detection, faulty_before, stats[k], traces[k]);
   }
   if (!any_cached) {
     return;
@@ -594,141 +555,39 @@ void PresizeFold(ScreeningStats& total, size_t shard_count, ShardStats shard_sta
 
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
                                       const ScreeningConfig& config) const {
-  // Context-free run: SDC_THREADS is consulted exactly once (context construction) and
-  // SDC_SIMD exactly once (here); sinks come from the config alone -- the legacy
-  // resolution, byte for byte.
-  EngineContext context(EngineOptions{.threads = config.threads});
-  return RunWith(fleet, config, context, config.metrics, config.trace, config.series,
-                 ResolveSimdLevel(config.simd));
+  return std::move(
+      RunBatch(fleet, ScenarioBatch{.scenarios = {config}, .threads = config.threads})
+          .front());
 }
 
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
                                       const ScreeningConfig& config,
                                       EngineContext& context) const {
-  MetricsRegistry* metrics =
-      config.metrics != nullptr ? config.metrics : context.metrics();
-  TraceRecorder* trace = config.trace != nullptr ? config.trace : context.trace();
-  SeriesRecorder* series = config.series != nullptr ? config.series : context.series();
-  const SimdLevel simd = config.simd == SimdLevel::kAuto ? context.simd()
-                                                         : ClampSimdLevel(config.simd);
-  return RunWith(fleet, config, context, metrics, trace, series, simd);
-}
-
-ScreeningStats ScreeningPipeline::RunWith(const FleetPopulation& fleet,
-                                          const ScreeningConfig& config,
-                                          EngineContext& context,
-                                          MetricsRegistry* metrics, TraceRecorder* trace,
-                                          SeriesRecorder* series, SimdLevel simd) const {
-  const Rng base(config.seed);
-  MetricsRegistry::ScopedTimer run_timer(metrics, "screening.run.wall");
-  TraceRecorder::ScopedHostSpan run_span(trace, "screening.run", "screen",
-                                         kTraceTrackScreen);
-  ThreadPool& pool = context.pool();
-
-  // Satellite of the memoization work: the per-arch hardware model is invariant across the
-  // fleet, so it is materialized once per Run instead of once per faulty processor.
-  std::array<ProcessorSpec, kArchCount> arch_specs;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    arch_specs[static_cast<size_t>(arch)] = MakeArchSpec(arch);
-  }
-
-  // One view shape covers the whole materialized fleet; shards slice [begin, end).
-  ScreeningShardView fleet_view;
-  fleet_view.column_base = 0;
-  fleet_view.arch_bytes = fleet.arch_bytes();
-  fleet_view.flag_bytes = fleet.flag_bytes();
-  fleet_view.faulty_serials = fleet.faulty_serials();
-  fleet_view.faulty_ranges = fleet.faulty_ranges();
-  fleet_view.defects = fleet.defect_arena();
-
-  // Stats plus the shard's metric delta travel together through the ordered reduce, so
-  // the registry sees exactly one delta per shard, applied in shard order.
-  struct ShardResult {
-    ScreeningStats stats;
-    MetricsDelta delta;
-    TraceDelta trace;
-  };
-  // ParallelReduce is ParallelMap plus an in-shard-order merge on the calling thread
-  // (src/common/parallel.h); the fold is spelled out here so the series sink can sample
-  // the cumulative stats at fleet-grain boundaries of the same ordered merge.
-  std::vector<ShardResult> shard_results = pool.ParallelMap<ShardResult>(
-      0, fleet.size(), kScreeningShardGrain,
-      [&](uint64_t shard, uint64_t begin, uint64_t end) {
-        const auto shard_start = std::chrono::steady_clock::now();
-        ShardResult result;
-        ScreeningShardView view = fleet_view;
-        view.begin = begin;
-        view.end = end;
-        Rng rng = base.Fork(shard);
-        ScreenShardRange(view, config, arch_specs, shard, simd, rng, result.stats,
-                         trace != nullptr ? &result.trace : nullptr);
-        if (metrics != nullptr) {
-          result.delta = DeltaFromShardStats(result.stats);
-          const std::chrono::duration<double> elapsed =
-              std::chrono::steady_clock::now() - shard_start;
-          metrics->RecordTimerSeconds("screening.shard.wall", elapsed.count());
-        }
-        return result;
-      });
-  ShardResult total;
-  PresizeFold(total.stats, shard_results.size(),
-              [&](size_t shard) -> const ScreeningStats& { return shard_results[shard].stats; });
-  for (size_t shard = 0; shard < shard_results.size(); ++shard) {
-    ShardResult& shard_result = shard_results[shard];
-    total.stats.MergeFrom(std::move(shard_result.stats));
-    total.delta.MergeFrom(shard_result.delta);
-    total.trace.MergeFrom(std::move(shard_result.trace));
-    if (series != nullptr) {
-      const uint64_t end_serial =
-          std::min<uint64_t>((shard + 1) * kScreeningShardGrain, fleet.size());
-      if (IsSeriesBoundary(end_serial, fleet.size())) {
-        AppendScreeningSeriesPoint(series, end_serial, total.stats);
-      }
-    }
-  }
-  if (metrics != nullptr) {
-    metrics->MergeDelta(total.delta);
-  }
-  if (trace != nullptr) {
-    trace->MergeDelta(std::move(total.trace));
-  }
-  return std::move(total.stats);
+  return std::move(RunBatch(fleet, ScenarioBatch{.scenarios = {config}}, context).front());
 }
 
 namespace {
 
-// Shared clean-path level of a batch: the first cached scenario's request. Every level
-// produces the same exact counts (src/common/simd.h), so the choice is observable only in
-// wall-clock time.
-SimdLevel BatchSimdRequest(const ScenarioBatch& batch) {
-  for (const ScreeningConfig& scenario : batch.scenarios) {
+// Shared clean-path level of a batch: the first cached scenario's request, with kAuto
+// taking the level the context resolved at construction. Every level produces the same
+// exact counts (src/common/simd.h), so the choice is observable only in wall-clock time.
+SimdLevel BatchSimdLevel(std::span<const ScreeningConfig> scenarios,
+                         const EngineContext& context) {
+  for (const ScreeningConfig& scenario : scenarios) {
     if (!scenario.use_reference_model) {
-      return scenario.simd;
+      return scenario.simd == SimdLevel::kAuto ? context.simd()
+                                               : ClampSimdLevel(scenario.simd);
     }
   }
-  return SimdLevel::kAuto;
+  return context.simd();
 }
 
 }  // namespace
 
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
                                                         const ScenarioBatch& batch) const {
-  const size_t k_count = batch.scenarios.size();
-  if (k_count == 0) {
-    return {};
-  }
-  // Context-free batch: per-call context, env-resolved SIMD, scenario sinks only -- the
-  // legacy resolution, byte for byte.
   EngineContext context(EngineOptions{.threads = batch.threads});
-  std::vector<MetricsRegistry*> metrics(k_count);
-  std::vector<TraceRecorder*> trace_sinks(k_count);
-  for (size_t k = 0; k < k_count; ++k) {
-    metrics[k] = batch.scenarios[k].metrics;
-    trace_sinks[k] = batch.scenarios[k].trace;
-  }
-  return RunBatchWith(fleet, batch, context, metrics, trace_sinks,
-                      batch.scenarios[0].series,
-                      ResolveSimdLevel(BatchSimdRequest(batch)));
+  return RunBatch(fleet, batch, context);
 }
 
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
@@ -738,9 +597,9 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   if (k_count == 0) {
     return {};
   }
-  const SimdLevel request = BatchSimdRequest(batch);
-  const SimdLevel simd =
-      request == SimdLevel::kAuto ? context.simd() : ClampSimdLevel(request);
+  // Sinks are pinned once for the whole pass: the scenario's explicit sink wins, the
+  // context's attachment backs it up.
+  const SimdLevel simd = BatchSimdLevel(batch.scenarios, context);
   MetricsRegistry* context_metrics = context.metrics();
   TraceRecorder* context_trace = context.trace();
   std::vector<MetricsRegistry*> metrics(k_count);
@@ -754,15 +613,11 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   SeriesRecorder* series = batch.scenarios[0].series != nullptr
                                ? batch.scenarios[0].series
                                : context.series();
-  return RunBatchWith(fleet, batch, context, metrics, trace_sinks, series, simd);
-}
-
-std::vector<ScreeningStats> ScreeningPipeline::RunBatchWith(
-    const FleetPopulation& fleet, const ScenarioBatch& batch, EngineContext& context,
-    std::span<MetricsRegistry* const> metrics, std::span<TraceRecorder* const> trace_sinks,
-    SeriesRecorder* series, SimdLevel simd) const {
-  const size_t k_count = batch.scenarios.size();
   const auto run_start = std::chrono::steady_clock::now();
+  // The whole pass as one host-clock span, on scenario 0's recorder (the same host that
+  // carries StreamingScreen's "screening.aggregate" span).
+  TraceRecorder::ScopedHostSpan run_span(trace_sinks[0], "screening.run", "screen",
+                                         kTraceTrackScreen);
   ThreadPool& pool = context.pool();
 
   std::array<ProcessorSpec, kArchCount> arch_specs;
@@ -865,62 +720,6 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatchWith(
   return std::move(total.stats);
 }
 
-void ScreeningPipeline::ScreenFaultyProcessor(uint64_t serial, int arch_index,
-                                              std::span<const Defect> defects,
-                                              const ScreeningConfig& config,
-                                              int physical_cores, Rng& rng,
-                                              ScreeningStats& stats) const {
-  // The suite-matching counts are scenario-invariant; the single-scenario path computes
-  // them inline while the batched kernel hoists them across K scenarios. Same integers
-  // either way.
-  int matching_stack[8];
-  std::vector<int> matching_heap;
-  std::span<int> matching;
-  if (defects.size() <= std::size(matching_stack)) {
-    matching = std::span<int>(matching_stack, defects.size());
-  } else {
-    matching_heap.resize(defects.size());
-    matching = matching_heap;
-  }
-  for (size_t d = 0; d < defects.size(); ++d) {
-    matching[d] = MatchingTestcases(defects[d]);
-  }
-  ScreenFaultyProcessorWithMatching(serial, arch_index, defects, matching, config,
-                                    physical_cores, rng, stats);
-}
-
-void ScreeningPipeline::ScreenFaultyProcessorWithMatching(
-    uint64_t serial, int arch_index, std::span<const Defect> defects,
-    std::span<const int> matching, const ScreeningConfig& config, int physical_cores,
-    Rng& rng, ScreeningStats& stats) const {
-  // Memoized detection model: MatchingTestcases is stage-invariant (one suite scan per
-  // defect instead of one per probe) and the per-stage survive factor is probe-invariant
-  // (ComputeSurviveTerms), so every probe in the replay is a table lookup. Nearly every
-  // faulty part carries a handful of defects, so the tables live on the stack.
-  std::array<double, kStageCount> terms_stack[8];
-  double onsets_stack[8];
-  std::vector<std::array<double, kStageCount>> terms_heap;
-  std::vector<double> onsets_heap;
-  std::span<std::array<double, kStageCount>> survive_terms;
-  std::span<double> sorted_onsets;
-  if (defects.size() <= std::size(terms_stack)) {
-    survive_terms = std::span(terms_stack, defects.size());
-    sorted_onsets = std::span(onsets_stack, defects.size());
-  } else {
-    terms_heap.resize(defects.size());
-    onsets_heap.resize(defects.size());
-    survive_terms = terms_heap;
-    sorted_onsets = onsets_heap;
-  }
-  ComputeSurviveTerms(defects, matching, config.stages, physical_cores, survive_terms);
-  for (size_t d = 0; d < defects.size(); ++d) {
-    sorted_onsets[d] = defects[d].onset_months;
-  }
-  std::sort(sorted_onsets.begin(), sorted_onsets.end());
-  ReplayFaultyProbes(serial, arch_index, defects, survive_terms, sorted_onsets, config,
-                     rng, stats);
-}
-
 void ScreeningPipeline::ScreenProcessorReference(const FleetProcessorView& processor,
                                                  const ScreeningConfig& config, Rng& rng,
                                                  ScreeningStats& stats) const {
@@ -1006,17 +805,6 @@ StreamingScreen::StreamingScreen(const ScreeningPipeline* pipeline, ScenarioBatc
   for (const ScreeningConfig& scenario : scenarios_) {
     bases_.emplace_back(scenario.seed);
   }
-  // Shared clean-path level: first cached scenario's request (every level counts
-  // identically, so this only affects wall-clock time). Legacy resolution (environment
-  // consulted) happens here at construction; a context-threaded BeginStream re-resolves
-  // the recorded request against the context instead.
-  for (const ScreeningConfig& scenario : scenarios_) {
-    if (!scenario.use_reference_model) {
-      simd_request_ = scenario.simd;
-      break;
-    }
-  }
-  simd_ = ResolveSimdLevel(simd_request_);
   for (int arch = 0; arch < kArchCount; ++arch) {
     arch_specs_[static_cast<size_t>(arch)] = MakeArchSpec(arch);
   }
@@ -1030,20 +818,16 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
                                              const PopulationConfig& config,
                                              uint64_t shard_count) {
   const size_t k_count = scenarios_.size();
-  if (context != nullptr) {
-    simd_ = simd_request_ == SimdLevel::kAuto ? context->simd()
-                                              : ClampSimdLevel(simd_request_);
-  }
+  simd_ = BatchSimdLevel(scenarios_, *context);
   // Pin the per-scenario sinks for the whole pass: the scenario's explicit sink wins,
   // the context's attachment as of *now* backs it up. ConsumeShard / EndStream only ever
   // look at these pins, so a detach on the context mid-stream can neither drop nor
   // double-merge a shard's delta.
-  MetricsRegistry* context_metrics = context != nullptr ? context->metrics() : nullptr;
-  TraceRecorder* context_trace = context != nullptr ? context->trace() : nullptr;
-  SeriesRecorder* context_series = context != nullptr ? context->series() : nullptr;
+  MetricsRegistry* context_metrics = context->metrics();
+  TraceRecorder* context_trace = context->trace();
   pinned_series_ = !scenarios_.empty() && scenarios_.front().series != nullptr
                        ? scenarios_.front().series
-                       : context_series;
+                       : context->series();
   processors_total_ = config.processor_count;
   pinned_metrics_.assign(k_count, nullptr);
   pinned_trace_.assign(k_count, nullptr);
@@ -1060,10 +844,6 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
   for (const ObserverEntry& entry : observers_) {
     entry.observer->BeginStream(config, scenarios_[entry.scenario], shard_count);
   }
-}
-
-void StreamingScreen::BeginStream(const PopulationConfig& config, uint64_t shard_count) {
-  BeginStreamWithContext(nullptr, config, shard_count);
 }
 
 void StreamingScreen::ConsumeShard(const FleetShard& shard) {
@@ -1143,7 +923,7 @@ void StreamingScreen::EndStream() {
     if (pinned_series_ != nullptr) {
       // Stream shards end exactly at the materialized fold's fleet-grain boundaries, and
       // scenario 0's cumulative stats match shard for shard, so these are the same
-      // points RunWith appends -- byte-identical across execution modes.
+      // points RunBatch appends -- byte-identical across execution modes.
       const uint64_t end_serial =
           std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_);
       AppendScreeningSeriesPoint(pinned_series_, end_serial, stats_[0]);

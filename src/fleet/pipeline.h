@@ -12,16 +12,22 @@
 // HVM tests are weak SDC detectors; the re-install full-suite run is the strong one --
 // which is exactly why Table 1's re-install column dominates).
 //
-// Cost model (docs/performance.md): the per-defect expected-error terms depend only on
-// (defect, stage params, core count), so Run evaluates them exactly once per faulty
-// processor and memoizes the per-stage survive factors. Pre-production probes are then
-// table lookups, and the regular-cycle loop re-derives its detection probability only
-// when a wear-out defect's onset month is crossed -- every other cycle is a cached
+// Cost model (docs/performance.md): there is one screening kernel, a batch of K
+// scenarios over one pass of the fleet; single-scenario screening (Run, a one-config
+// StreamingScreen) is a batch of one. The per-defect expected-error terms depend only on
+// (defect, stage params, core count), so the kernel evaluates them exactly once per
+// faulty processor and memoizes the per-stage survive factors. Pre-production probes are
+// then table lookups, and the regular-cycle loop re-derives its detection probability
+// only when a wear-out defect's onset month is crossed -- every other cycle is a cached
 // lookup. The clean-processor fast path never touches the model at all: it streams the
 // packed per-processor byte columns and jumps between faulty parts via the fleet's
 // sorted faulty-serial index. The pre-memoization implementation is retained as a
 // test-only reference (ScreeningConfig::use_reference_model) and the equivalence suite
 // asserts byte-identical stats between the two at several thread counts.
+//
+// Every entry point runs on an EngineContext (src/common/context.h); the context-free
+// overloads build a fresh one per call, which reads SDC_THREADS / SDC_SIMD once, in its
+// constructor.
 
 #ifndef SDC_SRC_FLEET_PIPELINE_H_
 #define SDC_SRC_FLEET_PIPELINE_H_
@@ -81,9 +87,9 @@ struct ScreeningConfig {
   // machine tests at the same month boundaries.
   int regular_groups = 6;
   uint64_t seed = 77;
-  // Worker threads for ScreeningPipeline::Run: 0 = hardware concurrency, 1 = serial.
-  // Stats are bit-identical for a given seed at any thread count (see docs/parallelism.md);
-  // SDC_THREADS overrides this value.
+  // Worker threads for the context-free ScreeningPipeline::Run: 0 = hardware concurrency,
+  // 1 = serial. Stats are bit-identical for a given seed at any thread count (see
+  // docs/parallelism.md); SDC_THREADS overrides this value.
   int threads = 0;
   // Test-only hook: run the slow pre-memoization model that recomputes MatchingTestcases
   // and ExpectedErrors at every probe. Output must be byte-identical to the default
@@ -99,10 +105,11 @@ struct ScreeningConfig {
   // materialized/streaming modes. Null disables recording at the cost of one pointer test
   // per shard (docs/observability.md).
   TraceRecorder* trace = nullptr;
-  // Vector level for the clean-path column scan (docs/performance.md). kAuto picks the
-  // best the host supports; the SDC_SIMD environment variable and -DSDC_FORCE_SCALAR
-  // override it (src/common/simd.h). Every level produces bit-identical stats -- this is
-  // a speed knob, never a behavior change.
+  // Vector level for the clean-path column scan (docs/performance.md). kAuto takes the
+  // level the EngineContext resolved when it was built (SDC_SIMD, read once there, else
+  // the best the host supports); an explicit level wins over SDC_SIMD and clamps to what
+  // the host can run, and -DSDC_FORCE_SCALAR overrides both (src/common/simd.h). Every
+  // level produces bit-identical stats -- this is a speed knob, never a behavior change.
   SimdLevel simd = SimdLevel::kAuto;
   // Optional time-series sink: cumulative "screening.tested" / "screening.detected" /
   // "screening.escapes" trajectories over the fleet's serial axis, one point per
@@ -225,24 +232,24 @@ class ScreeningPipeline {
   // the pipeline.
   explicit ScreeningPipeline(const TestSuite* suite);
 
-  // Screens the whole fleet. Sharded across config.threads workers; per-shard stats are
-  // merged in shard order and each shard draws from its own forked RNG stream, so the
-  // result is bit-identical at any thread count. The context-free form constructs a fresh
-  // EngineContext per call (SDC_THREADS / SDC_SIMD consulted exactly there); the explicit
-  // form runs on the caller's context -- its pool supplies the lanes, its attached sinks
-  // back any config sink left null (pinned once at pass start), and config.simd == kAuto
-  // resolves to the context's level with no environment read (src/common/context.h).
+  // Screens the whole fleet: RunBatch over a batch of one. Per-shard stats are merged in
+  // shard order and each shard draws from its own forked RNG stream, so the result is
+  // bit-identical at any thread count. The context-free form runs on a fresh
+  // EngineContext with config.threads lanes.
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config) const;
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config,
                      EngineContext& context) const;
 
   // Screens the whole fleet under every scenario of `batch` in one pass over the packed
-  // columns. Result k is byte-identical to Run(fleet, batch.scenarios[k]) -- counters,
+  // columns. Result k is byte-identical to the batch of scenarios[k] alone -- counters,
   // detections, detection months bitwise, metrics deltas -- at any thread count; the
   // clean-path scan and the per-defect suite matching are paid once per shard instead of
-  // once per scenario. Returns one ScreeningStats per scenario, in batch order. Context
-  // forms mirror Run: per-scenario sinks fall back to the context's attachments, pinned
-  // once at pass start.
+  // once per scenario. Returns one ScreeningStats per scenario, in batch order. The pass
+  // runs on `context`: its pool supplies the lanes, its attached sinks back any scenario
+  // sink left null (pinned once at pass start), and a kAuto SIMD request takes the
+  // context's level. Scenario 0's trace sink gets one "screening.run" host span and every
+  // metrics sink one "screening.run.wall" sample. The context-free form runs on a fresh
+  // EngineContext with batch.threads lanes.
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
                                        const ScenarioBatch& batch) const;
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
@@ -259,66 +266,24 @@ class ScreeningPipeline {
  private:
   friend class StreamingScreen;
 
-  // Shared bodies of the Run / RunBatch overloads. `metrics` / `trace` (one per scenario
-  // for the batch form) are the pinned sinks for the whole pass and `simd` the resolved
-  // level; the pool is context.pool(). Neither body reads the environment.
-  ScreeningStats RunWith(const FleetPopulation& fleet, const ScreeningConfig& config,
-                         EngineContext& context, MetricsRegistry* metrics,
-                         TraceRecorder* trace, SeriesRecorder* series,
-                         SimdLevel simd) const;
-  std::vector<ScreeningStats> RunBatchWith(const FleetPopulation& fleet,
-                                           const ScenarioBatch& batch,
-                                           EngineContext& context,
-                                           std::span<MetricsRegistry* const> metrics,
-                                           std::span<TraceRecorder* const> traces,
-                                           SeriesRecorder* series, SimdLevel simd) const;
-
-  // The screening kernel: screens serials [view.begin, view.end) against `rng`,
-  // accumulating into `stats` (counters add, so one stats object may accumulate several
-  // consecutive shards). Runs the memoized clean-part fast path, or the reference model
-  // when config.use_reference_model is set. Both Run and StreamingScreen call exactly
-  // this, one screening shard (kScreeningShardGrain) per forked RNG stream; `sub_shard`
-  // is that global shard index -- stamped into every new provenance record and, when
-  // `trace` is non-null, emitted as the shard's "screen.subshard" span plus one
-  // "detection" instant per new detection.
-  void ScreenShardRange(const ScreeningShardView& view, const ScreeningConfig& config,
-                        const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                        uint64_t sub_shard, SimdLevel simd, Rng& rng,
-                        ScreeningStats& stats, TraceDelta* trace) const;
-
-  // Batched screening kernel: one pass over [view.begin, view.end) that accumulates into
-  // stats[k] for every scenario k, drawing scenario k's randomness only from rngs[k] in
-  // serial order -- the reason each slot is byte-identical to a ScreenShardRange call for
-  // that scenario alone. Cached-model scenarios share the SIMD arch histogram and the
-  // per-defect MatchingTestcases memo; reference-model scenarios fall back to the
-  // per-scenario kernel (still amortizing shard generation in streaming mode).
-  // traces[k] may be null per scenario. All spans must have scenarios.size() entries.
+  // The screening kernel: one pass over [view.begin, view.end) that accumulates into
+  // stats[k] for every scenario k (counters add, so one stats object may accumulate
+  // several consecutive shards), drawing scenario k's randomness only from rngs[k] in
+  // serial order -- the reason each slot is byte-identical to a batch of that scenario
+  // alone. Both RunBatch and StreamingScreen call exactly this, one screening shard
+  // (kScreeningShardGrain) per forked RNG stream; `sub_shard` is that global shard index
+  // -- stamped into every new provenance record and, when traces[k] is non-null, emitted
+  // as the shard's "screen.subshard" span plus one "detection" instant per new detection.
+  // Cached-model scenarios share the SIMD arch histogram and the per-defect
+  // MatchingTestcases memo; reference-model scenarios run ScreenProcessorReference per
+  // processor (still amortizing shard generation in streaming mode). All spans must have
+  // scenarios.size() entries.
   void ScreenShardRangeBatch(const ScreeningShardView& view,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
                              uint64_t sub_shard, SimdLevel simd, std::span<Rng> rngs,
                              std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
-
-  // Memoized fast path: screens one faulty, toolchain-detectable processor. Evaluates the
-  // detection model once per (defect, stage), then replays the probe schedule against the
-  // cached survive terms, drawing all randomness from `rng` in the same order as the
-  // reference implementation.
-  void ScreenFaultyProcessor(uint64_t serial, int arch_index,
-                             std::span<const Defect> defects,
-                             const ScreeningConfig& config, int physical_cores, Rng& rng,
-                             ScreeningStats& stats) const;
-
-  // ScreenFaultyProcessor with the per-defect MatchingTestcases counts precomputed
-  // (matching[d] = MatchingTestcases(defects[d])). The suite scan is the dominant cost of
-  // a faulty part and is scenario-invariant, so the batched kernel computes it once per
-  // part and replays K scenarios against it -- the counts are the same integers either
-  // way, so this refactor cannot perturb a bit of output.
-  void ScreenFaultyProcessorWithMatching(uint64_t serial, int arch_index,
-                                         std::span<const Defect> defects,
-                                         std::span<const int> matching,
-                                         const ScreeningConfig& config, int physical_cores,
-                                         Rng& rng, ScreeningStats& stats) const;
 
   // Pre-memoization implementation, kept verbatim as the equivalence-test oracle. Screens
   // one processor (clean parts included), recomputing MatchingTestcases / ExpectedErrors
@@ -352,9 +317,9 @@ class ShardOutcomeObserver {
 // Fused streaming screener: a ShardConsumer that screens every generated shard in place,
 // so generate -> screen -> aggregate happens in one pass without materializing the fleet.
 // Each stream shard is screened as its embedded kScreeningShardGrain sub-shards with the
-// same globally-indexed Rng::Fork streams the materialized Run uses, and per-shard stats
-// and metric deltas are merged in shard order in EndStream -- TakeStats() is therefore
-// byte-identical to Run() on the materialized fleet at any thread count
+// same globally-indexed Rng::Fork streams the materialized RunBatch uses, and per-shard
+// stats and metric deltas are merged in shard order in EndStream -- TakeStats() is
+// therefore byte-identical to Run() on the materialized fleet at any thread count
 // (tests/stream_test.cc).
 //
 // Batched form: constructed from a ScenarioBatch, the consumer screens every generated
@@ -375,15 +340,12 @@ class StreamingScreen : public ShardConsumer {
   // scenario's shard stats.
   void AddObserver(ShardOutcomeObserver* observer, size_t scenario = 0);
 
-  // Context-threaded begin: pins per-scenario sinks (explicit scenario sink wins, the
-  // context's attachment backs it up) and, when the scenario requested kAuto, takes the
-  // context's resolved vector level -- no environment read. A detach on the context
-  // between shards cannot drop or double-merge a delta: the pass completes against what
-  // was pinned here. The context-free BeginStream keeps the legacy resolution
-  // (construction-time ResolveSimdLevel, scenario sinks only).
+  // Pins per-scenario sinks (explicit scenario sink wins, the driving context's
+  // attachment backs it up) and the vector level (a kAuto request takes the context's) --
+  // no environment read. A detach on the context between shards cannot drop or
+  // double-merge a delta: the pass completes against what was pinned here.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
-  void BeginStream(const PopulationConfig& config, uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 
@@ -404,10 +366,7 @@ class StreamingScreen : public ShardConsumer {
   const ScreeningPipeline* pipeline_;
   std::vector<ScreeningConfig> scenarios_;
   std::vector<Rng> bases_;  // one base RNG per scenario, forked per screening shard
-  // Legacy resolution happens at construction (simd_); a context-threaded BeginStream
-  // re-resolves the recorded request against the context instead.
-  SimdLevel simd_request_ = SimdLevel::kAuto;
-  SimdLevel simd_ = SimdLevel::kScalar;
+  SimdLevel simd_ = SimdLevel::kScalar;  // pinned at pass start
   std::array<ProcessorSpec, kArchCount> arch_specs_;
   std::vector<ObserverEntry> observers_;
   // Sinks pinned at pass start (scenario sink, else context attachment), used by
@@ -416,7 +375,7 @@ class StreamingScreen : public ShardConsumer {
   std::vector<TraceRecorder*> pinned_trace_;
   // Series sink for scenario 0 (the batch contract ScreeningConfig::series documents),
   // pinned like the other sinks; EndStream appends one cumulative point per stream shard
-  // during its ordered fold, at exactly the fleet-grain boundaries RunWith samples.
+  // during its ordered fold, at exactly the fleet-grain boundaries RunBatch samples.
   SeriesRecorder* pinned_series_ = nullptr;
   uint64_t processors_total_ = 0;  // for the final (partial-shard) sample boundary
   // Per-stream-shard, per-scenario partials, merged in shard order by EndStream.

@@ -81,9 +81,10 @@ struct PopulationConfig {
   // index, defect arena, tallies -- which tests and bench/micro_screening assert; the
   // flag exists so that equivalence stays checkable forever (the PR 3 / PR 6 precedent).
   bool use_reference_generator = false;
-  // Vector level for the blocked generator's classify/tally kernels. kAuto resolves to
-  // the context's level (context overloads) or via SDC_SIMD + host detection (legacy
-  // overloads); any level generates identical bytes, so this is purely a speed knob.
+  // Vector level for the blocked generator's classify/tally kernels. kAuto takes the
+  // level the EngineContext resolved when it was built (SDC_SIMD is read once, there); an
+  // explicit level wins over SDC_SIMD. Any level generates identical bytes, so this is
+  // purely a speed knob.
   SimdLevel simd = SimdLevel::kAuto;
   // Optional metric sink ("fleet.generate.*"): per-shard deltas merged in shard order, so
   // recorded values obey the same thread-count invariance as the fleet itself
@@ -152,11 +153,8 @@ struct GenerationPlan {
   SimdLevel simd = SimdLevel::kScalar;         // resolved level for classify + tally
   bool blocked = false;
 
-  // Legacy resolve: SDC_SIMD consulted here (once per plan), mirroring the context-free
-  // screening entry points.
-  static GenerationPlan Build(const PopulationConfig& config);
-  // Context resolve: the level captured at context construction backs a kAuto request;
-  // no environment read (src/common/context.h).
+  // The level captured at context construction backs a kAuto request; no environment
+  // read (src/common/context.h).
   static GenerationPlan Build(const PopulationConfig& config, EngineContext& context);
 };
 
@@ -164,14 +162,11 @@ struct GenerationPlan {
 // (cleared first), drawing every random value from base.Fork(shard) where `base` is
 // Rng(config.seed). This is the single generation kernel: FleetPopulation::Generate and
 // FleetShardStream both call it, so the materialized and streaming fleets are identical
-// bytes by construction. `begin` must equal shard * kFleetShardGrain. The plan-taking
-// form is the hot one (the stream builds one plan for the whole pass); the plan-free
-// form builds a throwaway plan per call and exists for tests and one-shot callers.
+// bytes by construction. `begin` must equal shard * kFleetShardGrain; `plan` is built
+// once per pass and shared by every shard.
 void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& plan,
                         const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
                         FleetShardBuffer& buffer);
-void GenerateFleetShard(const PopulationConfig& config, const Rng& base, uint64_t shard,
-                        uint64_t begin, uint64_t end, FleetShardBuffer& buffer);
 
 class FleetPopulation {
  public:
@@ -179,11 +174,10 @@ class FleetPopulation {
   static constexpr uint8_t kFaultyFlag = 1;
   static constexpr uint8_t kDetectableFlag = 2;
 
-  // Context-free form: constructs a fresh EngineContext per call (SDC_THREADS consulted
-  // exactly there). The explicit form generates on the caller's context -- its pool
-  // supplies the lanes and its attached sinks back any config sink left null, so no
-  // mutable process-global state is read after the context was built
-  // (src/common/context.h).
+  // Generates on `context`: its pool supplies the lanes and its attached sinks back any
+  // config sink left null, so no mutable process-global state is read after the context
+  // was built (src/common/context.h). The context-free form runs on a fresh EngineContext
+  // with config.threads lanes.
   static FleetPopulation Generate(const PopulationConfig& config);
   static FleetPopulation Generate(const PopulationConfig& config, EngineContext& context);
 

@@ -66,36 +66,18 @@ uint64_t FleetShardStream::shard_count() const {
 }
 
 StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers) const {
-  // Context-free drive: the environment (SDC_THREADS) is consulted exactly once, while
-  // this per-call context is constructed. Consumers see a null context so their sink and
-  // SIMD resolution stays byte-for-byte the legacy behavior.
   EngineContext context(EngineOptions{.threads = config_.threads});
-  return DriveWith(consumers, context, nullptr);
+  return Drive(consumers, context);
 }
 
 StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
                                      EngineContext& context) const {
-  return DriveWith(consumers, context, &context);
-}
-
-StreamReport FleetShardStream::DriveWith(std::span<ShardConsumer* const> consumers,
-                                         EngineContext& context,
-                                         EngineContext* consumer_context) const {
   // Sinks are pinned here, once, for the whole pass: an explicit config sink wins, the
   // context's attachment backs it up, and a detach between shards cannot drop or
   // double-merge a delta -- the in-flight pass completes against what was pinned.
-  MetricsRegistry* metrics =
-      config_.metrics != nullptr
-          ? config_.metrics
-          : (consumer_context != nullptr ? consumer_context->metrics() : nullptr);
-  TraceRecorder* trace =
-      config_.trace != nullptr
-          ? config_.trace
-          : (consumer_context != nullptr ? consumer_context->trace() : nullptr);
-  SeriesRecorder* series =
-      config_.series != nullptr
-          ? config_.series
-          : (consumer_context != nullptr ? consumer_context->series() : nullptr);
+  MetricsRegistry* metrics = config_.metrics != nullptr ? config_.metrics : context.metrics();
+  TraceRecorder* trace = config_.trace != nullptr ? config_.trace : context.trace();
+  SeriesRecorder* series = config_.series != nullptr ? config_.series : context.series();
   MetricsRegistry::ScopedTimer drive_timer(metrics, "fleet.stream.wall");
   TraceRecorder::ScopedHostSpan drive_span(trace, "fleet.stream.drive", "generate",
                                            kTraceTrackGenerate);
@@ -107,15 +89,13 @@ StreamReport FleetShardStream::DriveWith(std::span<ShardConsumer* const> consume
   report.lanes = pool.thread_count();
 
   for (ShardConsumer* consumer : consumers) {
-    consumer->BeginStreamWithContext(consumer_context, config_, shards);
+    consumer->BeginStreamWithContext(&context, config_, shards);
   }
 
   const Rng base(config_.seed);
   // One plan for the whole pass: the per-shard CDF/threshold/pcore precompute happens
   // here, once, and every lane shares it read-only.
-  const GenerationPlan plan = consumer_context != nullptr
-                                  ? GenerationPlan::Build(config_, *consumer_context)
-                                  : GenerationPlan::Build(config_);
+  const GenerationPlan plan = GenerationPlan::Build(config_, context);
   struct LaneState {
     FleetShardBuffer buffer;
     uint64_t peak_bytes = 0;
@@ -224,18 +204,11 @@ StreamReport FleetShardStream::Drive(std::initializer_list<ShardConsumer*> consu
 void FleetMaterializer::BeginStreamWithContext(EngineContext* context,
                                                const PopulationConfig& config,
                                                uint64_t shard_count) {
-  BeginStream(config, shard_count);
-  if (trace_ == nullptr && context != nullptr) {
-    trace_ = context->trace();
-  }
-}
-
-void FleetMaterializer::BeginStream(const PopulationConfig& config, uint64_t shard_count) {
   fleet_->config_ = config;
   fleet_->arch_.resize(config.processor_count);
   fleet_->flags_.resize(config.processor_count);
   pieces_.assign(shard_count, ShardPiece{});
-  trace_ = config.trace;
+  trace_ = config.trace != nullptr ? config.trace : context->trace();
 }
 
 void FleetMaterializer::ConsumeShard(const FleetShard& shard) {

@@ -79,15 +79,15 @@ class ShardConsumer {
  public:
   virtual ~ShardConsumer();
 
-  // Called once before any shard, on the driving thread. Context-threaded drives
-  // (Drive(consumers, EngineContext&)) pass their context so consumers can resolve
-  // telemetry sinks and the vector level from it -- and PIN them for the whole pass
-  // (src/common/context.h); context-free drives pass null. The default implementation
-  // forwards to the context-free BeginStream, so existing consumers need no changes.
+  // Called once before any shard, on the driving thread. Drive always passes the context
+  // it runs on (never null), so consumers can resolve telemetry sinks and the vector
+  // level from it -- and PIN them for the whole pass (src/common/context.h). The default
+  // implementation forwards to the context-free BeginStream, so consumers that need no
+  // context override that one instead.
   virtual void BeginStreamWithContext(EngineContext* context,
                                       const PopulationConfig& config,
                                       uint64_t shard_count);
-  // Context-free form, kept for consumers that do not care about contexts.
+  // Context-free form, for consumers that do not care about contexts.
   virtual void BeginStream(const PopulationConfig& config, uint64_t shard_count);
   // Called once per shard; thread-safe against itself on distinct shards.
   virtual void ConsumeShard(const FleetShard& shard) = 0;
@@ -116,12 +116,12 @@ class FleetShardStream {
   const PopulationConfig& config() const { return config_; }
   uint64_t shard_count() const;
 
-  // Runs the pass; consumers are invoked in the given order on every shard. Blocks until
-  // every shard has been consumed and EndStream ran on every consumer. The context-free
-  // form constructs a fresh EngineContext per call (environment consulted exactly there);
-  // the explicit form reuses the caller's context -- its pool supplies the lanes, and its
-  // attached sinks back any config sink left null, pinned once at pass start
-  // (src/common/context.h).
+  // Runs the pass on `context`; consumers are invoked in the given order on every shard.
+  // Blocks until every shard has been consumed and EndStream ran on every consumer. The
+  // context's pool supplies the lanes, and its attached sinks back any config sink left
+  // null, pinned once at pass start (src/common/context.h). The context-free forms run on
+  // a fresh EngineContext with config.threads lanes; SDC_THREADS / SDC_SIMD are read once,
+  // when it is built.
   StreamReport Drive(std::span<ShardConsumer* const> consumers) const;
   StreamReport Drive(std::initializer_list<ShardConsumer*> consumers) const;
   StreamReport Drive(std::span<ShardConsumer* const> consumers,
@@ -130,12 +130,6 @@ class FleetShardStream {
                      EngineContext& context) const;
 
  private:
-  // `consumer_context` is what BeginStreamWithContext observes: the caller's context for
-  // explicit drives, null for context-free drives (whose internal context only supplies
-  // the pool, preserving the legacy sink and SIMD resolution exactly).
-  StreamReport DriveWith(std::span<ShardConsumer* const> consumers, EngineContext& context,
-                         EngineContext* consumer_context) const;
-
   PopulationConfig config_;
 };
 
@@ -150,7 +144,6 @@ class FleetMaterializer : public ShardConsumer {
   // context's attachment as of pass start.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
-  void BeginStream(const PopulationConfig& config, uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 
@@ -166,7 +159,7 @@ class FleetMaterializer : public ShardConsumer {
 
   FleetPopulation* fleet_;
   std::vector<ShardPiece> pieces_;
-  TraceRecorder* trace_ = nullptr;  // from the stream's PopulationConfig
+  TraceRecorder* trace_ = nullptr;  // pinned at pass start
 };
 
 }  // namespace sdc

@@ -167,10 +167,8 @@ std::vector<ScrubCandidate> CandidatesFromMaterialized(const FleetPopulation& fl
 FleetScrubber::FleetScrubber(const TestSuite* suite) : suite_(suite) {}
 
 ScrubReport FleetScrubber::Run(const ScrubConfig& config) const {
-  EngineOptions options;
-  options.threads = config.threads;
-  EngineContext context(options);
-  return RunWith(config, context, config.metrics, config.trace, config.series);
+  EngineContext context(EngineOptions{.threads = config.threads});
+  return Run(config, context);
 }
 
 ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context) const {
@@ -179,12 +177,6 @@ ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context
       config.metrics != nullptr ? config.metrics : context.metrics();
   TraceRecorder* trace = config.trace != nullptr ? config.trace : context.trace();
   SeriesRecorder* series = config.series != nullptr ? config.series : context.series();
-  return RunWith(config, context, metrics, trace, series);
-}
-
-ScrubReport FleetScrubber::RunWith(const ScrubConfig& config, EngineContext& context,
-                                   MetricsRegistry* metrics, TraceRecorder* trace,
-                                   SeriesRecorder* series) const {
   ScrubReport report;
   report.fleet_processors = config.population.processor_count;
   report.budget_fraction = config.budget_fraction;

@@ -233,18 +233,13 @@ class FleetScrubber {
   // processor) and must outlive the scrubber.
   explicit FleetScrubber(const TestSuite* suite);
 
-  // Runs discovery plus the budgeted epoch loop. The context-free form builds a fresh
-  // EngineContext from config.threads (environment consulted exactly there); the
-  // explicit form runs on the caller's context -- its pool supplies the lanes and its
-  // attached sinks back any config sink left null, pinned once at run start.
+  // Runs discovery plus the budgeted epoch loop on `context`: its pool supplies the lanes
+  // and its attached sinks back any config sink left null, pinned once at run start. The
+  // context-free form runs on a fresh EngineContext with config.threads lanes.
   ScrubReport Run(const ScrubConfig& config) const;
   ScrubReport Run(const ScrubConfig& config, EngineContext& context) const;
 
  private:
-  ScrubReport RunWith(const ScrubConfig& config, EngineContext& context,
-                      MetricsRegistry* metrics, TraceRecorder* trace,
-                      SeriesRecorder* series) const;
-
   const TestSuite* suite_;
 };
 

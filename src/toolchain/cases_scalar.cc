@@ -10,19 +10,23 @@ namespace sdc {
 namespace {
 
 // Golden scalar results for integer/logic ops. Inputs are derived from the rng; divide
-// guards against zero divisors.
+// guards against zero divisors. Add, subtract, multiply and shift wrap modulo 2^64 like
+// the hardware they model: they run in uint64_t, where overflow is defined (raw 64-bit
+// payloads overflow int64_t routinely).
 int64_t GoldenInt(OpKind op, int64_t a, int64_t b) {
+  const auto ua = static_cast<uint64_t>(a);
+  const auto ub = static_cast<uint64_t>(b);
   switch (op) {
     case OpKind::kIntAdd:
-      return a + b;
+      return static_cast<int64_t>(ua + ub);
     case OpKind::kIntSub:
-      return a - b;
+      return static_cast<int64_t>(ua - ub);
     case OpKind::kIntMul:
-      return a * b;
+      return static_cast<int64_t>(ua * ub);
     case OpKind::kIntDiv:
       return a / (b | 1);
     case OpKind::kIntShift:
-      return a << (b & 15);
+      return static_cast<int64_t>(ua << (ub & 15));
     case OpKind::kLogicAnd:
       return a & b;
     case OpKind::kLogicOr:
@@ -40,7 +44,7 @@ int64_t GoldenInt(OpKind op, int64_t a, int64_t b) {
       return static_cast<int64_t>(
           (static_cast<uint64_t>(a) >> 8) ^ ((static_cast<uint64_t>(a ^ b) & 0xff) * 0x1db7));
     default:
-      return a + b;
+      return static_cast<int64_t>(ua + ub);
   }
 }
 

@@ -216,6 +216,66 @@ TEST_F(TraceFleetTest, DetectionInstantsMatchProvenanceCount) {
             (kFleetSize + kScreeningShardGrain - 1) / kScreeningShardGrain);
 }
 
+// Single-scenario Run is a batch of one, so Run and a materialized RunBatch leave the
+// same pass-level host telemetry: exactly one "screening.run" host span, on scenario 0's
+// recorder, and one "screening.run.wall" sample in every scenario's registry.
+TEST_F(TraceFleetTest, RunAndRunBatchLeaveOneRunSpanAndOneRunTimerSample) {
+  PopulationConfig population;
+  population.processor_count = kFleetSize;
+  population.threads = 2;
+  const FleetPopulation fleet = FleetPopulation::Generate(population);
+  ScreeningPipeline pipeline(suite_);
+  auto run_spans = [](const TraceRecorder& recorder) {
+    uint64_t spans = 0;
+    for (const TraceEvent& event : recorder.Snapshot().host) {
+      if (event.name == "screening.run") {
+        ++spans;
+      }
+    }
+    return spans;
+  };
+  auto run_timer_samples = [](const MetricsRegistry& registry) -> uint64_t {
+    const MetricsSnapshot snapshot = registry.Snapshot();
+    const auto it = snapshot.timers.find("screening.run.wall");
+    return it == snapshot.timers.end() ? 0 : it->second.count;
+  };
+
+  {
+    SCOPED_TRACE("Run");
+    TraceRecorder recorder;
+    MetricsRegistry registry;
+    ScreeningConfig screening;
+    screening.threads = 2;
+    screening.trace = &recorder;
+    screening.metrics = &registry;
+    (void)pipeline.Run(fleet, screening);
+    EXPECT_EQ(run_spans(recorder), 1u);
+    EXPECT_EQ(run_timer_samples(registry), 1u);
+  }
+
+  {
+    SCOPED_TRACE("RunBatch, K=3");
+    constexpr size_t kScenarios = 3;
+    std::vector<TraceRecorder> recorders(kScenarios);
+    std::vector<MetricsRegistry> registries(kScenarios);
+    ScenarioBatch batch;
+    batch.threads = 2;
+    for (size_t k = 0; k < kScenarios; ++k) {
+      ScreeningConfig scenario;
+      scenario.seed = 900 + k;
+      scenario.trace = &recorders[k];
+      scenario.metrics = &registries[k];
+      batch.scenarios.push_back(scenario);
+    }
+    (void)pipeline.RunBatch(fleet, batch);
+    for (size_t k = 0; k < kScenarios; ++k) {
+      SCOPED_TRACE("scenario " + std::to_string(k));
+      EXPECT_EQ(run_spans(recorders[k]), k == 0 ? 1u : 0u);
+      EXPECT_EQ(run_timer_samples(registries[k]), 1u);
+    }
+  }
+}
+
 TEST_F(TraceFleetTest, NullRecorderRecordsNothingAndChangesNothing) {
   // The zero-cost contract's functional half: stats are the same object with tracing on,
   // off, and with metrics detached.

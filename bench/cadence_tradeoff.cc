@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/context.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/farron/longitudinal.h"
@@ -44,7 +45,8 @@ int main() {
   for (size_t k = 0; k < periods.size(); ++k) {
     screen.AddObserver(&exposure[k], k);
   }
-  stream.Drive({&screen});
+  EngineContext context;
+  stream.Drive({&screen}, context);
 
   TextTable table({"period (months)", "regular detections", "mean exposure (months)",
                    "baseline test overhead", "Farron test overhead"});

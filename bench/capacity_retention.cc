@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/capacity.h"
 
@@ -13,13 +14,14 @@ int main() {
   using namespace sdc;
   PrintExperimentHeader("Capacity", "cores retained: fine-grained decommission vs baseline");
 
+  EngineContext context;
   PopulationConfig population_config;
   population_config.processor_count = 1'000'000;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
   const ScreeningConfig config;
-  const ScreeningStats stats = pipeline.Run(fleet, config);
+  const ScreeningStats stats = pipeline.Run(fleet, config, context);
   const CapacityReport report = SimulateCapacityRetention(fleet, stats, config);
 
   TextTable table({"month", "baseline cores lost", "fine-grained cores lost"});

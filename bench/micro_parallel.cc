@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/context.h"
 #include "src/common/parallel.h"
 #include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
@@ -64,10 +65,10 @@ int Main() {
     double serial_seconds = 0.0;
     uint64_t serial_faulty = 0;
     for (int threads : ThreadCounts()) {
-      config.threads = threads;
+      EngineContext context(EngineOptions{.threads = threads});
       uint64_t faulty = 0;
       const double wall = WallSeconds([&] {
-        const FleetPopulation fleet = FleetPopulation::Generate(config);
+        const FleetPopulation fleet = FleetPopulation::Generate(config, context);
         faulty = fleet.faulty_count();
       });
       if (threads == 1) {
@@ -88,17 +89,18 @@ int Main() {
     PopulationConfig population_config;
     population_config.processor_count = 2'000'000;
     population_config.seed = 20230901;
-    const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+    EngineContext generate_context;
+    const FleetPopulation fleet =
+        FleetPopulation::Generate(population_config, generate_context);
     const TestSuite suite = TestSuite::BuildFull();
     ScreeningPipeline pipeline(&suite);
-    ScreeningConfig config;
     double serial_seconds = 0.0;
     uint64_t serial_detected = 0;
     for (int threads : ThreadCounts()) {
-      config.threads = threads;
+      EngineContext context(EngineOptions{.threads = threads});
       uint64_t detected = 0;
       const double wall = WallSeconds([&] {
-        const ScreeningStats stats = pipeline.Run(fleet, config);
+        const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
         detected = stats.total_detected();
       });
       if (threads == 1) {

@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/common/context.h"
 #include "src/report/exporters.h"
 #include "src/scrub/scrubber.h"
 #include "src/toolchain/registry.h"
@@ -70,12 +71,12 @@ int Main(int argc, char** argv) {
 
   // Budget sweep: the tradeoff curve the scrubber exists to measure.
   double top_coverage = 0.0;
+  EngineContext serial(EngineOptions{.threads = 1});
   for (const double budget : {1e-6, 1e-5, 1e-4}) {
     ScrubConfig config = BaseConfig(processors);
     config.budget_fraction = budget;
-    config.threads = 1;
     const auto start = std::chrono::steady_clock::now();
-    const ScrubReport report = scrubber.Run(config);
+    const ScrubReport report = scrubber.Run(config, serial);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     const double wall = elapsed.count();
@@ -105,9 +106,9 @@ int Main(int argc, char** argv) {
       ScrubConfig config = BaseConfig(processors);
       config.budget_fraction = 1e-5;
       config.stream_discovery = stream;
-      config.threads = threads;
+      EngineContext context(EngineOptions{.threads = threads});
       const auto start = std::chrono::steady_clock::now();
-      const ScrubReport report = scrubber.Run(config);
+      const ScrubReport report = scrubber.Run(config, context);
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start;
       const double wall = elapsed.count();

@@ -87,9 +87,9 @@ int Main(int argc, char** argv) {
   {
     PopulationConfig population_config;
     population_config.processor_count = processors;
-    population_config.threads = 1;
-    const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-    golden = pipeline.Run(fleet, ScreeningConfig{.threads = 1});
+    EngineContext serial(EngineOptions{.threads = 1});
+    const FleetPopulation fleet = FleetPopulation::Generate(population_config, serial);
+    golden = pipeline.Run(fleet, ScreeningConfig(), serial);
     materialized_bytes =
         fleet.arch_bytes().capacity() + fleet.flag_bytes().capacity() +
         fleet.faulty_serials().capacity() * sizeof(uint64_t) +
@@ -100,17 +100,18 @@ int Main(int argc, char** argv) {
   for (int threads : {1, 2, 8}) {
     PopulationConfig population_config;
     population_config.processor_count = processors;
-    population_config.threads = threads;
-    ScreeningConfig screening_config;
-    screening_config.threads = threads;
+    const ScreeningConfig screening_config;
+    // Both modes run on one explicit EngineContext, so the lane pool is built once and
+    // reused across every repeat at this width.
+    EngineContext context(EngineOptions{.threads = threads});
 
     // Materialized baseline: build the fleet, scan it.
     deterministic &= IdenticalStats(
-        golden, pipeline.Run(FleetPopulation::Generate(population_config),
-                             screening_config));
+        golden, pipeline.Run(FleetPopulation::Generate(population_config, context),
+                             screening_config, context));
     const double materialized_wall = BestWallSeconds(repeats, [&] {
-      const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-      (void)pipeline.Run(fleet, screening_config);
+      const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
+      (void)pipeline.Run(fleet, screening_config, context);
     });
     std::printf("{\"bench\": \"generate_screen\", \"mode\": \"materialized\", "
                 "\"threads\": %d, \"processors\": %llu, \"wall_seconds\": %.6f, "
@@ -120,10 +121,8 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(materialized_bytes));
     std::fflush(stdout);
 
-    // Streaming: one fused pass, no fleet, driven on an explicit EngineContext so the
-    // lane pool is built once and reused across every repeat at this width.
+    // Streaming: one fused pass, no fleet.
     const FleetShardStream stream(population_config);
-    EngineContext context(EngineOptions{.threads = threads});
     uint64_t peak_scratch = 0;
     {
       StreamingScreen screen(&pipeline, screening_config);

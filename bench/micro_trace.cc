@@ -24,6 +24,7 @@
 #include <cstring>
 #include <functional>
 
+#include "src/common/context.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stream.h"
@@ -55,18 +56,16 @@ int Main(int argc, char** argv) {
   double enabled_t1 = 0.0;
   bool consistent = true;
 
+  PopulationConfig population_config;
+  population_config.processor_count = processors;
+  const FleetShardStream stream(population_config);
   for (int threads : {1, 2, 8}) {
+    EngineContext context(EngineOptions{.threads = threads});
     auto run_once = [&](TraceRecorder* recorder) {
-      PopulationConfig population_config;
-      population_config.processor_count = processors;
-      population_config.threads = threads;
-      population_config.trace = recorder;
-      ScreeningConfig screening_config;
-      screening_config.threads = threads;
-      screening_config.trace = recorder;
-      const FleetShardStream stream(population_config);
-      StreamingScreen screen(&pipeline, screening_config);
-      stream.Drive({&screen});
+      context.AttachTrace(recorder);
+      StreamingScreen screen(&pipeline, ScreeningConfig());
+      stream.Drive({&screen}, context);
+      context.AttachTrace(nullptr);
       return screen.TakeStats();
     };
 

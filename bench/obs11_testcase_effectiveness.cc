@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/stats.h"
@@ -17,7 +18,8 @@ int main() {
   PopulationConfig config;
   config.processor_count = 30000;  // "tens of thousands of CPUs"
   config.seed = 123;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  EngineContext context;
+  const FleetPopulation fleet = FleetPopulation::Generate(config, context);
   const TestcaseEffectiveness effectiveness =
       ComputeTestcaseEffectiveness(suite, fleet, ScreeningConfig().stages[3]);
 

@@ -10,6 +10,7 @@
 #include "src/analysis/bitflip.h"
 #include "src/analysis/patterns.h"
 #include "src/analysis/repro.h"
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/capacity.h"
 #include "src/fleet/stats.h"
@@ -38,11 +39,12 @@ int main() {
   const auto catalog = StudyCatalog();
 
   // A mid-size fleet shared by the fleet-level observations.
+  EngineContext context;
   PopulationConfig population_config;
   population_config.processor_count = 300000;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   ScreeningPipeline pipeline(&suite);
-  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig());
+  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
 
   {  // Obs 1: overall failure rate ~3.61 permyriad.
     const double rate = stats.TotalRate() * 1e4;
@@ -165,7 +167,7 @@ int main() {
     PopulationConfig small_config;
     small_config.processor_count = 30000;
     small_config.seed = 123;
-    const FleetPopulation small = FleetPopulation::Generate(small_config);
+    const FleetPopulation small = FleetPopulation::Generate(small_config, context);
     const TestcaseEffectiveness effectiveness =
         ComputeTestcaseEffectiveness(suite, small, ScreeningConfig().stages[3]);
     verdicts.push_back({"Obs 11", "560/633 testcases never detect a fault",

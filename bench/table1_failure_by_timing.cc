@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/common/parallel.h"
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
@@ -17,16 +17,14 @@ int main() {
   PrintExperimentHeader("Table 1", "failure rate of different test timings");
 
   MetricsRegistry metrics;
+  EngineContext context(EngineOptions{.metrics = &metrics});
   const auto start = std::chrono::steady_clock::now();
   PopulationConfig population_config;
   population_config.processor_count = 1'000'000;
-  population_config.metrics = &metrics;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  ScreeningConfig screening_config;
-  screening_config.metrics = &metrics;
-  const ScreeningStats stats = pipeline.Run(fleet, screening_config);
+  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
   const double paper[] = {0.776, 0.180, 2.306, 0.348};
@@ -46,7 +44,7 @@ int main() {
             << FormatPercent(stats.PreProductionRate() / stats.TotalRate(), 2)
             << " (paper: 90.36%)\n";
   std::cout << "wall time: " << FormatDouble(elapsed.count(), 2) << " s (generate + screen, "
-            << ResolveThreadCount(0) << " threads; set SDC_THREADS to vary)\n";
+            << context.threads() << " threads; set SDC_THREADS to vary)\n";
   std::cout << "\nmetrics snapshot (counters/gauges/histograms are thread-count"
                " invariant):\n";
   metrics.Snapshot().DumpText(std::cout);

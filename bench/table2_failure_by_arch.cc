@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/common/parallel.h"
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
@@ -18,16 +18,14 @@ int main() {
   PrintExperimentHeader("Table 2", "failure rate of different micro-architectures");
 
   MetricsRegistry metrics;
+  EngineContext context(EngineOptions{.metrics = &metrics});
   const auto start = std::chrono::steady_clock::now();
   PopulationConfig population_config;
   population_config.processor_count = 1'000'000;
-  population_config.metrics = &metrics;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  ScreeningConfig screening_config;
-  screening_config.metrics = &metrics;
-  const ScreeningStats stats = pipeline.Run(fleet, screening_config);
+  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
   TextTable table({"arch", "tested", "measured (permyriad)", "paper (permyriad)"});
@@ -44,7 +42,7 @@ int main() {
   std::cout << "\nObservation 3 check: " << arches_with_detections << " of " << kArchCount
             << " micro-architectures have detected faulty processors\n";
   std::cout << "wall time: " << FormatDouble(elapsed.count(), 2) << " s (generate + screen, "
-            << ResolveThreadCount(0) << " threads; set SDC_THREADS to vary)\n";
+            << context.threads() << " threads; set SDC_THREADS to vary)\n";
   std::cout << "\nmetrics snapshot (counters/gauges/histograms are thread-count"
                " invariant):\n";
   metrics.Snapshot().DumpText(std::cout);

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "src/common/context.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
@@ -16,11 +17,15 @@
 int main(int argc, char** argv) {
   using namespace sdc;
 
+  // The execution environment -- worker lanes (SDC_THREADS may override), the vector
+  // level, and any telemetry sinks -- lives on the context; the configs below only
+  // describe the experiment.
+  EngineContext context;
   PopulationConfig population_config;
   population_config.processor_count = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 250000;
   std::cout << "generating a fleet of " << population_config.processor_count
             << " processors across " << kArchCount << " micro-architectures...\n";
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   std::cout << fleet.faulty_count() << " carry latent silicon defects ("
             << FormatPermyriad(static_cast<double>(fleet.faulty_count()) /
                                static_cast<double>(population_config.processor_count))
@@ -28,7 +33,7 @@ int main(int argc, char** argv) {
 
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig());
+  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
 
   TextTable table({"stage", "detections", "rate"});
   for (int stage = 0; stage < kStageCount; ++stage) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/farron/longitudinal.h"
 #include "src/fleet/capacity.h"
@@ -40,9 +41,12 @@ int main(int argc, char** argv) {
   EffectivenessAccumulator effectiveness(
       &suite, screening_config.stages[static_cast<size_t>(TestStage::kRegular)]);
 
+  // The context owns the execution environment: worker lanes (SDC_THREADS may override),
+  // the vector level, and any telemetry sinks.
+  EngineContext context;
   std::cout << "streaming " << population_config.processor_count << " processors through "
             << stream.shard_count() << " shards of " << kFleetShardGrain << "...\n";
-  const StreamReport report = stream.Drive({&screen, &effectiveness});
+  const StreamReport report = stream.Drive({&screen, &effectiveness}, context);
   const ScreeningStats stats = screen.TakeStats();
   const CapacityReport capacity_report = capacity.TakeReport();
   const TestcaseEffectiveness effective = effectiveness.TakeResult();

@@ -8,15 +8,15 @@
 // AttachMetrics aimed at one campaign silently bleeds into the other.
 //
 // EngineContext is the fix. It captures everything the engine needs to execute --
-// worker lanes (an owned ThreadPool), the vector level for the screening clean path, and
-// the optional telemetry sinks (MetricsRegistry, TraceRecorder, EventLog) -- and the
-// environment (SDC_THREADS, SDC_SIMD) is consulted exactly once, inside the constructor.
-// Every pipeline entry point runs on a context (FleetPopulation::Generate,
-// FleetShardStream::Drive, ScreeningPipeline::Run/RunBatch, FleetScrubber::Run,
-// TestFramework::RunPlan, Farron via FarronConfig::context). The context-free overloads
-// of Generate, Drive, Run/RunBatch and FleetScrubber::Run have no body of their own: each
-// builds one fresh context (no sinks, the config's thread count) and calls its context
-// overload. After construction, no engine path reads an environment variable or any other
+// worker lanes (an owned ThreadPool), the vector level for the generation and screening
+// kernels, and the optional telemetry sinks (MetricsRegistry, TraceRecorder,
+// SeriesRecorder, EventLog) -- and the environment (SDC_THREADS, SDC_SIMD) is consulted
+// exactly once, inside the constructor. For the fleet engine the context is the only
+// authority: FleetPopulation::Generate, FleetShardStream::Drive,
+// ScreeningPipeline::Run/RunBatch and FleetScrubber::Run each exist only in a form that
+// takes one, and their configs describe the experiment alone -- no lanes, vector level or
+// sinks. (TestFramework::RunPlan and Farron, via FarronConfig::context, also accept
+// one.) After construction, no engine path reads an environment variable or any other
 // mutable process-global -- the invariant the sdcd campaign daemon (docs/daemon.md) and
 // the concurrent-campaign tests (tests/context_test.cc) are built on.
 //

@@ -10,10 +10,11 @@
 // Dispatch layers, strongest wins:
 //   1. -DSDC_FORCE_SCALAR (CMake option SDC_FORCE_SCALAR) pins every call to the scalar
 //      path at compile time -- the CI matrix leg that proves the fallback end-to-end.
-//   2. An explicit per-config level (ScreeningConfig::simd, PopulationConfig::simd).
-//   3. The EngineContext's level, which backs a kAuto config request: the SDC_SIMD
-//      environment variable ("scalar", "sse2", "avx2", "neon", "auto"), read once when
-//      the context is built (src/common/context.h), else the best supported level.
+//   2. The EngineContext's level, the only one the fleet engine reads, resolved once
+//      when the context is built (src/common/context.h): the SDC_SIMD environment
+//      variable ("scalar", "sse2", "avx2", "neon", "auto") unless the context ignores
+//      the environment, else EngineOptions::simd, whose kAuto default takes the best
+//      supported level.
 //   Requests above the host's capability clamp down, never fault.
 
 #ifndef SDC_SRC_COMMON_SIMD_H_

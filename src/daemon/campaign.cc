@@ -172,7 +172,6 @@ void CampaignManager::RunCampaign(Campaign& campaign) {
     PopulationConfig population;
     population.processor_count = campaign.spec.processors;
     population.seed = campaign.spec.seed;
-    // Sinks stay null: the context's attachments back them, pinned at pass start.
 
     const TestSuite suite = TestSuite::BuildFull();
     if (campaign.spec.kind == "scrub") {

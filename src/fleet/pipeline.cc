@@ -554,40 +554,9 @@ void PresizeFold(ScreeningStats& total, size_t shard_count, ShardStats shard_sta
 }  // namespace
 
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
-                                      const ScreeningConfig& config) const {
-  return std::move(
-      RunBatch(fleet, ScenarioBatch{.scenarios = {config}, .threads = config.threads})
-          .front());
-}
-
-ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
                                       const ScreeningConfig& config,
                                       EngineContext& context) const {
   return std::move(RunBatch(fleet, ScenarioBatch{.scenarios = {config}}, context).front());
-}
-
-namespace {
-
-// Shared clean-path level of a batch: the first cached scenario's request, with kAuto
-// taking the level the context resolved at construction. Every level produces the same
-// exact counts (src/common/simd.h), so the choice is observable only in wall-clock time.
-SimdLevel BatchSimdLevel(std::span<const ScreeningConfig> scenarios,
-                         const EngineContext& context) {
-  for (const ScreeningConfig& scenario : scenarios) {
-    if (!scenario.use_reference_model) {
-      return scenario.simd == SimdLevel::kAuto ? context.simd()
-                                               : ClampSimdLevel(scenario.simd);
-    }
-  }
-  return context.simd();
-}
-
-}  // namespace
-
-std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
-                                                        const ScenarioBatch& batch) const {
-  EngineContext context(EngineOptions{.threads = batch.threads});
-  return RunBatch(fleet, batch, context);
 }
 
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
@@ -597,26 +566,14 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   if (k_count == 0) {
     return {};
   }
-  // Sinks are pinned once for the whole pass: the scenario's explicit sink wins, the
-  // context's attachment backs it up.
-  const SimdLevel simd = BatchSimdLevel(batch.scenarios, context);
-  MetricsRegistry* context_metrics = context.metrics();
-  TraceRecorder* context_trace = context.trace();
-  std::vector<MetricsRegistry*> metrics(k_count);
-  std::vector<TraceRecorder*> trace_sinks(k_count);
-  for (size_t k = 0; k < k_count; ++k) {
-    metrics[k] = batch.scenarios[k].metrics != nullptr ? batch.scenarios[k].metrics
-                                                       : context_metrics;
-    trace_sinks[k] = batch.scenarios[k].trace != nullptr ? batch.scenarios[k].trace
-                                                         : context_trace;
-  }
-  SeriesRecorder* series = batch.scenarios[0].series != nullptr
-                               ? batch.scenarios[0].series
-                               : context.series();
+  // Sinks are pinned once for the whole pass (src/common/context.h).
+  const SimdLevel simd = context.simd();
+  MetricsRegistry* metrics = context.metrics();
+  TraceRecorder* trace = context.trace();
+  SeriesRecorder* series = context.series();
   const auto run_start = std::chrono::steady_clock::now();
-  // The whole pass as one host-clock span, on scenario 0's recorder (the same host that
-  // carries StreamingScreen's "screening.aggregate" span).
-  TraceRecorder::ScopedHostSpan run_span(trace_sinks[0], "screening.run", "screen",
+  // The whole pass as one host-clock span.
+  TraceRecorder::ScopedHostSpan run_span(trace, "screening.run", "screen",
                                          kTraceTrackScreen);
   ThreadPool& pool = context.pool();
 
@@ -641,8 +598,8 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
     bases.emplace_back(scenario.seed);
   }
 
-  // One slot per scenario travels through the ordered reduce, so each scenario's metric
-  // sink sees exactly the per-shard deltas its independent run would, in shard order.
+  // One slot per scenario travels through the ordered reduce, so the metric sink sees
+  // exactly the per-shard deltas each scenario's independent run would, in shard order.
   struct ShardResult {
     std::vector<ScreeningStats> stats;
     std::vector<MetricsDelta> deltas;
@@ -666,7 +623,7 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
         std::vector<TraceDelta*> traces(k_count, nullptr);
         for (size_t k = 0; k < k_count; ++k) {
           rngs.push_back(bases[k].Fork(shard));
-          if (trace_sinks[k] != nullptr) {
+          if (trace != nullptr) {
             traces[k] = &result.traces[k];
           }
         }
@@ -674,11 +631,11 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
                               result.stats, traces);
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - shard_start;
-        for (size_t k = 0; k < k_count; ++k) {
-          if (metrics[k] != nullptr) {
+        if (metrics != nullptr) {
+          for (size_t k = 0; k < k_count; ++k) {
             result.deltas[k] = DeltaFromShardStats(result.stats[k]);
-            metrics[k]->RecordTimerSeconds("screening.shard.wall", elapsed.count());
           }
+          metrics->RecordTimerSeconds("screening.shard.wall", elapsed.count());
         }
         return result;
       });
@@ -709,13 +666,15 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   const std::chrono::duration<double> run_elapsed =
       std::chrono::steady_clock::now() - run_start;
   for (size_t k = 0; k < k_count; ++k) {
-    if (metrics[k] != nullptr) {
-      metrics[k]->MergeDelta(total.deltas[k]);
-      metrics[k]->RecordTimerSeconds("screening.run.wall", run_elapsed.count());
+    if (metrics != nullptr) {
+      metrics->MergeDelta(total.deltas[k]);
     }
-    if (trace_sinks[k] != nullptr) {
-      trace_sinks[k]->MergeDelta(std::move(total.traces[k]));
+    if (trace != nullptr) {
+      trace->MergeDelta(std::move(total.traces[k]));
     }
+  }
+  if (metrics != nullptr) {
+    metrics->RecordTimerSeconds("screening.run.wall", run_elapsed.count());
   }
   return std::move(total.stats);
 }
@@ -818,25 +777,14 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
                                              const PopulationConfig& config,
                                              uint64_t shard_count) {
   const size_t k_count = scenarios_.size();
-  simd_ = BatchSimdLevel(scenarios_, *context);
-  // Pin the per-scenario sinks for the whole pass: the scenario's explicit sink wins,
-  // the context's attachment as of *now* backs it up. ConsumeShard / EndStream only ever
-  // look at these pins, so a detach on the context mid-stream can neither drop nor
+  // Pin the context's sinks as of *now* for the whole pass. ConsumeShard / EndStream only
+  // ever look at these pins, so a detach on the context mid-stream can neither drop nor
   // double-merge a shard's delta.
-  MetricsRegistry* context_metrics = context->metrics();
-  TraceRecorder* context_trace = context->trace();
-  pinned_series_ = !scenarios_.empty() && scenarios_.front().series != nullptr
-                       ? scenarios_.front().series
-                       : context->series();
+  simd_ = context->simd();
+  metrics_ = context->metrics();
+  trace_ = context->trace();
+  series_ = context->series();
   processors_total_ = config.processor_count;
-  pinned_metrics_.assign(k_count, nullptr);
-  pinned_trace_.assign(k_count, nullptr);
-  for (size_t k = 0; k < k_count; ++k) {
-    pinned_metrics_[k] =
-        scenarios_[k].metrics != nullptr ? scenarios_[k].metrics : context_metrics;
-    pinned_trace_[k] =
-        scenarios_[k].trace != nullptr ? scenarios_[k].trace : context_trace;
-  }
   shard_stats_.assign(shard_count, std::vector<ScreeningStats>(k_count));
   shard_deltas_.assign(shard_count, std::vector<MetricsDelta>(k_count));
   shard_traces_.assign(shard_count, std::vector<TraceDelta>(k_count));
@@ -860,8 +808,8 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
   view.defects = shard.defects;
 
   std::vector<TraceDelta*> traces(k_count, nullptr);
-  for (size_t k = 0; k < k_count; ++k) {
-    if (pinned_trace_[k] != nullptr) {
+  if (trace_ != nullptr) {
+    for (size_t k = 0; k < k_count; ++k) {
       traces[k] = &shard_traces_[shard.shard][k];
     }
   }
@@ -885,11 +833,11 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
 
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - shard_start;
-  for (size_t k = 0; k < k_count; ++k) {
-    if (pinned_metrics_[k] != nullptr) {
+  if (metrics_ != nullptr) {
+    for (size_t k = 0; k < k_count; ++k) {
       shard_deltas_[shard.shard][k] = DeltaFromShardStats(stats[k]);
-      pinned_metrics_[k]->RecordTimerSeconds("screening.shard.wall", elapsed.count());
     }
+    metrics_->RecordTimerSeconds("screening.shard.wall", elapsed.count());
   }
   for (const ObserverEntry& entry : observers_) {
     entry.observer->ObserveShard(shard, stats[entry.scenario]);
@@ -899,11 +847,9 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
 void StreamingScreen::EndStream() {
   const size_t k_count = scenarios_.size();
   // The ordered fold is wall-clock work without a deterministic timeline, so its span
-  // lives in the host domain -- same reasoning as FleetMaterializer::EndStream. Scenario
-  // 0's recorder hosts the span; each scenario's deltas merge into its own sinks.
-  TraceRecorder::ScopedHostSpan merge_span(
-      pinned_trace_.empty() ? nullptr : pinned_trace_.front(), "screening.aggregate",
-      "aggregate", kTraceTrackAggregate);
+  // lives in the host domain -- same reasoning as FleetMaterializer::EndStream.
+  TraceRecorder::ScopedHostSpan merge_span(trace_, "screening.aggregate", "aggregate",
+                                           kTraceTrackAggregate);
   std::vector<MetricsDelta> total_deltas(k_count);
   for (size_t k = 0; k < k_count; ++k) {
     PresizeFold(stats_[k], shard_stats_.size(), [&](size_t shard) -> const ScreeningStats& {
@@ -913,25 +859,25 @@ void StreamingScreen::EndStream() {
   for (size_t shard = 0; shard < shard_stats_.size(); ++shard) {
     for (size_t k = 0; k < k_count; ++k) {
       stats_[k].MergeFrom(std::move(shard_stats_[shard][k]));
-      if (pinned_metrics_[k] != nullptr) {
+      if (metrics_ != nullptr) {
         total_deltas[k].MergeFrom(shard_deltas_[shard][k]);
       }
-      if (pinned_trace_[k] != nullptr) {
-        pinned_trace_[k]->MergeDelta(std::move(shard_traces_[shard][k]));
+      if (trace_ != nullptr) {
+        trace_->MergeDelta(std::move(shard_traces_[shard][k]));
       }
     }
-    if (pinned_series_ != nullptr) {
+    if (series_ != nullptr) {
       // Stream shards end exactly at the materialized fold's fleet-grain boundaries, and
       // scenario 0's cumulative stats match shard for shard, so these are the same
       // points RunBatch appends -- byte-identical across execution modes.
       const uint64_t end_serial =
           std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_);
-      AppendScreeningSeriesPoint(pinned_series_, end_serial, stats_[0]);
+      AppendScreeningSeriesPoint(series_, end_serial, stats_[0]);
     }
   }
-  for (size_t k = 0; k < k_count; ++k) {
-    if (pinned_metrics_[k] != nullptr) {
-      pinned_metrics_[k]->MergeDelta(total_deltas[k]);
+  if (metrics_ != nullptr) {
+    for (const MetricsDelta& delta : total_deltas) {
+      metrics_->MergeDelta(delta);
     }
   }
   shard_stats_.clear();

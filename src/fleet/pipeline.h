@@ -25,9 +25,8 @@
 // test-only reference (ScreeningConfig::use_reference_model) and the equivalence suite
 // asserts byte-identical stats between the two at several thread counts.
 //
-// Every entry point runs on an EngineContext (src/common/context.h); the context-free
-// overloads build a fresh one per call, which reads SDC_THREADS / SDC_SIMD once, in its
-// constructor.
+// Every entry point runs on an EngineContext (src/common/context.h), the one place that
+// decides lanes, vector level and telemetry sinks; configs describe only the experiment.
 
 #ifndef SDC_SRC_FLEET_PIPELINE_H_
 #define SDC_SRC_FLEET_PIPELINE_H_
@@ -47,6 +46,8 @@
 #include "src/toolchain/registry.h"
 
 namespace sdc {
+
+class SeriesRecorder;
 
 // Fixed shard width for screening. Like the generation grain, part of the determinism
 // format: screening shard s draws from Rng::Fork(s). kFleetShardGrain is an exact
@@ -87,38 +88,10 @@ struct ScreeningConfig {
   // machine tests at the same month boundaries.
   int regular_groups = 6;
   uint64_t seed = 77;
-  // Worker threads for the context-free ScreeningPipeline::Run: 0 = hardware concurrency,
-  // 1 = serial. Stats are bit-identical for a given seed at any thread count (see
-  // docs/parallelism.md); SDC_THREADS overrides this value.
-  int threads = 0;
   // Test-only hook: run the slow pre-memoization model that recomputes MatchingTestcases
   // and ExpectedErrors at every probe. Output must be byte-identical to the default
   // memoized path (tests/screening_model_test.cc); production callers leave this false.
   bool use_reference_model = false;
-  // Optional metric sink ("screening.*"): per-shard MetricsDelta objects merged in shard
-  // order, thread-count invariant except the wall-clock shard timers
-  // (docs/observability.md). Null disables instrumentation.
-  MetricsRegistry* metrics = nullptr;
-  // Optional trace sink: one "screen.subshard" sim span per screening shard (serial-space
-  // clock) plus one "detection" instant per detected processor, accumulated per shard and
-  // merged in shard order -- byte-identical at any thread count and across the
-  // materialized/streaming modes. Null disables recording at the cost of one pointer test
-  // per shard (docs/observability.md).
-  TraceRecorder* trace = nullptr;
-  // Vector level for the clean-path column scan (docs/performance.md). kAuto takes the
-  // level the EngineContext resolved when it was built (SDC_SIMD, read once there, else
-  // the best the host supports); an explicit level wins over SDC_SIMD and clamps to what
-  // the host can run, and -DSDC_FORCE_SCALAR overrides both (src/common/simd.h). Every
-  // level produces bit-identical stats -- this is a speed knob, never a behavior change.
-  SimdLevel simd = SimdLevel::kAuto;
-  // Optional time-series sink: cumulative "screening.tested" / "screening.detected" /
-  // "screening.escapes" trajectories over the fleet's serial axis, one point per
-  // kFleetShardGrain of serials. Points are appended during the shard-ordered fold on
-  // the driving thread, and the sample boundaries are fleet-grain aligned in BOTH
-  // execution modes, so the series is byte-identical at any thread count and across
-  // streaming vs. materialized runs (docs/observability.md). In a ScenarioBatch only
-  // scenario 0's sink is sampled. Null disables sampling.
-  SeriesRecorder* series = nullptr;
 };
 
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
@@ -130,14 +103,10 @@ struct ScreeningConfig {
 // streams its independent run would use, so every batched ScreeningStats is
 // byte-identical to pipeline.Run(fleet, scenarios[k]) (tests/screening_model_test.cc).
 struct ScenarioBatch {
-  // Scenario configs; seeds, stage parameters, cadence, horizon, and metric/trace sinks
-  // may all differ per scenario. Per-scenario `threads` fields are ignored -- the batch
-  // runs on one shared pool -- and per-scenario metrics/trace sinks receive exactly the
-  // deltas their independent runs would (merged in shard order).
+  // Scenario configs; seeds, stage parameters, cadence and horizon may all differ per
+  // scenario. The batch runs on one context, and every scenario's deltas merge into the
+  // context's sinks.
   std::vector<ScreeningConfig> scenarios;
-  // Worker threads for the shared pass: 0 = hardware concurrency, 1 = serial;
-  // SDC_THREADS overrides. Stats are bit-identical at any thread count.
-  int threads = 0;
 };
 
 // Group a processor's regular tests belong to, and the absolute month of its round in a
@@ -234,24 +203,22 @@ class ScreeningPipeline {
 
   // Screens the whole fleet: RunBatch over a batch of one. Per-shard stats are merged in
   // shard order and each shard draws from its own forked RNG stream, so the result is
-  // bit-identical at any thread count. The context-free form runs on a fresh
-  // EngineContext with config.threads lanes.
-  ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config) const;
+  // bit-identical at any thread count.
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config,
                      EngineContext& context) const;
 
   // Screens the whole fleet under every scenario of `batch` in one pass over the packed
   // columns. Result k is byte-identical to the batch of scenarios[k] alone -- counters,
-  // detections, detection months bitwise, metrics deltas -- at any thread count; the
-  // clean-path scan and the per-defect suite matching are paid once per shard instead of
-  // once per scenario. Returns one ScreeningStats per scenario, in batch order. The pass
-  // runs on `context`: its pool supplies the lanes, its attached sinks back any scenario
-  // sink left null (pinned once at pass start), and a kAuto SIMD request takes the
-  // context's level. Scenario 0's trace sink gets one "screening.run" host span and every
-  // metrics sink one "screening.run.wall" sample. The context-free form runs on a fresh
-  // EngineContext with batch.threads lanes.
-  std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
-                                       const ScenarioBatch& batch) const;
+  // detections, detection months bitwise -- at any thread count; the clean-path scan and
+  // the per-defect suite matching are paid once per shard instead of once per scenario.
+  // Returns one ScreeningStats per scenario, in batch order. The pass runs on `context`:
+  // its pool supplies the lanes, its vector level drives the clean-path scan, and its
+  // sinks are pinned once at pass start (src/common/context.h). Every scenario's
+  // per-shard "screening.*" metric deltas and "screen.subshard"/"detection" sim trace
+  // events merge into those sinks in shard order, scenario after scenario; the series
+  // sink samples scenario 0's cumulative "screening.tested" / "screening.detected" /
+  // "screening.escapes" once per kFleetShardGrain of serials. Each pass also leaves one
+  // "screening.run" host span and one "screening.run.wall" timer sample, whatever K is.
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
                                        const ScenarioBatch& batch,
                                        EngineContext& context) const;
@@ -340,10 +307,9 @@ class StreamingScreen : public ShardConsumer {
   // scenario's shard stats.
   void AddObserver(ShardOutcomeObserver* observer, size_t scenario = 0);
 
-  // Pins per-scenario sinks (explicit scenario sink wins, the driving context's
-  // attachment backs it up) and the vector level (a kAuto request takes the context's) --
-  // no environment read. A detach on the context between shards cannot drop or
-  // double-merge a delta: the pass completes against what was pinned here.
+  // Pins the driving context's sinks and vector level -- no environment read. A detach
+  // on the context between shards cannot drop or double-merge a delta: the pass
+  // completes against what was pinned here.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
@@ -369,14 +335,13 @@ class StreamingScreen : public ShardConsumer {
   SimdLevel simd_ = SimdLevel::kScalar;  // pinned at pass start
   std::array<ProcessorSpec, kArchCount> arch_specs_;
   std::vector<ObserverEntry> observers_;
-  // Sinks pinned at pass start (scenario sink, else context attachment), used by
-  // ConsumeShard / EndStream instead of re-reading scenarios_[k].
-  std::vector<MetricsRegistry*> pinned_metrics_;
-  std::vector<TraceRecorder*> pinned_trace_;
-  // Series sink for scenario 0 (the batch contract ScreeningConfig::series documents),
-  // pinned like the other sinks; EndStream appends one cumulative point per stream shard
-  // during its ordered fold, at exactly the fleet-grain boundaries RunBatch samples.
-  SeriesRecorder* pinned_series_ = nullptr;
+  // The context's sinks, pinned at pass start; every scenario merges into them. The
+  // series samples scenario 0 only (the RunBatch contract): EndStream appends one
+  // cumulative point per stream shard during its ordered fold, at exactly the
+  // fleet-grain boundaries RunBatch samples.
+  MetricsRegistry* metrics_ = nullptr;
+  TraceRecorder* trace_ = nullptr;
+  SeriesRecorder* series_ = nullptr;
   uint64_t processors_total_ = 0;  // for the final (partial-shard) sample boundary
   // Per-stream-shard, per-scenario partials, merged in shard order by EndStream.
   std::vector<std::vector<ScreeningStats>> shard_stats_;

@@ -27,10 +27,7 @@
 namespace sdc {
 
 class EngineContext;
-class MetricsRegistry;
 class Rng;
-class SeriesRecorder;
-class TraceRecorder;
 
 // Fixed shard width of fleet generation and of the streaming pipeline built on top of it
 // (FleetShardStream, src/fleet/stream.h): shard s covers serials
@@ -72,35 +69,11 @@ struct PopulationConfig {
   // Share of faulty parts no testcase can expose (complex multi-thread scenarios).
   double undetectable_share = 0.04;
   uint64_t seed = 20210101;
-  // Worker threads for Generate: 0 = hardware concurrency, 1 = serial on the caller.
-  // Output is bit-identical for a given seed at any thread count (see docs/parallelism.md);
-  // SDC_THREADS overrides this value.
-  int threads = 0;
   // Runs the original per-processor scalar generator instead of the blocked kernel
   // (docs/performance.md). Both produce the same fleet to the bit -- columns, faulty
   // index, defect arena, tallies -- which tests and bench/micro_screening assert; the
   // flag exists so that equivalence stays checkable forever (the PR 3 / PR 6 precedent).
   bool use_reference_generator = false;
-  // Vector level for the blocked generator's classify/tally kernels. kAuto takes the
-  // level the EngineContext resolved when it was built (SDC_SIMD is read once, there); an
-  // explicit level wins over SDC_SIMD. Any level generates identical bytes, so this is
-  // purely a speed knob.
-  SimdLevel simd = SimdLevel::kAuto;
-  // Optional metric sink ("fleet.generate.*"): per-shard deltas merged in shard order, so
-  // recorded values obey the same thread-count invariance as the fleet itself
-  // (docs/observability.md). Null disables instrumentation.
-  MetricsRegistry* metrics = nullptr;
-  // Optional trace sink: one "generate.shard" sim span per generation shard (serial-space
-  // clock, merged in shard order -- byte-identical at any thread count) plus host spans
-  // for the drive and materialize stages. Null disables recording at the cost of one
-  // pointer test per shard (docs/observability.md).
-  TraceRecorder* trace = nullptr;
-  // Optional time-series sink ("fleet.generate.*" cumulative trajectories, one point per
-  // stream shard, x = last serial covered): points are appended during the shard-ordered
-  // delta merge after the parallel pass, so the series -- order, values, and ring
-  // evictions -- is byte-identical at any thread count (docs/observability.md). Null
-  // disables sampling.
-  SeriesRecorder* series = nullptr;
 };
 
 // Per-shard generation tallies. Cheap integer counters that shard consumers and the
@@ -150,12 +123,12 @@ struct GenerationPlan {
   std::array<int, kArchCount> pcores_by_arch{};  // hoisted MakeArchSpec(...).physical_cores
   WeightedCdf arch_cdf;                        // exact replica of NextWeighted(shares)
   DrawClassifyTables tables;                   // arch CDF + prevalence thresholds, u53 space
-  SimdLevel simd = SimdLevel::kScalar;         // resolved level for classify + tally
+  SimdLevel simd = SimdLevel::kScalar;         // the context's level, for classify + tally
   bool blocked = false;
 
-  // The level captured at context construction backs a kAuto request; no environment
-  // read (src/common/context.h).
-  static GenerationPlan Build(const PopulationConfig& config, EngineContext& context);
+  // Takes the vector level the context resolved when it was built; no environment read
+  // (src/common/context.h).
+  static GenerationPlan Build(const PopulationConfig& config, const EngineContext& context);
 };
 
 // Generates serials [begin, end) of the fleet described by `config` into `buffer`
@@ -174,11 +147,11 @@ class FleetPopulation {
   static constexpr uint8_t kFaultyFlag = 1;
   static constexpr uint8_t kDetectableFlag = 2;
 
-  // Generates on `context`: its pool supplies the lanes and its attached sinks back any
-  // config sink left null, so no mutable process-global state is read after the context
-  // was built (src/common/context.h). The context-free form runs on a fresh EngineContext
-  // with config.threads lanes.
-  static FleetPopulation Generate(const PopulationConfig& config);
+  // Generates on `context`: its pool supplies the lanes, its vector level drives the
+  // blocked kernel, and its sinks ("fleet.generate.*" metrics and series, generate-track
+  // trace spans) are pinned once at pass start -- no mutable process-global state is read
+  // after the context was built (src/common/context.h). Output is bit-identical for a
+  // given seed at any lane count and vector level (docs/parallelism.md).
   static FleetPopulation Generate(const PopulationConfig& config, EngineContext& context);
 
   uint64_t size() const { return arch_.size(); }

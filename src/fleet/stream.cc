@@ -65,19 +65,13 @@ uint64_t FleetShardStream::shard_count() const {
   return ThreadPool::ShardCountFor(0, config_.processor_count, kFleetShardGrain);
 }
 
-StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers) const {
-  EngineContext context(EngineOptions{.threads = config_.threads});
-  return Drive(consumers, context);
-}
-
 StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
                                      EngineContext& context) const {
-  // Sinks are pinned here, once, for the whole pass: an explicit config sink wins, the
-  // context's attachment backs it up, and a detach between shards cannot drop or
-  // double-merge a delta -- the in-flight pass completes against what was pinned.
-  MetricsRegistry* metrics = config_.metrics != nullptr ? config_.metrics : context.metrics();
-  TraceRecorder* trace = config_.trace != nullptr ? config_.trace : context.trace();
-  SeriesRecorder* series = config_.series != nullptr ? config_.series : context.series();
+  // Sinks are pinned here, once, for the whole pass: a detach between shards cannot drop
+  // or double-merge a delta -- the in-flight pass completes against what was pinned.
+  MetricsRegistry* metrics = context.metrics();
+  TraceRecorder* trace = context.trace();
+  SeriesRecorder* series = context.series();
   MetricsRegistry::ScopedTimer drive_timer(metrics, "fleet.stream.wall");
   TraceRecorder::ScopedHostSpan drive_span(trace, "fleet.stream.drive", "generate",
                                            kTraceTrackGenerate);
@@ -191,10 +185,6 @@ StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
   return report;
 }
 
-StreamReport FleetShardStream::Drive(std::initializer_list<ShardConsumer*> consumers) const {
-  return Drive(std::span<ShardConsumer* const>(consumers.begin(), consumers.size()));
-}
-
 StreamReport FleetShardStream::Drive(std::initializer_list<ShardConsumer*> consumers,
                                      EngineContext& context) const {
   return Drive(std::span<ShardConsumer* const>(consumers.begin(), consumers.size()),
@@ -208,7 +198,7 @@ void FleetMaterializer::BeginStreamWithContext(EngineContext* context,
   fleet_->arch_.resize(config.processor_count);
   fleet_->flags_.resize(config.processor_count);
   pieces_.assign(shard_count, ShardPiece{});
-  trace_ = config.trace != nullptr ? config.trace : context->trace();
+  trace_ = context->trace();
 }
 
 void FleetMaterializer::ConsumeShard(const FleetShard& shard) {

@@ -30,6 +30,7 @@
 namespace sdc {
 
 class EngineContext;
+class TraceRecorder;
 
 // Borrowed view of one generated shard, valid only for the duration of
 // ShardConsumer::ConsumeShard. Serial-indexed accessors take global serials in
@@ -106,9 +107,7 @@ struct StreamReport {
 
 // Drives a fused streaming pass over the fleet described by `config`: for every shard of
 // kFleetShardGrain processors, generate into the claiming lane's scratch buffer, then
-// hand the FleetShard view to every consumer in turn. Per-shard generation MetricsDeltas
-// (same "fleet.generate.*" keys as the materialized path) are merged into config.metrics
-// in shard order after the pass.
+// hand the FleetShard view to every consumer in turn.
 class FleetShardStream {
  public:
   explicit FleetShardStream(const PopulationConfig& config) : config_(config) {}
@@ -118,12 +117,10 @@ class FleetShardStream {
 
   // Runs the pass on `context`; consumers are invoked in the given order on every shard.
   // Blocks until every shard has been consumed and EndStream ran on every consumer. The
-  // context's pool supplies the lanes, and its attached sinks back any config sink left
-  // null, pinned once at pass start (src/common/context.h). The context-free forms run on
-  // a fresh EngineContext with config.threads lanes; SDC_THREADS / SDC_SIMD are read once,
-  // when it is built.
-  StreamReport Drive(std::span<ShardConsumer* const> consumers) const;
-  StreamReport Drive(std::initializer_list<ShardConsumer*> consumers) const;
+  // context's pool supplies the lanes and its sinks are pinned once at pass start
+  // (src/common/context.h): per-shard "fleet.generate.*" metric deltas, "generate.shard"
+  // sim spans (serial-space clock) and "fleet.generate.*" series points are merged in
+  // shard order after the pass, so each is byte-identical at any lane count.
   StreamReport Drive(std::span<ShardConsumer* const> consumers,
                      EngineContext& context) const;
   StreamReport Drive(std::initializer_list<ShardConsumer*> consumers,
@@ -140,8 +137,7 @@ class FleetMaterializer : public ShardConsumer {
  public:
   explicit FleetMaterializer(FleetPopulation* fleet) : fleet_(fleet) {}
 
-  // Pins the stitch-span trace sink: an explicit config.trace wins, otherwise the
-  // context's attachment as of pass start.
+  // Pins the context's trace sink (for the stitch span) as of pass start.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;

@@ -166,17 +166,12 @@ std::vector<ScrubCandidate> CandidatesFromMaterialized(const FleetPopulation& fl
 
 FleetScrubber::FleetScrubber(const TestSuite* suite) : suite_(suite) {}
 
-ScrubReport FleetScrubber::Run(const ScrubConfig& config) const {
-  EngineContext context(EngineOptions{.threads = config.threads});
-  return Run(config, context);
-}
-
 ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context) const {
-  // Sink precedence config > context > off, pinned here for the whole run.
-  MetricsRegistry* metrics =
-      config.metrics != nullptr ? config.metrics : context.metrics();
-  TraceRecorder* trace = config.trace != nullptr ? config.trace : context.trace();
-  SeriesRecorder* series = config.series != nullptr ? config.series : context.series();
+  // The context's sinks, pinned here for the whole run; the discovery passes pin the
+  // same attachments at their own start.
+  MetricsRegistry* metrics = context.metrics();
+  TraceRecorder* trace = context.trace();
+  SeriesRecorder* series = context.series();
   ScrubReport report;
   report.fleet_processors = config.population.processor_count;
   report.budget_fraction = config.budget_fraction;

@@ -100,20 +100,6 @@ struct ScrubConfig {
   // boundary -- the scrubber throws ScrubCancelledError and no further budget is spent.
   // The sdcd scrub campaign uses this for its shards_done ledger and Cancel verb.
   std::function<bool(uint64_t epochs_done, uint64_t epochs_total)> epoch_tick;
-
-  // Optional scrub.* metric sink and scrub-track trace sink; with a context form, the
-  // context's attachments back whichever is null (config > context > off, pinned at run
-  // start -- the PR 7 precedence).
-  MetricsRegistry* metrics = nullptr;
-  TraceRecorder* trace = nullptr;
-  // Optional time-series sink: cumulative "scrub.budget" / "scrub.spent" /
-  // "scrub.detections" / "scrub.sessions_funded" trajectories, one point per epoch
-  // (x = the epoch's end month). The epoch loop is serial, so the series is
-  // byte-identical at any thread count and across discovery modes. Resolution follows
-  // the other sinks (config > context > off). Null disables sampling.
-  SeriesRecorder* series = nullptr;
-  // Worker threads for the context-free Run overload: 0 = hardware concurrency.
-  int threads = 0;
 };
 
 // Thrown when ScrubConfig::epoch_tick vetoes continuing; the partial work is abandoned
@@ -234,9 +220,13 @@ class FleetScrubber {
   explicit FleetScrubber(const TestSuite* suite);
 
   // Runs discovery plus the budgeted epoch loop on `context`: its pool supplies the lanes
-  // and its attached sinks back any config sink left null, pinned once at run start. The
-  // context-free form runs on a fresh EngineContext with config.threads lanes.
-  ScrubReport Run(const ScrubConfig& config) const;
+  // and its sinks are pinned once at run start (src/common/context.h). Discovery's
+  // generate and screen passes record into them like any other fleet pass; the epoch
+  // loop adds "scrub.*" metrics, scrub-track trace events, and cumulative
+  // "scrub.budget" / "scrub.spent" / "scrub.detections" / "scrub.sessions_funded"
+  // series, one point per epoch (x = the epoch's end month). The epoch loop is serial,
+  // so every one of them is byte-identical at any thread count and across discovery
+  // modes.
   ScrubReport Run(const ScrubConfig& config, EngineContext& context) const;
 
  private:

@@ -42,7 +42,12 @@ class MatrixMultiplyCase : public TestcaseBase {
             const auto ai = static_cast<int32_t>(a[i * n + k] * 100.0);
             const auto bk = static_cast<int32_t>(b[k * n + j] * 100.0);
             golden += ai * bk;
-            routed = cpu.ExecuteI32(lcore, op, routed + ai * bk);
+            // A corrupted accumulator can sit anywhere in int32 range, so the routed sum
+            // wraps in uint32_t: the same two's-complement bits, without signed overflow.
+            routed = cpu.ExecuteI32(
+                lcore, op,
+                static_cast<int32_t>(static_cast<uint32_t>(routed) +
+                                     static_cast<uint32_t>(ai * bk)));
           }
           if (routed != golden) {
             context.RecordComputation(info_.id, lcore, type_, BitsOfInt32(golden),

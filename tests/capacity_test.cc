@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fleet/capacity.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -13,10 +14,11 @@ class CapacityTest : public ::testing::Test {
     PopulationConfig config;
     config.processor_count = 300000;
     config.seed = 999;
-    fleet_ = new FleetPopulation(FleetPopulation::Generate(config));
+    EngineContext context(PinnedEngine(2));
+    fleet_ = new FleetPopulation(FleetPopulation::Generate(config, context));
     suite_ = new TestSuite(TestSuite::BuildFull());
     pipeline_ = new ScreeningPipeline(suite_);
-    stats_ = new ScreeningStats(pipeline_->Run(*fleet_, ScreeningConfig()));
+    stats_ = new ScreeningStats(pipeline_->Run(*fleet_, ScreeningConfig(), context));
   }
   static void TearDownTestSuite() {
     delete stats_;

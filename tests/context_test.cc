@@ -22,9 +22,7 @@
 #include "src/fleet/population.h"
 #include "src/fleet/stream.h"
 #include "src/report/exporters.h"
-#include "src/scrub/scrubber.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/series.h"
 #include "src/telemetry/trace.h"
 
 namespace sdc {
@@ -262,169 +260,6 @@ TEST_F(ContextTest, InterleavedCampaignsMatchSerialRuns) {
     EXPECT_EQ(concurrent_b.stats, serial_b.stats);
     EXPECT_EQ(concurrent_b.metrics, serial_b.metrics);
     EXPECT_EQ(concurrent_b.trace, serial_b.trace);
-  }
-}
-
-// The deterministic documents one run leaves behind: stats JSON, the metrics snapshot
-// without its wall-clock timers, and the sim series.
-struct RunDocuments {
-  std::string stats;
-  std::string metrics;
-  std::string series;
-};
-
-RunDocuments DocumentsOf(const ScreeningStats& stats, const MetricsRegistry& registry,
-                         const SeriesRecorder& recorder) {
-  RunDocuments documents;
-  std::ostringstream stats_json;
-  WriteScreeningStatsJson(stats_json, stats);
-  documents.stats = stats_json.str();
-  std::ostringstream metrics_json;
-  WriteMetricsJson(metrics_json, registry.Snapshot(), /*include_timers=*/false);
-  documents.metrics = metrics_json.str();
-  std::ostringstream series_json;
-  WriteSeriesJson(series_json, recorder.Snapshot(), /*include_host=*/false);
-  documents.series = series_json.str();
-  return documents;
-}
-
-void ExpectSameDocuments(const RunDocuments& context, const RunDocuments& legacy) {
-  EXPECT_EQ(context.stats, legacy.stats);
-  EXPECT_EQ(context.metrics, legacy.metrics);
-  EXPECT_EQ(context.series, legacy.series);
-}
-
-// Context-threaded materialized paths agree with the legacy overloads: Generate and
-// Run produce the same bytes whether the context is explicit or per-call.
-// The context-free overloads forward through a per-call EngineContext, so the same holds
-// for a materialized RunBatch (one scenario on the reference model), a fused Drive
-// through StreamingScreen, and FleetScrubber::Run.
-TEST_F(ContextTest, ContextOverloadsMatchLegacyPaths) {
-  PopulationConfig population;
-  population.processor_count = 50000;
-  population.seed = 31;
-  population.threads = 2;
-
-  const FleetPopulation legacy_fleet = FleetPopulation::Generate(population);
-  ScreeningPipeline pipeline(suite_);
-  ScreeningConfig screening;
-  screening.threads = 2;
-  const ScreeningStats legacy_stats = pipeline.Run(legacy_fleet, screening);
-
-  EngineContext context(EngineOptions{.threads = 2, .env_overrides = false});
-  const FleetPopulation context_fleet = FleetPopulation::Generate(population, context);
-  const ScreeningStats context_stats = pipeline.Run(context_fleet, screening, context);
-
-  std::ostringstream legacy_json, context_json;
-  WriteScreeningStatsJson(legacy_json, legacy_stats);
-  WriteScreeningStatsJson(context_json, context_stats);
-  EXPECT_EQ(context_json.str(), legacy_json.str());
-
-  {
-    SCOPED_TRACE("materialized RunBatch, K=3");
-    constexpr size_t kScenarios = 3;
-    auto run_batch = [&](EngineContext* batch_context) {
-      std::vector<MetricsRegistry> registries(kScenarios);
-      SeriesRecorder recorder;
-      ScenarioBatch batch;
-      batch.threads = 2;
-      for (size_t k = 0; k < kScenarios; ++k) {
-        ScreeningConfig scenario;
-        scenario.seed = 500 + k;
-        scenario.use_reference_model = k == 1;
-        scenario.metrics = &registries[k];
-        batch.scenarios.push_back(scenario);
-      }
-      batch.scenarios[0].series = &recorder;
-      const std::vector<ScreeningStats> stats =
-          batch_context != nullptr
-              ? pipeline.RunBatch(legacy_fleet, batch, *batch_context)
-              : pipeline.RunBatch(legacy_fleet, batch);
-      std::vector<RunDocuments> documents;
-      for (size_t k = 0; k < kScenarios; ++k) {
-        documents.push_back(DocumentsOf(stats[k], registries[k], recorder));
-      }
-      return documents;
-    };
-    const std::vector<RunDocuments> legacy = run_batch(nullptr);
-    const std::vector<RunDocuments> explicit_context = run_batch(&context);
-    ASSERT_EQ(explicit_context.size(), legacy.size());
-    for (size_t k = 0; k < legacy.size(); ++k) {
-      SCOPED_TRACE("scenario " + std::to_string(k));
-      ExpectSameDocuments(explicit_context[k], legacy[k]);
-    }
-    EXPECT_NE(legacy[0].series.find("screening.detected"), std::string::npos);
-  }
-
-  {
-    SCOPED_TRACE("streaming Drive through StreamingScreen");
-    // Context-free: config sinks. Context: the same sinks attached to the context
-    // instead, which every config sink left null falls back to.
-    MetricsRegistry legacy_registry;
-    SeriesRecorder legacy_recorder;
-    PopulationConfig legacy_population = population;
-    legacy_population.metrics = &legacy_registry;
-    legacy_population.series = &legacy_recorder;
-    ScreeningConfig legacy_screening = screening;
-    legacy_screening.metrics = &legacy_registry;
-    legacy_screening.series = &legacy_recorder;
-    StreamingScreen legacy_screen(&pipeline, legacy_screening);
-    FleetShardStream(legacy_population).Drive({&legacy_screen});
-
-    MetricsRegistry context_registry;
-    SeriesRecorder context_recorder;
-    EngineContext stream_context(EngineOptions{.threads = 2,
-                                               .env_overrides = false,
-                                               .metrics = &context_registry,
-                                               .series = &context_recorder});
-    StreamingScreen context_screen(&pipeline, screening);
-    FleetShardStream(population).Drive({&context_screen}, stream_context);
-
-    const RunDocuments legacy =
-        DocumentsOf(legacy_screen.TakeStats(), legacy_registry, legacy_recorder);
-    ExpectSameDocuments(
-        DocumentsOf(context_screen.TakeStats(), context_registry, context_recorder),
-        legacy);
-    EXPECT_EQ(legacy.stats, legacy_json.str());  // streaming == materialized
-    EXPECT_NE(legacy.metrics.find("fleet.generate.processors"), std::string::npos);
-    EXPECT_NE(legacy.metrics.find("screening.tested"), std::string::npos);
-  }
-
-  {
-    SCOPED_TRACE("FleetScrubber::Run");
-    auto run_scrub = [&](EngineContext* scrub_context) {
-      MetricsRegistry registry;
-      SeriesRecorder recorder;
-      ScrubConfig config;
-      config.population.processor_count = 30000;
-      config.population.seed = 2024;
-      config.threads = 2;
-      config.budget_fraction = 2e-5;
-      config.horizon_months = 3.0;
-      config.epoch_months = 1.0;
-      config.max_cases_per_round = 4;
-      config.workload_sample_hours = 0.02;
-      config.metrics = &registry;
-      config.series = &recorder;
-      FleetScrubber scrubber(suite_);
-      const ScrubReport report = scrub_context != nullptr
-                                     ? scrubber.Run(config, *scrub_context)
-                                     : scrubber.Run(config);
-      RunDocuments documents;
-      std::ostringstream report_json;
-      WriteScrubReportJson(report_json, report);
-      documents.stats = report_json.str();
-      std::ostringstream metrics_json;
-      WriteMetricsJson(metrics_json, registry.Snapshot(), /*include_timers=*/false);
-      documents.metrics = metrics_json.str();
-      std::ostringstream series_json;
-      WriteSeriesJson(series_json, recorder.Snapshot(), /*include_host=*/false);
-      documents.series = series_json.str();
-      return documents;
-    };
-    const RunDocuments legacy = run_scrub(nullptr);
-    ExpectSameDocuments(run_scrub(&context), legacy);
-    EXPECT_NE(legacy.metrics.find("scrub.sessions"), std::string::npos);
   }
 }
 

@@ -429,9 +429,9 @@ TEST(CampaignManagerTest, ScrubCampaignMatchesDirectRun) {
   config.horizon_months = spec.scrub_horizon_months;
   config.max_cases_per_round = spec.scrub_max_cases;
   config.workload_sample_hours = spec.scrub_sample_hours;
-  config.threads = 1;
   const TestSuite suite = TestSuite::BuildFull();
-  const ScrubReport baseline = FleetScrubber(&suite).Run(config);
+  EngineContext serial(EngineOptions{.threads = 1, .env_overrides = false});
+  const ScrubReport baseline = FleetScrubber(&suite).Run(config, serial);
 
   CampaignManager manager(2);
   const uint64_t id = manager.Submit(spec);

@@ -3,13 +3,27 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
+#include "src/fleet/stream.h"
+#include "src/integrity/hash.h"
+#include "src/report/exporters.h"
+#include "src/scrub/scrubber.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/series.h"
+#include "src/telemetry/trace.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -119,9 +133,8 @@ FleetPopulation GenerateVariant(uint64_t processors, uint64_t seed, bool referen
   config.processor_count = processors;
   config.seed = seed;
   config.use_reference_generator = reference;
-  config.simd = simd;
-  config.threads = threads;
-  return FleetPopulation::Generate(config);
+  EngineContext context(PinnedEngine(threads, simd));
+  return FleetPopulation::Generate(config, context);
 }
 
 // Shared mid-size fleet (200k parts) to keep the statistical tests fast but stable.
@@ -131,7 +144,7 @@ class FleetTest : public ::testing::Test {
     PopulationConfig config;
     config.processor_count = 200000;
     config.seed = 4242;
-    fleet_ = new FleetPopulation(FleetPopulation::Generate(config));
+    fleet_ = new FleetPopulation(GenerateFleet(config));
     suite_ = new TestSuite(TestSuite::BuildFull());
   }
   static void TearDownTestSuite() {
@@ -143,6 +156,7 @@ class FleetTest : public ::testing::Test {
 
   static FleetPopulation* fleet_;
   static TestSuite* suite_;
+  EngineContext context_{PinnedEngine(2)};
 };
 
 FleetPopulation* FleetTest::fleet_ = nullptr;
@@ -215,8 +229,8 @@ TEST_F(FleetTest, GenerationDeterministic) {
   PopulationConfig config;
   config.processor_count = 5000;
   config.seed = 77;
-  const FleetPopulation a = FleetPopulation::Generate(config);
-  const FleetPopulation b = FleetPopulation::Generate(config);
+  const FleetPopulation a = GenerateFleet(config);
+  const FleetPopulation b = GenerateFleet(config);
   EXPECT_EQ(a.faulty_count(), b.faulty_count());
   for (uint64_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.arch_index(i), b.arch_index(i));
@@ -261,12 +275,11 @@ TEST_F(FleetTest, DegenerateConfigsFallBackToReferenceBehavior) {
     ref.use_reference_generator = true;
     PopulationConfig blocked = base;
     blocked.use_reference_generator = false;
-    ExpectFleetsIdentical(FleetPopulation::Generate(ref),
-                          FleetPopulation::Generate(blocked));
+    ExpectFleetsIdentical(GenerateFleet(ref), GenerateFleet(blocked));
   }
-  const FleetPopulation zero = FleetPopulation::Generate(zero_rate);
+  const FleetPopulation zero = GenerateFleet(zero_rate);
   EXPECT_EQ(zero.faulty_count(), 0u);
-  const FleetPopulation faulty = FleetPopulation::Generate(all_faulty);
+  const FleetPopulation faulty = GenerateFleet(all_faulty);
   EXPECT_EQ(faulty.faulty_count(), 20000u);
 }
 
@@ -278,17 +291,185 @@ TEST_F(FleetTest, GoldenFleetSnapshotHash) {
   // an intentional, documented format change.
   PopulationConfig config;
   config.processor_count = 100000;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
   EXPECT_EQ(HashFleet(fleet), 0xa03e3b0bb460cae3ull);
   PopulationConfig reference_config = config;
   reference_config.use_reference_generator = true;
-  EXPECT_EQ(HashFleet(FleetPopulation::Generate(reference_config)),
+  EXPECT_EQ(HashFleet(GenerateFleet(reference_config)),
             0xa03e3b0bb460cae3ull);
+}
+
+// ---- Absolute digest manifest ---------------------------------------------------------
+//
+// FNV-1a digests of the canonical JSON documents that the fleet engine's main passes
+// emit. Every row runs on a 2-lane context (environment ignored) carrying a
+// metrics registry, a trace recorder and a series recorder, and covers only the
+// deterministic sections (no timers, no host spans or series). A refactor of the engine
+// plumbing that keeps these digests moved no byte of output; a mismatch names the row
+// and prints the new digest. Regenerate only for an intentional, documented change.
+
+struct ManifestRow {
+  const char* name;
+  uint64_t digest;
+};
+
+constexpr ManifestRow kDigestManifest[] = {
+    {"materialized.stats", 0x3c3678b195edb9b9ull},
+    {"materialized.metrics", 0xedcd3f50e8cbf6a4ull},
+    {"materialized.trace", 0xf733607d49e8280full},
+    {"materialized.series", 0xa8b4cd637d256517ull},
+    {"streamed.stats", 0x3c3678b195edb9b9ull},
+    {"streamed.metrics", 0xedcd3f50e8cbf6a4ull},
+    {"streamed.trace", 0xf733607d49e8280full},
+    {"streamed.series", 0xa8b4cd637d256517ull},
+    {"sweep.stats.0", 0x3c3678b195edb9b9ull},
+    {"sweep.stats.1", 0x04e24fa6c57a44b7ull},
+    {"sweep.stats.2", 0x3c18d6fd01f85a7full},
+    {"sweep.metrics", 0xc4eb112de2d912deull},
+    {"sweep.trace", 0x2d64b2febac3a5e7ull},
+    {"sweep.series", 0xa8b4cd637d256517ull},
+    {"batch.stats.0", 0x3c3678b195edb9b9ull},
+    {"batch.stats.1", 0x04e24fa6c57a44b7ull},
+    {"batch.stats.2", 0x3c18d6fd01f85a7full},
+    {"batch.metrics", 0xc4eb112de2d912deull},
+    {"batch.trace", 0x76a4a653cb86acfbull},
+    {"batch.series", 0xa8b4cd637d256517ull},
+    {"scrub.report", 0x98b7e4d13dc2fd24ull},
+    {"scrub.metrics", 0x89a529e41e618898ull},
+    {"scrub.series", 0xd5fa08490b4ad681ull},
+};
+
+// One pass's sinks and the context that carries them.
+struct ManifestSinks {
+  MetricsRegistry metrics;
+  TraceRecorder trace;
+  SeriesRecorder series;
+  EngineContext context{EngineOptions{.threads = 2,
+                                      .env_overrides = false,
+                                      .metrics = &metrics,
+                                      .trace = &trace,
+                                      .series = &series}};
+};
+
+using ManifestDocuments = std::vector<std::pair<std::string, std::string>>;
+
+template <typename Writer>
+std::string Render(Writer write) {
+  std::ostringstream out;
+  write(out);
+  return out.str();
+}
+
+void AddStats(ManifestDocuments& documents, const std::string& name,
+              const ScreeningStats& stats) {
+  documents.emplace_back(
+      name, Render([&](std::ostream& out) { WriteScreeningStatsJson(out, stats); }));
+}
+
+void AddSinks(ManifestDocuments& documents, const std::string& row,
+              const ManifestSinks& sinks, bool with_trace) {
+  documents.emplace_back(row + ".metrics", Render([&](std::ostream& out) {
+                           WriteMetricsJson(out, sinks.metrics.Snapshot(), false);
+                         }));
+  if (with_trace) {
+    documents.emplace_back(row + ".trace", Render([&](std::ostream& out) {
+                             WriteTraceJson(out, sinks.trace.Snapshot(), false);
+                           }));
+  }
+  documents.emplace_back(row + ".series", Render([&](std::ostream& out) {
+                           WriteSeriesJson(out, sinks.series.Snapshot(), false);
+                         }));
+}
+
+uint64_t DigestOf(const std::string& document) {
+  return Fnv1a64(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(document.data()), document.size()));
+}
+
+TEST(FleetDigestManifest, EnginePassesMatchRecordedDigests) {
+  const TestSuite suite = TestSuite::BuildFull();
+  const ScreeningPipeline pipeline(&suite);
+  PopulationConfig population;
+  population.processor_count = 100000;
+  ManifestDocuments documents;
+
+  {
+    ManifestSinks sinks;
+    const FleetPopulation fleet = FleetPopulation::Generate(population, sinks.context);
+    AddStats(documents, "materialized.stats",
+             pipeline.Run(fleet, ScreeningConfig(), sinks.context));
+    AddSinks(documents, "materialized", sinks, true);
+  }
+  {
+    ManifestSinks sinks;
+    StreamingScreen screen(&pipeline, ScreeningConfig());
+    FleetShardStream(population).Drive({&screen}, sinks.context);
+    AddStats(documents, "streamed.stats", screen.TakeStats());
+    AddSinks(documents, "streamed", sinks, true);
+  }
+  // `sdcctl --sweep seeds:3`: three default scenarios with consecutive seeds.
+  ScenarioBatch batch;
+  for (uint64_t k = 0; k < 3; ++k) {
+    ScreeningConfig scenario;
+    scenario.seed += k;
+    batch.scenarios.push_back(scenario);
+  }
+  {
+    ManifestSinks sinks;
+    StreamingScreen screen(&pipeline, batch);
+    FleetShardStream(population).Drive({&screen}, sinks.context);
+    std::vector<ScreeningStats> stats = screen.TakeBatchStats();
+    ASSERT_EQ(stats.size(), 3u);
+    for (size_t k = 0; k < stats.size(); ++k) {
+      AddStats(documents, "sweep.stats." + std::to_string(k), stats[k]);
+    }
+    AddSinks(documents, "sweep", sinks, true);
+  }
+  {
+    // The same sweep materialized: RunBatch merges into the shared sinks in its own
+    // (scenario-major) order, so it gets rows of its own.
+    ManifestSinks sinks;
+    const FleetPopulation fleet = FleetPopulation::Generate(population, sinks.context);
+    const std::vector<ScreeningStats> stats = pipeline.RunBatch(fleet, batch, sinks.context);
+    ASSERT_EQ(stats.size(), 3u);
+    for (size_t k = 0; k < stats.size(); ++k) {
+      AddStats(documents, "batch.stats." + std::to_string(k), stats[k]);
+    }
+    AddSinks(documents, "batch", sinks, true);
+  }
+  {
+    // scrub_test's SmallConfig: 50k parts over a 4-month horizon.
+    ManifestSinks sinks;
+    ScrubConfig config;
+    config.population.processor_count = 50'000;
+    config.population.seed = 2024;
+    config.budget_fraction = 2e-5;
+    config.horizon_months = 4.0;
+    config.epoch_months = 1.0;
+    config.max_cases_per_round = 8;
+    config.workload_sample_hours = 0.02;
+    const ScrubReport report = FleetScrubber(&suite).Run(config, sinks.context);
+    documents.emplace_back("scrub.report", Render([&](std::ostream& out) {
+                             WriteScrubReportJson(out, report);
+                           }));
+    AddSinks(documents, "scrub", sinks, false);
+  }
+
+  ASSERT_EQ(documents.size(), std::size(kDigestManifest));
+  for (size_t i = 0; i < documents.size(); ++i) {
+    const auto& [name, document] = documents[i];
+    ASSERT_EQ(name, kDigestManifest[i].name);
+    const uint64_t digest = DigestOf(document);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxull", static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, kDigestManifest[i].digest)
+        << "manifest row '" << name << "' moved; new digest " << hex;
+  }
 }
 
 TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {
   ScreeningPipeline pipeline(suite_);
-  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig());
+  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig(), context_);
   ASSERT_GT(stats.total_detected(), 0u);
   const double factory = stats.StageRate(TestStage::kFactory);
   const double datacenter = stats.StageRate(TestStage::kDatacenter);
@@ -307,7 +488,7 @@ TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {
 
 TEST_F(FleetTest, UndetectablePartsEscapeEveryStage) {
   ScreeningPipeline pipeline(suite_);
-  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig());
+  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig(), context_);
   EXPECT_LT(stats.total_detected(), stats.faulty);
 }
 
@@ -353,7 +534,7 @@ TEST_F(FleetTest, LateOnsetDefectsDetectedInRegularRounds) {
   }
   EXPECT_TRUE(any_late_onset);  // the generator produces wear-out defects
   ScreeningPipeline pipeline(suite_);
-  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig());
+  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig(), context_);
   for (const ProcessorOutcome& outcome : stats.detections) {
     if (outcome.stage == TestStage::kRegular) {
       EXPECT_GT(outcome.month, 0.0);
@@ -390,7 +571,7 @@ TEST_F(FleetTest, StaggeredDetectionMonthsAreSpread) {
   ScreeningPipeline pipeline(suite_);
   ScreeningConfig config;
   config.regular_groups = 6;
-  const ScreeningStats stats = pipeline.Run(*fleet_, config);
+  const ScreeningStats stats = pipeline.Run(*fleet_, config, context_);
   std::set<double> months;
   for (const ProcessorOutcome& outcome : stats.detections) {
     if (outcome.stage == TestStage::kRegular) {
@@ -413,7 +594,7 @@ TEST_F(FleetTest, EffectivenessCountsSmallShareOfSuite) {
   PopulationConfig config;
   config.processor_count = 30000;
   config.seed = 7;
-  FleetPopulation small = FleetPopulation::Generate(config);
+  FleetPopulation small = GenerateFleet(config);
   const TestcaseEffectiveness effectiveness =
       ComputeTestcaseEffectiveness(*suite_, small, ScreeningConfig().stages[3]);
   EXPECT_EQ(effectiveness.total_testcases, kFullSuiteSize);

@@ -20,6 +20,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/toolchain/framework.h"
 #include "src/toolchain/registry.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -160,11 +161,9 @@ TEST(ParallelDeterminismTest, GenerationIsThreadCountInvariant) {
   PopulationConfig config;
   config.processor_count = 50000;
   config.seed = 20230901;
-  config.threads = 1;
-  const FleetPopulation serial = FleetPopulation::Generate(config);
+  const FleetPopulation serial = GenerateFleet(config, 1);
   for (int threads : {2, 8}) {
-    config.threads = threads;
-    const FleetPopulation parallel = FleetPopulation::Generate(config);
+    const FleetPopulation parallel = GenerateFleet(config, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     EXPECT_EQ(parallel.faulty_count(), serial.faulty_count());
     for (int arch = 0; arch < kArchCount; ++arch) {
@@ -182,16 +181,16 @@ TEST(ParallelDeterminismTest, ScreeningIsThreadCountInvariant) {
   PopulationConfig population_config;
   population_config.processor_count = 50000;
   population_config.seed = 20230901;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
+  const FleetPopulation fleet = GenerateFleet(population_config);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
 
-  ScreeningConfig config;
-  config.threads = 1;
-  const ScreeningStats serial = pipeline.Run(fleet, config);
+  const ScreeningConfig config;
+  EngineContext serial_context(PinnedEngine(1));
+  const ScreeningStats serial = pipeline.Run(fleet, config, serial_context);
   for (int threads : {2, 8}) {
-    config.threads = threads;
-    const ScreeningStats parallel = pipeline.Run(fleet, config);
+    EngineContext context(PinnedEngine(threads));
+    const ScreeningStats parallel = pipeline.Run(fleet, config, context);
     EXPECT_EQ(parallel.tested, serial.tested);
     EXPECT_EQ(parallel.faulty, serial.faulty);
     EXPECT_EQ(parallel.detected_by_stage, serial.detected_by_stage);
@@ -254,18 +253,13 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossThreadCounts) 
 
   auto run_all = [&](int threads) {
     MetricsRegistry registry;
+    EngineContext context(PinnedEngine(threads, &registry));
 
     PopulationConfig population_config;
     population_config.processor_count = 30000;
     population_config.seed = 20230901;
-    population_config.threads = threads;
-    population_config.metrics = &registry;
-    const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-
-    ScreeningConfig screening_config;
-    screening_config.threads = threads;
-    screening_config.metrics = &registry;
-    (void)pipeline.Run(fleet, screening_config);
+    const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
+    (void)pipeline.Run(fleet, ScreeningConfig(), context);
 
     FaultyMachine machine(FindInCatalog("MIX2"), 77);
     TestRunConfig run_config;
@@ -310,7 +304,7 @@ TEST(PopulationCountsTest, CachedCountsMatchFullScan) {
   PopulationConfig config;
   config.processor_count = 40000;
   config.seed = 515;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
 
   uint64_t scanned_faulty = 0;
   std::vector<uint64_t> scanned_by_arch(kArchCount, 0);

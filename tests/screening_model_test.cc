@@ -16,6 +16,7 @@
 #include "src/fleet/population.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -28,7 +29,7 @@ class ScreeningModelTest : public ::testing::Test {
     PopulationConfig config;
     config.processor_count = kFleetSize;
     config.seed = 20260805;
-    fleet_ = new FleetPopulation(FleetPopulation::Generate(config));
+    fleet_ = new FleetPopulation(GenerateFleet(config));
     suite_ = new TestSuite(TestSuite::BuildFull());
   }
   static void TearDownTestSuite() {
@@ -38,14 +39,24 @@ class ScreeningModelTest : public ::testing::Test {
     suite_ = nullptr;
   }
 
+  // Screens the shared fleet under `config` alone, on a fresh context.
+  static ScreeningStats RunAlone(const ScreeningConfig& config, int threads,
+                                 MetricsRegistry* metrics = nullptr) {
+    EngineContext context(PinnedEngine(threads, metrics));
+    return ScreeningPipeline(suite_).Run(*fleet_, config, context);
+  }
+
+  // Screens the shared fleet under every scenario of `batch` in one pass, on a fresh
+  // context.
+  static std::vector<ScreeningStats> RunBatchOn(const ScenarioBatch& batch, int threads,
+                                                MetricsRegistry* metrics = nullptr) {
+    EngineContext context(PinnedEngine(threads, metrics));
+    return ScreeningPipeline(suite_).RunBatch(*fleet_, batch, context);
+  }
+
   static ScreeningStats RunModel(bool use_reference, int threads,
                                  MetricsRegistry* metrics = nullptr) {
-    ScreeningPipeline pipeline(suite_);
-    ScreeningConfig config;
-    config.threads = threads;
-    config.use_reference_model = use_reference;
-    config.metrics = metrics;
-    return pipeline.Run(*fleet_, config);
+    return RunAlone(ScreeningConfig{.use_reference_model = use_reference}, threads, metrics);
   }
 
   static void ExpectIdentical(const ScreeningStats& cached, const ScreeningStats& reference) {
@@ -131,10 +142,9 @@ TEST_F(ScreeningModelTest, FastPathActuallyDetects) {
 
 // K scenarios with distinct seeds and cadences (the spread the bench uses too), so the
 // batch cannot pass by accidentally computing one scenario K times.
-ScenarioBatch MakeBatch(int k_count, int threads, bool use_reference) {
+ScenarioBatch MakeBatch(int k_count, bool use_reference) {
   static constexpr double kPeriods[] = {3.0, 1.0, 2.0, 6.0};
   ScenarioBatch batch;
-  batch.threads = threads;
   for (int k = 0; k < k_count; ++k) {
     ScreeningConfig config;
     config.seed = 77 + static_cast<uint64_t>(k);
@@ -149,15 +159,13 @@ class ScreeningBatchTest : public ScreeningModelTest {
  protected:
   static void ExpectBatchMatchesIndependent(int k_count, int threads,
                                             bool use_reference) {
-    ScreeningPipeline pipeline(suite_);
-    const ScenarioBatch batch = MakeBatch(k_count, threads, use_reference);
-    const std::vector<ScreeningStats> batched = pipeline.RunBatch(*fleet_, batch);
+    const ScenarioBatch batch = MakeBatch(k_count, use_reference);
+    const std::vector<ScreeningStats> batched = RunBatchOn(batch, threads);
     ASSERT_EQ(batched.size(), batch.scenarios.size());
     for (int k = 0; k < k_count; ++k) {
-      ScreeningConfig independent = batch.scenarios[static_cast<size_t>(k)];
-      independent.threads = threads;
       SCOPED_TRACE("scenario " + std::to_string(k));
-      ExpectIdentical(batched[static_cast<size_t>(k)], pipeline.Run(*fleet_, independent));
+      ExpectIdentical(batched[static_cast<size_t>(k)],
+                      RunAlone(batch.scenarios[static_cast<size_t>(k)], threads));
     }
   }
 };
@@ -183,16 +191,13 @@ TEST_F(ScreeningBatchTest, BatchedReferenceModelMatchesIndependent) {
 TEST_F(ScreeningBatchTest, MixedModelBatchMatchesIndependent) {
   // Cached and reference scenarios in ONE batch: the cached slots ride the fused loop
   // while the reference slot replays per scenario, and each must match its solo run.
-  ScreeningPipeline pipeline(suite_);
-  ScenarioBatch batch = MakeBatch(3, 2, /*use_reference=*/false);
+  ScenarioBatch batch = MakeBatch(3, /*use_reference=*/false);
   batch.scenarios[1].use_reference_model = true;
-  const std::vector<ScreeningStats> batched = pipeline.RunBatch(*fleet_, batch);
+  const std::vector<ScreeningStats> batched = RunBatchOn(batch, 2);
   ASSERT_EQ(batched.size(), 3u);
   for (size_t k = 0; k < batch.scenarios.size(); ++k) {
-    ScreeningConfig independent = batch.scenarios[k];
-    independent.threads = 2;
     SCOPED_TRACE("scenario " + std::to_string(k));
-    ExpectIdentical(batched[k], pipeline.Run(*fleet_, independent));
+    ExpectIdentical(batched[k], RunAlone(batch.scenarios[k], 2));
   }
 }
 
@@ -201,26 +206,20 @@ TEST_F(ScreeningBatchTest, DistinctStageParamsBatchMatchesIndependent) {
   // faulty part; scenarios whose parameters differ must land in their own group and
   // still match their solo runs bitwise. Three groups here: {0, 2} (default stages),
   // {1} (hotter re-install), {3} (weaker factory catch).
-  ScreeningPipeline pipeline(suite_);
-  ScenarioBatch batch = MakeBatch(4, 2, /*use_reference=*/false);
+  ScenarioBatch batch = MakeBatch(4, /*use_reference=*/false);
   batch.scenarios[1].stages[2].temperature_celsius = 72.0;
   batch.scenarios[3].stages[0].catch_factor = 0.05;
-  const std::vector<ScreeningStats> batched = pipeline.RunBatch(*fleet_, batch);
+  const std::vector<ScreeningStats> batched = RunBatchOn(batch, 2);
   ASSERT_EQ(batched.size(), 4u);
   for (size_t k = 0; k < batch.scenarios.size(); ++k) {
-    ScreeningConfig independent = batch.scenarios[k];
-    independent.threads = 2;
     SCOPED_TRACE("scenario " + std::to_string(k));
-    ExpectIdentical(batched[k], pipeline.Run(*fleet_, independent));
+    ExpectIdentical(batched[k], RunAlone(batch.scenarios[k], 2));
   }
 }
 
 TEST_F(ScreeningBatchTest, BatchIsThreadCountInvariant) {
-  ScreeningPipeline pipeline(suite_);
-  const std::vector<ScreeningStats> one =
-      pipeline.RunBatch(*fleet_, MakeBatch(4, 1, false));
-  const std::vector<ScreeningStats> eight =
-      pipeline.RunBatch(*fleet_, MakeBatch(4, 8, false));
+  const std::vector<ScreeningStats> one = RunBatchOn(MakeBatch(4, false), 1);
+  const std::vector<ScreeningStats> eight = RunBatchOn(MakeBatch(4, false), 8);
   ASSERT_EQ(one.size(), eight.size());
   for (size_t k = 0; k < one.size(); ++k) {
     SCOPED_TRACE("scenario " + std::to_string(k));
@@ -231,9 +230,7 @@ TEST_F(ScreeningBatchTest, BatchIsThreadCountInvariant) {
 TEST_F(ScreeningBatchTest, ScenariosActuallyDiffer) {
   // Guard against the equivalence holding because every slot carries the same bits: the
   // seeds differ, so the detection sets must differ somewhere.
-  ScreeningPipeline pipeline(suite_);
-  const std::vector<ScreeningStats> batched =
-      pipeline.RunBatch(*fleet_, MakeBatch(4, 2, false));
+  const std::vector<ScreeningStats> batched = RunBatchOn(MakeBatch(4, false), 2);
   ASSERT_EQ(batched.size(), 4u);
   bool any_difference = false;
   for (size_t k = 1; k < batched.size(); ++k) {
@@ -255,34 +252,32 @@ TEST_F(ScreeningBatchTest, ScenariosActuallyDiffer) {
 }
 
 TEST_F(ScreeningBatchTest, EmptyBatchReturnsNoStats) {
-  ScreeningPipeline pipeline(suite_);
-  EXPECT_TRUE(pipeline.RunBatch(*fleet_, ScenarioBatch{}).empty());
+  EXPECT_TRUE(RunBatchOn(ScenarioBatch{}, 2).empty());
 }
 
-TEST_F(ScreeningBatchTest, PerScenarioMetricsMatchIndependentRuns) {
-  // Each scenario's metric sink must see exactly the deltas its independent run records
-  // (sans wall-clock timers) -- not a sum over the batch.
-  ScreeningPipeline pipeline(suite_);
-  ScenarioBatch batch = MakeBatch(3, 2, false);
-  std::vector<MetricsRegistry> batch_registries(batch.scenarios.size());
-  for (size_t k = 0; k < batch.scenarios.size(); ++k) {
-    batch.scenarios[k].metrics = &batch_registries[k];
+TEST_F(ScreeningBatchTest, SharedRegistryGetsTheSumOfIndependentRuns) {
+  // Every scenario of a batch merges into the context's one registry, so each counter
+  // (and histogram bucket) is the sum of the scenarios' independent runs.
+  const ScenarioBatch batch = MakeBatch(3, false);
+  MetricsRegistry batch_registry;
+  (void)RunBatchOn(batch, 2, &batch_registry);
+  MetricsSnapshot expected;
+  for (const ScreeningConfig& scenario : batch.scenarios) {
+    MetricsRegistry independent;
+    (void)RunAlone(scenario, 2, &independent);
+    expected.MergeFrom(independent.Snapshot());
   }
-  (void)pipeline.RunBatch(*fleet_, batch);
-  for (size_t k = 0; k < batch.scenarios.size(); ++k) {
-    MetricsRegistry independent_registry;
-    ScreeningConfig independent = batch.scenarios[k];
-    independent.threads = 2;
-    independent.metrics = &independent_registry;
-    (void)pipeline.Run(*fleet_, independent);
-    std::ostringstream batched_json;
-    std::ostringstream independent_json;
-    WriteMetricsJson(batched_json, batch_registries[k].Snapshot(),
-                     /*include_timers=*/false);
-    WriteMetricsJson(independent_json, independent_registry.Snapshot(),
-                     /*include_timers=*/false);
-    EXPECT_EQ(batched_json.str(), independent_json.str()) << "scenario " << k;
+  const MetricsSnapshot batched = batch_registry.Snapshot();
+  EXPECT_EQ(batched.CounterOr("screening.tested"), 3 * kFleetSize);
+  for (const auto& [name, value] : expected.counters) {
+    EXPECT_EQ(batched.CounterOr(name), value) << name;
   }
+  EXPECT_EQ(batched.counters.size(), expected.counters.size());
+  std::ostringstream batched_json;
+  std::ostringstream expected_json;
+  WriteMetricsJson(batched_json, batched, /*include_timers=*/false);
+  WriteMetricsJson(expected_json, expected, /*include_timers=*/false);
+  EXPECT_EQ(batched_json.str(), expected_json.str());
 }
 
 // ----- ordered shard fold (ScreeningStats::MergeFrom) ---------------------------------

@@ -23,6 +23,7 @@ class ScrubTest : public ::testing::Test {
     suite_ = nullptr;
   }
   static TestSuite* suite_;
+  EngineContext context_;  // default lanes, no sinks
 };
 
 TestSuite* ScrubTest::suite_ = nullptr;
@@ -86,10 +87,7 @@ TEST_F(ScrubTest, ByteIdenticalAcrossThreadsAndDiscovery) {
     for (const int threads : {1, 2, 8}) {
       ScrubConfig config = SmallConfig();
       config.stream_discovery = streaming;
-      EngineOptions options;
-      options.threads = threads;
-      options.env_overrides = false;
-      EngineContext context(options);
+      EngineContext context(EngineOptions{.threads = threads, .env_overrides = false});
       const ScrubReport report = scrubber.Run(config, context);
       const std::string fingerprint = Fingerprint(report);
       if (expected.empty()) {
@@ -111,7 +109,7 @@ TEST_F(ScrubTest, SpendNeverExceedsBudget) {
   // Below the fleet's one-round-per-part-per-epoch demand (~0.52M s/epoch at this size),
   // so the scheduler must exhaust the budget rather than the demand.
   budget_limited.budget_fraction = 2e-6;
-  const ScrubReport report = scrubber.Run(budget_limited);
+  const ScrubReport report = scrubber.Run(budget_limited, context_);
   ASSERT_FALSE(report.timeline.empty());
   for (const ScrubEpochPoint& point : report.timeline) {
     EXPECT_LE(point.spent_seconds(), point.budget_seconds * (1.0 + 1e-9));
@@ -133,7 +131,7 @@ TEST_F(ScrubTest, DetectionsCarryProvenance) {
                                     // one testcase that exposes them
   config.farron.time_scale = 1e9;   // coarse toolchain sim keeps the test fast
   config.horizon_months = 3.0;
-  const ScrubReport report = scrubber.Run(config);
+  const ScrubReport report = scrubber.Run(config, context_);
   ASSERT_GT(report.detections.size(), 0u);
   for (const ScrubDetection& detection : report.detections) {
     EXPECT_GT(detection.month, 0.0);
@@ -155,7 +153,7 @@ TEST_F(ScrubTest, ZeroBudgetFundsNothing) {
   ScrubConfig config = SmallConfig();
   config.budget_fraction = 0.0;
   config.workload_sample_hours = 0.0;
-  const ScrubReport report = scrubber.Run(config);
+  const ScrubReport report = scrubber.Run(config, context_);
   EXPECT_GT(report.sessions, 0u);
   EXPECT_EQ(report.detections.size(), 0u);
   EXPECT_EQ(report.total_spent_seconds(), 0.0);
@@ -173,7 +171,7 @@ TEST_F(ScrubTest, FaultFreeFleetSweepsOnly) {
   ScrubConfig config = SmallConfig();
   config.population.processor_count = 4096;
   config.population.detected_rate = {};  // nobody is faulty
-  const ScrubReport report = scrubber.Run(config);
+  const ScrubReport report = scrubber.Run(config, context_);
   EXPECT_EQ(report.faulty, 0u);
   EXPECT_EQ(report.sessions, 0u);
   EXPECT_EQ(report.detections.size(), 0u);
@@ -187,7 +185,7 @@ TEST_F(ScrubTest, EmptyFleetIsNoop) {
   FleetScrubber scrubber(suite_);
   ScrubConfig config = SmallConfig();
   config.population.processor_count = 0;
-  const ScrubReport report = scrubber.Run(config);
+  const ScrubReport report = scrubber.Run(config, context_);
   EXPECT_EQ(report.fleet_processors, 0u);
   EXPECT_EQ(report.sessions, 0u);
   EXPECT_EQ(report.total_budget_seconds, 0.0);
@@ -202,8 +200,8 @@ TEST_F(ScrubTest, CoverageMonotoneInBudget) {
   low.budget_fraction = 5e-6;
   ScrubConfig high = SmallConfig();
   high.budget_fraction = 2e-4;
-  const ScrubReport low_report = scrubber.Run(low);
-  const ScrubReport high_report = scrubber.Run(high);
+  const ScrubReport low_report = scrubber.Run(low, context_);
+  const ScrubReport high_report = scrubber.Run(high, context_);
   EXPECT_GE(high_report.coverage(), low_report.coverage());
   EXPECT_GE(high_report.total_spent_seconds(), low_report.total_spent_seconds());
 }
@@ -215,9 +213,8 @@ TEST_F(ScrubTest, EmitsMetricsAndTrace) {
   ScrubConfig config = SmallConfig();
   MetricsRegistry metrics;
   TraceRecorder trace;
-  config.metrics = &metrics;
-  config.trace = &trace;
-  const ScrubReport report = scrubber.Run(config);
+  EngineContext context(EngineOptions{.metrics = &metrics, .trace = &trace});
+  const ScrubReport report = scrubber.Run(config, context);
   std::ostringstream text;
   metrics.Snapshot().DumpText(text);
   EXPECT_NE(text.str().find("scrub.runs"), std::string::npos);

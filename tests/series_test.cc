@@ -16,6 +16,7 @@
 #include "src/report/exporters.h"
 #include "src/scrub/scrubber.h"
 #include "src/telemetry/series.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -103,27 +104,24 @@ constexpr uint64_t kFleetSeed = 20260805;
 
 class SeriesDeterminismTest : public ::testing::Test {
  protected:
+
   static void SetUpTestSuite() { suite_ = new TestSuite(TestSuite::BuildFull()); }
   static void TearDownTestSuite() {
     delete suite_;
     suite_ = nullptr;
   }
 
-  // One generate+screen pass with a series sink attached to both stages, rendered as the
+  // One generate+screen pass on a context carrying a series sink, rendered as the
   // deterministic (sim-only) JSON document. The bytes ARE the contract.
   static std::string MaterializedSeriesJson(int threads) {
     SeriesRecorder recorder;
+    EngineContext context(PinnedEngine(threads, nullptr, nullptr, &recorder));
     PopulationConfig population;
     population.processor_count = kFleetSize;
     population.seed = kFleetSeed;
-    population.threads = threads;
-    population.series = &recorder;
-    const FleetPopulation fleet = FleetPopulation::Generate(population);
+    const FleetPopulation fleet = FleetPopulation::Generate(population, context);
     ScreeningPipeline pipeline(suite_);
-    ScreeningConfig screening;
-    screening.threads = threads;
-    screening.series = &recorder;
-    pipeline.Run(fleet, screening);
+    pipeline.Run(fleet, ScreeningConfig(), context);
     std::ostringstream out;
     WriteSeriesJson(out, recorder.Snapshot(), /*include_host=*/false);
     return out.str();
@@ -131,18 +129,14 @@ class SeriesDeterminismTest : public ::testing::Test {
 
   static std::string StreamingSeriesJson(int threads) {
     SeriesRecorder recorder;
+    EngineContext context(PinnedEngine(threads, nullptr, nullptr, &recorder));
     PopulationConfig population;
     population.processor_count = kFleetSize;
     population.seed = kFleetSeed;
-    population.threads = threads;
-    population.series = &recorder;
     ScreeningPipeline pipeline(suite_);
-    ScreeningConfig screening;
-    screening.threads = threads;
-    screening.series = &recorder;
     FleetShardStream stream(population);
-    StreamingScreen screen(&pipeline, screening);
-    stream.Drive({&screen});
+    StreamingScreen screen(&pipeline, ScreeningConfig());
+    stream.Drive({&screen}, context);
     std::ostringstream out;
     WriteSeriesJson(out, recorder.Snapshot(), /*include_host=*/false);
     return out.str();
@@ -150,19 +144,17 @@ class SeriesDeterminismTest : public ::testing::Test {
 
   static std::string ScrubSeriesJson(int threads) {
     SeriesRecorder recorder;
+    EngineContext context(PinnedEngine(threads, nullptr, nullptr, &recorder));
     ScrubConfig config;
     config.population.processor_count = 50'000;
     config.population.seed = 2024;
-    config.population.threads = threads;
-    config.threads = threads;
     config.budget_fraction = 2e-5;
     config.horizon_months = 4.0;
     config.epoch_months = 1.0;
     config.max_cases_per_round = 8;
     config.workload_sample_hours = 0.02;
-    config.series = &recorder;
     FleetScrubber scrubber(suite_);
-    scrubber.Run(config);
+    scrubber.Run(config, context);
     std::ostringstream out;
     WriteSeriesJson(out, recorder.Snapshot(), /*include_host=*/false);
     return out.str();
@@ -203,8 +195,8 @@ TEST_F(SeriesDeterminismTest, ScrubSeriesIsThreadCountInvariant) {
   EXPECT_NE(one.find("scrub.detections"), std::string::npos);
 }
 
-// An attached EngineContext is the fallback sink when the config carries none (the
-// config wins when both are set) -- the same pinning discipline metrics/trace use.
+// The context's series sink feeds every pass that runs on it -- the same pinning
+// discipline metrics/trace use.
 TEST_F(SeriesDeterminismTest, ContextAttachmentFeedsSeries) {
   SeriesRecorder recorder;
   EngineOptions options;

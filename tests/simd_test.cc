@@ -20,6 +20,7 @@
 #include "src/common/simd.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -289,11 +290,8 @@ class SimdScreeningTest : public ::testing::Test {
 
   static ScreeningStats Screen(const FleetPopulation& fleet, SimdLevel simd,
                                int threads = 2) {
-    ScreeningPipeline pipeline(suite_);
-    ScreeningConfig config;
-    config.threads = threads;
-    config.simd = simd;
-    return pipeline.Run(fleet, config);
+    EngineContext context(PinnedEngine(threads, simd));
+    return ScreeningPipeline(suite_).Run(fleet, ScreeningConfig(), context);
   }
 
   static void ExpectIdentical(const ScreeningStats& a, const ScreeningStats& b) {
@@ -324,7 +322,7 @@ TEST_F(SimdScreeningTest, ScalarAndVectorScreenIdentically) {
   PopulationConfig config;
   config.processor_count = 4097;
   config.seed = 99;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
   const ScreeningStats scalar = Screen(fleet, SimdLevel::kScalar);
   ExpectIdentical(Screen(fleet, SimdLevel::kAuto), scalar);
   for (const SimdLevel level : SupportedLevels()) {
@@ -342,7 +340,7 @@ TEST_F(SimdScreeningTest, AllFaultyFleetScreensIdentically) {
   config.processor_count = 20000;
   config.seed = 7;
   config.detected_rate.fill(config.detectability);
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
   const ScreeningStats scalar = Screen(fleet, SimdLevel::kScalar);
   EXPECT_EQ(scalar.faulty, 20000u);
   ExpectIdentical(Screen(fleet, SimdLevel::kAuto), scalar);
@@ -355,7 +353,7 @@ TEST_F(SimdScreeningTest, ZeroFaultyFleetScreensIdentically) {
   config.processor_count = 20001;  // odd size: unaligned tail in every column
   config.seed = 7;
   config.detected_rate.fill(0.0);
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
   const ScreeningStats scalar = Screen(fleet, SimdLevel::kScalar);
   EXPECT_EQ(scalar.faulty, 0u);
   EXPECT_EQ(scalar.tested, 20001u);
@@ -364,17 +362,20 @@ TEST_F(SimdScreeningTest, ZeroFaultyFleetScreensIdentically) {
 }
 
 TEST_F(SimdScreeningTest, EnvOverrideForcesScalarInPipeline) {
-  // With SDC_SIMD=scalar the auto-dispatched run must equal the explicit scalar run --
-  // trivially bitwise, but this pins that the pipeline actually consults the resolver.
+  // With SDC_SIMD=scalar an environment-honoring context resolves to scalar and its
+  // auto-dispatched run must equal the default run -- trivially bitwise, but this pins
+  // that the context actually consults the resolver.
   PopulationConfig config;
   config.processor_count = 30000;
   config.seed = 13;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
   const ScreeningStats baseline = Screen(fleet, SimdLevel::kAuto);
   ASSERT_EQ(setenv("SDC_SIMD", "scalar", 1), 0);
-  const ScreeningStats forced = Screen(fleet, SimdLevel::kAuto);
+  EngineContext forced_context(EngineOptions{.threads = 2});
   ASSERT_EQ(unsetenv("SDC_SIMD"), 0);
-  ExpectIdentical(forced, baseline);
+  EXPECT_EQ(forced_context.simd(), SimdLevel::kScalar);
+  ExpectIdentical(ScreeningPipeline(suite_).Run(fleet, ScreeningConfig(), forced_context),
+                  baseline);
   EXPECT_GT(baseline.total_detected(), 0u);
 }
 
@@ -384,18 +385,17 @@ TEST_F(SimdScreeningTest, BatchedScreenIgnoresDispatchLevelBitwise) {
   PopulationConfig config;
   config.processor_count = 30000;
   config.seed = 21;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
+  const FleetPopulation fleet = GenerateFleet(config);
   ScreeningPipeline pipeline(suite_);
   const auto run_batch = [&](SimdLevel simd) {
     ScenarioBatch batch;
-    batch.threads = 2;
     for (int k = 0; k < 3; ++k) {
       ScreeningConfig scenario;
       scenario.seed = 77 + static_cast<uint64_t>(k);
-      scenario.simd = simd;
       batch.scenarios.push_back(scenario);
     }
-    return pipeline.RunBatch(fleet, batch);
+    EngineContext context(PinnedEngine(2, simd));
+    return pipeline.RunBatch(fleet, batch, context);
   };
   const std::vector<ScreeningStats> scalar = run_batch(SimdLevel::kScalar);
   const std::vector<ScreeningStats> automatic = run_batch(SimdLevel::kAuto);

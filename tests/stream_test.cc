@@ -20,6 +20,7 @@
 #include "src/fleet/stream.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -44,21 +45,15 @@ class StreamEquivalenceTest : public ::testing::Test {
     suite_ = nullptr;
   }
 
-  static PopulationConfig MakePopulationConfig(uint64_t processors, int threads,
-                                               MetricsRegistry* metrics) {
+  static PopulationConfig MakePopulationConfig(uint64_t processors) {
     PopulationConfig config;
     config.processor_count = processors;
     config.seed = kFleetSeed;
-    config.threads = threads;
-    config.metrics = metrics;
     return config;
   }
 
-  static ScreeningConfig MakeScreeningConfig(int threads, MetricsRegistry* metrics,
-                                             bool use_reference) {
+  static ScreeningConfig MakeScreeningConfig(bool use_reference) {
     ScreeningConfig config;
-    config.threads = threads;
-    config.metrics = metrics;
     config.use_reference_model = use_reference;
     return config;
   }
@@ -67,12 +62,13 @@ class StreamEquivalenceTest : public ::testing::Test {
   static PassResults RunMaterialized(uint64_t processors, int threads,
                                      MetricsRegistry* metrics = nullptr,
                                      bool use_reference = false) {
-    const PopulationConfig population = MakePopulationConfig(processors, threads, metrics);
-    const FleetPopulation fleet = FleetPopulation::Generate(population);
+    EngineContext context(PinnedEngine(threads, metrics));
+    const FleetPopulation fleet =
+        FleetPopulation::Generate(MakePopulationConfig(processors), context);
     ScreeningPipeline pipeline(suite_);
-    const ScreeningConfig screening = MakeScreeningConfig(threads, metrics, use_reference);
+    const ScreeningConfig screening = MakeScreeningConfig(use_reference);
     PassResults results;
-    results.stats = pipeline.Run(fleet, screening);
+    results.stats = pipeline.Run(fleet, screening, context);
     results.capacity = SimulateCapacityRetention(fleet, results.stats, screening);
     results.effectiveness = ComputeTestcaseEffectiveness(
         *suite_, fleet, screening.stages[static_cast<size_t>(TestStage::kRegular)]);
@@ -97,10 +93,9 @@ class StreamEquivalenceTest : public ::testing::Test {
   static PassResults RunStreaming(uint64_t processors, int threads,
                                   MetricsRegistry* metrics = nullptr,
                                   bool use_reference = false) {
-    const PopulationConfig population = MakePopulationConfig(processors, threads, metrics);
     ScreeningPipeline pipeline(suite_);
-    const ScreeningConfig screening = MakeScreeningConfig(threads, metrics, use_reference);
-    FleetShardStream stream(population);
+    const ScreeningConfig screening = MakeScreeningConfig(use_reference);
+    FleetShardStream stream(MakePopulationConfig(processors));
     StreamingScreen screen(&pipeline, screening);
     CapacityAccumulator capacity;
     WearoutExposureObserver exposure;
@@ -109,7 +104,8 @@ class StreamEquivalenceTest : public ::testing::Test {
     EffectivenessAccumulator effectiveness(
         suite_, screening.stages[static_cast<size_t>(TestStage::kRegular)]);
     PassResults results;
-    results.report = stream.Drive({&screen, &effectiveness});
+    EngineContext context(PinnedEngine(threads, metrics));
+    results.report = stream.Drive({&screen, &effectiveness}, context);
     results.stats = screen.TakeStats();
     results.capacity = capacity.TakeReport();
     results.effectiveness = effectiveness.TakeResult();
@@ -256,14 +252,15 @@ TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
   // A FleetMaterializer riding the same drive as other consumers rebuilds exactly the
   // fleet Generate produces (Generate itself is this consumer; this pins the multi-
   // consumer path).
-  PopulationConfig config = MakePopulationConfig(kFleetSize, 4, nullptr);
-  const FleetPopulation expected = FleetPopulation::Generate(config);
+  const PopulationConfig config = MakePopulationConfig(kFleetSize);
+  EngineContext context(PinnedEngine(4));
+  const FleetPopulation expected = FleetPopulation::Generate(config, context);
   FleetPopulation rebuilt;
   FleetMaterializer materializer(&rebuilt);
   ScreeningPipeline pipeline(suite_);
-  StreamingScreen screen(&pipeline, MakeScreeningConfig(4, nullptr, false));
+  StreamingScreen screen(&pipeline, MakeScreeningConfig(false));
   FleetShardStream stream(config);
-  stream.Drive({&screen, &materializer});
+  stream.Drive({&screen, &materializer}, context);
   EXPECT_EQ(rebuilt.arch_bytes(), expected.arch_bytes());
   EXPECT_EQ(rebuilt.flag_bytes(), expected.flag_bytes());
   EXPECT_EQ(rebuilt.faulty_serials(), expected.faulty_serials());
@@ -288,10 +285,9 @@ TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
 
 class StreamBatchTest : public StreamEquivalenceTest {
  protected:
-  static ScenarioBatch MakeBatch(int k_count, int threads) {
+  static ScenarioBatch MakeBatch(int k_count) {
     static constexpr double kPeriods[] = {3.0, 1.0, 2.0, 6.0};
     ScenarioBatch batch;
-    batch.threads = threads;
     for (int k = 0; k < k_count; ++k) {
       ScreeningConfig config;
       config.seed = 77 + static_cast<uint64_t>(k);
@@ -303,16 +299,16 @@ class StreamBatchTest : public StreamEquivalenceTest {
 
   // Streaming batched pass with one WearoutExposureObserver per scenario.
   static std::vector<PassResults> RunStreamingBatch(int k_count, int threads) {
-    const PopulationConfig population = MakePopulationConfig(kFleetSize, threads, nullptr);
     ScreeningPipeline pipeline(suite_);
-    const ScenarioBatch batch = MakeBatch(k_count, threads);
-    FleetShardStream stream(population);
+    const ScenarioBatch batch = MakeBatch(k_count);
+    FleetShardStream stream(MakePopulationConfig(kFleetSize));
     StreamingScreen screen(&pipeline, batch);
     std::vector<WearoutExposureObserver> exposure(batch.scenarios.size());
     for (size_t k = 0; k < batch.scenarios.size(); ++k) {
       screen.AddObserver(&exposure[k], k);
     }
-    stream.Drive({&screen});
+    EngineContext context(PinnedEngine(threads));
+    stream.Drive({&screen}, context);
     std::vector<ScreeningStats> stats = screen.TakeBatchStats();
     std::vector<PassResults> results(stats.size());
     for (size_t k = 0; k < stats.size(); ++k) {
@@ -340,11 +336,12 @@ class StreamBatchTest : public StreamEquivalenceTest {
     ASSERT_EQ(streamed.size(), static_cast<size_t>(k_count));
 
     // (a) materialized batched pass over the same fleet.
-    const PopulationConfig population = MakePopulationConfig(kFleetSize, threads, nullptr);
-    const FleetPopulation fleet = FleetPopulation::Generate(population);
+    const PopulationConfig population = MakePopulationConfig(kFleetSize);
+    EngineContext context(PinnedEngine(threads));
+    const FleetPopulation fleet = FleetPopulation::Generate(population, context);
     ScreeningPipeline pipeline(suite_);
-    const ScenarioBatch batch = MakeBatch(k_count, threads);
-    const std::vector<ScreeningStats> materialized = pipeline.RunBatch(fleet, batch);
+    const ScenarioBatch batch = MakeBatch(k_count);
+    const std::vector<ScreeningStats> materialized = pipeline.RunBatch(fleet, batch, context);
     ASSERT_EQ(materialized.size(), static_cast<size_t>(k_count));
 
     for (int k = 0; k < k_count; ++k) {
@@ -353,13 +350,11 @@ class StreamBatchTest : public StreamEquivalenceTest {
                            materialized[static_cast<size_t>(k)]);
 
       // (b) an independent single-scenario streaming pass, observer included.
-      ScreeningConfig independent = batch.scenarios[static_cast<size_t>(k)];
-      independent.threads = threads;
       FleetShardStream stream(population);
-      StreamingScreen screen(&pipeline, independent);
+      StreamingScreen screen(&pipeline, batch.scenarios[static_cast<size_t>(k)]);
       WearoutExposureObserver exposure;
       screen.AddObserver(&exposure);
-      stream.Drive({&screen});
+      stream.Drive({&screen}, context);
       ExpectIdenticalStats(streamed[static_cast<size_t>(k)].stats, screen.TakeStats());
       ExpectIdenticalExposures(streamed[static_cast<size_t>(k)].exposures,
                                exposure.exposures());
@@ -423,13 +418,11 @@ TEST(StreamMemoryTest, TenMillionProcessorsStayWithinShardBudget) {
   TestSuite suite = TestSuite::BuildFull();
   PopulationConfig population;
   population.processor_count = kBigFleet;
-  population.threads = 2;
   ScreeningPipeline pipeline(&suite);
-  ScreeningConfig screening;
-  screening.threads = 2;
   FleetShardStream stream(population);
-  StreamingScreen screen(&pipeline, screening);
-  const StreamReport report = stream.Drive({&screen});
+  StreamingScreen screen(&pipeline, ScreeningConfig());
+  EngineContext context(PinnedEngine(2));
+  const StreamReport report = stream.Drive({&screen}, context);
   const ScreeningStats stats = screen.TakeStats();
   EXPECT_EQ(stats.tested, kBigFleet);
   EXPECT_GT(stats.faulty, 0u);

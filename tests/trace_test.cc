@@ -18,6 +18,7 @@
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -84,34 +85,25 @@ class TraceFleetTest : public ::testing::Test {
   static ScreeningStats RunMaterialized(int threads, TraceRecorder* recorder,
                                         MetricsRegistry* metrics = nullptr,
                                         bool reference_model = false) {
+    EngineContext context(PinnedEngine(threads, metrics, recorder));
     PopulationConfig population;
     population.processor_count = kFleetSize;
-    population.threads = threads;
-    population.trace = recorder;
-    population.metrics = metrics;
-    const FleetPopulation fleet = FleetPopulation::Generate(population);
+    const FleetPopulation fleet = FleetPopulation::Generate(population, context);
     ScreeningPipeline pipeline(suite_);
     ScreeningConfig screening;
-    screening.threads = threads;
-    screening.trace = recorder;
-    screening.metrics = metrics;
     screening.use_reference_model = reference_model;
-    return pipeline.Run(fleet, screening);
+    return pipeline.Run(fleet, screening, context);
   }
 
   // Fused streaming generate+screen with a recorder attached.
   static ScreeningStats RunStreaming(int threads, TraceRecorder* recorder) {
+    EngineContext context(PinnedEngine(threads, nullptr, recorder));
     PopulationConfig population;
     population.processor_count = kFleetSize;
-    population.threads = threads;
-    population.trace = recorder;
     FleetShardStream stream(population);
     ScreeningPipeline pipeline(suite_);
-    ScreeningConfig screening;
-    screening.threads = threads;
-    screening.trace = recorder;
-    StreamingScreen screen(&pipeline, screening);
-    stream.Drive({&screen});
+    StreamingScreen screen(&pipeline, ScreeningConfig());
+    stream.Drive({&screen}, context);
     return screen.TakeStats();
   }
 
@@ -217,13 +209,12 @@ TEST_F(TraceFleetTest, DetectionInstantsMatchProvenanceCount) {
 }
 
 // Single-scenario Run is a batch of one, so Run and a materialized RunBatch leave the
-// same pass-level host telemetry: exactly one "screening.run" host span, on scenario 0's
-// recorder, and one "screening.run.wall" sample in every scenario's registry.
+// same pass-level host telemetry on the context's sinks: exactly one "screening.run" host
+// span and one "screening.run.wall" sample per pass, whatever the batch size.
 TEST_F(TraceFleetTest, RunAndRunBatchLeaveOneRunSpanAndOneRunTimerSample) {
   PopulationConfig population;
   population.processor_count = kFleetSize;
-  population.threads = 2;
-  const FleetPopulation fleet = FleetPopulation::Generate(population);
+  const FleetPopulation fleet = GenerateFleet(population);
   ScreeningPipeline pipeline(suite_);
   auto run_spans = [](const TraceRecorder& recorder) {
     uint64_t spans = 0;
@@ -244,35 +235,26 @@ TEST_F(TraceFleetTest, RunAndRunBatchLeaveOneRunSpanAndOneRunTimerSample) {
     SCOPED_TRACE("Run");
     TraceRecorder recorder;
     MetricsRegistry registry;
-    ScreeningConfig screening;
-    screening.threads = 2;
-    screening.trace = &recorder;
-    screening.metrics = &registry;
-    (void)pipeline.Run(fleet, screening);
+    EngineContext context(PinnedEngine(2, &registry, &recorder));
+    (void)pipeline.Run(fleet, ScreeningConfig(), context);
     EXPECT_EQ(run_spans(recorder), 1u);
     EXPECT_EQ(run_timer_samples(registry), 1u);
   }
 
   {
     SCOPED_TRACE("RunBatch, K=3");
-    constexpr size_t kScenarios = 3;
-    std::vector<TraceRecorder> recorders(kScenarios);
-    std::vector<MetricsRegistry> registries(kScenarios);
     ScenarioBatch batch;
-    batch.threads = 2;
-    for (size_t k = 0; k < kScenarios; ++k) {
+    for (uint64_t k = 0; k < 3; ++k) {
       ScreeningConfig scenario;
       scenario.seed = 900 + k;
-      scenario.trace = &recorders[k];
-      scenario.metrics = &registries[k];
       batch.scenarios.push_back(scenario);
     }
-    (void)pipeline.RunBatch(fleet, batch);
-    for (size_t k = 0; k < kScenarios; ++k) {
-      SCOPED_TRACE("scenario " + std::to_string(k));
-      EXPECT_EQ(run_spans(recorders[k]), k == 0 ? 1u : 0u);
-      EXPECT_EQ(run_timer_samples(registries[k]), 1u);
-    }
+    TraceRecorder recorder;
+    MetricsRegistry registry;
+    EngineContext context(PinnedEngine(2, &registry, &recorder));
+    (void)pipeline.RunBatch(fleet, batch, context);
+    EXPECT_EQ(run_spans(recorder), 1u);
+    EXPECT_EQ(run_timer_samples(registry), 1u);
   }
 }
 

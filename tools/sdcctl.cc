@@ -82,6 +82,7 @@
 #include <vector>
 
 #include "src/analysis/repro.h"
+#include "src/common/context.h"
 #include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/daemon/client.h"
@@ -131,26 +132,44 @@ void ApplyFleetOverrides(PopulationConfig& config, const GlobalOptions& options)
   if (options.seed_set) {
     config.seed = options.seed;
   }
-  config.threads = options.threads;
-  config.metrics = options.metrics;
-  config.trace = options.trace;
-  config.series = options.series;
 }
 
-// Generate+screen through either path. Streaming fuses generation and screening into one
-// shard pass with O(threads * shard) peak memory; the stats are byte-identical to the
-// materialized path (docs/streaming.md), so every table below is mode-independent.
-ScreeningStats GenerateAndScreen(const PopulationConfig& population_config,
-                                 const ScreeningPipeline& pipeline,
-                                 const ScreeningConfig& screening_config, bool stream) {
-  if (stream) {
-    FleetShardStream shard_stream(population_config);
-    StreamingScreen screen(&pipeline, screening_config);
-    shard_stream.Drive({&screen});
-    return screen.TakeStats();
+// The engine the fleet and scrub commands run on: --threads lanes plus every sink the
+// command exports. SDC_THREADS / SDC_SIMD still override, read once when it is built.
+EngineOptions FleetEngineOptions(const GlobalOptions& options) {
+  return EngineOptions{.threads = options.threads,
+                       .metrics = options.metrics,
+                       .trace = options.trace,
+                       .series = options.series};
+}
+
+// Batched generate+screen of `processor_count` parts (after the global overrides) through
+// either path. Streaming fuses generation and screening into one shard pass with
+// O(threads * shard) peak memory; the stats are byte-identical to the materialized path
+// (docs/streaming.md), so every table below is mode-independent. Returns one
+// ScreeningStats per scenario of `batch`.
+std::vector<ScreeningStats> ScreenFleet(uint64_t processor_count, const ScenarioBatch& batch,
+                                        const GlobalOptions& options) {
+  PopulationConfig population_config;
+  population_config.processor_count = processor_count;
+  ApplyFleetOverrides(population_config, options);
+  const TestSuite suite = TestSuite::BuildFull();
+  const ScreeningPipeline pipeline(&suite);
+  EngineContext context(FleetEngineOptions(options));
+  if (options.stream) {
+    StreamingScreen screen(&pipeline, batch);
+    FleetShardStream(population_config).Drive({&screen}, context);
+    return screen.TakeBatchStats();
   }
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-  return pipeline.Run(fleet, screening_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
+  return pipeline.RunBatch(fleet, batch, context);
+}
+
+// Single-scenario form: the default screening config, a batch of one.
+ScreeningStats ScreenFleet(uint64_t processor_count, const GlobalOptions& options) {
+  return std::move(
+      ScreenFleet(processor_count, ScenarioBatch{.scenarios = {ScreeningConfig()}}, options)
+          .front());
 }
 
 // Usage error helper: strict-parsing failures report what was wrong and exit 2, the same
@@ -233,34 +252,14 @@ int CmdSweep(const std::string& cpu_id, double seconds_per_case,
 // (ScreeningPipeline::RunBatch / batched StreamingScreen). The table rows are
 // byte-identical to K separate `screen` runs; any attached metrics/trace sink receives
 // every scenario's deltas.
-int CmdScreenSweep(uint64_t processor_count, std::vector<SweepScenario> scenarios,
+int CmdScreenSweep(uint64_t processor_count, const std::vector<SweepScenario>& scenarios,
                    const GlobalOptions& options) {
-  PopulationConfig population_config;
-  population_config.processor_count = processor_count;
-  ApplyFleetOverrides(population_config, options);
-  const TestSuite suite = TestSuite::BuildFull();
-  ScreeningPipeline pipeline(&suite);
   ScenarioBatch batch;
-  batch.threads = options.threads;
   batch.scenarios.reserve(scenarios.size());
-  for (SweepScenario& scenario : scenarios) {
-    scenario.config.metrics = options.metrics;
-    scenario.config.trace = options.trace;
-    // The batch series contract samples scenario 0 only; setting every scenario keeps
-    // this loop uniform and the extras are ignored.
-    scenario.config.series = options.series;
+  for (const SweepScenario& scenario : scenarios) {
     batch.scenarios.push_back(scenario.config);
   }
-  std::vector<ScreeningStats> stats;
-  if (options.stream) {
-    FleetShardStream shard_stream(population_config);
-    StreamingScreen screen(&pipeline, batch);
-    shard_stream.Drive({&screen});
-    stats = screen.TakeBatchStats();
-  } else {
-    const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-    stats = pipeline.RunBatch(fleet, batch);
-  }
+  const std::vector<ScreeningStats> stats = ScreenFleet(processor_count, batch, options);
   TextTable table({"scenario", "seed", "period(m)", "factory", "datacenter", "re-install",
                    "regular", "total", "rate"});
   for (size_t k = 0; k < stats.size(); ++k) {
@@ -279,18 +278,7 @@ int CmdScreenSweep(uint64_t processor_count, std::vector<SweepScenario> scenario
 }
 
 int CmdScreen(uint64_t processor_count, const GlobalOptions& options) {
-  PopulationConfig population_config;
-  population_config.processor_count = processor_count;
-  ApplyFleetOverrides(population_config, options);
-  const TestSuite suite = TestSuite::BuildFull();
-  ScreeningPipeline pipeline(&suite);
-  ScreeningConfig screening_config;
-  screening_config.threads = options.threads;
-  screening_config.metrics = options.metrics;
-  screening_config.trace = options.trace;
-  screening_config.series = options.series;
-  const ScreeningStats stats =
-      GenerateAndScreen(population_config, pipeline, screening_config, options.stream);
+  const ScreeningStats stats = ScreenFleet(processor_count, options);
   TextTable table({"stage", "detections", "rate"});
   for (int stage = 0; stage < kStageCount; ++stage) {
     table.AddRow({StageName(static_cast<TestStage>(stage)),
@@ -307,17 +295,7 @@ int CmdScreen(uint64_t processor_count, const GlobalOptions& options) {
 // fleet.generate.* and screening.* for a standard run. Main routes the snapshot JSON to
 // stdout (or wherever --metrics-out points).
 int CmdMetrics(uint64_t processor_count, const GlobalOptions& options) {
-  PopulationConfig population_config;
-  population_config.processor_count = processor_count;
-  ApplyFleetOverrides(population_config, options);
-  const TestSuite suite = TestSuite::BuildFull();
-  ScreeningPipeline pipeline(&suite);
-  ScreeningConfig screening_config;
-  screening_config.threads = options.threads;
-  screening_config.metrics = options.metrics;
-  screening_config.trace = options.trace;
-  screening_config.series = options.series;
-  (void)GenerateAndScreen(population_config, pipeline, screening_config, options.stream);
+  (void)ScreenFleet(processor_count, options);
   return 0;
 }
 
@@ -325,18 +303,7 @@ int CmdMetrics(uint64_t processor_count, const GlobalOptions& options) {
 // counts, sim-time attribution, and the slowest host spans. Combine with --trace-out to
 // also export the full Perfetto JSON.
 int CmdTrace(uint64_t processor_count, const GlobalOptions& options) {
-  PopulationConfig population_config;
-  population_config.processor_count = processor_count;
-  ApplyFleetOverrides(population_config, options);
-  const TestSuite suite = TestSuite::BuildFull();
-  ScreeningPipeline pipeline(&suite);
-  ScreeningConfig screening_config;
-  screening_config.threads = options.threads;
-  screening_config.metrics = options.metrics;
-  screening_config.trace = options.trace;
-  screening_config.series = options.series;
-  const ScreeningStats stats =
-      GenerateAndScreen(population_config, pipeline, screening_config, options.stream);
+  const ScreeningStats stats = ScreenFleet(processor_count, options);
   SummarizeTrace(options.trace->Snapshot()).DumpText(std::cout);
   std::cout << stats.provenance.size() << " detections, each with a provenance record\n";
   return 0;
@@ -457,18 +424,10 @@ int CmdScrub(int argc, char** argv, const GlobalOptions& options) {
     }
     return InvalidOperand("scrub operand", argv[i]);
   }
-  if (options.processors_set) {
-    config.population.processor_count = options.processors;
-  }
-  if (options.seed_set) {
-    config.population.seed = options.seed;
-  }
-  config.threads = options.threads;
-  config.metrics = options.metrics;
-  config.trace = options.trace;
-  config.series = options.series;
+  ApplyFleetOverrides(config.population, options);
   const TestSuite suite = TestSuite::BuildFull();
-  WriteScrubReportJson(std::cout, FleetScrubber(&suite).Run(config));
+  EngineContext context(FleetEngineOptions(options));
+  WriteScrubReportJson(std::cout, FleetScrubber(&suite).Run(config, context));
   std::cout << "\n";
   return 0;
 }
@@ -479,18 +438,7 @@ int CmdExport(const std::string& what, const GlobalOptions& options) {
     return 0;
   }
   if (what == "screening") {
-    PopulationConfig population_config;
-    population_config.processor_count = 250000;
-    ApplyFleetOverrides(population_config, options);
-    const TestSuite suite = TestSuite::BuildFull();
-    ScreeningPipeline pipeline(&suite);
-    ScreeningConfig screening_config;
-    screening_config.threads = options.threads;
-    screening_config.metrics = options.metrics;
-    screening_config.trace = options.trace;
-    WriteScreeningStatsJson(
-        std::cout,
-        GenerateAndScreen(population_config, pipeline, screening_config, options.stream));
+    WriteScreeningStatsJson(std::cout, ScreenFleet(250000, options));
     return 0;
   }
   if (what.rfind("sweep:", 0) == 0) {
@@ -828,7 +776,7 @@ int Dispatch(int argc, char** argv, const GlobalOptions& options) {
         std::cerr << "sdcctl: invalid --sweep spec: " << error << "\n";
         return 2;
       }
-      return CmdScreenSweep(*count, std::move(scenarios), options);
+      return CmdScreenSweep(*count, scenarios, options);
     }
     return CmdScreen(*count, options);
   }

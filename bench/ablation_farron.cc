@@ -35,6 +35,7 @@ double CoverageOf(const std::set<std::string>& known, const RunReport& report) {
 
 int main() {
   using namespace sdc;
+  EngineContext context(SessionEngine());
   PrintExperimentHeader("Ablation", "contribution of each Farron mechanism");
   const TestSuite suite = TestSuite::BuildFull();
 
@@ -42,7 +43,7 @@ int main() {
   {
     FaultyMachine machine(FindInCatalog("FPU1"), 400);
     FarronConfig with;
-    Farron farron(&suite, &machine, with);
+    Farron farron(&suite, &machine, with, context);
     farron.MarkSuspectedTestcases({"lib.math.fp_arctan.f64.n256"});
     const FarronRoundSummary round = farron.RunRegularRound({});
     std::cout << "priorities ON : round = "
@@ -66,7 +67,7 @@ int main() {
       FaultyMachine machine(info, 402);
       FarronConfig config;
       config.enable_hot_testing = hot;
-      Farron farron(&suite, &machine, config);
+      Farron farron(&suite, &machine, config, context);
       farron.MarkSuspectedTestcases({known.begin(), known.end()});
       const FarronRoundSummary round = farron.RunRegularRound({});
       std::cout << "hot testing " << (hot ? "ON " : "OFF") << ": FPU2 coverage = "
@@ -88,7 +89,7 @@ int main() {
       FarronConfig config;
       config.enable_backoff = backoff;
       config.enable_adaptive_boundary = false;
-      Farron farron(&suite, &machine, config);
+      Farron farron(&suite, &machine, config, context);
       const ProtectionReport report =
           SimulateProtectedWorkload(farron, machine, suite, spec, 2.0, true);
       std::cout << "backoff " << (backoff ? "ON " : "OFF") << ": app SDC events = "
@@ -109,7 +110,7 @@ int main() {
       FaultyMachine machine(MakeArchSpec("M2"));
       FarronConfig config;
       config.enable_adaptive_boundary = adaptive;
-      Farron farron(&suite, &machine, config);
+      Farron farron(&suite, &machine, config, context);
       const ProtectionReport report =
           SimulateProtectedWorkload(farron, machine, suite, spec, 2.0, true);
       std::cout << "adaptive boundary " << (adaptive ? "ON " : "OFF")
@@ -132,7 +133,7 @@ int main() {
       FarronConfig config;
       config.enable_adaptive_boundary = false;
       config.enable_cooling_control = cooling;
-      Farron farron(&suite, &machine, config);
+      Farron farron(&suite, &machine, config, context);
       const ProtectionReport report =
           SimulateProtectedWorkload(farron, machine, suite, spec, 2.0, true);
       std::cout << "cooling control " << (cooling ? "ON " : "OFF")
@@ -151,7 +152,7 @@ int main() {
       FaultyMachine machine(FindInCatalog("SIMD1"), 405);
       FarronConfig config;
       config.enable_fine_decommission = fine;
-      Farron farron(&suite, &machine, config);
+      Farron farron(&suite, &machine, config, context);
       farron.MarkSuspectedTestcases({"vec.vec_fma_f32.f32.l8.n128"});
       farron.RunRegularRound({});
       std::cout << "fine decommission " << (fine ? "ON " : "OFF") << ": usable cores = "

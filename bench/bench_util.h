@@ -9,10 +9,16 @@
 #include <set>
 #include <string>
 
+#include "src/common/context.h"
 #include "src/fault/machine.h"
 #include "src/toolchain/framework.h"
 
 namespace sdc {
+
+// The context the session harnesses run their plans and Farron rounds on: one lane (their
+// plans share one machine, entry after entry) and no sinks. SDC_THREADS / SDC_SIMD are not
+// consulted.
+inline EngineOptions SessionEngine() { return {.threads = 1, .env_overrides = false}; }
 
 // Full-suite "adequate" sweep: hot (burn-in, all cores simultaneously), long slices --
 // the ground-truth run that enumerates a faulty part's known failing testcases.
@@ -25,7 +31,8 @@ inline RunReport AdequateSweep(const TestSuite& suite, FaultyMachine& machine,
   config.burn_in_seconds = 300.0;
   config.seed = seed;
   config.max_records = 100000;
-  return framework.RunPlan(machine, framework.EqualPlan(per_case_seconds), config);
+  EngineContext context(SessionEngine());
+  return framework.RunPlan(machine, framework.EqualPlan(per_case_seconds), config, context);
 }
 
 // Runs one (testcase, pcore) setting at a pinned temperature and returns the SDC records.
@@ -45,8 +52,9 @@ inline std::vector<SdcRecord> CollectRecords(const TestSuite& suite, FaultyMachi
   config.pin_temperature_celsius = temperature_celsius;
   config.pcores_under_test = {pcore};
   config.seed = seed;
-  const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), duration_seconds}}, config);
+  EngineContext context(SessionEngine());
+  const RunReport report = framework.RunPlan(
+      machine, {{static_cast<size_t>(index), duration_seconds}}, config, context);
   return report.records;
 }
 

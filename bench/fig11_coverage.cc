@@ -34,6 +34,7 @@ double Coverage(const std::set<std::string>& known, const RunReport& report) {
 
 int main() {
   using namespace sdc;
+  EngineContext context(SessionEngine());
   PrintExperimentHeader("Figure 11", "regular testing coverage: Farron vs baseline");
   const TestSuite suite = TestSuite::BuildFull();
 
@@ -55,12 +56,12 @@ int main() {
     // Baseline: equal time, sequential cores, no burn-in.
     FaultyMachine baseline_machine(info, 201);
     BaselinePolicy baseline(&suite, BaselineConfig());
-    const RunReport baseline_report = baseline.RunRegularRound(baseline_machine);
+    const RunReport baseline_report = baseline.RunRegularRound(baseline_machine, context);
 
     // Farron: suspected list accumulated from earlier detections, hot prioritized round.
     FaultyMachine farron_machine(info, 201);
     FarronConfig config;
-    Farron farron(&suite, &farron_machine, config);
+    Farron farron(&suite, &farron_machine, config, context);
     farron.MarkSuspectedTestcases({known.begin(), known.end()});
     const FarronRoundSummary farron_round = farron.RunRegularRound({});
 

@@ -21,6 +21,7 @@ void Sweep(const TestSuite& suite, const char* cpu_id, const char* testcase_id, 
            double paper_r) {
   FaultyMachine machine(FindInCatalog(cpu_id), 61);
   TestFramework framework(&suite);
+  EngineContext context(SessionEngine());
   const int index = suite.IndexOf(testcase_id);
   if (index < 0) {
     std::cout << "missing testcase " << testcase_id << "\n";
@@ -36,8 +37,8 @@ void Sweep(const TestSuite& suite, const char* cpu_id, const char* testcase_id, 
     config.pin_temperature_celsius = temperature;
     config.pcores_under_test = {pcore};
     config.seed = 1000 + static_cast<uint64_t>(temperature * 10);
-    const RunReport report =
-        framework.RunPlan(machine, {{static_cast<size_t>(index), duration_seconds}}, config);
+    const RunReport report = framework.RunPlan(
+        machine, {{static_cast<size_t>(index), duration_seconds}}, config, context);
     TemperaturePoint point;
     point.temperature_celsius = temperature;
     point.frequency_per_minute = report.results.front().OccurrenceFrequencyPerMinute();

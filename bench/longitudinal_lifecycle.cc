@@ -12,6 +12,7 @@
 
 int main() {
   using namespace sdc;
+  EngineContext context(SessionEngine());
   PrintExperimentHeader("Lifecycle", "32 months of one processor with a wear-out defect");
 
   // A part whose single FPU core starts failing 10 months into production.
@@ -22,7 +23,7 @@ int main() {
 
   const TestSuite suite = TestSuite::BuildFull();
   FarronConfig config;
-  Farron farron(&suite, &machine, config);
+  Farron farron(&suite, &machine, config, context);
 
   LifecycleConfig lifecycle;
   lifecycle.app_hours_per_interval = 2.0;

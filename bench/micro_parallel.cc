@@ -130,10 +130,10 @@ int Main() {
     double serial_seconds = 0.0;
     uint64_t serial_errors = 0;
     for (int threads : ThreadCounts()) {
-      config.threads = threads;
+      EngineContext context(EngineOptions{.threads = threads});
       uint64_t errors = 0;
       const double wall = WallSeconds([&] {
-        const RunReport report = framework.RunPlan(machine, plan, config);
+        const RunReport report = framework.RunPlan(machine, plan, config, context);
         errors = report.total_errors();
       });
       if (threads == 1) {

@@ -152,12 +152,13 @@ int main() {
       TemperaturePoint point;
       point.temperature_celsius = temperature;
       point.frequency_per_minute = MeasureOccurrenceFrequency(
-          machine, framework, static_cast<size_t>(index), 0, temperature, 3600.0, 11, 1e6);
+          machine, framework, context, static_cast<size_t>(index), 0, temperature, 3600.0,
+          11, 1e6);
       points.push_back(point);
     }
     const LinearFit fit = FitLogFrequencyVsTemperature(points);
     const double below_trigger = MeasureOccurrenceFrequency(
-        machine, framework, static_cast<size_t>(index), 0, 47.0, 3600.0, 11, 1e6);
+        machine, framework, context, static_cast<size_t>(index), 0, 47.0, 3600.0, 11, 1e6);
     verdicts.push_back({"Obs 10", "frequency exponential in temperature, with thresholds",
                         "r = " + FormatDouble(fit.r, 3) + ", zero below trigger: " +
                             (below_trigger == 0.0 ? "yes" : "no"),

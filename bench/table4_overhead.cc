@@ -39,6 +39,7 @@ const char* WorkloadKernel(const std::string& cpu_id) {
 
 int main() {
   using namespace sdc;
+  EngineContext context(SessionEngine());
   PrintExperimentHeader("Table 4", "Farron overhead vs baseline per faulty processor");
   const TestSuite suite = TestSuite::BuildFull();
   BaselinePolicy baseline(&suite, BaselineConfig());
@@ -64,7 +65,7 @@ int main() {
     FaultyMachine machine(info, 301);
     FarronConfig config;
     config.enable_fine_decommission = true;
-    Farron farron(&suite, &machine, config);
+    Farron farron(&suite, &machine, config, context);
     farron.MarkSuspectedTestcases(ground_truth.failed_testcase_ids());
     const FarronRoundSummary round = farron.RunRegularRound({});
     const double test_overhead =
@@ -73,7 +74,7 @@ int main() {
     // Temperature-control overhead over a protected 4-hour application run on a fresh
     // (unmasked) part -- control substitutes for decommission on the tricky defects.
     FaultyMachine app_machine(info, 302);
-    Farron controller(&suite, &app_machine, config);
+    Farron controller(&suite, &app_machine, config, context);
     // Production-like load: steady below the boundary with a few short, moderate bursts per
     // hour -- the regime where the paper measures 0.864 s/hour of backoff.
     WorkloadSpec spec;

@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/farron/baseline.h"
 #include "src/farron/farron.h"
@@ -25,7 +26,8 @@ int main(int argc, char** argv) {
 
   FaultyMachine machine(info, 7);
   FarronConfig config;
-  Farron farron(&suite, &machine, config);
+  EngineContext context;
+  Farron farron(&suite, &machine, config, context);
 
   // --- Pre-production state: adequate testing. ---
   std::cout << "[pre-production] full-suite adequate test...\n";
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
   //     scheduler happens to place the application on the defective core. ---
   std::cout << "[counterfactual] same workload, no mitigation, on the defective core...\n";
   FaultyMachine unprotected(info, 7);
-  Farron idle(&suite, &unprotected, config);
+  Farron idle(&suite, &unprotected, config, context);
   const ProtectionReport bare =
       SimulateProtectedWorkload(idle, unprotected, suite, spec, 4.0, /*protect=*/false);
   std::cout << "  SDC events reaching the application: " << bare.sdc_events

@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "src/common/context.h"
 #include "src/fault/catalog.h"
 #include "src/fault/machine.h"
 #include "src/toolchain/framework.h"
@@ -34,6 +35,7 @@ int main() {
   //    screening uses BuildFull()'s 633 cases.
   const TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
+  EngineContext context;  // worker lanes and telemetry sinks; none attached here
   TestRunConfig config;
   config.time_scale = 1e6;   // each simulated op stands for a million executions
   config.seed = 1;
@@ -43,11 +45,11 @@ int main() {
     plan.push_back({i, 10.0});
   }
 
-  const RunReport healthy_report = framework.RunPlan(healthy, plan, config);
+  const RunReport healthy_report = framework.RunPlan(healthy, plan, config, context);
   std::cout << "healthy run:  " << healthy_report.total_errors() << " errors in "
             << healthy_report.results.size() << " testcases\n";
 
-  const RunReport faulty_report = framework.RunPlan(faulty, plan, config);
+  const RunReport faulty_report = framework.RunPlan(faulty, plan, config, context);
   std::cout << "faulty run:   " << faulty_report.total_errors() << " errors, failing:";
   for (const std::string& id : faulty_report.failed_testcase_ids()) {
     std::cout << " " << id;

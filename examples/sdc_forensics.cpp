@@ -11,6 +11,7 @@
 #include <iostream>
 #include <vector>
 
+#include "src/common/context.h"
 #include "src/analysis/bitflip.h"
 #include "src/analysis/patterns.h"
 #include "src/analysis/repro.h"
@@ -50,10 +51,12 @@ int main() {
   // --- 2. Run the detection toolchain on the suspect. ---
   std::cout << "[toolchain] full-suite run...\n";
   TestFramework framework(&suite);
+  EngineContext context;
   TestRunConfig config;
   config.time_scale = 1e6;
   config.seed = 31;
-  const RunReport report = framework.RunPlan(machine, framework.EqualPlan(20.0), config);
+  const RunReport report =
+      framework.RunPlan(machine, framework.EqualPlan(20.0), config, context);
   std::cout << "  " << report.failed_testcase_ids().size() << " of " << suite.size()
             << " testcases failed, " << report.total_errors() << " errors\n\n";
 
@@ -84,7 +87,7 @@ int main() {
   std::vector<TemperaturePoint> points;
   for (double temperature : {55.0, 59.5, 64.0, 68.0, 72.0, 76.0}) {
     const double frequency = MeasureOccurrenceFrequency(
-        probe, framework, static_cast<size_t>(index), 0, temperature, 50000.0, 17,
+        probe, framework, context, static_cast<size_t>(index), 0, temperature, 50000.0, 17,
         /*time_scale=*/1e7);
     sweep_table.AddRow({FormatDouble(temperature, 1), FormatDouble(frequency, 4)});
     points.push_back({temperature, frequency});

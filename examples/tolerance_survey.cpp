@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
@@ -56,9 +57,9 @@ int main() {
   const TestSuite suite = TestSuite::BuildFull();
   FaultyMachine machine(info, 9);
   FarronConfig config;
-  Farron farron(&suite, &machine, config);
   EventLog log;
-  farron.SetEventLog(&log);
+  EngineContext context(EngineOptions{.event_log = &log});
+  Farron farron(&suite, &machine, config, context);
   farron.RunPreProduction();
   WorkloadSpec spec;
   spec.kernel_case_index = static_cast<size_t>(suite.IndexOf("lib.math.fp_arctan.f64.n256"));

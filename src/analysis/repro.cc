@@ -13,7 +13,7 @@ double NominalOpsPerSecond(const Defect& defect) { return defect.intensity_ref; 
 }  // namespace
 
 double MeasureOccurrenceFrequency(FaultyMachine& machine, const TestFramework& framework,
-                                  size_t testcase_index, int pcore,
+                                  EngineContext& context, size_t testcase_index, int pcore,
                                   double pinned_temperature_celsius, double duration_seconds,
                                   uint64_t seed, double time_scale) {
   TestRunConfig config;
@@ -22,12 +22,13 @@ double MeasureOccurrenceFrequency(FaultyMachine& machine, const TestFramework& f
   config.pcores_under_test = {pcore};
   config.seed = seed;
   const RunReport report =
-      framework.RunPlan(machine, {{testcase_index, duration_seconds}}, config);
+      framework.RunPlan(machine, {{testcase_index, duration_seconds}}, config, context);
   return report.results.front().OccurrenceFrequencyPerMinute();
 }
 
 std::vector<TemperaturePoint> TemperatureSweep(FaultyMachine& machine,
                                                const TestFramework& framework,
+                                               EngineContext& context,
                                                size_t testcase_index, int pcore,
                                                const std::vector<double>& temperatures,
                                                double duration_seconds, uint64_t seed) {
@@ -37,8 +38,8 @@ std::vector<TemperaturePoint> TemperatureSweep(FaultyMachine& machine,
     TemperaturePoint point;
     point.temperature_celsius = temperatures[i];
     point.frequency_per_minute = MeasureOccurrenceFrequency(
-        machine, framework, testcase_index, pcore, temperatures[i], duration_seconds,
-        seed + i);
+        machine, framework, context, testcase_index, pcore, temperatures[i],
+        duration_seconds, seed + i);
     points.push_back(point);
   }
   return points;
@@ -57,11 +58,13 @@ LinearFit FitLogFrequencyVsTemperature(const std::vector<TemperaturePoint>& poin
 }
 
 double FindMinTriggerTemperature(FaultyMachine& machine, const TestFramework& framework,
-                                 size_t testcase_index, int pcore, double lo, double hi,
-                                 double step, double duration_seconds, uint64_t seed) {
+                                 EngineContext& context, size_t testcase_index, int pcore,
+                                 double lo, double hi, double step, double duration_seconds,
+                                 uint64_t seed) {
   for (double temperature = lo; temperature <= hi + 1e-9; temperature += step) {
     const double frequency = MeasureOccurrenceFrequency(
-        machine, framework, testcase_index, pcore, temperature, duration_seconds, seed);
+        machine, framework, context, testcase_index, pcore, temperature, duration_seconds,
+        seed);
     if (frequency > 0.0) {
       return temperature;
     }

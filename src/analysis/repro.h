@@ -18,9 +18,9 @@ namespace sdc {
 // the given pinned temperature, over `duration_seconds` of simulated testing. `time_scale`
 // trades fidelity for speed: per-op corruption probabilities must stay below saturation
 // (rate x time_scale << 1) for the frequency to be unbiased, so use larger scales only for
-// low-frequency settings.
+// low-frequency settings. Measurements run on `context` (lanes and sinks).
 double MeasureOccurrenceFrequency(FaultyMachine& machine, const TestFramework& framework,
-                                  size_t testcase_index, int pcore,
+                                  EngineContext& context, size_t testcase_index, int pcore,
                                   double pinned_temperature_celsius, double duration_seconds,
                                   uint64_t seed, double time_scale = 1e5);
 
@@ -32,6 +32,7 @@ struct TemperaturePoint {
 // Sweeps the pinned temperature and measures frequency at each step (Figure 8's raw data).
 std::vector<TemperaturePoint> TemperatureSweep(FaultyMachine& machine,
                                                const TestFramework& framework,
+                                               EngineContext& context,
                                                size_t testcase_index, int pcore,
                                                const std::vector<double>& temperatures,
                                                double duration_seconds, uint64_t seed);
@@ -43,8 +44,9 @@ LinearFit FitLogFrequencyVsTemperature(const std::vector<TemperaturePoint>& poin
 // Finds the lowest pinned temperature (within [lo, hi], at `step` granularity) at which the
 // setting reproduces at least one error; returns a negative value when it never does.
 double FindMinTriggerTemperature(FaultyMachine& machine, const TestFramework& framework,
-                                 size_t testcase_index, int pcore, double lo, double hi,
-                                 double step, double duration_seconds, uint64_t seed);
+                                 EngineContext& context, size_t testcase_index, int pcore,
+                                 double lo, double hi, double step, double duration_seconds,
+                                 uint64_t seed);
 
 // One point of Figure 9, evaluated from the defect model directly: the defect's minimum
 // trigger temperature and its occurrence frequency there under nominal test intensity.

@@ -11,14 +11,14 @@
 // worker lanes (an owned ThreadPool), the vector level for the generation and screening
 // kernels, and the optional telemetry sinks (MetricsRegistry, TraceRecorder,
 // SeriesRecorder, EventLog) -- and the environment (SDC_THREADS, SDC_SIMD) is consulted
-// exactly once, inside the constructor. For the fleet engine the context is the only
-// authority: FleetPopulation::Generate, FleetShardStream::Drive,
-// ScreeningPipeline::Run/RunBatch and FleetScrubber::Run each exist only in a form that
-// takes one, and their configs describe the experiment alone -- no lanes, vector level or
-// sinks. (TestFramework::RunPlan and Farron, via FarronConfig::context, also accept
-// one.) After construction, no engine path reads an environment variable or any other
-// mutable process-global -- the invariant the sdcd campaign daemon (docs/daemon.md) and
-// the concurrent-campaign tests (tests/context_test.cc) are built on.
+// exactly once, inside the constructor. For the fleet engine and the session layer the
+// context is the only authority: FleetPopulation::Generate, FleetShardStream::Drive,
+// ScreeningPipeline::Run/RunBatch, FleetScrubber::Run, TestFramework::RunPlan and Farron
+// each exist only in a form that takes one, and their configs describe the experiment
+// alone -- no lanes, vector level or sinks. After construction, no engine path reads an
+// environment variable or any other mutable process-global -- the invariant the sdcd
+// campaign daemon (docs/daemon.md) and the concurrent-campaign tests
+// (tests/context_test.cc) are built on.
 //
 // Sink lifecycle: Attach*/Detach may be called at any time, from any thread, but engine
 // passes PIN the attached sinks once when the pass starts and keep merging per-shard

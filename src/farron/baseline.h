@@ -22,8 +22,8 @@ class BaselinePolicy {
  public:
   BaselinePolicy(const TestSuite* suite, BaselineConfig config);
 
-  // One round of regular testing (equal time, sequential cores, no burn-in).
-  RunReport RunRegularRound(FaultyMachine& machine) const;
+  // One round of regular testing (equal time, sequential cores, no burn-in) on `context`.
+  RunReport RunRegularRound(FaultyMachine& machine, EngineContext& context) const;
 
   // Fixed per-round duration: suite size x per-case seconds.
   double RoundDurationSeconds() const;

@@ -6,64 +6,35 @@
 
 namespace sdc {
 
-Farron::Farron(const TestSuite* suite, FaultyMachine* machine, FarronConfig config)
+Farron::Farron(const TestSuite* suite, FaultyMachine* machine, FarronConfig config,
+               EngineContext& context)
     : suite_(suite),
       machine_(machine),
       config_(config),
+      context_(context),
       framework_(suite),
       priorities_(suite),
       pool_(machine->cpu().spec().physical_cores),
-      boundary_(config.initial_boundary_celsius, config.boundary_window) {
+      boundary_(config.initial_boundary_celsius, config.boundary_window),
+      event_log_(context.event_log()) {
   boundary_.set_adaptive(config_.enable_adaptive_boundary);
-  if (config_.context != nullptr) {
-    event_log_ = config_.context->event_log();
-  }
 }
 
-MetricsRegistry* Farron::effective_metrics() const {
-  if (config_.metrics != nullptr) {
-    return config_.metrics;
-  }
-  return config_.context != nullptr ? config_.context->metrics() : nullptr;
-}
-
-TraceRecorder* Farron::effective_trace() const {
-  if (config_.trace != nullptr) {
-    return config_.trace;
-  }
-  return config_.context != nullptr ? config_.context->trace() : nullptr;
-}
-
-RunReport Farron::RunPlanOnContext(const std::vector<TestPlanEntry>& plan,
-                                   const TestRunConfig& run_config) const {
-  if (config_.context != nullptr) {
-    return framework_.RunPlan(*machine_, plan, run_config, *config_.context);
-  }
-  return framework_.RunPlan(*machine_, plan, run_config);
-}
-
-TestRunConfig Farron::MakeRunConfig() const {
+RunReport Farron::RunTestPlan(const std::vector<TestPlanEntry>& plan) const {
   TestRunConfig run_config;
   run_config.time_scale = config_.time_scale;
   run_config.simultaneous_cores = config_.enable_hot_testing;
   run_config.burn_in_seconds = config_.enable_hot_testing ? config_.burn_in_seconds : 0.0;
   run_config.seed = config_.seed;
   run_config.pcores_under_test = pool_.UsableCores();
-  // Resolve sinks here (config > context > off) instead of passing the raw config
-  // pointers: RunPlan's context overload applies the same fallback, but the legacy
-  // overload does not, and sessions route chunks through both paths -- resolving once
-  // keeps the precedence in one place. Same sink either way.
-  run_config.metrics = effective_metrics();
-  run_config.trace = effective_trace();
-  return run_config;
+  return framework_.RunPlan(*machine_, plan, run_config, context_);
 }
 
 FarronRoundSummary Farron::RunPreProduction() {
   FarronRoundSummary summary;
-  const TestRunConfig run_config = MakeRunConfig();
   const std::vector<TestPlanEntry> plan =
       framework_.EqualPlan(config_.pre_production_per_case_seconds);
-  summary.report = RunPlanOnContext(plan, run_config);
+  summary.report = RunTestPlan(plan);
   summary.plan_seconds = PriorityTracker::PlanSeconds(plan);
   AbsorbFailures(summary.report, summary);
   return summary;
@@ -102,7 +73,7 @@ FarronRoundSummary Farron::RunRegularRound(const std::vector<Feature>& app_featu
     plan = framework_.EqualPlan(60.0);  // ablation: the baseline's equal allocation
   }
   Emit(EventKind::kRoundStarted, "regular", -1, PriorityTracker::PlanSeconds(plan));
-  summary.report = RunPlanOnContext(plan, MakeRunConfig());
+  summary.report = RunTestPlan(plan);
   summary.plan_seconds = PriorityTracker::PlanSeconds(plan);
   last_plan_seconds_ = summary.plan_seconds;
   AbsorbFailures(summary.report, summary);
@@ -186,7 +157,7 @@ void Farron::RunTargetedAnalysis(FarronRoundSummary& summary) {
   for (size_t index : suspected) {
     plan.push_back({index, config_.targeted_per_case_seconds});
   }
-  const RunReport report = RunPlanOnContext(plan, MakeRunConfig());
+  const RunReport report = RunTestPlan(plan);
   // Health analysis: mask every physical core that produced errors.
   std::vector<bool> defective(static_cast<size_t>(pool_.total_cores()), false);
   for (const TestcaseResult& result : report.results) {

@@ -52,21 +52,6 @@ struct FarronConfig {
   bool enable_adaptive_boundary = true;
   bool enable_backoff = true;
   bool enable_fine_decommission = true;
-  // Optional metric sink: forwarded to every test round's TestRunConfig ("toolchain.*")
-  // and used by the protection loop ("protection.*", "farron.*"). For per-event counters,
-  // attach the same registry to the EventLog (EventLog::AttachMetrics). Null disables
-  // instrumentation. Must outlive the Farron instance.
-  MetricsRegistry* metrics = nullptr;
-  // Optional trace sink: forwarded to every test round's TestRunConfig (toolchain spans)
-  // and used by SimulateProtectedWorkload for the "protection.run" sim span plus backoff
-  // engage/release instants on the simulated clock. Null disables recording. Must outlive
-  // the Farron instance (docs/observability.md).
-  TraceRecorder* trace = nullptr;
-  // Optional engine context (src/common/context.h): its pool runs every test round, and
-  // its attached metrics/trace/event-log back any of the sinks above left null -- read at
-  // the start of each round, never mid-round. Null keeps the legacy per-round resolution
-  // (a fresh context per parallel plan). Must outlive the Farron instance.
-  EngineContext* context = nullptr;
 };
 
 // Per-round summary used by the evaluation harnesses.
@@ -79,8 +64,14 @@ struct FarronRoundSummary {
 
 class Farron {
  public:
-  // `suite` and `machine` must outlive the Farron instance.
-  Farron(const TestSuite* suite, FaultyMachine* machine, FarronConfig config);
+  // `suite`, `machine` and `context` must outlive the Farron instance. Every test round
+  // runs on `context`: its lanes, and its metrics/trace sinks read at the start of each
+  // round ("toolchain.*" spans and counters) and by the protection loop
+  // ("protection.*"). Its event log is read once, here: Farron emits round, detection,
+  // decommission, and triggering-condition-control events through it. For per-event
+  // counters, attach the registry to the log too (EventLog::AttachMetrics).
+  Farron(const TestSuite* suite, FaultyMachine* machine, FarronConfig config,
+         EngineContext& context);
 
   // --- Pre-production state. ---
 
@@ -131,18 +122,8 @@ class Farron {
 
   // --- Telemetry. ---
 
-  // Attaches a telemetry sink; Farron emits round, detection, decommission, and
-  // triggering-condition-control events through it. Pass nullptr to detach. The log must
-  // outlive the Farron instance. When a FarronConfig::context carries an event log, the
-  // constructor attaches it automatically; SetEventLog still overrides.
-  void SetEventLog(EventLog* log) { event_log_ = log; }
   EventLog* event_log() const { return event_log_; }
-
-  // Sinks the instance actually writes to: the explicit config sink, else the context's
-  // current attachment, else null. Protection and evaluation harnesses route their
-  // telemetry through these instead of reading config().metrics / config().trace raw.
-  MetricsRegistry* effective_metrics() const;
-  TraceRecorder* effective_trace() const;
+  EngineContext& context() const { return context_; }
 
   // --- State access. ---
   const PriorityTracker& priorities() const { return priorities_; }
@@ -156,22 +137,21 @@ class Farron {
   // internals RunRegularRound uses (plan execution, failure absorption, event emission).
   friend class ProtectionSession;
 
-  TestRunConfig MakeRunConfig() const;
-  // Runs a plan on the configured context when one is set (context pool + sink fallback),
-  // or through the legacy context-free framework entry point otherwise.
-  RunReport RunPlanOnContext(const std::vector<TestPlanEntry>& plan,
-                             const TestRunConfig& run_config) const;
+  // Runs `plan` on the machine in Farron's testing environment (hot testing, usable cores
+  // only), on the context.
+  RunReport RunTestPlan(const std::vector<TestPlanEntry>& plan) const;
   void AbsorbFailures(const RunReport& report, FarronRoundSummary& summary);
   void Emit(EventKind kind, const std::string& subject, int pcore = -1, double value = 0.0);
 
   const TestSuite* suite_;
   FaultyMachine* machine_;
   FarronConfig config_;
+  EngineContext& context_;
   TestFramework framework_;
   PriorityTracker priorities_;
   ReliablePool pool_;
   AdaptiveBoundary boundary_;
-  EventLog* event_log_ = nullptr;
+  EventLog* event_log_;
   double last_plan_seconds_ = 0.0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/common/context.h"
 #include "src/common/rng.h"
 #include "src/farron/session.h"
 #include "src/telemetry/metrics.h"
@@ -89,7 +90,7 @@ ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachin
   // the end: one span for the whole run on the simulated clock (microseconds), plus one
   // instant per backoff transition. The loop is serial, so the delta is trivially in
   // order; the simulated clock makes it deterministic.
-  TraceRecorder* trace = farron.effective_trace();
+  TraceRecorder* trace = farron.context().trace();
   TraceDelta trace_delta;
   const double run_start_seconds = cpu.now_seconds();
 
@@ -163,7 +164,7 @@ ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachin
   // One delta per simulated run: the loop above is serial, so a single end-of-run summary
   // keeps the registry cheap and the values a pure function of (machine, spec, hours).
   // Per-event counters ("events.*") flow separately through EventLog::AttachMetrics.
-  if (MetricsRegistry* metrics = farron.effective_metrics(); metrics != nullptr) {
+  if (MetricsRegistry* metrics = farron.context().metrics(); metrics != nullptr) {
     MetricsDelta delta;
     delta.Add("protection.runs");
     delta.Add("protection.sdc_events", report.sdc_events);

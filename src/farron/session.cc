@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "src/common/context.h"
 #include "src/telemetry/metrics.h"
 
 namespace sdc {
@@ -83,7 +84,7 @@ void ProtectionSession::BeginWorkload(double hours) {
   // the end: one span for the whole run on the simulated clock (microseconds), plus one
   // instant per backoff transition. The loop is serial, so the delta is trivially in
   // order; the simulated clock makes it deterministic.
-  trace_ = farron_->effective_trace();
+  trace_ = farron_->context().trace();
   trace_delta_ = TraceDelta{};
   run_start_seconds_ = cpu.now_seconds();
   end_seconds_ = cpu.now_seconds() + hours * 3600.0;
@@ -192,7 +193,7 @@ ProtectionReport ProtectionSession::FinishWorkload() {
   // One delta per simulated run: the loop above is serial, so a single end-of-run summary
   // keeps the registry cheap and the values a pure function of (machine, spec, hours).
   // Per-event counters ("events.*") flow separately through EventLog::AttachMetrics.
-  if (MetricsRegistry* metrics = farron_->effective_metrics(); metrics != nullptr) {
+  if (MetricsRegistry* metrics = farron_->context().metrics(); metrics != nullptr) {
     MetricsDelta delta;
     delta.Add("protection.runs");
     delta.Add("protection.sdc_events", report_.sdc_events);
@@ -327,7 +328,7 @@ double ProtectionSession::RunTestRound(double budget_seconds) {
   }
   const std::vector<TestPlanEntry> chunk(round_plan_.begin() + round_next_entry_,
                                          round_plan_.begin() + end);
-  RunReport chunk_report = farron_->RunPlanOnContext(chunk, farron_->MakeRunConfig());
+  RunReport chunk_report = farron_->RunTestPlan(chunk);
   round_report_.results.insert(round_report_.results.end(),
                                std::make_move_iterator(chunk_report.results.begin()),
                                std::make_move_iterator(chunk_report.results.end()));

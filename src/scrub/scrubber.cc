@@ -66,6 +66,8 @@ struct SessionSlot {
   bool detectable = true;
   double screen_regular_month = -1.0;
   std::unique_ptr<FaultyMachine> machine;
+  // Sink-free and one lane: the session runs on whichever scrub lane funds it.
+  std::unique_ptr<EngineContext> context;
   std::unique_ptr<Farron> farron;
   std::unique_ptr<ProtectionSession> session;
   uint64_t last_funded_epoch = 0;
@@ -232,13 +234,12 @@ ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context
       info.defects = std::move(candidate.defects);
       const uint64_t machine_seed = Mix64(Mix64(config.seed) ^ Mix64(candidate.serial));
       slot.machine = std::make_unique<FaultyMachine>(info, machine_seed);
+      slot.context = std::make_unique<EngineContext>(
+          EngineOptions{.threads = 1, .env_overrides = false});
       FarronConfig farron_config = config.farron;
-      farron_config.metrics = nullptr;  // sessions run sink-free on worker lanes
-      farron_config.trace = nullptr;
-      farron_config.context = nullptr;
       farron_config.seed = Mix64(machine_seed ^ 0x5ec5c5e55c3a11edULL);
-      slot.farron =
-          std::make_unique<Farron>(suite_, slot.machine.get(), farron_config);
+      slot.farron = std::make_unique<Farron>(suite_, slot.machine.get(), farron_config,
+                                             *slot.context);
       SessionOptions session_options;
       session_options.protect = true;
       session_options.reseed_workload_each_run = false;  // one forked stream per part

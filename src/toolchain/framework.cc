@@ -117,42 +117,25 @@ std::vector<TestPlanEntry> TestFramework::EqualPlan(double per_case_seconds) con
 
 RunReport TestFramework::RunPlan(FaultyMachine& machine,
                                  const std::vector<TestPlanEntry>& plan,
-                                 const TestRunConfig& config) const {
-  TraceRecorder::ScopedHostSpan plan_span(config.trace, "toolchain.plan", "toolchain",
-                                          kTraceTrackToolchain);
-  if (config.parallel_plan_entries && plan.size() > 1) {
-    // Context-free parallel plan: a per-call context supplies the pool, so SDC_THREADS is
-    // consulted exactly once, here.
-    EngineContext context(EngineOptions{.threads = config.threads});
-    return RunPlanParallel(machine, plan, config, context.pool());
-  }
-  return RunPlanSerial(machine, plan, config);
-}
-
-RunReport TestFramework::RunPlan(FaultyMachine& machine,
-                                 const std::vector<TestPlanEntry>& plan,
                                  const TestRunConfig& config,
                                  EngineContext& context) const {
-  // Effective sinks are read from the context once, at plan start; a detach mid-plan
-  // cannot drop or double-merge the plan's telemetry.
-  TestRunConfig effective = config;
-  if (effective.metrics == nullptr) {
-    effective.metrics = context.metrics();
-  }
-  if (effective.trace == nullptr) {
-    effective.trace = context.trace();
-  }
-  TraceRecorder::ScopedHostSpan plan_span(effective.trace, "toolchain.plan", "toolchain",
+  // Sinks are read from the context once, at plan start; a detach mid-plan cannot drop
+  // or double-merge the plan's telemetry.
+  MetricsRegistry* metrics = context.metrics();
+  TraceRecorder* trace = context.trace();
+  TraceRecorder::ScopedHostSpan plan_span(trace, "toolchain.plan", "toolchain",
                                           kTraceTrackToolchain);
-  if (effective.parallel_plan_entries && plan.size() > 1) {
-    return RunPlanParallel(machine, plan, effective, context.pool());
+  if (config.parallel_plan_entries) {
+    return RunPlanParallel(machine, plan, config, context.pool(), metrics, trace);
   }
-  return RunPlanSerial(machine, plan, effective);
+  return RunPlanSerial(machine, plan, config, metrics, trace);
 }
 
 RunReport TestFramework::RunPlanSerial(FaultyMachine& machine,
                                        const std::vector<TestPlanEntry>& plan,
-                                       const TestRunConfig& config) const {
+                                       const TestRunConfig& config,
+                                       MetricsRegistry* metrics,
+                                       TraceRecorder* trace) const {
   RunReport report;
   Processor& cpu = machine.cpu();
   const double start_seconds = cpu.now_seconds();
@@ -163,15 +146,16 @@ RunReport TestFramework::RunPlanSerial(FaultyMachine& machine,
   }
   machine.SetAllCoreUtilization(config.background_utilization);
   report.total_wall_seconds = cpu.now_seconds() - start_seconds;
-  AccumulatePlanMetrics(report, config.metrics);
-  AccumulatePlanTrace(report, config.trace);
+  AccumulatePlanMetrics(report, metrics);
+  AccumulatePlanTrace(report, trace);
   return report;
 }
 
 RunReport TestFramework::RunPlanParallel(const FaultyMachine& machine,
                                          const std::vector<TestPlanEntry>& plan,
                                          const TestRunConfig& config,
-                                         ThreadPool& pool) const {
+                                         ThreadPool& pool, MetricsRegistry* metrics,
+                                         TraceRecorder* trace) const {
   // One fresh clone per entry makes entries fully independent: each starts from the same
   // settled (and, if configured, burnt-in) state with its own injector RNG, so the merged
   // report depends only on (machine, plan, config), never on the worker count. Grain 1:
@@ -179,22 +163,20 @@ RunReport TestFramework::RunPlanParallel(const FaultyMachine& machine,
   std::vector<RunReport> entry_reports = pool.ParallelMap<RunReport>(
       0, plan.size(), 1, [&](uint64_t entry_index, uint64_t, uint64_t) {
         const auto clone_start = std::chrono::steady_clock::now();
-        const double clone_span_start =
-            config.trace != nullptr ? config.trace->HostNowSeconds() : 0.0;
+        const double clone_span_start = trace != nullptr ? trace->HostNowSeconds() : 0.0;
         FaultyMachine clone = machine.CloneFresh();
         PrepareMachine(clone, config);
-        if (config.trace != nullptr) {
-          config.trace->RecordHostSpan("toolchain.clone", "toolchain",
-                                       kTraceTrackToolchain, clone_span_start,
-                                       config.trace->HostNowSeconds() - clone_span_start);
+        if (trace != nullptr) {
+          trace->RecordHostSpan("toolchain.clone", "toolchain", kTraceTrackToolchain,
+                                clone_span_start, trace->HostNowSeconds() - clone_span_start);
         }
-        if (config.metrics != nullptr) {
+        if (metrics != nullptr) {
           // Clone + settle/burn-in cost of entry isolation: host wall clock, recorded from
           // worker threads, outside the deterministic sections by contract.
           const std::chrono::duration<double> elapsed =
               std::chrono::steady_clock::now() - clone_start;
-          config.metrics->Add("toolchain.clones");
-          config.metrics->RecordTimerSeconds("toolchain.clone.wall", elapsed.count());
+          metrics->Add("toolchain.clones");
+          metrics->RecordTimerSeconds("toolchain.clone.wall", elapsed.count());
         }
         RunReport entry_report;
         const double start_seconds = clone.cpu().now_seconds();
@@ -217,8 +199,8 @@ RunReport TestFramework::RunPlanParallel(const FaultyMachine& machine,
       report.records.push_back(std::move(record));
     }
   }
-  AccumulatePlanMetrics(report, config.metrics);
-  AccumulatePlanTrace(report, config.trace);
+  AccumulatePlanMetrics(report, metrics);
+  AccumulatePlanTrace(report, trace);
   return report;
 }
 

@@ -55,25 +55,13 @@ struct TestRunConfig {
   std::vector<int> pcores_under_test;
   // Seed for workload-input randomness.
   uint64_t seed = 1;
-  // Fan plan entries out across a worker pool. Each entry then runs on a fresh clone of
-  // the machine (settled, burn-in applied per entry) with its own forked RNG stream, and
-  // results/records merge in plan order -- so the report is bit-identical at any thread
-  // count, and the caller's machine is left untouched. false = legacy sequential
-  // semantics, where entry N's thermal state carries into entry N+1 on the shared machine.
+  // Fan plan entries out across the context's lanes. Each entry then runs on a fresh
+  // clone of the machine (settled, burn-in applied per entry) with its own forked RNG
+  // stream, and results/records merge in plan order -- so the report is bit-identical at
+  // any lane count, and the caller's machine is left untouched, whatever the plan's size.
+  // false = legacy sequential semantics, where entry N's thermal state carries into entry
+  // N+1 on the shared machine.
   bool parallel_plan_entries = false;
-  // Worker threads when parallel_plan_entries is set: 0 = hardware concurrency, 1 = the
-  // same per-entry-isolated schedule run serially. SDC_THREADS overrides this value.
-  int threads = 0;
-  // Optional metric sink ("toolchain.*"): per-entry invocation/corruption counters are
-  // derived from the merged report in plan order (thread-count invariant); machine-clone
-  // costs are wall-clock timers and excluded from that contract (docs/observability.md).
-  // Null disables instrumentation.
-  MetricsRegistry* metrics = nullptr;
-  // Optional trace sink: one "toolchain.entry" sim span per plan entry on the simulated-
-  // microseconds clock, derived from the merged report in plan order (thread-count
-  // invariant), plus host spans for the whole plan and for per-entry machine clones.
-  // Null disables recording (docs/observability.md).
-  TraceRecorder* trace = nullptr;
 };
 
 struct TestcaseResult {
@@ -107,14 +95,11 @@ class TestFramework {
   explicit TestFramework(const TestSuite* suite) : suite_(suite) {}
 
   // Executes the plan's testcases on `machine`: in order on the shared machine by
-  // default, or across a worker pool (one fresh machine clone per entry) when
-  // config.parallel_plan_entries is set. The context-free form constructs a fresh
-  // EngineContext when it needs a pool (SDC_THREADS consulted exactly there); the
-  // explicit form runs on the caller's context -- its pool supplies the lanes, and its
-  // attached sinks back any config sink left null, read once at plan start
-  // (src/common/context.h).
-  RunReport RunPlan(FaultyMachine& machine, const std::vector<TestPlanEntry>& plan,
-                    const TestRunConfig& config) const;
+  // default, or across the context's lanes (one fresh machine clone per entry) when
+  // config.parallel_plan_entries is set. The context's metrics and trace sinks
+  // ("toolchain.*" counters derived from the merged report in plan order, one
+  // "toolchain.entry" sim span per entry, host spans for the plan and for per-entry
+  // clones) are read once, at plan start (src/common/context.h, docs/observability.md).
   RunReport RunPlan(FaultyMachine& machine, const std::vector<TestPlanEntry>& plan,
                     const TestRunConfig& config, EngineContext& context) const;
 
@@ -126,13 +111,14 @@ class TestFramework {
  private:
   void RunEntry(FaultyMachine& machine, const TestPlanEntry& entry,
                 const TestRunConfig& config, RunReport& report) const;
-  // Shared bodies of the RunPlan overloads; config sinks are already effective (context
-  // fallback applied by the caller) and the pool is whichever context supplied it.
+  // The two schedules of RunPlan, writing to the sinks it pinned.
   RunReport RunPlanSerial(FaultyMachine& machine, const std::vector<TestPlanEntry>& plan,
-                          const TestRunConfig& config) const;
+                          const TestRunConfig& config, MetricsRegistry* metrics,
+                          TraceRecorder* trace) const;
   RunReport RunPlanParallel(const FaultyMachine& machine,
                             const std::vector<TestPlanEntry>& plan,
-                            const TestRunConfig& config, ThreadPool& pool) const;
+                            const TestRunConfig& config, ThreadPool& pool,
+                            MetricsRegistry* metrics, TraceRecorder* trace) const;
 
   const TestSuite* suite_;
 };

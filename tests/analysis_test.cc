@@ -9,6 +9,7 @@
 #include "src/analysis/patterns.h"
 #include "src/analysis/repro.h"
 #include "src/fault/catalog.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -216,10 +217,11 @@ TEST(ReproTest, MeasuredFrequencyGrowsWithTemperature) {
   const int index = suite.IndexOf("lib.math.fp_arctan.f64.n256");
   ASSERT_GE(index, 0);
   const int pcore = FindInCatalog("FPU2").defects.front().affected_pcores.front();
-  const double cold = MeasureOccurrenceFrequency(machine, framework,
+  EngineContext context(PinnedEngine(1));
+  const double cold = MeasureOccurrenceFrequency(machine, framework, context,
                                                  static_cast<size_t>(index), pcore, 47.0,
                                                  600.0, 4);
-  const double hot = MeasureOccurrenceFrequency(machine, framework,
+  const double hot = MeasureOccurrenceFrequency(machine, framework, context,
                                                 static_cast<size_t>(index), pcore, 56.0,
                                                 600.0, 4);
   EXPECT_EQ(cold, 0.0);  // below the 48C trigger

@@ -12,6 +12,7 @@
 #include "src/farron/pool.h"
 #include "src/farron/priorities.h"
 #include "src/farron/protection.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -24,6 +25,7 @@ class FarronTest : public ::testing::Test {
     suite_ = nullptr;
   }
   static TestSuite* suite_;
+  EngineContext context_{PinnedEngine(1)};
 };
 
 TestSuite* FarronTest::suite_ = nullptr;
@@ -195,7 +197,7 @@ TEST_F(FarronTest, BaselineRoundDurationIsPaperHeadline) {
 TEST_F(FarronTest, BaselineDetectsApparentDefect) {
   FaultyMachine machine(FindInCatalog("FPU1"), 31);
   BaselinePolicy baseline(suite_, BaselineConfig());
-  const RunReport report = baseline.RunRegularRound(machine);
+  const RunReport report = baseline.RunRegularRound(machine, context_);
   EXPECT_TRUE(report.any_error());
 }
 
@@ -204,7 +206,7 @@ TEST_F(FarronTest, BaselineDetectsApparentDefect) {
 TEST_F(FarronTest, RegularRoundDetectsAndMasksDefectiveCore) {
   FaultyMachine machine(FindInCatalog("SIMD1"), 33);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   // Seed history so the failing vector testcases are active.
   std::vector<std::string> history;
   for (size_t index : suite_->IndicesTargeting(Feature::kVecUnit)) {
@@ -224,7 +226,7 @@ TEST_F(FarronTest, RegularRoundDetectsAndMasksDefectiveCore) {
 TEST_F(FarronTest, HealthyMachinePassesRegularRound) {
   FaultyMachine machine(MakeArchSpec("M2"));
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   const FarronRoundSummary summary = farron.RunRegularRound({});
   EXPECT_FALSE(summary.report.any_error());
   EXPECT_EQ(farron.pool().masked_count(), 0);
@@ -234,7 +236,7 @@ TEST_F(FarronTest, HealthyMachinePassesRegularRound) {
 TEST_F(FarronTest, MultiCoreDefectDeprecatesProcessor) {
   FaultyMachine machine(FindInCatalog("MIX1"), 35);  // all 16 cores defective
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   std::vector<std::string> history;
   for (Feature feature : {Feature::kVecUnit, Feature::kAlu, Feature::kFpu}) {
     for (size_t index : suite_->IndicesTargeting(feature)) {
@@ -255,11 +257,11 @@ TEST_F(FarronTest, DurationScaleTracksBoundary) {
   FaultyMachine machine(MakeArchSpec("M2"));
   FarronConfig config;
   config.initial_boundary_celsius = 59.0;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   EXPECT_NEAR(farron.DurationScale(), 1.0, 1e-9);
   FarronConfig cold = config;
   cold.initial_boundary_celsius = 47.0;
-  Farron cold_farron(suite_, &machine, cold);
+  Farron cold_farron(suite_, &machine, cold, context_);
   EXPECT_LT(cold_farron.DurationScale(), 0.7);
 }
 
@@ -269,7 +271,7 @@ TEST_F(FarronTest, CoolingControlPrecedesBackoff) {
   FarronConfig config;
   config.enable_cooling_control = true;
   config.enable_adaptive_boundary = false;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   // Hold temperatures over the boundary: the controller must exhaust cooling steps first.
   int boosts = 0;
   int backoffs = 0;
@@ -299,7 +301,7 @@ TEST_F(FarronTest, CoolingControlDisabledGoesStraightToBackoff) {
   FaultyMachine machine(MakeArchSpec("M2"));
   FarronConfig config;
   config.enable_adaptive_boundary = false;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   EXPECT_EQ(farron.ControlStep(62.0), Farron::ControlAction::kWorkloadBackoff);
   EXPECT_DOUBLE_EQ(machine.cpu().thermal().cooling_boost(), 1.0);
 }
@@ -310,7 +312,7 @@ TEST_F(FarronTest, CoolingControlDisabledGoesStraightToBackoff) {
 TEST_F(FarronTest, DiurnalWorkloadBreathes) {
   FaultyMachine machine(MakeArchSpec("M2"));
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   WorkloadSpec flat;
   flat.kernel_case_index = static_cast<size_t>(suite_->IndexOf("lib.crc32.scalar.b1024"));
   flat.base_utilization = 0.4;
@@ -319,7 +321,7 @@ TEST_F(FarronTest, DiurnalWorkloadBreathes) {
       SimulateProtectedWorkload(farron, machine, *suite_, flat, 2.0, false);
 
   FaultyMachine machine2(MakeArchSpec("M2"));
-  Farron farron2(suite_, &machine2, config);
+  Farron farron2(suite_, &machine2, config, context_);
   WorkloadSpec diurnal = flat;
   diurnal.diurnal_amplitude = 0.4;
   diurnal.diurnal_period_seconds = 3600.0;  // compressed "day" inside the 2 h window
@@ -346,12 +348,12 @@ TEST_F(FarronTest, ProtectionSuppressesTrickySdc) {
   config.enable_adaptive_boundary = false;  // hold the paper's 59C line
 
   FaultyMachine protected_machine(FindInCatalog("MIX1"), 41);
-  Farron protector(suite_, &protected_machine, config);
+  Farron protector(suite_, &protected_machine, config, context_);
   const ProtectionReport protected_run =
       SimulateProtectedWorkload(protector, protected_machine, *suite_, spec, 2.0, true);
 
   FaultyMachine unprotected_machine(FindInCatalog("MIX1"), 41);
-  Farron idle(suite_, &unprotected_machine, config);
+  Farron idle(suite_, &unprotected_machine, config, context_);
   const ProtectionReport unprotected_run =
       SimulateProtectedWorkload(idle, unprotected_machine, *suite_, spec, 2.0, false);
 
@@ -373,7 +375,7 @@ TEST_F(FarronTest, ProtectionIdleWorkloadNeverBacksOff) {
   spec.burst_probability = 0.0;
   FaultyMachine machine(MakeArchSpec("M2"));
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   const ProtectionReport report =
       SimulateProtectedWorkload(farron, machine, *suite_, spec, 1.0, true);
   EXPECT_EQ(report.backoff_engagements, 0u);

@@ -13,13 +13,19 @@
 #include <gtest/gtest.h>
 
 #include "src/common/context.h"
+#include "src/farron/farron.h"
+#include "src/farron/longitudinal.h"
+#include "src/farron/protection.h"
+#include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
 #include "src/fleet/stream.h"
 #include "src/integrity/hash.h"
 #include "src/report/exporters.h"
+#include "src/report/json_writer.h"
 #include "src/scrub/scrubber.h"
+#include "src/telemetry/event_log.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/series.h"
 #include "src/telemetry/trace.h"
@@ -386,6 +392,22 @@ uint64_t DigestOf(const std::string& document) {
       reinterpret_cast<const uint8_t*>(document.data()), document.size()));
 }
 
+// Names every row whose document no longer hashes to its recorded digest.
+template <size_t N>
+void ExpectDocumentsMatch(const ManifestDocuments& documents,
+                          const ManifestRow (&manifest)[N]) {
+  ASSERT_EQ(documents.size(), N);
+  for (size_t i = 0; i < N; ++i) {
+    const auto& [name, document] = documents[i];
+    ASSERT_EQ(name, manifest[i].name);
+    const uint64_t digest = DigestOf(document);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxull", static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, manifest[i].digest)
+        << "manifest row '" << name << "' moved; new digest " << hex;
+  }
+}
+
 TEST(FleetDigestManifest, EnginePassesMatchRecordedDigests) {
   const TestSuite suite = TestSuite::BuildFull();
   const ScreeningPipeline pipeline(&suite);
@@ -455,16 +477,193 @@ TEST(FleetDigestManifest, EnginePassesMatchRecordedDigests) {
     AddSinks(documents, "scrub", sinks, false);
   }
 
-  ASSERT_EQ(documents.size(), std::size(kDigestManifest));
-  for (size_t i = 0; i < documents.size(); ++i) {
-    const auto& [name, document] = documents[i];
-    ASSERT_EQ(name, kDigestManifest[i].name);
-    const uint64_t digest = DigestOf(document);
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llxull", static_cast<unsigned long long>(digest));
-    EXPECT_EQ(digest, kDigestManifest[i].digest)
-        << "manifest row '" << name << "' moved; new digest " << hex;
+  ExpectDocumentsMatch(documents, kDigestManifest);
+}
+
+// ---- Session digest manifest ----------------------------------------------------------
+//
+// The same absolute pin for the session layer: toolchain plans (serial, and isolated
+// entries on 2 lanes), one Farron deployment (pre-production, one regular round, one
+// protected workload hour) and one short wear-out lifecycle. Sessions run a sampled
+// suite so the whole matrix stays cheap; every row covers deterministic sections only
+// (metrics without timers, sim trace, and the retained event log rendered below with
+// exact hex-float values).
+
+constexpr ManifestRow kSessionDigestManifest[] = {
+    {"plan.serial.report", 0xeb2717fa8bac3643ull},
+    {"plan.serial.metrics", 0xd00adbc7e286109dull},
+    {"plan.serial.trace", 0xe668df55dfca75bbull},
+    {"plan.isolated.report", 0x382f13801bae4e4aull},
+    {"plan.isolated.metrics", 0x1f345d15ab0303ffull},
+    {"plan.isolated.trace", 0xee24f3e9c546932dull},
+    {"farron.pre_production", 0x7e0251d0b66f83d4ull},
+    {"farron.regular_round", 0x4a8dae2911494dc7ull},
+    {"farron.protection", 0xbf25ac6a8e2ea8aeull},
+    {"farron.metrics", 0x16345ecc39d90899ull},
+    {"farron.trace", 0x6129de05bbc39eafull},
+    {"farron.events", 0x4073b8dc11366545ull},
+    {"lifecycle.report", 0x8fc53b2eee40bc29ull},
+};
+
+std::string RenderRoundSummary(const FarronRoundSummary& summary) {
+  return Render([&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject();
+    json.KeyValue("plan_seconds", summary.plan_seconds);
+    json.KeyValue("processor_deprecated", summary.processor_deprecated);
+    json.Key("newly_masked_cores").BeginArray();
+    for (int pcore : summary.newly_masked_cores) {
+      json.Value(pcore);
+    }
+    json.EndArray();
+    json.EndObject();
+    out << "\n";
+    WriteRunReportJson(out, summary.report);
+  });
+}
+
+std::string RenderProtection(const ProtectionReport& report) {
+  return Render([&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject();
+    json.KeyValue("simulated_hours", report.simulated_hours);
+    json.KeyValue("sdc_events", report.sdc_events);
+    json.KeyValue("backoff_seconds", report.backoff_seconds);
+    json.KeyValue("backoff_engagements", report.backoff_engagements);
+    json.KeyValue("cooling_boosts", report.cooling_boosts);
+    json.KeyValue("max_temperature", report.max_temperature);
+    json.KeyValue("final_boundary", report.final_boundary);
+    json.KeyValue("final_cooling_boost", report.final_cooling_boost);
+    json.EndObject();
+  });
+}
+
+std::string RenderEvents(const EventLog& log) {
+  std::string text;
+  char line[256];
+  for (const Event& event : log.RetainedEvents()) {
+    std::snprintf(line, sizeof(line), "%s %a %s %d %a\n", EventKindName(event.kind).c_str(),
+                  event.time_seconds, event.subject.c_str(), event.pcore, event.value);
+    text += line;
   }
+  return text;
+}
+
+std::string RenderLifecycle(const LifecycleReport& report) {
+  return Render([&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject();
+    json.KeyValue("total_app_sdc_events", report.total_app_sdc_events);
+    json.KeyValue("first_detection_month", report.first_detection_month);
+    json.KeyValue("deprecated", report.deprecated);
+    json.KeyValue("final_masked_cores", report.final_masked_cores);
+    json.Key("periods").BeginArray();
+    for (const LifecyclePeriod& period : report.periods) {
+      json.BeginObject();
+      json.KeyValue("month", period.month);
+      json.KeyValue("tested", period.tested);
+      json.KeyValue("detected", period.detected);
+      json.KeyValue("app_sdc_events", period.app_sdc_events);
+      json.KeyValue("backoff_seconds", period.backoff_seconds);
+      json.KeyValue("masked_cores", period.masked_cores);
+      json.KeyValue("deprecated", period.deprecated);
+      json.EndObject();
+    }
+    json.EndArray();
+    json.EndObject();
+  });
+}
+
+// The `row.metrics` (no timers) and `row.trace` (sim timeline) documents.
+void AddMetricsAndTrace(ManifestDocuments& documents, const std::string& row,
+                        const MetricsRegistry& metrics, const TraceRecorder& trace) {
+  documents.emplace_back(row + ".metrics", Render([&](std::ostream& out) {
+                           WriteMetricsJson(out, metrics.Snapshot(), false);
+                         }));
+  documents.emplace_back(row + ".trace", Render([&](std::ostream& out) {
+                           WriteTraceJson(out, trace.Snapshot(), false);
+                         }));
+}
+
+TEST(SessionDigestManifest, SessionRunsMatchRecordedDigests) {
+  const TestSuite suite = TestSuite::BuildSampled(16);
+  const TestFramework framework(&suite);
+  ManifestDocuments documents;
+
+  // Toolchain plans on a part that has already run, so the shared-machine schedule
+  // carries thermal state the isolated schedule does not.
+  TestRunConfig plan_config;
+  plan_config.time_scale = 2e7;
+  plan_config.simultaneous_cores = true;
+  plan_config.burn_in_seconds = 60.0;
+  plan_config.seed = 3;
+  for (const bool isolated : {false, true}) {
+    MetricsRegistry metrics;
+    TraceRecorder trace;
+    EngineContext context(PinnedEngine(2, &metrics, &trace));
+    FaultyMachine machine(FindInCatalog("MIX2"), 1);
+    machine.cpu().AdvanceSeconds(120.0);
+    TestRunConfig config = plan_config;
+    config.parallel_plan_entries = isolated;
+    const RunReport report =
+        framework.RunPlan(machine, framework.EqualPlan(10.0), config, context);
+    const std::string row = isolated ? "plan.isolated" : "plan.serial";
+    documents.emplace_back(row + ".report", Render([&](std::ostream& out) {
+                             WriteRunReportJson(out, report);
+                           }));
+    AddMetricsAndTrace(documents, row, metrics, trace);
+  }
+
+  {
+    MetricsRegistry metrics;
+    TraceRecorder trace;
+    EventLog log;
+    log.AttachMetrics(&metrics);
+    EngineContext context(EngineOptions{.threads = 2,
+                                        .env_overrides = false,
+                                        .metrics = &metrics,
+                                        .trace = &trace,
+                                        .event_log = &log});
+    FaultyMachine machine(FindInCatalog("SIMD1"), 7);
+    FarronConfig config;
+    config.pre_production_per_case_seconds = 10.0;
+    config.targeted_per_case_seconds = 20.0;
+    Farron farron(&suite, &machine, config, context);
+    documents.emplace_back("farron.pre_production",
+                           RenderRoundSummary(farron.RunPreProduction()));
+    documents.emplace_back("farron.regular_round",
+                           RenderRoundSummary(farron.RunRegularRound({Feature::kVecUnit})));
+    const int kernel = suite.IndexOf("app.fft.f64.n256");
+    ASSERT_GE(kernel, 0);
+    WorkloadSpec spec;
+    spec.kernel_case_index = static_cast<size_t>(kernel);
+    documents.emplace_back(
+        "farron.protection",
+        RenderProtection(SimulateProtectedWorkload(farron, machine, suite, spec, 1.0, true)));
+    AddMetricsAndTrace(documents, "farron", metrics, trace);
+    documents.emplace_back("farron.events", RenderEvents(log));
+  }
+
+  {
+    FaultyProcessorInfo info = FindInCatalog("FPU1");
+    info.defects[0].onset_months = 4.0;
+    FaultyMachine machine(info, 42);
+    EngineContext context(PinnedEngine(1));
+    FarronConfig config;
+    config.pre_production_per_case_seconds = 10.0;
+    config.targeted_per_case_seconds = 20.0;
+    Farron farron(&suite, &machine, config, context);
+    LifecycleConfig lifecycle;
+    lifecycle.horizon_months = 7.0;
+    lifecycle.app_hours_per_interval = 0.25;
+    lifecycle.workload.base_utilization = 0.5;
+    lifecycle.workload.preferred_pcore = info.defects[0].affected_pcores.front();
+    lifecycle.app_features = {Feature::kFpu};
+    documents.emplace_back("lifecycle.report",
+                           RenderLifecycle(RunLifecycle(farron, machine, suite, lifecycle)));
+  }
+
+  ExpectDocumentsMatch(documents, kSessionDigestManifest);
 }
 
 TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {

@@ -14,6 +14,7 @@
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
 #include "src/fleet/pipeline.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -26,6 +27,7 @@ class IntegrationTest : public ::testing::Test {
     suite_ = nullptr;
   }
   static TestSuite* suite_;
+  EngineContext context_{PinnedEngine(1)};
 };
 
 TestSuite* IntegrationTest::suite_ = nullptr;
@@ -35,7 +37,7 @@ TEST_F(IntegrationTest, FaultyProcessorLifecycle) {
   // remaining cores serve a protected workload with zero SDC events.
   FaultyMachine machine(FindInCatalog("FPU1"), 101);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   const FarronRoundSummary pre_production = farron.RunPreProduction();
   EXPECT_TRUE(pre_production.report.any_error());
   EXPECT_FALSE(pre_production.processor_deprecated);
@@ -59,7 +61,7 @@ TEST_F(IntegrationTest, UnmaskedFaultyCoreCorruptsWorkload) {
   // defect is apparent (trigger below idle temperatures).
   FaultyMachine machine(FindInCatalog("FPU1"), 103);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);  // no pre-production: core not masked
+  Farron farron(suite_, &machine, config, context_);  // no pre-production: core not masked
   const int kernel = suite_->IndexOf("lib.math.fp_arctan.f64.n256");
   WorkloadSpec spec;
   spec.kernel_case_index = static_cast<size_t>(kernel);
@@ -70,7 +72,7 @@ TEST_F(IntegrationTest, UnmaskedFaultyCoreCorruptsWorkload) {
   // corruption requires the defect to live there; re-run against the full-core defect
   // instead for a deterministic signal.
   FaultyMachine mix2(FindInCatalog("MIX2"), 103);
-  Farron unguarded(suite_, &mix2, config);
+  Farron unguarded(suite_, &mix2, config, context_);
   WorkloadSpec mix_spec;
   mix_spec.kernel_case_index =
       static_cast<size_t>(suite_->IndexOf("app.matmul.f64.n16.l8"));
@@ -84,12 +86,12 @@ TEST_F(IntegrationTest, BaselineDeprecatesWholePartFarronKeepsCores) {
   // Observation 4 / Section 7.1: fine-grained decommission preserves capacity.
   FaultyMachine for_baseline(FindInCatalog("SIMD1"), 105);
   BaselinePolicy baseline(suite_, BaselineConfig());
-  const RunReport baseline_report = baseline.RunRegularRound(for_baseline);
+  const RunReport baseline_report = baseline.RunRegularRound(for_baseline, context_);
   EXPECT_TRUE(baseline_report.any_error());  // baseline would now discard all 16 cores
 
   FaultyMachine for_farron(FindInCatalog("SIMD1"), 105);
   FarronConfig config;
-  Farron farron(suite_, &for_farron, config);
+  Farron farron(suite_, &for_farron, config, context_);
   std::vector<std::string> history;
   for (size_t index : suite_->IndicesTargeting(Feature::kVecUnit)) {
     history.push_back(suite_->info(index).id);
@@ -113,7 +115,7 @@ TEST_F(IntegrationTest, SdcRecordsFeedAnalysisPipeline) {
   for (size_t index : suite_->IndicesTargeting(Feature::kFpu)) {
     plan.push_back({index, 5.0});
   }
-  const RunReport report = framework.RunPlan(machine, plan, config);
+  const RunReport report = framework.RunPlan(machine, plan, config, context_);
   ASSERT_GT(report.records.size(), 20u);
 
   // Observation 7: flips live in the fraction part, so f64 precision losses are tiny.
@@ -166,7 +168,7 @@ TEST_F(IntegrationTest, AnalyticFleetModelAgreesWithOpLevelSimulation) {
   TestRunConfig config;
   config.time_scale = 1e6;
   config.seed = 10;
-  const RunReport report = framework.RunPlan(machine, framework.EqualPlan(60.0), config);
+  const RunReport report = framework.RunPlan(machine, framework.EqualPlan(60.0), config, context_);
   EXPECT_TRUE(report.any_error());  // and the simulation agrees
 }
 
@@ -182,7 +184,7 @@ TEST_F(IntegrationTest, DeterministicEndToEnd) {
     for (size_t index : suite_->IndicesTargeting(Feature::kVecUnit)) {
       plan.push_back({index, 10.0});
     }
-    return framework.RunPlan(machine, plan, config);
+    return framework.RunPlan(machine, plan, config, context_);
   };
   const RunReport first = run_once();
   const RunReport second = run_once();

@@ -7,6 +7,7 @@
 #include "src/fault/catalog.h"
 #include "src/toolchain/cases.h"
 #include "src/toolchain/framework.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -44,13 +45,14 @@ class KernelsTest : public ::testing::Test {
   static RunReport Run(FaultyMachine& machine, const std::string& id, double seconds,
                        bool multithreaded = false) {
     TestFramework framework(suite_);
+    EngineContext context(PinnedEngine(1));
     TestRunConfig config;
     config.time_scale = 1e5;
     config.seed = 77;
     config.pcores_under_test = multithreaded ? std::vector<int>{0, 1} : std::vector<int>{0};
     const int index = suite_->IndexOf(id);
     EXPECT_GE(index, 0) << id;
-    return framework.RunPlan(machine, {{static_cast<size_t>(index), seconds}}, config);
+    return framework.RunPlan(machine, {{static_cast<size_t>(index), seconds}}, config, context);
   }
 
   static TestSuite* suite_;
@@ -177,6 +179,7 @@ TEST_F(KernelsTest, FuzzCasesCleanOnHealthyDetectOnFaulty) {
 TEST_F(KernelsTest, FuzzStreamsDiffer) {
   // Different corpus seeds produce different op sequences: their op histograms differ.
   TestFramework framework(suite_);
+  EngineContext context(PinnedEngine(1));
   TestRunConfig config;
   config.time_scale = 1e5;
   config.seed = 9;
@@ -187,8 +190,8 @@ TEST_F(KernelsTest, FuzzStreamsDiffer) {
   const int ib = suite_->IndexOf("fuzz.s2.n160");
   ASSERT_GE(ia, 0);
   ASSERT_GE(ib, 0);
-  const RunReport ra = framework.RunPlan(a, {{(size_t)ia, 1.0}}, config);
-  const RunReport rb = framework.RunPlan(b, {{(size_t)ib, 1.0}}, config);
+  const RunReport ra = framework.RunPlan(a, {{(size_t)ia, 1.0}}, config, context);
+  const RunReport rb = framework.RunPlan(b, {{(size_t)ib, 1.0}}, config, context);
   EXPECT_NE(ra.results[0].op_histogram, rb.results[0].op_histogram);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/farron/longitudinal.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -16,6 +17,7 @@ class LifecycleTest : public ::testing::Test {
     suite_ = nullptr;
   }
   static TestSuite* suite_;
+  EngineContext context_{PinnedEngine(1)};
 };
 
 TestSuite* LifecycleTest::suite_ = nullptr;
@@ -25,7 +27,7 @@ TEST_F(LifecycleTest, WearOutDefectCaughtAtNextRound) {
   info.defects[0].onset_months = 10.0;
   FaultyMachine machine(info, 42);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
 
   LifecycleConfig lifecycle;
   lifecycle.horizon_months = 18.0;
@@ -62,7 +64,7 @@ TEST_F(LifecycleTest, WearOutDefectCaughtAtNextRound) {
 TEST_F(LifecycleTest, HealthyPartStaysCleanForTheHorizon) {
   FaultyMachine machine(MakeArchSpec("M5"));
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   LifecycleConfig lifecycle;
   lifecycle.horizon_months = 9.0;
   lifecycle.app_hours_per_interval = 0.5;
@@ -77,7 +79,7 @@ TEST_F(LifecycleTest, HealthyPartStaysCleanForTheHorizon) {
 TEST_F(LifecycleTest, ManufacturingDefectCaughtAtPreProduction) {
   FaultyMachine machine(FindInCatalog("SIMD1"), 43);  // onset 0
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   LifecycleConfig lifecycle;
   lifecycle.horizon_months = 6.0;
   lifecycle.app_hours_per_interval = 0.5;
@@ -91,7 +93,7 @@ TEST_F(LifecycleTest, ManufacturingDefectCaughtAtPreProduction) {
 TEST_F(LifecycleTest, DeprecatedPartStopsRunning) {
   FaultyMachine machine(FindInCatalog("MIX1"), 44);  // all cores defective from day one
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   LifecycleConfig lifecycle;
   lifecycle.horizon_months = 9.0;
   lifecycle.app_hours_per_interval = 0.5;

@@ -217,11 +217,11 @@ TEST(ParallelDeterminismTest, RunPlanIsThreadCountInvariant) {
   config.parallel_plan_entries = true;
   const std::vector<TestPlanEntry> plan = framework.EqualPlan(5.0);
 
-  config.threads = 1;
-  const RunReport serial = framework.RunPlan(machine, plan, config);
+  EngineContext serial_context(PinnedEngine(1));
+  const RunReport serial = framework.RunPlan(machine, plan, config, serial_context);
   for (int threads : {2, 8}) {
-    config.threads = threads;
-    const RunReport parallel = framework.RunPlan(machine, plan, config);
+    EngineContext context(PinnedEngine(threads));
+    const RunReport parallel = framework.RunPlan(machine, plan, config, context);
     EXPECT_EQ(parallel.total_errors(), serial.total_errors());
     EXPECT_EQ(parallel.failed_testcase_ids(), serial.failed_testcase_ids());
     EXPECT_DOUBLE_EQ(parallel.total_wall_seconds, serial.total_wall_seconds);
@@ -267,9 +267,7 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossThreadCounts) 
     run_config.simultaneous_cores = true;
     run_config.seed = 11;
     run_config.parallel_plan_entries = true;
-    run_config.threads = threads;
-    run_config.metrics = &registry;
-    (void)framework.RunPlan(machine, framework.EqualPlan(2.0), run_config);
+    (void)framework.RunPlan(machine, framework.EqualPlan(2.0), run_config, context);
 
     std::ostringstream out;
     WriteMetricsJson(out, registry.Snapshot(), /*include_timers=*/false);
@@ -286,16 +284,55 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossThreadCounts) 
 }
 
 TEST(ParallelDeterminismTest, ParallelRunPlanLeavesCallerMachineUntouched) {
+  // Isolated plans never touch the caller's machine, whatever their size: an empty plan
+  // with a burn-in and a 1-entry plan included.
   const TestSuite suite = TestSuite::BuildSampled(40);
   TestFramework framework(&suite);
-  FaultyMachine machine(MakeArchSpec("M2"));
-  const double before = machine.cpu().now_seconds();
+  EngineContext context(PinnedEngine(2));
   TestRunConfig config;
   config.parallel_plan_entries = true;
-  config.threads = 2;
-  const RunReport report = framework.RunPlan(machine, framework.EqualPlan(0.5), config);
-  EXPECT_EQ(report.total_errors(), 0u);
-  EXPECT_EQ(machine.cpu().now_seconds(), before);
+  config.burn_in_seconds = 30.0;
+  const std::vector<TestPlanEntry> full = framework.EqualPlan(0.5);
+  for (const size_t entries : {size_t{0}, size_t{1}, full.size()}) {
+    FaultyMachine machine(MakeArchSpec("M2"));
+    const double before = machine.cpu().now_seconds();
+    const std::vector<TestPlanEntry> plan(full.begin(),
+                                          full.begin() + static_cast<ptrdiff_t>(entries));
+    const RunReport report = framework.RunPlan(machine, plan, config, context);
+    EXPECT_EQ(report.results.size(), entries);
+    EXPECT_EQ(report.total_errors(), 0u);
+    EXPECT_EQ(machine.cpu().now_seconds(), before) << entries << "-entry plan";
+  }
+}
+
+TEST(ParallelDeterminismTest, OneEntryIsolatedPlanMatchesItsEntryInALargerPlan) {
+  // An isolated entry runs on a fresh clone, so its result cannot depend on how many
+  // entries share its plan -- nor on what the caller's machine ran before.
+  const TestSuite suite = TestSuite::BuildSampled(16);
+  TestFramework framework(&suite);
+  EngineContext context(PinnedEngine(2));
+  const int failing = suite.IndexOf("lib.bigint.int_mul.limbs2");
+  ASSERT_GE(failing, 0);
+  const std::vector<TestPlanEntry> plan = {{static_cast<size_t>(failing), 10.0},
+                                           {0, 10.0}};
+  TestRunConfig config;
+  config.time_scale = 2e7;
+  config.simultaneous_cores = true;
+  config.burn_in_seconds = 60.0;
+  config.seed = 3;
+  FaultyMachine machine(FindInCatalog("MIX2"), 1);
+  framework.RunPlan(machine, plan, config, context);  // the part has already run
+
+  config.parallel_plan_entries = true;
+  const RunReport pair = framework.RunPlan(machine, plan, config, context);
+  const RunReport single = framework.RunPlan(machine, {plan[0]}, config, context);
+  ASSERT_EQ(pair.results.size(), 2u);
+  ASSERT_EQ(single.results.size(), 1u);
+  ASSERT_GT(pair.results[0].errors, 0u);
+  EXPECT_EQ(single.results[0].testcase_id, pair.results[0].testcase_id);
+  EXPECT_EQ(single.results[0].errors, pair.results[0].errors);
+  EXPECT_EQ(single.results[0].errors_per_pcore, pair.results[0].errors_per_pcore);
+  EXPECT_EQ(single.results[0].op_histogram, pair.results[0].op_histogram);
 }
 
 // --- Cached population counts (satellite: faulty_count / CountByArch are O(1)) ---

@@ -13,6 +13,7 @@
 #include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
 #include "src/toolchain/framework.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -36,6 +37,7 @@ const ::testing::Environment* const kSuiteEnvironment =
 class CatalogProcessorTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CatalogProcessorTest, DetectableWithCorrectTypeAndAttribution) {
+  EngineContext context(PinnedEngine(1));
   const auto catalog = StudyCatalog();
   const FaultyProcessorInfo& info = catalog[static_cast<size_t>(GetParam())];
   ScreeningPipeline pipeline(g_suite);
@@ -76,7 +78,7 @@ TEST_P(CatalogProcessorTest, DetectableWithCorrectTypeAndAttribution) {
   for (size_t index : indices) {
     plan.push_back({index, 60.0});
   }
-  const RunReport report = framework.RunPlan(machine, plan, config);
+  const RunReport report = framework.RunPlan(machine, plan, config, context);
   // Ultra-tricky parts (trigger temperatures at/above what even hot testing reaches,
   // frequencies in the per-day range) may legitimately escape one round -- exactly the
   // paper's escape cases. Require detection only when the activation law predicts a
@@ -141,6 +143,7 @@ TEST_P(ArchThermalTest, PackageTemperaturesInBand) {
 }
 
 TEST_P(ArchThermalTest, HealthyMachineOfArchRunsClean) {
+  EngineContext context(PinnedEngine(1));
   FaultyMachine machine(MakeArchSpec(GetParam()));
   TestFramework framework(g_suite);
   TestRunConfig config;
@@ -151,7 +154,7 @@ TEST_P(ArchThermalTest, HealthyMachineOfArchRunsClean) {
   for (size_t i = 0; i < g_suite->size(); i += 37) {
     plan.push_back({i, 0.5});
   }
-  EXPECT_EQ(framework.RunPlan(machine, plan, config).total_errors(), 0u);
+  EXPECT_EQ(framework.RunPlan(machine, plan, config, context).total_errors(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArches, ArchThermalTest, ::testing::Range(0, kArchCount),

@@ -14,6 +14,7 @@
 #include "src/fault/catalog.h"
 #include "src/telemetry/event_log.h"
 #include "src/telemetry/metrics.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -26,6 +27,7 @@ class SessionTest : public ::testing::Test {
     suite_ = nullptr;
   }
   static TestSuite* suite_;
+  EngineContext context_{PinnedEngine(1)};
 };
 
 TestSuite* SessionTest::suite_ = nullptr;
@@ -61,20 +63,22 @@ TEST_F(SessionTest, WorkloadByteIdenticalToReference) {
   FaultyMachine session_machine(FindInCatalog("MIX1"), 41);
   MetricsRegistry session_metrics;
   EventLog session_log;
-  FarronConfig config;
-  config.metrics = &session_metrics;
-  Farron session_farron(suite_, &session_machine, config);
-  session_farron.SetEventLog(&session_log);
+  EngineContext session_context(EngineOptions{.threads = 1,
+                                              .env_overrides = false,
+                                              .metrics = &session_metrics,
+                                              .event_log = &session_log});
+  Farron session_farron(suite_, &session_machine, FarronConfig(), session_context);
   const ProtectionReport via_session =
       SimulateProtectedWorkload(session_farron, session_machine, *suite_, spec, 3.0, true);
 
   FaultyMachine reference_machine(FindInCatalog("MIX1"), 41);
   MetricsRegistry reference_metrics;
   EventLog reference_log;
-  FarronConfig reference_config;
-  reference_config.metrics = &reference_metrics;
-  Farron reference(suite_, &reference_machine, reference_config);
-  reference.SetEventLog(&reference_log);
+  EngineContext reference_context(EngineOptions{.threads = 1,
+                                                .env_overrides = false,
+                                                .metrics = &reference_metrics,
+                                                .event_log = &reference_log});
+  Farron reference(suite_, &reference_machine, FarronConfig(), reference_context);
   WorkloadSpec reference_spec = spec;
   reference_spec.use_reference_loop = true;
   const ProtectionReport via_reference = SimulateProtectedWorkload(
@@ -101,12 +105,12 @@ TEST_F(SessionTest, UnprotectedWorkloadMatchesReference) {
   WorkloadSpec spec = BusySpec();
   FaultyMachine session_machine(FindInCatalog("FPU1"), 31);
   FarronConfig config;
-  Farron session_farron(suite_, &session_machine, config);
+  Farron session_farron(suite_, &session_machine, config, context_);
   const ProtectionReport via_session = SimulateProtectedWorkload(
       session_farron, session_machine, *suite_, spec, 2.0, false);
 
   FaultyMachine reference_machine(FindInCatalog("FPU1"), 31);
-  Farron reference_farron(suite_, &reference_machine, config);
+  Farron reference_farron(suite_, &reference_machine, config, context_);
   WorkloadSpec reference_spec = spec;
   reference_spec.use_reference_loop = true;
   const ProtectionReport via_reference = SimulateProtectedWorkload(
@@ -125,7 +129,7 @@ TEST_F(SessionTest, StepQuantumInvariance) {
   for (const double quantum : {1.0, 60.0, std::numeric_limits<double>::infinity()}) {
     FaultyMachine machine(FindInCatalog("MIX1"), 41);
     FarronConfig config;
-    Farron farron(suite_, &machine, config);
+    Farron farron(suite_, &machine, config, context_);
     SessionOptions options;
     options.protect = true;
     ProtectionSession session(&farron, &machine, suite_, spec, Rng(spec.seed), options);
@@ -149,12 +153,12 @@ TEST_F(SessionTest, AblationConfigsMatchReference) {
       config.enable_adaptive_boundary = adaptive;
 
       FaultyMachine session_machine(FindInCatalog("SIMD1"), 33);
-      Farron session_farron(suite_, &session_machine, config);
+      Farron session_farron(suite_, &session_machine, config, context_);
       const ProtectionReport via_session = SimulateProtectedWorkload(
           session_farron, session_machine, *suite_, spec, 1.5, true);
 
       FaultyMachine reference_machine(FindInCatalog("SIMD1"), 33);
-      Farron reference_farron(suite_, &reference_machine, config);
+      Farron reference_farron(suite_, &reference_machine, config, context_);
       WorkloadSpec reference_spec = spec;
       reference_spec.use_reference_loop = true;
       const ProtectionReport via_reference = SimulateProtectedWorkload(
@@ -170,7 +174,7 @@ TEST_F(SessionTest, AblationConfigsMatchReference) {
 TEST_F(SessionTest, FullRoundMatchesRunRegularRound) {
   FaultyMachine session_machine(FindInCatalog("MIX1"), 35);
   FarronConfig config;
-  Farron session_farron(suite_, &session_machine, config);
+  Farron session_farron(suite_, &session_machine, config, context_);
   SessionOptions options;
   ProtectionSession session(&session_farron, &session_machine, suite_, WorkloadSpec{},
                             Rng(5), options);
@@ -180,7 +184,7 @@ TEST_F(SessionTest, FullRoundMatchesRunRegularRound) {
   const FarronRoundSummary& via_session = *session.last_round_summary();
 
   FaultyMachine reference_machine(FindInCatalog("MIX1"), 35);
-  Farron reference_farron(suite_, &reference_machine, config);
+  Farron reference_farron(suite_, &reference_machine, config, context_);
   const FarronRoundSummary via_reference = reference_farron.RunRegularRound({});
 
   EXPECT_EQ(via_session.plan_seconds, via_reference.plan_seconds);
@@ -196,7 +200,7 @@ TEST_F(SessionTest, FullRoundMatchesRunRegularRound) {
 TEST_F(SessionTest, BudgetedRoundsRespectBudgetAndComplete) {
   FaultyMachine machine(FindInCatalog("FPU1"), 31);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   SessionOptions options;
   options.max_cases_per_round = 4;  // force the chunked path
   ProtectionSession session(&farron, &machine, suite_, WorkloadSpec{}, Rng(5), options);
@@ -223,7 +227,7 @@ TEST_F(SessionTest, BudgetedRoundsRespectBudgetAndComplete) {
 TEST_F(SessionTest, ZeroBudgetConsumesNothing) {
   FaultyMachine machine(FindInCatalog("FPU1"), 31);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   SessionOptions options;
   options.max_cases_per_round = 4;
   ProtectionSession session(&farron, &machine, suite_, WorkloadSpec{}, Rng(5), options);
@@ -236,7 +240,7 @@ TEST_F(SessionTest, ZeroBudgetConsumesNothing) {
 TEST_F(SessionTest, DeprecatedProcessorRefusesRounds) {
   FaultyMachine machine(FindInCatalog("MIX1"), 35);  // all 16 cores defective
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  Farron farron(suite_, &machine, config, context_);
   SessionOptions options;
   ProtectionSession session(&farron, &machine, suite_, WorkloadSpec{}, Rng(5), options);
   for (int round = 0; round < 8 && !farron.pool().processor_deprecated(); ++round) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
 #include "src/common/parallel.h"
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
@@ -333,12 +334,18 @@ class FarronTelemetryTest : public ::testing::Test {
 
 TestSuite* FarronTelemetryTest::suite_ = nullptr;
 
+// A serial context carrying Farron's event log and, optionally, a registry.
+EngineOptions FarronEngine(EventLog* log, MetricsRegistry* metrics = nullptr) {
+  return EngineOptions{
+      .threads = 1, .env_overrides = false, .metrics = metrics, .event_log = log};
+}
+
 TEST_F(FarronTelemetryTest, RegularRoundEmitsLifecycleEvents) {
   FaultyMachine machine(FindInCatalog("SIMD1"), 61);
   FarronConfig config;
-  Farron farron(suite_, &machine, config);
   EventLog log;
-  farron.SetEventLog(&log);
+  EngineContext context(FarronEngine(&log));
+  Farron farron(suite_, &machine, config, context);
   std::vector<std::string> history;
   for (size_t index : suite_->IndicesTargeting(Feature::kVecUnit)) {
     history.push_back(suite_->info(index).id);
@@ -359,9 +366,9 @@ TEST_F(FarronTelemetryTest, ControlStepEmitsCoolingEvents) {
   FarronConfig config;
   config.enable_cooling_control = true;
   config.enable_adaptive_boundary = false;
-  Farron farron(suite_, &machine, config);
   EventLog log;
-  farron.SetEventLog(&log);
+  EngineContext context(FarronEngine(&log));
+  Farron farron(suite_, &machine, config, context);
   for (int i = 0; i < 6; ++i) {
     farron.ControlStep(62.0);
   }
@@ -372,9 +379,9 @@ TEST_F(FarronTelemetryTest, ProtectionLoopEmitsBackoffTransitions) {
   FaultyMachine machine(MakeArchSpec("M2"));
   FarronConfig config;
   config.enable_adaptive_boundary = false;
-  Farron farron(suite_, &machine, config);
   EventLog log;
-  farron.SetEventLog(&log);
+  EngineContext context(FarronEngine(&log));
+  Farron farron(suite_, &machine, config, context);
   WorkloadSpec spec;
   spec.kernel_case_index = static_cast<size_t>(suite_->IndexOf("lib.crc32.scalar.b1024"));
   spec.base_utilization = 0.45;
@@ -395,11 +402,10 @@ TEST_F(FarronTelemetryTest, ProtectionLoopRecordsMetrics) {
   MetricsRegistry registry;
   FarronConfig config;
   config.enable_adaptive_boundary = false;
-  config.metrics = &registry;
-  Farron farron(suite_, &machine, config);
   EventLog log;
   log.AttachMetrics(&registry);
-  farron.SetEventLog(&log);
+  EngineContext context(FarronEngine(&log, &registry));
+  Farron farron(suite_, &machine, config, context);
   WorkloadSpec spec;
   spec.kernel_case_index = static_cast<size_t>(suite_->IndexOf("lib.crc32.scalar.b1024"));
   spec.burst_probability = 0.02;
@@ -422,8 +428,8 @@ TEST_F(FarronTelemetryTest, ProtectionLoopRecordsMetrics) {
 
 TEST_F(FarronTelemetryTest, NoLogMeansNoCrash) {
   FaultyMachine machine(MakeArchSpec("M5"));
-  FarronConfig config;
-  Farron farron(suite_, &machine, config);
+  EngineContext context(FarronEngine(nullptr));
+  Farron farron(suite_, &machine, FarronConfig(), context);
   EXPECT_EQ(farron.event_log(), nullptr);
   farron.ControlStep(62.0);  // emits nothing, crashes nothing
 }

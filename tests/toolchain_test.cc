@@ -9,6 +9,7 @@
 #include "src/toolchain/cases.h"
 #include "src/toolchain/framework.h"
 #include "src/toolchain/registry.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -105,6 +106,7 @@ TEST(RegistryTest, SampledSuiteIsSubset) {
 // --- Healthy machines never report errors ---
 
 TEST(TestcaseTest, HealthySweepHasZeroErrors) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildSampled(7);  // ~90 cases across all families
   TestFramework framework(&suite);
   FaultyMachine machine(MakeArchSpec("M2"));
@@ -112,7 +114,7 @@ TEST(TestcaseTest, HealthySweepHasZeroErrors) {
   for (size_t i = 0; i < suite.size(); ++i) {
     plan.push_back({i, 0.5});
   }
-  const RunReport report = framework.RunPlan(machine, plan, FastConfig());
+  const RunReport report = framework.RunPlan(machine, plan, FastConfig(), context);
   EXPECT_EQ(report.total_errors(), 0u);
   EXPECT_FALSE(report.any_error());
 }
@@ -120,6 +122,7 @@ TEST(TestcaseTest, HealthySweepHasZeroErrors) {
 // --- Seeded defects are detected by the matching testcases ---
 
 TEST(TestcaseTest, ComputationDefectDetectedByMatchingCase) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine =
@@ -130,12 +133,13 @@ TEST(TestcaseTest, ComputationDefectDetectedByMatchingCase) {
   ASSERT_GE(unrelated, 0);
   const RunReport report = framework.RunPlan(
       machine, {{static_cast<size_t>(matching), 2.0}, {static_cast<size_t>(unrelated), 2.0}},
-      FastConfig());
+      FastConfig(), context);
   EXPECT_GT(report.results[0].errors, 0u);
   EXPECT_EQ(report.results[1].errors, 0u);
 }
 
 TEST(TestcaseTest, RecordsCarryExpectedActualBits) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine =
@@ -143,7 +147,7 @@ TEST(TestcaseTest, RecordsCarryExpectedActualBits) {
   const int index = suite.IndexOf("vec.vec_fma_f32.f32.l8.n128");
   ASSERT_GE(index, 0);
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 1.0}}, FastConfig());
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 1.0}}, FastConfig(), context);
   ASSERT_GT(report.records.size(), 0u);
   for (const SdcRecord& record : report.records) {
     EXPECT_EQ(record.sdc_type, SdcType::kComputation);
@@ -155,6 +159,7 @@ TEST(TestcaseTest, RecordsCarryExpectedActualBits) {
 }
 
 TEST(TestcaseTest, CoherenceDefectDetectedByHandoffCase) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine = SeededMachine({OpKind::kStore}, {}, Feature::kCache, 7, -5.5);
@@ -163,7 +168,7 @@ TEST(TestcaseTest, CoherenceDefectDetectedByHandoffCase) {
   TestRunConfig config = FastConfig();
   config.pcores_under_test = {0, 1};
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config);
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config, context);
   EXPECT_GT(report.total_errors(), 0u);
   for (const SdcRecord& record : report.records) {
     EXPECT_EQ(record.sdc_type, SdcType::kConsistency);
@@ -171,6 +176,7 @@ TEST(TestcaseTest, CoherenceDefectDetectedByHandoffCase) {
 }
 
 TEST(TestcaseTest, TxDefectDetectedByInvariantCase) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine = SeededMachine({OpKind::kTxCommit}, {}, Feature::kTxMem, 9);
@@ -179,11 +185,12 @@ TEST(TestcaseTest, TxDefectDetectedByInvariantCase) {
   TestRunConfig config = FastConfig();
   config.pcores_under_test = {0, 1};
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config);
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config, context);
   EXPECT_GT(report.total_errors(), 0u);
 }
 
 TEST(TestcaseTest, LockCounterDetectsCoherenceDefect) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine = SeededMachine({OpKind::kStore}, {}, Feature::kCache, 11);
@@ -192,11 +199,12 @@ TEST(TestcaseTest, LockCounterDetectsCoherenceDefect) {
   TestRunConfig config = FastConfig();
   config.pcores_under_test = {0, 1};
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config);
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config, context);
   EXPECT_GT(report.total_errors(), 0u);
 }
 
 TEST(TestcaseTest, SingleCoreDefectOnlyFiresOnItsCore) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyProcessorInfo info;
@@ -221,7 +229,7 @@ TEST(TestcaseTest, SingleCoreDefectOnlyFiresOnItsCore) {
   TestRunConfig config = FastConfig();
   config.pcores_under_test.clear();  // test all cores
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 8.0}}, config);
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 8.0}}, config, context);
   const TestcaseResult& result = report.results.front();
   EXPECT_GT(result.errors_per_pcore[5], 0u);
   for (size_t pcore = 0; pcore < result.errors_per_pcore.size(); ++pcore) {
@@ -234,19 +242,21 @@ TEST(TestcaseTest, SingleCoreDefectOnlyFiresOnItsCore) {
 // --- Framework behaviour ---
 
 TEST(FrameworkTest, OpHistogramMatchesKernel) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine(MakeArchSpec("M2"));
   const int index = suite.IndexOf("lib.math.fp_arctan.f64.n256");
   ASSERT_GE(index, 0);
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 1.0}}, FastConfig());
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 1.0}}, FastConfig(), context);
   const TestcaseResult& result = report.results.front();
   EXPECT_GT(result.op_histogram[static_cast<int>(OpKind::kFpArctan)], 0u);
   EXPECT_EQ(result.op_histogram[static_cast<int>(OpKind::kVecFmaF32)], 0u);
 }
 
 TEST(FrameworkTest, SimultaneousModeRunsHotter) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   const int index = suite.IndexOf("loop.fp_mul.f64.n480");
@@ -255,20 +265,21 @@ TEST(FrameworkTest, SimultaneousModeRunsHotter) {
   FaultyMachine sequential_machine(MakeArchSpec("M2"));
   TestRunConfig sequential = FastConfig();
   sequential.pcores_under_test.clear();
-  framework.RunPlan(sequential_machine, {{static_cast<size_t>(index), 30.0}}, sequential);
+  framework.RunPlan(sequential_machine, {{static_cast<size_t>(index), 30.0}}, sequential, context);
   const double sequential_temp = sequential_machine.cpu().core_temperature(0);
 
   FaultyMachine hot_machine(MakeArchSpec("M2"));
   TestRunConfig hot = sequential;
   hot.simultaneous_cores = true;
   hot.burn_in_seconds = 300.0;
-  framework.RunPlan(hot_machine, {{static_cast<size_t>(index), 30.0}}, hot);
+  framework.RunPlan(hot_machine, {{static_cast<size_t>(index), 30.0}}, hot, context);
   const double hot_temp = hot_machine.cpu().core_temperature(0);
 
   EXPECT_GT(hot_temp, sequential_temp + 8.0);
 }
 
 TEST(FrameworkTest, PinnedTemperatureHolds) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine(MakeArchSpec("M5"));
@@ -276,12 +287,13 @@ TEST(FrameworkTest, PinnedTemperatureHolds) {
   config.pin_temperature_celsius = 63.0;
   const int index = suite.IndexOf("loop.fp_add.f64.n224");
   ASSERT_GE(index, 0);
-  framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config);
+  framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config, context);
   EXPECT_NEAR(machine.cpu().core_temperature(0), 63.0, 1e-6);
 }
 
 
 TEST(FrameworkTest, RemainingHeatEnablesDetection) {
+  EngineContext context(PinnedEngine(1));
   // Observation 10's test-order anecdote: a temperature-gated defect reproduces only when
   // a stressful phase ran just before, leaving the heatsink hot.
   TestSuite suite = TestSuite::BuildFull();
@@ -312,7 +324,7 @@ TEST(FrameworkTest, RemainingHeatEnablesDetection) {
   cold_config.seed = 5;
   cold_config.pcores_under_test = {0};
   const RunReport cold_report =
-      framework.RunPlan(cold, {{static_cast<size_t>(index), 30.0}}, cold_config);
+      framework.RunPlan(cold, {{static_cast<size_t>(index), 30.0}}, cold_config, context);
   EXPECT_EQ(cold_report.total_errors(), 0u);
 
   // Preheated: a preceding all-core stress phase leaves the package hot enough.
@@ -320,7 +332,7 @@ TEST(FrameworkTest, RemainingHeatEnablesDetection) {
   TestRunConfig hot_config = cold_config;
   hot_config.burn_in_seconds = 600.0;
   const RunReport hot_report =
-      framework.RunPlan(hot, {{static_cast<size_t>(index), 30.0}}, hot_config);
+      framework.RunPlan(hot, {{static_cast<size_t>(index), 30.0}}, hot_config, context);
   EXPECT_GT(hot_report.total_errors(), 0u);
 }
 
@@ -335,6 +347,7 @@ TEST(FrameworkTest, EqualPlanCoversSuite) {
 }
 
 TEST(FrameworkTest, RecordCapBoundsStorageNotCounting) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine =
@@ -343,19 +356,20 @@ TEST(FrameworkTest, RecordCapBoundsStorageNotCounting) {
   config.max_records = 10;
   const int index = suite.IndexOf("loop.fp_mul.f64.n480");
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config);
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 5.0}}, config, context);
   EXPECT_LE(report.records.size(), 10u);
   EXPECT_GT(report.total_errors(), 10u);
 }
 
 TEST(FrameworkTest, WallClockAdvancesWithPlan) {
+  EngineContext context(PinnedEngine(1));
   TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine(MakeArchSpec("M2"));
   TestRunConfig config = FastConfig();
   const int index = suite.IndexOf("loop.int_add.i32.n96");
   const RunReport report =
-      framework.RunPlan(machine, {{static_cast<size_t>(index), 10.0}}, config);
+      framework.RunPlan(machine, {{static_cast<size_t>(index), 10.0}}, config, context);
   // Sequential single-core plan: wall time tracks the tested duration (batch quantization
   // can overshoot).
   EXPECT_GE(report.total_wall_seconds, 10.0);

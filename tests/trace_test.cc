@@ -309,7 +309,6 @@ class TraceToolchainTest : public ::testing::Test {
 TestSuite* TraceToolchainTest::suite_ = nullptr;
 
 TEST_F(TraceToolchainTest, PlanTraceIsThreadCountInvariant) {
-  ASSERT_EQ(std::getenv("SDC_THREADS"), nullptr);
   const std::vector<TestPlanEntry> plan = {{0, 4.0}, {1, 6.0}, {2, 2.0}};
   auto run = [&](int threads) {
     TestFramework framework(suite_);
@@ -318,10 +317,9 @@ TEST_F(TraceToolchainTest, PlanTraceIsThreadCountInvariant) {
     config.time_scale = 2e7;
     config.seed = 5;
     config.parallel_plan_entries = true;
-    config.threads = threads;
     TraceRecorder recorder;
-    config.trace = &recorder;
-    framework.RunPlan(machine, plan, config);
+    EngineContext context(PinnedEngine(threads, nullptr, &recorder));
+    framework.RunPlan(machine, plan, config, context);
     return SimTraceJson(recorder);
   };
   const std::string baseline = run(1);
@@ -336,8 +334,8 @@ TEST_F(TraceToolchainTest, PlanEntriesSpanBackToBackInPlanOrder) {
   TestRunConfig config;
   config.time_scale = 2e7;
   TraceRecorder recorder;
-  config.trace = &recorder;
-  framework.RunPlan(machine, plan, config);
+  EngineContext context(PinnedEngine(1, nullptr, &recorder));
+  framework.RunPlan(machine, plan, config, context);
   const TraceSnapshot snapshot = recorder.Snapshot();
   std::vector<const TraceEvent*> entries;
   for (const TraceEvent& event : snapshot.sim) {
@@ -364,8 +362,8 @@ TEST_F(TraceToolchainTest, ProtectionRunEmitsSpanAndBackoffInstants) {
   FarronConfig config;
   config.enable_adaptive_boundary = false;
   TraceRecorder recorder;
-  config.trace = &recorder;
-  Farron farron(suite_, &machine, config);
+  EngineContext context(PinnedEngine(1, nullptr, &recorder));
+  Farron farron(suite_, &machine, config, context);
   WorkloadSpec spec;
   spec.kernel_case_index = static_cast<size_t>(suite_->IndexOf("lib.crc32.scalar.b1024"));
   spec.base_utilization = 0.45;

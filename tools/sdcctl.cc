@@ -134,8 +134,9 @@ void ApplyFleetOverrides(PopulationConfig& config, const GlobalOptions& options)
   }
 }
 
-// The engine the fleet and scrub commands run on: --threads lanes plus every sink the
-// command exports. SDC_THREADS / SDC_SIMD still override, read once when it is built.
+// The engine the fleet, scrub, sweep and protect commands run on: --threads lanes plus
+// every sink the command exports. SDC_THREADS / SDC_SIMD still override, read once when it
+// is built.
 EngineOptions FleetEngineOptions(const GlobalOptions& options) {
   return EngineOptions{.threads = options.threads,
                        .metrics = options.metrics,
@@ -228,13 +229,11 @@ int CmdSweep(const std::string& cpu_id, double seconds_per_case,
   config.burn_in_seconds = 300.0;
   config.seed = 3;
   config.parallel_plan_entries = options.threads_set;
-  config.threads = options.threads;
-  config.metrics = options.metrics;
-  config.trace = options.trace;
   std::cout << "sweeping " << cpu_id << " with " << suite.size() << " testcases at "
             << seconds_per_case << " s/case (hot environment)...\n";
+  EngineContext context(FleetEngineOptions(options));
   const RunReport report =
-      framework.RunPlan(machine, framework.EqualPlan(seconds_per_case), config);
+      framework.RunPlan(machine, framework.EqualPlan(seconds_per_case), config, context);
   TextTable table({"failing testcase", "errors", "freq (/min)"});
   for (const TestcaseResult& result : report.results) {
     if (result.failed()) {
@@ -323,8 +322,10 @@ int CmdFrequency(const std::string& cpu_id, const std::string& testcase_id, int 
   }
   TestFramework framework(&suite);
   FaultyMachine machine(FindInCatalog(cpu_id), 1);
-  const double frequency = MeasureOccurrenceFrequency(
-      machine, framework, static_cast<size_t>(index), pcore, temperature, duration, 17);
+  EngineContext context(EngineOptions{.threads = 1, .env_overrides = false});
+  const double frequency =
+      MeasureOccurrenceFrequency(machine, framework, context, static_cast<size_t>(index),
+                                 pcore, temperature, duration, 17);
   std::cout << cpu_id << " / " << testcase_id << " / pcore" << pcore << " @ "
             << temperature << " C: " << FormatDouble(frequency, 5) << " errors/min over "
             << duration << " simulated seconds\n";
@@ -340,15 +341,13 @@ int CmdProtect(const std::string& cpu_id, double hours, const GlobalOptions& opt
   const TestSuite suite = TestSuite::BuildFull();
   const FaultyProcessorInfo info = *maybe_info;
   FaultyMachine machine(info, 7);
-  FarronConfig farron_config;
-  farron_config.metrics = options.metrics;
-  farron_config.trace = options.trace;
-  Farron farron(&suite, &machine, farron_config);
   // Farron's lifecycle events land in the log; with a registry attached the log bridges
   // each kind into an "events.*" counter alongside the protection loop's own metrics.
   EventLog event_log;
   event_log.AttachMetrics(options.metrics);
-  farron.SetEventLog(&event_log);
+  EngineContext context(FleetEngineOptions(options));
+  context.AttachEventLog(&event_log);
+  Farron farron(&suite, &machine, FarronConfig(), context);
   std::cout << "[pre-production] testing " << cpu_id << "...\n";
   const FarronRoundSummary pre = farron.RunPreProduction();
   std::cout << "  failing cases: " << pre.report.failed_testcase_ids().size()
@@ -456,11 +455,9 @@ int CmdExport(const std::string& what, const GlobalOptions& options) {
     config.burn_in_seconds = 300.0;
     config.seed = 3;
     config.parallel_plan_entries = options.threads_set;
-    config.threads = options.threads;
-    config.metrics = options.metrics;
-    config.trace = options.trace;
-    WriteRunReportJson(std::cout,
-                       framework.RunPlan(machine, framework.EqualPlan(30.0), config));
+    EngineContext context(FleetEngineOptions(options));
+    WriteRunReportJson(std::cout, framework.RunPlan(machine, framework.EqualPlan(30.0),
+                                                    config, context));
     return 0;
   }
   std::cerr << "export targets: catalog | screening | sweep:<cpu_id>\n";

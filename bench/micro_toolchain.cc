@@ -1,6 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: testcase batch
 // execution on healthy vs defective machines (the corruption hook's overhead), thermal
-// stepping, and the coherent-bus handoff path.
+// stepping, and the coherent-bus handoff path. Kernel rows report `s_per_op`, the time per
+// simulated op, so the instruction-loop layer (loop.*/vec.*, batched through
+// Processor::ExecuteBatch) has its own per-op figure beside the per-op kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -26,21 +28,41 @@ void RunKernelOnce(const TestSuite& suite, FaultyMachine& machine, int index, Rn
   suite.at(index).RunBatch(context);
 }
 
+uint64_t TotalOps(const Processor& cpu) {
+  uint64_t total = 0;
+  for (int kind = 0; kind < kOpKindCount; ++kind) {
+    total += cpu.total_op_count(static_cast<OpKind>(kind));
+  }
+  return total;
+}
+
+// Time per simulated op over the whole run (console: SI-prefixed seconds, e.g. "3.1n").
+void ReportTimePerOp(benchmark::State& state, const Processor& cpu, uint64_t ops_before) {
+  state.counters["s_per_op"] =
+      benchmark::Counter(static_cast<double>(TotalOps(cpu) - ops_before),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 void BM_KernelHealthy(benchmark::State& state, const char* testcase_id) {
   static const TestSuite suite = TestSuite::BuildFull();
   FaultyMachine machine(MakeArchSpec("M2"));
   const int index = suite.IndexOf(testcase_id);
   Rng rng(1);
   std::vector<SdcRecord> records;
+  const uint64_t ops_before = TotalOps(machine.cpu());
   for (auto _ : state) {
     RunKernelOnce(suite, machine, index, rng, records);
     records.clear();
   }
+  ReportTimePerOp(state, machine.cpu(), ops_before);
 }
 BENCHMARK_CAPTURE(BM_KernelHealthy, matmul_f64, "app.matmul.f64.n16.l8");
 BENCHMARK_CAPTURE(BM_KernelHealthy, crc_vector, "lib.crc32.vector.b4096");
 BENCHMARK_CAPTURE(BM_KernelHealthy, arctan, "lib.math.fp_arctan.f64.n256");
 BENCHMARK_CAPTURE(BM_KernelHealthy, tx_invariant, "mt.tx.invariant.r50");
+BENCHMARK_CAPTURE(BM_KernelHealthy, loop_xor_bin32, "loop.logic_xor.bin32.n480");
+BENCHMARK_CAPTURE(BM_KernelHealthy, loop_fma_f64x, "loop.fp_fma.f64x.n480");
+BENCHMARK_CAPTURE(BM_KernelHealthy, vec_fma_f32, "vec.vec_fma_f32.f32.l8.n128");
 
 void BM_KernelFaulty(benchmark::State& state, const char* testcase_id) {
   static const TestSuite suite = TestSuite::BuildFull();
@@ -49,13 +71,20 @@ void BM_KernelFaulty(benchmark::State& state, const char* testcase_id) {
   const int index = suite.IndexOf(testcase_id);
   Rng rng(1);
   std::vector<SdcRecord> records;
+  const uint64_t ops_before = TotalOps(machine.cpu());
   for (auto _ : state) {
     RunKernelOnce(suite, machine, index, rng, records);
     records.clear();
   }
+  ReportTimePerOp(state, machine.cpu(), ops_before);
 }
 BENCHMARK_CAPTURE(BM_KernelFaulty, matmul_f64, "app.matmul.f64.n16.l8");
 BENCHMARK_CAPTURE(BM_KernelFaulty, crc_vector, "lib.crc32.vector.b4096");
+// MIX1's defects hit xor on bin32 and the f32 vector FMA; its FPU defect covers fp_fma but
+// not f64x, so that row resolves an empty activation table per batch.
+BENCHMARK_CAPTURE(BM_KernelFaulty, loop_xor_bin32, "loop.logic_xor.bin32.n480");
+BENCHMARK_CAPTURE(BM_KernelFaulty, loop_fma_f64x, "loop.fp_fma.f64x.n480");
+BENCHMARK_CAPTURE(BM_KernelFaulty, vec_fma_f32, "vec.vec_fma_f32.f32.l8.n128");
 
 void BM_ThermalAdvance(benchmark::State& state) {
   ThermalModel thermal(static_cast<int>(state.range(0)));

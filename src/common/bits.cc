@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 namespace sdc {
@@ -87,29 +86,6 @@ std::string DataTypeName(DataType type) {
   return "?";
 }
 
-bool Word128::GetBit(int index) const {
-  if (index < 64) {
-    return (lo >> index) & 1u;
-  }
-  return (hi >> (index - 64)) & 1u;
-}
-
-void Word128::SetBit(int index, bool value) {
-  uint64_t& word = index < 64 ? lo : hi;
-  const int shift = index < 64 ? index : index - 64;
-  if (value) {
-    word |= (uint64_t{1} << shift);
-  } else {
-    word &= ~(uint64_t{1} << shift);
-  }
-}
-
-void Word128::FlipBit(int index) {
-  uint64_t& word = index < 64 ? lo : hi;
-  const int shift = index < 64 ? index : index - 64;
-  word ^= (uint64_t{1} << shift);
-}
-
 int Word128::Popcount() const { return std::popcount(lo) + std::popcount(hi); }
 
 size_t Word128Hash::operator()(const Word128& w) const {
@@ -118,24 +94,6 @@ size_t Word128Hash::operator()(const Word128& w) const {
   x *= 0x94d049bb133111ebull;
   x ^= x >> 29;
   return static_cast<size_t>(x);
-}
-
-Word128 BitsOfInt16(int16_t value) { return {static_cast<uint16_t>(value), 0}; }
-
-Word128 BitsOfInt32(int32_t value) { return {static_cast<uint32_t>(value), 0}; }
-
-Word128 BitsOfUInt32(uint32_t value) { return {value, 0}; }
-
-Word128 BitsOfFloat(float value) {
-  uint32_t raw = 0;
-  std::memcpy(&raw, &value, sizeof(raw));
-  return {raw, 0};
-}
-
-Word128 BitsOfDouble(double value) {
-  uint64_t raw = 0;
-  std::memcpy(&raw, &value, sizeof(raw));
-  return {raw, 0};
 }
 
 Word128 BitsOfFloat80(long double value) {
@@ -177,33 +135,6 @@ Word128 BitsOfFloat80(long double value) {
   return out;
 }
 
-Word128 BitsOfRaw(uint64_t value, int width_bits) {
-  const uint64_t mask =
-      width_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width_bits) - 1);
-  return {value & mask, 0};
-}
-
-int16_t Int16FromBits(const Word128& bits) { return static_cast<int16_t>(bits.lo & 0xffffu); }
-
-int32_t Int32FromBits(const Word128& bits) {
-  return static_cast<int32_t>(static_cast<uint32_t>(bits.lo));
-}
-
-uint32_t UInt32FromBits(const Word128& bits) { return static_cast<uint32_t>(bits.lo); }
-
-float FloatFromBits(const Word128& bits) {
-  const uint32_t raw = static_cast<uint32_t>(bits.lo);
-  float value = 0.0f;
-  std::memcpy(&value, &raw, sizeof(value));
-  return value;
-}
-
-double DoubleFromBits(const Word128& bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits.lo, sizeof(value));
-  return value;
-}
-
 long double Float80FromBits(const Word128& bits) {
   const uint16_t high16 = static_cast<uint16_t>(bits.hi & 0xffffu);
   const bool negative = (high16 & 0x8000u) != 0;
@@ -221,8 +152,6 @@ long double Float80FromBits(const Word128& bits) {
   }
   return negative ? -magnitude : magnitude;
 }
-
-uint64_t RawFromBits(const Word128& bits) { return bits.lo; }
 
 int FractionBits(DataType type) {
   switch (type) {

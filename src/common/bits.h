@@ -13,6 +13,7 @@
 #ifndef SDC_SRC_COMMON_BITS_H_
 #define SDC_SRC_COMMON_BITS_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -57,9 +58,18 @@ struct Word128 {
   Word128 operator&(const Word128& other) const { return {lo & other.lo, hi & other.hi}; }
   Word128 operator|(const Word128& other) const { return {lo | other.lo, hi | other.hi}; }
 
-  bool GetBit(int index) const;
-  void SetBit(int index, bool value);
-  void FlipBit(int index);
+  bool GetBit(int index) const {
+    return ((index < 64 ? lo >> index : hi >> (index - 64)) & 1u) != 0;
+  }
+  void SetBit(int index, bool value) {
+    uint64_t& word = index < 64 ? lo : hi;
+    const uint64_t bit = uint64_t{1} << (index < 64 ? index : index - 64);
+    word = value ? (word | bit) : (word & ~bit);
+  }
+  void FlipBit(int index) {
+    uint64_t& word = index < 64 ? lo : hi;
+    word ^= uint64_t{1} << (index < 64 ? index : index - 64);
+  }
   int Popcount() const;
   bool IsZero() const { return lo == 0 && hi == 0; }
 };
@@ -71,23 +81,32 @@ struct Word128Hash {
 
 // --- Conversions between native values and Word128 bit images. ---
 
-Word128 BitsOfInt16(int16_t value);
-Word128 BitsOfInt32(int32_t value);
-Word128 BitsOfUInt32(uint32_t value);
-Word128 BitsOfFloat(float value);
-Word128 BitsOfDouble(double value);
+inline Word128 BitsOfInt16(int16_t value) { return {static_cast<uint16_t>(value), 0}; }
+inline Word128 BitsOfInt32(int32_t value) { return {static_cast<uint32_t>(value), 0}; }
+inline Word128 BitsOfUInt32(uint32_t value) { return {value, 0}; }
+inline Word128 BitsOfFloat(float value) { return {std::bit_cast<uint32_t>(value), 0}; }
+inline Word128 BitsOfDouble(double value) { return {std::bit_cast<uint64_t>(value), 0}; }
 // Encodes into the 80-bit x87 extended format (normal and zero values; infinities and NaNs
 // are encoded as the maximum-exponent patterns).
 Word128 BitsOfFloat80(long double value);
-Word128 BitsOfRaw(uint64_t value, int width_bits);
+inline Word128 BitsOfRaw(uint64_t value, int width_bits) {
+  const uint64_t mask = width_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width_bits) - 1);
+  return {value & mask, 0};
+}
 
-int16_t Int16FromBits(const Word128& bits);
-int32_t Int32FromBits(const Word128& bits);
-uint32_t UInt32FromBits(const Word128& bits);
-float FloatFromBits(const Word128& bits);
-double DoubleFromBits(const Word128& bits);
+inline int16_t Int16FromBits(const Word128& bits) {
+  return static_cast<int16_t>(bits.lo & 0xffffu);
+}
+inline int32_t Int32FromBits(const Word128& bits) {
+  return static_cast<int32_t>(static_cast<uint32_t>(bits.lo));
+}
+inline uint32_t UInt32FromBits(const Word128& bits) { return static_cast<uint32_t>(bits.lo); }
+inline float FloatFromBits(const Word128& bits) {
+  return std::bit_cast<float>(static_cast<uint32_t>(bits.lo));
+}
+inline double DoubleFromBits(const Word128& bits) { return std::bit_cast<double>(bits.lo); }
 long double Float80FromBits(const Word128& bits);
-uint64_t RawFromBits(const Word128& bits);
+inline uint64_t RawFromBits(const Word128& bits) { return bits.lo; }
 
 // Index of the first fraction (mantissa) bit and the number of fraction bits for a floating
 // type, in Word128 bit coordinates. For kFloat80 the explicit integer bit (bit 63) is NOT

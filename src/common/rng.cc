@@ -5,11 +5,6 @@
 #include <cstddef>
 
 namespace sdc {
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 uint64_t SplitMix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
@@ -29,18 +24,6 @@ Rng::Rng(uint64_t seed) : seed_(seed) {
   for (auto& word : state_) {
     word = SplitMix64(s);
   }
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 void Rng::FillBlock(std::span<uint64_t> out) {
@@ -84,32 +67,6 @@ void Rng::Skip(uint64_t count) {
   state_[1] = s1;
   state_[2] = s2;
   state_[3] = s3;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBelow(uint64_t bound) {
-  // Lemire's multiply-shift. Bias is < bound / 2^64, irrelevant at our scales.
-  const unsigned __int128 product = static_cast<unsigned __int128>(Next()) * bound;
-  return static_cast<uint64_t>(product >> 64);
-}
-
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBelow(span));
-}
-
-bool Rng::NextBernoulli(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 double Rng::NextExponential(double rate) {

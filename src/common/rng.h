@@ -29,7 +29,17 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   // Returns the next raw 64-bit output.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Fills `out` with out.size() consecutive raw outputs -- bit-for-bit the sequence that
   // many Next() calls would return, advancing the state identically. The Gaussian cache
@@ -43,17 +53,35 @@ class Rng {
   void Skip(uint64_t count);
 
   // Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> [0, 1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform integer in [0, bound). `bound` must be positive. Uses rejection-free
   // multiply-shift (Lemire); bias is negligible for bound << 2^64.
-  uint64_t NextBelow(uint64_t bound);
+  uint64_t NextBelow(uint64_t bound) {
+    // Lemire's multiply-shift. Bias is < bound / 2^64, irrelevant at our scales.
+    const unsigned __int128 product = static_cast<unsigned __int128>(Next()) * bound;
+    return static_cast<uint64_t>(product >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi);
+  int64_t NextInRange(int64_t lo, int64_t hi) {
+    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+    return lo + static_cast<int64_t>(NextBelow(span));
+  }
 
   // Returns true with probability `p` (clamped to [0, 1]).
-  bool NextBernoulli(double p);
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return NextDouble() < p;
+  }
 
   // Exponential variate with the given rate (mean 1/rate). `rate` must be positive.
   double NextExponential(double rate);
@@ -81,6 +109,8 @@ class Rng {
   Rng Fork(uint64_t tag) const;
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

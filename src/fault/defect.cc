@@ -17,6 +17,14 @@ constexpr double kMaxStressFactor = 50.0;
 // temperature law must not extrapolate to corrupting every executed instruction.
 constexpr double kMaxFrequencyPerMinute = 2000.0;
 
+// Bits [0, width) set, built a word at a time (width <= 128).
+Word128 WidthMask(int width) {
+  const auto low_bits = [](int count) {
+    return count >= 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
+  };
+  return {low_bits(width), low_bits(std::max(width - 64, 0))};
+}
+
 }  // namespace
 
 std::string SdcTypeName(SdcType type) {
@@ -168,12 +176,7 @@ Word128 Defect::Corrupt(const Word128& golden, DataType type, Rng& rng) const {
   }
   // Keep the mask inside the datatype's width (catalog patterns may be wider than a narrow
   // operand routed through the same defect).
-  const int width = BitWidth(type);
-  Word128 width_mask;
-  for (int bit = 0; bit < width; ++bit) {
-    width_mask.SetBit(bit, true);
-  }
-  mask = mask & width_mask;
+  mask = mask & WidthMask(BitWidth(type));
 
   Word128 corrupted = golden;
   switch (semantics) {

@@ -111,8 +111,8 @@ struct Defect {
   double OccurrenceFrequencyPerMinute(double temperature, double ops_per_second,
                                       int pcore) const;
 
-  // Applies the damage model to `golden`, returning corrupted bits (always != golden for a
-  // non-degenerate mask; if the draw produces no change the lowest eligible bit is flipped).
+  // Applies the damage model to `golden`, returning corrupted bits (always != golden: if the
+  // drawn mask changes nothing, one more SampleFlipPosition draw picks a bit to flip).
   Word128 Corrupt(const Word128& golden, DataType type, Rng& rng) const;
 
   // Precomputes each pattern set's weight CDF so Corrupt's weighted pick is O(patterns)

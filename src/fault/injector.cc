@@ -31,7 +31,8 @@ DefectInjector::DefectInjector(std::vector<Defect> defects, uint64_t seed)
   }
 }
 
-int DefectInjector::FindActivation(const OpContext& context, SdcType want_type) {
+void DefectInjector::ResolveCandidates(const OpContext& context, SdcType want_type) {
+  candidates_.clear();
   const uint64_t op_bit = uint64_t{1} << static_cast<int>(context.op);
   const uint32_t type_bit = uint32_t{1} << static_cast<int>(context.type);
   for (size_t i = 0; i < defects_.size(); ++i) {
@@ -49,41 +50,50 @@ int DefectInjector::FindActivation(const OpContext& context, SdcType want_type) 
     }
     // `weight` simulated executions are represented by this one call; the chance that at
     // least one of them corrupts is 1 - (1-rate)^weight ~= rate * weight for small rates.
-    const double probability = std::min(1.0, rate * context.weight);
-    if (rng_.NextBernoulli(probability)) {
-      ++activations_[i];
+    candidates_.push_back({i, std::min(1.0, rate * context.weight)});
+  }
+}
+
+int DefectInjector::DrawActivation() {
+  for (const Candidate& candidate : candidates_) {
+    if (rng_.NextBernoulli(candidate.probability)) {
+      ++activations_[candidate.index];
       ++total_activations_;
-      return static_cast<int>(i);
+      return static_cast<int>(candidate.index);
     }
   }
   return -1;
 }
 
-std::optional<Word128> DefectInjector::OnExecute(const OpContext& context,
-                                                 const Word128& golden) {
+void DefectInjector::OnExecuteBatch(const OpContext& context, std::span<Word128> values) {
   if ((computation_op_union_ & (uint64_t{1} << static_cast<int>(context.op))) == 0) {
-    return std::nullopt;  // no defect touches this op kind: the overwhelming fast path
+    return;  // no defect touches this op kind: the overwhelming fast path
   }
-  const int index = FindActivation(context, SdcType::kComputation);
-  if (index < 0) {
-    return std::nullopt;
+  ResolveCandidates(context, SdcType::kComputation);
+  if (candidates_.empty()) {
+    return;  // no defect can fire here, so no op of the batch would draw
   }
-  return defects_[index].Corrupt(golden, context.type, rng_);
+  for (Word128& value : values) {
+    const int index = DrawActivation();
+    if (index >= 0) {
+      value = defects_[index].Corrupt(value, context.type, rng_);
+    }
+  }
+}
+
+bool DefectInjector::ConsistencyFires(const OpContext& context) {
+  if ((consistency_op_union_ & (uint64_t{1} << static_cast<int>(context.op))) == 0) {
+    return false;
+  }
+  ResolveCandidates(context, SdcType::kConsistency);
+  return DrawActivation() >= 0;
 }
 
 bool DefectInjector::OnCoherenceFault(const OpContext& context) {
-  if ((consistency_op_union_ & (uint64_t{1} << static_cast<int>(context.op))) == 0) {
-    return false;
-  }
-  return FindActivation(context, SdcType::kConsistency) >= 0;
+  return ConsistencyFires(context);
 }
 
-bool DefectInjector::OnTxFault(const OpContext& context) {
-  if ((consistency_op_union_ & (uint64_t{1} << static_cast<int>(context.op))) == 0) {
-    return false;
-  }
-  return FindActivation(context, SdcType::kConsistency) >= 0;
-}
+bool DefectInjector::OnTxFault(const OpContext& context) { return ConsistencyFires(context); }
 
 void DefectInjector::ResetCounters() {
   std::fill(activations_.begin(), activations_.end(), 0);

@@ -1,14 +1,16 @@
 // DefectInjector binds a set of Defects to a simulated processor by implementing the
 // processor's CorruptionHook. It is the bridge between the fault model and the execution
-// engine: on every operation it evaluates each defect's activation model against the
-// operation context (core, temperature, utilization, usage intensity, represented-iteration
-// weight) and, when a defect fires, applies its damage model.
+// engine: for every batch of operations it evaluates each defect's activation model once
+// against the shared operation context (core, temperature, utilization, usage intensity,
+// represented-iteration weight), then draws per operation and, when a defect fires, applies
+// its damage model.
 
 #ifndef SDC_SRC_FAULT_INJECTOR_H_
 #define SDC_SRC_FAULT_INJECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -26,7 +28,7 @@ class DefectInjector : public CorruptionHook {
   double age_months() const { return age_months_; }
 
   // CorruptionHook:
-  std::optional<Word128> OnExecute(const OpContext& context, const Word128& golden) override;
+  void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override;
   bool OnCoherenceFault(const OpContext& context) override;
   bool OnTxFault(const OpContext& context) override;
 
@@ -38,9 +40,22 @@ class DefectInjector : public CorruptionHook {
   void ResetCounters();
 
  private:
-  // Returns the index of the first defect that fires for this context among defects matching
-  // `want_type`, or -1. Draws one Bernoulli per eligible defect.
-  int FindActivation(const OpContext& context, SdcType want_type);
+  // A defect that can fire under a resolved context, with its per-op firing probability.
+  struct Candidate {
+    size_t index;
+    double probability;
+  };
+
+  // Activation, step one (once per context): fills candidates_ with the defects of
+  // `want_type` whose op/type masks match, whose onset has passed and whose RatePerOp is
+  // positive, in defect order. Draws nothing.
+  void ResolveCandidates(const OpContext& context, SdcType want_type);
+  // Activation, step two (once per op): draws one Bernoulli per candidate, in order, and
+  // stops at the first that fires. Returns that defect's index, counting the activation, or
+  // -1 when none fires.
+  int DrawActivation();
+  // Both steps for one consistency op.
+  bool ConsistencyFires(const OpContext& context);
 
   std::vector<Defect> defects_;
   // Precomputed per-defect bitmasks over OpKind / DataType for O(1) matching on the hot
@@ -50,6 +65,7 @@ class DefectInjector : public CorruptionHook {
   uint64_t computation_op_union_ = 0;
   uint64_t consistency_op_union_ = 0;
   std::vector<uint64_t> activations_;
+  std::vector<Candidate> candidates_;  // scratch table of the last resolved context
   Rng rng_;
   double age_months_ = 1e9;  // by default all defects are live
   uint64_t total_activations_ = 0;

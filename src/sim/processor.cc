@@ -10,17 +10,13 @@ Processor::Processor(ProcessorSpec spec)
       cores_(static_cast<size_t>(spec_.physical_cores)),
       utilization_(static_cast<size_t>(spec_.physical_cores), 0.0) {}
 
-Word128 Processor::Execute(int lcore, OpKind op, DataType type, const Word128& golden_bits) {
+OpContext Processor::CountOps(int lcore, OpKind op, DataType type, uint64_t count) {
   const int pcore = pcore_of(lcore);
   CoreState& core = cores_[pcore];
   const int kind = static_cast<int>(op);
-  core.op_counts[kind] += 1;
-  core.ops_since_advance[kind] += 1;
-  core.busy_cycles_unconsumed += static_cast<uint64_t>(LatencyCycles(op));
-  if (hook_ == nullptr) {
-    ++op_index_;
-    return golden_bits;
-  }
+  core.op_counts[kind] += count;
+  core.ops_since_advance[kind] += count;
+  core.busy_cycles_unconsumed += count * static_cast<uint64_t>(LatencyCycles(op));
   OpContext context;
   context.pcore = pcore;
   context.lcore = lcore;
@@ -30,15 +26,20 @@ Word128 Processor::Execute(int lcore, OpKind op, DataType type, const Word128& g
   context.utilization = utilization_[pcore];
   context.op_intensity = core.op_intensity[kind];
   context.weight = time_scale_;
-  context.op_index = op_index_++;
-  if (auto corrupted = hook_->OnExecute(context, golden_bits)) {
-    return *corrupted;
-  }
-  return golden_bits;
+  return context;
 }
 
-int16_t Processor::ExecuteI16(int lcore, OpKind op, int16_t golden) {
-  return Int16FromBits(Execute(lcore, op, DataType::kInt16, BitsOfInt16(golden)));
+void Processor::ExecuteBatch(int lcore, OpKind op, DataType type, std::span<Word128> values) {
+  const OpContext context = CountOps(lcore, op, type, values.size());
+  if (hook_ != nullptr && !values.empty()) {
+    hook_->OnExecuteBatch(context, values);
+  }
+}
+
+Word128 Processor::Execute(int lcore, OpKind op, DataType type, const Word128& golden_bits) {
+  Word128 value = golden_bits;
+  ExecuteBatch(lcore, op, type, std::span<Word128>(&value, 1));
+  return value;
 }
 
 int32_t Processor::ExecuteI32(int lcore, OpKind op, int32_t golden) {
@@ -66,23 +67,7 @@ uint64_t Processor::ExecuteRaw(int lcore, OpKind op, uint64_t golden, DataType t
 }
 
 OpContext Processor::MakeContext(int lcore, OpKind op, DataType type) {
-  const int pcore = pcore_of(lcore);
-  CoreState& core = cores_[pcore];
-  const int kind = static_cast<int>(op);
-  core.op_counts[kind] += 1;
-  core.ops_since_advance[kind] += 1;
-  core.busy_cycles_unconsumed += static_cast<uint64_t>(LatencyCycles(op));
-  OpContext context;
-  context.pcore = pcore;
-  context.lcore = lcore;
-  context.op = op;
-  context.type = type;
-  context.temperature = thermal_.core_temperature(pcore);
-  context.utilization = utilization_[pcore];
-  context.op_intensity = core.op_intensity[kind];
-  context.weight = time_scale_;
-  context.op_index = op_index_++;
-  return context;
+  return CountOps(lcore, op, type, 1);
 }
 
 void Processor::SetCoreUtilization(int pcore, double utilization) {

@@ -3,7 +3,7 @@
 //
 // Testcases compute golden results natively and call Execute*() with the operation kind and
 // datatype; the processor consults an optional CorruptionHook (implemented by the fault
-// library) that may replace the result, drop a coherence invalidation, or break transactional
+// library) that may corrupt results, drop a coherence invalidation, or break transactional
 // isolation. The hook receives an OpContext carrying everything the paper identifies as a
 // triggering condition: the physical core, its current temperature, its utilization, and the
 // recent usage intensity of the operation kind ("instruction usage stress", Section 5).
@@ -13,7 +13,7 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,7 +34,8 @@ struct ProcessorSpec {
   int logical_cores() const { return physical_cores * threads_per_core; }
 };
 
-// Context handed to the corruption hook for every simulated operation.
+// Context handed to the corruption hook for every simulated operation (once per batch: the
+// ops of one ExecuteBatch call share it).
 struct OpContext {
   int pcore = 0;
   int lcore = 0;
@@ -44,7 +45,6 @@ struct OpContext {
   double utilization = 0.0;   // physical core utilization in [0, 1]
   double op_intensity = 0.0;  // recent executions/second of this op kind on this pcore
   double weight = 1.0;        // how many real executions this simulated op stands for
-  uint64_t op_index = 0;      // processor-wide monotonically increasing op counter
 };
 
 // Implemented by the fault library; a processor without a hook is defect-free.
@@ -52,9 +52,10 @@ class CorruptionHook {
  public:
   virtual ~CorruptionHook() = default;
 
-  // May return corrupted result bits for a computational operation; std::nullopt keeps the
-  // golden result. `golden` is the correct result's bit image.
-  virtual std::optional<Word128> OnExecute(const OpContext& context, const Word128& golden) = 0;
+  // May corrupt, in place, the result bits of a batch of computational operations that all
+  // run under `context`. On entry `values` holds the correct results' bit images, in
+  // execution order; an element left untouched keeps its golden result.
+  virtual void OnExecuteBatch(const OpContext& context, std::span<Word128> values) = 0;
 
   // Returns true when a cache-coherence invalidation for this operation must be silently
   // dropped (the reader will observe stale data).
@@ -77,12 +78,17 @@ class Processor {
 
   // --- Execution (called by testcases / workloads). ---
 
-  // Core entry point: records the operation on `lcore`, advances its busy-cycle account, and
-  // returns the (possibly corrupted) result bits.
+  // Core entry point: records `values.size()` operations of one kind and datatype on
+  // `lcore`, advances its busy-cycle account by their latency, and hands them to the hook in
+  // one call under one context; the hook corrupts results in place. A batch of N is exactly
+  // N single ops issued back to back: nothing between them could have changed the context
+  // (clock, thermal state, utilization, op intensity, time scale).
+  void ExecuteBatch(int lcore, OpKind op, DataType type, std::span<Word128> values);
+
+  // A batch of one: returns the (possibly corrupted) result bits.
   Word128 Execute(int lcore, OpKind op, DataType type, const Word128& golden_bits);
 
   // Typed conveniences.
-  int16_t ExecuteI16(int lcore, OpKind op, int16_t golden);
   int32_t ExecuteI32(int lcore, OpKind op, int32_t golden);
   uint32_t ExecuteU32(int lcore, OpKind op, uint32_t golden);
   float ExecuteF32(int lcore, OpKind op, float golden);
@@ -136,6 +142,10 @@ class Processor {
     uint64_t busy_cycles_unconsumed = 0;
   };
 
+  // Counts `count` ops of `op` on `lcore` (op counters, busy cycles) and returns the context
+  // they run under.
+  OpContext CountOps(int lcore, OpKind op, DataType type, uint64_t count);
+
   ProcessorSpec spec_;
   ThermalModel thermal_;
   std::vector<CoreState> cores_;
@@ -143,7 +153,6 @@ class Processor {
   CorruptionHook* hook_ = nullptr;
   double now_seconds_ = 0.0;
   double time_scale_ = 1.0;
-  uint64_t op_index_ = 0;
 };
 
 }  // namespace sdc

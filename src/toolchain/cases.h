@@ -13,6 +13,7 @@
 #define SDC_SRC_TOOLCHAIN_CASES_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,14 @@ std::unique_ptr<Testcase> MakeScalarSweepCase(OpKind op, DataType type, int elem
 // Tight loop over one vector op: `lanes` results routed per vector instruction.
 std::unique_ptr<Testcase> MakeVectorSweepCase(OpKind op, DataType type, int lanes,
                                               int vectors);
+
+// Records, in element order, each instruction-loop op whose routed result image differs
+// from its golden one. The comparison is the one a typed Processor::Execute* round trip
+// makes: integers at their width, f32/f64 as values (+0 == -0, NaN != NaN), f64x on the
+// canonical x87 image, raw payloads on the low word (masked to their width in the record).
+void RecordLoopMismatches(TestContext& context, const std::string& testcase_id, int lcore,
+                          DataType type, std::span<const Word128> golden,
+                          std::span<const Word128> routed);
 
 // --- Computation: library calls ---
 

@@ -1,7 +1,10 @@
 // Instruction-loop testcases: tight loops over a single scalar or vector operation.
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "src/toolchain/cases.h"
@@ -81,100 +84,102 @@ long double GoldenFloat(OpKind op, long double a, long double b) {
   }
 }
 
+// Instruction loops hand the processor this many ops per ExecuteBatch call.
+constexpr int kChunk = 256;
+
+// Runs `count` ops of `op` on `type` through the processor a chunk at a time: `fill` writes
+// a chunk's golden images (drawing the inputs from context.rng in element order), the chunk
+// goes through Processor::ExecuteBatch, and mismatches are recorded in element order.
+template <typename Fill>
+void RunInChunks(TestContext& context, const std::string& testcase_id, OpKind op,
+                 DataType type, int count, Fill fill) {
+  Processor& cpu = context.cpu();
+  const int lcore = context.lcores.front();
+  std::array<Word128, kChunk> golden;
+  std::array<Word128, kChunk> routed;
+  for (int done = 0; done < count; done += kChunk) {
+    const auto size = static_cast<size_t>(std::min(kChunk, count - done));
+    const std::span<Word128> expected(golden.data(), size);
+    const std::span<Word128> actual(routed.data(), size);
+    fill(expected);
+    std::copy(expected.begin(), expected.end(), actual.begin());
+    cpu.ExecuteBatch(lcore, op, type, actual);
+    RecordLoopMismatches(context, testcase_id, lcore, type, expected, actual);
+  }
+}
+
 class ScalarSweepCase : public TestcaseBase {
  public:
   ScalarSweepCase(TestcaseInfo info, OpKind op, DataType type, int elements)
       : TestcaseBase(std::move(info)), op_(op), type_(type), elements_(elements) {}
 
   void RunBatch(TestContext& context) override {
-    Processor& cpu = context.cpu();
-    const int lcore = context.lcores.front();
-    for (int i = 0; i < elements_; ++i) {
-      switch (type_) {
-        case DataType::kInt16: {
-          const auto a = static_cast<int16_t>(context.rng->NextInRange(-20000, 20000));
-          const auto b = static_cast<int16_t>(context.rng->NextInRange(-20000, 20000));
-          const auto golden = static_cast<int16_t>(GoldenInt(op_, a, b));
-          const int16_t routed = cpu.ExecuteI16(lcore, op_, golden);
-          if (routed != golden) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfInt16(golden),
-                                      BitsOfInt16(routed));
+    Rng& rng = *context.rng;
+    const auto run = [&](auto fill) {
+      RunInChunks(context, info_.id, op_, type_, elements_, fill);
+    };
+    switch (type_) {
+      case DataType::kInt16:
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const auto a = static_cast<int16_t>(rng.NextInRange(-20000, 20000));
+            const auto b = static_cast<int16_t>(rng.NextInRange(-20000, 20000));
+            bits = BitsOfInt16(static_cast<int16_t>(GoldenInt(op_, a, b)));
           }
-          break;
-        }
-        case DataType::kInt32: {
-          const auto a = static_cast<int32_t>(context.rng->NextInRange(-1000000, 1000000));
-          const auto b = static_cast<int32_t>(context.rng->NextInRange(-1000000, 1000000));
-          const auto golden = static_cast<int32_t>(GoldenInt(op_, a, b));
-          const int32_t routed = cpu.ExecuteI32(lcore, op_, golden);
-          if (routed != golden) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfInt32(golden),
-                                      BitsOfInt32(routed));
+        });
+      case DataType::kInt32:
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const auto a = static_cast<int32_t>(rng.NextInRange(-1000000, 1000000));
+            const auto b = static_cast<int32_t>(rng.NextInRange(-1000000, 1000000));
+            bits = BitsOfInt32(static_cast<int32_t>(GoldenInt(op_, a, b)));
           }
-          break;
-        }
-        case DataType::kUInt32: {
-          const auto a = static_cast<uint32_t>(context.rng->Next());
-          const auto b = static_cast<uint32_t>(context.rng->Next());
-          const auto golden = static_cast<uint32_t>(
-              GoldenInt(op_, static_cast<int64_t>(a), static_cast<int64_t>(b)));
-          const uint32_t routed = cpu.ExecuteU32(lcore, op_, golden);
-          if (routed != golden) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfUInt32(golden),
-                                      BitsOfUInt32(routed));
+        });
+      case DataType::kUInt32:
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const auto a = static_cast<uint32_t>(rng.Next());
+            const auto b = static_cast<uint32_t>(rng.Next());
+            bits = BitsOfUInt32(static_cast<uint32_t>(
+                GoldenInt(op_, static_cast<int64_t>(a), static_cast<int64_t>(b))));
           }
-          break;
-        }
-        case DataType::kFloat32: {
-          const auto a = static_cast<float>(context.rng->NextDouble() * 200.0 - 100.0);
-          const auto b = static_cast<float>(context.rng->NextDouble() * 200.0 - 100.0);
-          const float golden = static_cast<float>(GoldenFloat(op_, a, b));
-          const float routed = cpu.ExecuteF32(lcore, op_, golden);
-          if (routed != golden) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfFloat(golden),
-                                      BitsOfFloat(routed));
+        });
+      case DataType::kFloat32:
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const auto a = static_cast<float>(rng.NextDouble() * 200.0 - 100.0);
+            const auto b = static_cast<float>(rng.NextDouble() * 200.0 - 100.0);
+            bits = BitsOfFloat(static_cast<float>(GoldenFloat(op_, a, b)));
           }
-          break;
-        }
-        case DataType::kFloat64: {
-          const double a = context.rng->NextDouble() * 200.0 - 100.0;
-          const double b = context.rng->NextDouble() * 200.0 - 100.0;
-          const double golden = static_cast<double>(GoldenFloat(op_, a, b));
-          const double routed = cpu.ExecuteF64(lcore, op_, golden);
-          if (routed != golden) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfDouble(golden),
-                                      BitsOfDouble(routed));
+        });
+      case DataType::kFloat64:
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const double a = rng.NextDouble() * 200.0 - 100.0;
+            const double b = rng.NextDouble() * 200.0 - 100.0;
+            bits = BitsOfDouble(static_cast<double>(GoldenFloat(op_, a, b)));
           }
-          break;
-        }
-        case DataType::kFloat80: {
-          const long double a = context.rng->NextDouble() * 200.0L - 100.0L;
-          const long double b = context.rng->NextDouble() * 200.0L - 100.0L;
-          const long double golden = GoldenFloat(op_, a, b);
-          const long double routed = cpu.ExecuteF80(lcore, op_, golden);
-          if (BitsOfFloat80(routed) != BitsOfFloat80(golden)) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfFloat80(golden),
-                                      BitsOfFloat80(routed));
+        });
+      case DataType::kFloat80:
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const long double a = rng.NextDouble() * 200.0L - 100.0L;
+            const long double b = rng.NextDouble() * 200.0L - 100.0L;
+            bits = BitsOfFloat80(GoldenFloat(op_, a, b));
           }
-          break;
-        }
-        default: {  // bit/byte/bin16/bin32/bin64 raw payloads
-          const int width = BitWidth(type_);
-          const uint64_t mask =
-              width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-          const uint64_t a = context.rng->Next() & mask;
-          const uint64_t b = context.rng->Next() & mask;
-          const uint64_t golden =
-              static_cast<uint64_t>(
-                  GoldenInt(op_, static_cast<int64_t>(a), static_cast<int64_t>(b))) &
-              mask;
-          const uint64_t routed = cpu.ExecuteRaw(lcore, op_, golden, type_);
-          if (routed != golden) {
-            context.RecordComputation(info_.id, lcore, type_, BitsOfRaw(golden, width),
-                                      BitsOfRaw(routed, width));
+        });
+      default: {  // bit/byte/bin16/bin32/bin64 raw payloads
+        const int width = BitWidth(type_);
+        const uint64_t mask = width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
+        return run([&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const uint64_t a = rng.Next() & mask;
+            const uint64_t b = rng.Next() & mask;
+            bits = BitsOfRaw(static_cast<uint64_t>(GoldenInt(op_, static_cast<int64_t>(a),
+                                                             static_cast<int64_t>(b))),
+                             width);
           }
-          break;
-        }
+        });
       }
     }
   }
@@ -191,58 +196,45 @@ class VectorSweepCase : public TestcaseBase {
       : TestcaseBase(std::move(info)), op_(op), type_(type), lanes_(lanes),
         vectors_(vectors) {}
 
+  // Every lane of every vector is one op; lanes run in (vector, lane) order.
   void RunBatch(TestContext& context) override {
-    Processor& cpu = context.cpu();
-    const int lcore = context.lcores.front();
-    for (int v = 0; v < vectors_; ++v) {
-      for (int lane = 0; lane < lanes_; ++lane) {
-        switch (type_) {
-          case DataType::kFloat32: {
-            const auto a = static_cast<float>(context.rng->NextDouble() * 16.0 - 8.0);
-            const auto b = static_cast<float>(context.rng->NextDouble() * 16.0 - 8.0);
-            const float golden = static_cast<float>(GoldenFloat(op_, a, b));
-            const float routed = cpu.ExecuteF32(lcore, op_, golden);
-            if (routed != golden) {
-              context.RecordComputation(info_.id, lcore, type_, BitsOfFloat(golden),
-                                        BitsOfFloat(routed));
-            }
-            break;
+    Rng& rng = *context.rng;
+    const int count = vectors_ * lanes_;
+    const auto run = [&](DataType type, auto fill) {
+      RunInChunks(context, info_.id, op_, type, count, fill);
+    };
+    switch (type_) {
+      case DataType::kFloat32:
+        return run(type_, [&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const auto a = static_cast<float>(rng.NextDouble() * 16.0 - 8.0);
+            const auto b = static_cast<float>(rng.NextDouble() * 16.0 - 8.0);
+            bits = BitsOfFloat(static_cast<float>(GoldenFloat(op_, a, b)));
           }
-          case DataType::kFloat64: {
-            const double a = context.rng->NextDouble() * 16.0 - 8.0;
-            const double b = context.rng->NextDouble() * 16.0 - 8.0;
-            const double golden = static_cast<double>(GoldenFloat(op_, a, b));
-            const double routed = cpu.ExecuteF64(lcore, op_, golden);
-            if (routed != golden) {
-              context.RecordComputation(info_.id, lcore, type_, BitsOfDouble(golden),
-                                        BitsOfDouble(routed));
-            }
-            break;
+        });
+      case DataType::kFloat64:
+        return run(type_, [&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const double a = rng.NextDouble() * 16.0 - 8.0;
+            const double b = rng.NextDouble() * 16.0 - 8.0;
+            bits = BitsOfDouble(static_cast<double>(GoldenFloat(op_, a, b)));
           }
-          case DataType::kInt32: {
-            const auto a = static_cast<int32_t>(context.rng->NextInRange(-30000, 30000));
-            const auto b = static_cast<int32_t>(context.rng->NextInRange(-30000, 30000));
-            const int32_t golden =
-                op_ == OpKind::kVecMulI32 ? a * b : a + b;
-            const int32_t routed = cpu.ExecuteI32(lcore, op_, golden);
-            if (routed != golden) {
-              context.RecordComputation(info_.id, lcore, type_, BitsOfInt32(golden),
-                                        BitsOfInt32(routed));
-            }
-            break;
+        });
+      case DataType::kInt32:
+        return run(type_, [&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const auto a = static_cast<int32_t>(rng.NextInRange(-30000, 30000));
+            const auto b = static_cast<int32_t>(rng.NextInRange(-30000, 30000));
+            bits = BitsOfInt32(op_ == OpKind::kVecMulI32 ? a * b : a + b);
           }
-          default: {  // shuffle-style raw lanes (bin32)
-            const uint64_t a = context.rng->Next() & 0xffffffffull;
-            const uint64_t golden = ((a << 16) | (a >> 16)) & 0xffffffffull;
-            const uint64_t routed = cpu.ExecuteRaw(lcore, op_, golden, DataType::kBin32);
-            if (routed != golden) {
-              context.RecordComputation(info_.id, lcore, DataType::kBin32,
-                                        BitsOfRaw(golden, 32), BitsOfRaw(routed, 32));
-            }
-            break;
+        });
+      default:  // shuffle-style raw lanes (bin32)
+        return run(DataType::kBin32, [&](std::span<Word128> golden) {
+          for (Word128& bits : golden) {
+            const uint64_t a = rng.Next() & 0xffffffffull;
+            bits = BitsOfRaw(((a << 16) | (a >> 16)) & 0xffffffffull, 32);
           }
-        }
-      }
+        });
     }
   }
 
@@ -254,6 +246,55 @@ class VectorSweepCase : public TestcaseBase {
 };
 
 }  // namespace
+
+void RecordLoopMismatches(TestContext& context, const std::string& testcase_id, int lcore,
+                          DataType type, std::span<const Word128> golden,
+                          std::span<const Word128> routed) {
+  const auto record_if_differs = [&](auto decode, auto encode) {
+    for (size_t i = 0; i < golden.size(); ++i) {
+      const auto expected = decode(golden[i]);
+      const auto actual = decode(routed[i]);
+      if (actual != expected) {
+        context.RecordComputation(testcase_id, lcore, type, encode(expected), encode(actual));
+      }
+    }
+  };
+  switch (type) {
+    case DataType::kInt16:
+      return record_if_differs([](const Word128& bits) { return Int16FromBits(bits); },
+                               [](int16_t value) { return BitsOfInt16(value); });
+    case DataType::kInt32:
+      return record_if_differs([](const Word128& bits) { return Int32FromBits(bits); },
+                               [](int32_t value) { return BitsOfInt32(value); });
+    case DataType::kUInt32:
+      return record_if_differs([](const Word128& bits) { return UInt32FromBits(bits); },
+                               [](uint32_t value) { return BitsOfUInt32(value); });
+    case DataType::kFloat32:
+      return record_if_differs([](const Word128& bits) { return FloatFromBits(bits); },
+                               [](float value) { return BitsOfFloat(value); });
+    case DataType::kFloat64:
+      return record_if_differs([](const Word128& bits) { return DoubleFromBits(bits); },
+                               [](double value) { return BitsOfDouble(value); });
+    case DataType::kFloat80:
+      for (size_t i = 0; i < golden.size(); ++i) {
+        // Golden images are BitsOfFloat80 outputs, which the x87 round trip maps to
+        // themselves, so only a corrupted element pays for the conversions.
+        if (routed[i] == golden[i]) {
+          continue;
+        }
+        const Word128 actual = BitsOfFloat80(Float80FromBits(routed[i]));
+        if (actual != golden[i]) {
+          context.RecordComputation(testcase_id, lcore, type, golden[i], actual);
+        }
+      }
+      return;
+    default: {  // bit/byte/bin16/bin32/bin64 raw payloads
+      const int width = BitWidth(type);
+      return record_if_differs([](const Word128& bits) { return RawFromBits(bits); },
+                               [width](uint64_t value) { return BitsOfRaw(value, width); });
+    }
+  }
+}
 
 std::unique_ptr<Testcase> MakeScalarSweepCase(OpKind op, DataType type, int elements) {
   TestcaseInfo info;

@@ -1,7 +1,10 @@
 // Unit tests for src/fault: defect activation model, damage model, injector, catalog.
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -269,6 +272,170 @@ TEST(InjectorTest, ResetCountersClears) {
   injector.ResetCounters();
   EXPECT_EQ(injector.total_activations(), 0u);
   EXPECT_EQ(injector.activations(0), 0u);
+}
+
+// The per-op activation path the batched injector replaced, kept as an oracle: every op
+// re-resolves each defect's rate and draws, in defect order, until the first one fires.
+class PerOpInjector : public CorruptionHook {
+ public:
+  PerOpInjector(std::vector<Defect> defects, uint64_t seed)
+      : defects_(std::move(defects)), activations_(defects_.size(), 0), rng_(seed) {}
+
+  void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override {
+    for (Word128& value : values) {
+      const int index = FindActivation(context, SdcType::kComputation);
+      if (index >= 0) {
+        value = defects_[index].Corrupt(value, context.type, rng_);
+      }
+    }
+  }
+  bool OnCoherenceFault(const OpContext& context) override {
+    return FindActivation(context, SdcType::kConsistency) >= 0;
+  }
+  bool OnTxFault(const OpContext& context) override {
+    return FindActivation(context, SdcType::kConsistency) >= 0;
+  }
+
+  uint64_t activations(size_t defect_index) const { return activations_[defect_index]; }
+
+ private:
+  static constexpr double kAgeMonths = 1e9;  // DefectInjector's default age
+
+  int FindActivation(const OpContext& context, SdcType want_type) {
+    for (size_t i = 0; i < defects_.size(); ++i) {
+      const Defect& defect = defects_[i];
+      if (!defect.AffectsOp(context.op) || !defect.AffectsType(context.type) ||
+          defect.type() != want_type || defect.onset_months > kAgeMonths) {
+        continue;
+      }
+      const double rate =
+          defect.RatePerOp(context.temperature, context.op_intensity, context.pcore);
+      if (rate > 0.0 && rng_.NextBernoulli(std::min(1.0, rate * context.weight))) {
+        ++activations_[i];
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+  std::vector<Defect> defects_;
+  std::vector<uint64_t> activations_;
+  Rng rng_;
+};
+
+// A part whose two live computation defects both fire often on fp_mul and int_add, for
+// every datatype, so the second defect fires exactly on the ops where the first did not.
+// Beside them sit a dormant defect, one that only touches another core, and a consistency
+// defect that shares fp_mul but must never corrupt a result.
+std::vector<Defect> FirstFiresDefects() {
+  Defect first = SimpleDefect();
+  first.id = "first";
+  first.affected_ops = {OpKind::kFpMul, OpKind::kIntAdd};
+  first.affected_types = {};
+  first.min_trigger_celsius = 40.0;
+  first.base_log10_rate = -4.0;
+  first.temp_slope = 0.02;
+  first.intensity_ref = 1e3;  // stress and the frequency cap both bind
+  first.pattern_probability = 0.5;
+  Rng pattern_rng(3);
+  for (DataType type : {DataType::kFloat64, DataType::kFloat80, DataType::kBin64}) {
+    PatternSet set;
+    set.type = type;
+    set.patterns = {{MakePatternMask(type, 2, pattern_rng), 2.0},
+                    {MakePatternMask(type, 1, pattern_rng), 1.0}};
+    first.pattern_sets.push_back(std::move(set));
+  }
+  first.SealPatternCdfs();
+  Defect second = first;
+  second.id = "second";
+  second.semantics = FlipSemantics::kStuckOne;
+  // Unsealed, and wider than the i32 it damages.
+  second.pattern_sets.assign(1, PatternSet{});
+  second.pattern_sets[0].type = DataType::kInt32;
+  second.pattern_sets[0].patterns = {{Word128{0xff00ff00ff00ff00ull, 0xffull}, 1.0}};
+  second.pattern_probability = 0.7;
+  Defect dormant = first;
+  dormant.id = "dormant";
+  dormant.onset_months = 1e12;
+  Defect other_core = first;
+  other_core.id = "other_core";
+  other_core.affected_pcores = {1};
+  Defect coherence = first;
+  coherence.id = "coherence";
+  coherence.feature = Feature::kCache;
+  coherence.affected_ops = {OpKind::kFpMul, OpKind::kStore};
+  return {first, second, dormant, other_core, coherence};
+}
+
+// A random bit image of `type`'s width.
+Word128 RandomImage(DataType type, Rng& rng) {
+  const int width = BitWidth(type);
+  const Word128 low = BitsOfRaw(rng.Next(), std::min(width, 64));
+  return {low.lo, width > 64 ? BitsOfRaw(rng.Next(), width - 64).lo : 0};
+}
+
+TEST(InjectorTest, BatchMatchesPerOpOracle) {
+  const std::vector<Defect> defects = FirstFiresDefects();
+  DefectInjector injector(defects, 31);
+  PerOpInjector oracle(defects, 31);
+  Processor batched(MakeArchSpec("M2"));
+  Processor single(MakeArchSpec("M2"));
+  batched.SetCorruptionHook(&injector);
+  single.SetCorruptionHook(&oracle);
+  for (Processor* cpu : {&batched, &single}) {
+    cpu->SetTimeScale(40.0);
+    cpu->thermal().ForceUniform(70.0);
+  }
+  Rng inputs(5);
+  for (int round = 0; round < 3; ++round) {
+    for (int t = 0; t <= static_cast<int>(DataType::kBin64); ++t) {
+      const auto type = static_cast<DataType>(t);
+      // int_sub: no defect touches it, so neither path draws.
+      for (OpKind op : {OpKind::kFpMul, OpKind::kIntAdd, OpKind::kIntSub}) {
+        for (size_t size : {1, 7, 300}) {
+          std::vector<Word128> golden(size);
+          for (Word128& image : golden) {
+            image = RandomImage(type, inputs);
+          }
+          std::vector<Word128> routed = golden;
+          batched.ExecuteBatch(0, op, type, routed);
+          for (size_t i = 0; i < size; ++i) {
+            ASSERT_EQ(routed[i], single.Execute(0, op, type, golden[i]))
+                << "round " << round << " " << DataTypeName(type) << " " << OpKindName(op)
+                << " size " << size << " element " << i;
+          }
+        }
+      }
+    }
+    // Consistency ops resolve the same two steps on one op.
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_EQ(injector.OnCoherenceFault(batched.MakeContext(0, OpKind::kStore)),
+                oracle.OnCoherenceFault(single.MakeContext(0, OpKind::kStore)));
+      ASSERT_EQ(injector.OnTxFault(batched.MakeContext(0, OpKind::kFpMul)),
+                oracle.OnTxFault(single.MakeContext(0, OpKind::kFpMul)));
+    }
+    // Between batches the clock, the thermal state and the op intensities move.
+    batched.AdvanceSeconds(2e-4);
+    single.AdvanceSeconds(2e-4);
+  }
+  for (size_t d = 0; d < defects.size(); ++d) {
+    EXPECT_EQ(injector.activations(d), oracle.activations(d)) << defects[d].id;
+  }
+  EXPECT_GT(injector.activations(0), 1000u);
+  EXPECT_GT(injector.activations(1), 500u);  // fired only where `first` did not
+  EXPECT_EQ(injector.activations(2), 0u);
+  EXPECT_EQ(injector.activations(3), 0u);
+  EXPECT_GT(injector.activations(4), 0u);
+  for (OpKind op : {OpKind::kFpMul, OpKind::kIntAdd, OpKind::kIntSub, OpKind::kStore}) {
+    EXPECT_EQ(batched.op_count(0, op), single.op_count(0, op)) << OpKindName(op);
+  }
+  EXPECT_EQ(batched.ConsumeBusySeconds(0), single.ConsumeBusySeconds(0));
+  // The injector's stream stands where the oracle's does: the next draws agree.
+  std::vector<Word128> next(256, BitsOfDouble(1.5));
+  batched.ExecuteBatch(0, OpKind::kFpMul, DataType::kFloat64, next);
+  for (const Word128& image : next) {
+    ASSERT_EQ(image, single.Execute(0, OpKind::kFpMul, DataType::kFloat64, BitsOfDouble(1.5)));
+  }
 }
 
 // --- Catalog ---

@@ -1,7 +1,7 @@
 // Unit tests for src/sim: thermal model, processor execution engine, coherent bus, and
 // transactional memory -- including the defect hooks via small fake CorruptionHooks.
 
-#include <optional>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -193,10 +193,10 @@ TEST(ProcessorTest, ContextCarriesTemperatureAndWeight) {
 // faults on demand.
 class FlipHook : public CorruptionHook {
  public:
-  std::optional<Word128> OnExecute(const OpContext&, const Word128& golden) override {
-    Word128 corrupted = golden;
-    corrupted.FlipBit(0);
-    return corrupted;
+  void OnExecuteBatch(const OpContext&, std::span<Word128> values) override {
+    for (Word128& value : values) {
+      value.FlipBit(0);
+    }
   }
   bool OnCoherenceFault(const OpContext&) override { return coherence_fault; }
   bool OnTxFault(const OpContext&) override { return tx_fault; }

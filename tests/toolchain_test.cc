@@ -1,7 +1,15 @@
 // Tests for src/toolchain: the 633-case registry, the testcase kernels' self-checking
 // behaviour on healthy and seeded-defect machines, and the framework driver.
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -374,6 +382,518 @@ TEST(FrameworkTest, WallClockAdvancesWithPlan) {
   // can overshoot).
   EXPECT_GE(report.total_wall_seconds, 10.0);
   EXPECT_LT(report.total_wall_seconds, 60.0);
+}
+
+// --- Instruction loops: the batched kernels against the per-element loop they replaced ---
+
+// Golden results of the instruction-loop kernels, as the per-element loop computed them.
+int64_t OracleGoldenInt(OpKind op, int64_t a, int64_t b) {
+  const auto ua = static_cast<uint64_t>(a);
+  const auto ub = static_cast<uint64_t>(b);
+  switch (op) {
+    case OpKind::kIntAdd:
+      return static_cast<int64_t>(ua + ub);
+    case OpKind::kIntSub:
+      return static_cast<int64_t>(ua - ub);
+    case OpKind::kIntMul:
+      return static_cast<int64_t>(ua * ub);
+    case OpKind::kIntDiv:
+      return a / (b | 1);
+    case OpKind::kIntShift:
+      return static_cast<int64_t>(ua << (ub & 15));
+    case OpKind::kLogicAnd:
+      return a & b;
+    case OpKind::kLogicOr:
+      return a | b;
+    case OpKind::kLogicXor:
+      return a ^ b;
+    case OpKind::kPopcount:
+      return std::popcount(static_cast<uint64_t>(a));
+    case OpKind::kCompare:
+      return a < b ? -1 : (a > b ? 1 : 0);
+    case OpKind::kHashStep:
+      return static_cast<int64_t>((static_cast<uint64_t>(a) ^ static_cast<uint64_t>(b)) *
+                                  0x100000001b3ull);
+    case OpKind::kCrc32Step:
+      return static_cast<int64_t>(
+          (static_cast<uint64_t>(a) >> 8) ^ ((static_cast<uint64_t>(a ^ b) & 0xff) * 0x1db7));
+    default:
+      return static_cast<int64_t>(ua + ub);
+  }
+}
+
+long double OracleGoldenFloat(OpKind op, long double a, long double b) {
+  switch (op) {
+    case OpKind::kFpAdd:
+    case OpKind::kVecAddF32:
+    case OpKind::kVecAddF64:
+      return a + b;
+    case OpKind::kFpSub:
+      return a - b;
+    case OpKind::kFpMul:
+    case OpKind::kVecMulF32:
+    case OpKind::kVecMulF64:
+      return a * b;
+    case OpKind::kFpDiv:
+      return a / (b == 0.0L ? 1.0L : b);
+    case OpKind::kFpSqrt:
+      return std::sqrt(std::fabs(a));
+    case OpKind::kFpFma:
+    case OpKind::kVecFmaF32:
+    case OpKind::kVecFmaF64:
+      return a * b + (a - b);
+    case OpKind::kFpArctan:
+      return std::atan(a);
+    case OpKind::kFpSin:
+      return std::sin(a);
+    case OpKind::kFpLog:
+      return std::log(std::fabs(a) + 1.0L);
+    case OpKind::kFpExp:
+      return std::exp(a / 64.0L);
+    default:
+      return a + b;
+  }
+}
+
+// One instruction-loop kernel batch the per-element way: a typed Processor::Execute* call
+// and a typed comparison per element. `lanes` == 0 is a scalar sweep over `count`
+// elements; otherwise a vector sweep of `count` vectors of `lanes` lanes.
+void OracleLoopBatch(TestContext& context, const std::string& id, OpKind op, DataType type,
+                     int lanes, int count) {
+  Processor& cpu = context.cpu();
+  const int lcore = context.lcores.front();
+  Rng& rng = *context.rng;
+  if (lanes == 0) {
+    for (int i = 0; i < count; ++i) {
+      switch (type) {
+        case DataType::kInt16: {
+          const auto a = static_cast<int16_t>(rng.NextInRange(-20000, 20000));
+          const auto b = static_cast<int16_t>(rng.NextInRange(-20000, 20000));
+          const auto golden = static_cast<int16_t>(OracleGoldenInt(op, a, b));
+          const int16_t routed =
+              Int16FromBits(cpu.Execute(lcore, op, DataType::kInt16, BitsOfInt16(golden)));
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfInt16(golden),
+                                      BitsOfInt16(routed));
+          }
+          break;
+        }
+        case DataType::kInt32: {
+          const auto a = static_cast<int32_t>(rng.NextInRange(-1000000, 1000000));
+          const auto b = static_cast<int32_t>(rng.NextInRange(-1000000, 1000000));
+          const auto golden = static_cast<int32_t>(OracleGoldenInt(op, a, b));
+          const int32_t routed = cpu.ExecuteI32(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfInt32(golden),
+                                      BitsOfInt32(routed));
+          }
+          break;
+        }
+        case DataType::kUInt32: {
+          const auto a = static_cast<uint32_t>(rng.Next());
+          const auto b = static_cast<uint32_t>(rng.Next());
+          const auto golden = static_cast<uint32_t>(
+              OracleGoldenInt(op, static_cast<int64_t>(a), static_cast<int64_t>(b)));
+          const uint32_t routed = cpu.ExecuteU32(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfUInt32(golden),
+                                      BitsOfUInt32(routed));
+          }
+          break;
+        }
+        case DataType::kFloat32: {
+          const auto a = static_cast<float>(rng.NextDouble() * 200.0 - 100.0);
+          const auto b = static_cast<float>(rng.NextDouble() * 200.0 - 100.0);
+          const float golden = static_cast<float>(OracleGoldenFloat(op, a, b));
+          const float routed = cpu.ExecuteF32(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfFloat(golden),
+                                      BitsOfFloat(routed));
+          }
+          break;
+        }
+        case DataType::kFloat64: {
+          const double a = rng.NextDouble() * 200.0 - 100.0;
+          const double b = rng.NextDouble() * 200.0 - 100.0;
+          const double golden = static_cast<double>(OracleGoldenFloat(op, a, b));
+          const double routed = cpu.ExecuteF64(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfDouble(golden),
+                                      BitsOfDouble(routed));
+          }
+          break;
+        }
+        case DataType::kFloat80: {
+          const long double a = rng.NextDouble() * 200.0L - 100.0L;
+          const long double b = rng.NextDouble() * 200.0L - 100.0L;
+          const long double golden = OracleGoldenFloat(op, a, b);
+          const long double routed = cpu.ExecuteF80(lcore, op, golden);
+          if (BitsOfFloat80(routed) != BitsOfFloat80(golden)) {
+            context.RecordComputation(id, lcore, type, BitsOfFloat80(golden),
+                                      BitsOfFloat80(routed));
+          }
+          break;
+        }
+        default: {
+          const int width = BitWidth(type);
+          const uint64_t mask = width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
+          const uint64_t a = rng.Next() & mask;
+          const uint64_t b = rng.Next() & mask;
+          const uint64_t golden =
+              static_cast<uint64_t>(
+                  OracleGoldenInt(op, static_cast<int64_t>(a), static_cast<int64_t>(b))) &
+              mask;
+          const uint64_t routed = cpu.ExecuteRaw(lcore, op, golden, type);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfRaw(golden, width),
+                                      BitsOfRaw(routed, width));
+          }
+          break;
+        }
+      }
+    }
+    return;
+  }
+  for (int v = 0; v < count; ++v) {
+    for (int lane = 0; lane < lanes; ++lane) {
+      switch (type) {
+        case DataType::kFloat32: {
+          const auto a = static_cast<float>(rng.NextDouble() * 16.0 - 8.0);
+          const auto b = static_cast<float>(rng.NextDouble() * 16.0 - 8.0);
+          const float golden = static_cast<float>(OracleGoldenFloat(op, a, b));
+          const float routed = cpu.ExecuteF32(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfFloat(golden),
+                                      BitsOfFloat(routed));
+          }
+          break;
+        }
+        case DataType::kFloat64: {
+          const double a = rng.NextDouble() * 16.0 - 8.0;
+          const double b = rng.NextDouble() * 16.0 - 8.0;
+          const double golden = static_cast<double>(OracleGoldenFloat(op, a, b));
+          const double routed = cpu.ExecuteF64(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfDouble(golden),
+                                      BitsOfDouble(routed));
+          }
+          break;
+        }
+        case DataType::kInt32: {
+          const auto a = static_cast<int32_t>(rng.NextInRange(-30000, 30000));
+          const auto b = static_cast<int32_t>(rng.NextInRange(-30000, 30000));
+          const int32_t golden = op == OpKind::kVecMulI32 ? a * b : a + b;
+          const int32_t routed = cpu.ExecuteI32(lcore, op, golden);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, type, BitsOfInt32(golden),
+                                      BitsOfInt32(routed));
+          }
+          break;
+        }
+        default: {
+          const uint64_t a = rng.Next() & 0xffffffffull;
+          const uint64_t golden = ((a << 16) | (a >> 16)) & 0xffffffffull;
+          const uint64_t routed = cpu.ExecuteRaw(lcore, op, golden, DataType::kBin32);
+          if (routed != golden) {
+            context.RecordComputation(id, lcore, DataType::kBin32, BitsOfRaw(golden, 32),
+                                      BitsOfRaw(routed, 32));
+          }
+          break;
+        }
+      }
+    }
+  }
+}
+
+// Flips the sign bit (the top bit of the datatype's width) of every result.
+class SignBitHook : public CorruptionHook {
+ public:
+  void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override {
+    for (Word128& value : values) {
+      value.FlipBit(BitWidth(context.type) - 1);
+    }
+  }
+  bool OnCoherenceFault(const OpContext&) override { return false; }
+  bool OnTxFault(const OpContext&) override { return false; }
+};
+
+// Changes every result's image without always changing its value: f64x images become the
+// non-canonical encoding of the same value (exponent up one, mantissa halved) when the
+// mantissa is even and lose their lowest set fraction bit otherwise; other images gain the
+// first bit past their width, which only a raw payload's low word still sees.
+class ImageOnlyHook : public CorruptionHook {
+ public:
+  void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override {
+    for (Word128& value : values) {
+      if (context.type != DataType::kFloat80) {
+        value.FlipBit(BitWidth(context.type));
+      } else if ((value.lo & 1) == 0 && value.lo != 0) {
+        value.lo >>= 1;
+        value.hi += 1;
+      } else {
+        value.lo &= value.lo - 1;
+      }
+    }
+  }
+  bool OnCoherenceFault(const OpContext&) override { return false; }
+  bool OnTxFault(const OpContext&) override { return false; }
+};
+
+// A part whose one defect hits `ops` on every datatype, firing on about a third of the ops
+// (at the time scale RunLoopShape sets) with both pattern and positional-noise damage.
+FaultyMachine LoopDefectMachine(const std::vector<OpKind>& ops) {
+  FaultyProcessorInfo info;
+  info.cpu_id = "loop-defect";
+  info.arch = "M2";
+  info.spec = MakeArchSpec("M2");
+  Defect defect;
+  defect.id = "loop-defect";
+  defect.feature = Feature::kFpu;
+  defect.affected_ops = ops;
+  defect.min_trigger_celsius = 0.0;
+  defect.base_log10_rate = -3.5;
+  defect.temp_slope = 0.0;
+  defect.intensity_ref = 0.0;
+  defect.pattern_probability = 0.5;
+  Rng pattern_rng(4);
+  for (int t = 0; t <= static_cast<int>(DataType::kBin64); ++t) {
+    const auto type = static_cast<DataType>(t);
+    const int flips = std::min(2, BitWidth(type));
+    PatternSet set;
+    set.type = type;
+    set.patterns = {{MakePatternMask(type, flips, pattern_rng), 1.0}};
+    defect.pattern_sets.push_back(std::move(set));
+  }
+  defect.SealPatternCdfs();
+  info.defects.push_back(std::move(defect));
+  return FaultyMachine(info, 9);
+}
+
+struct LoopShape {
+  OpKind op;
+  DataType type;
+  int lanes;  // 0: scalar sweep
+  int count;  // elements, or vectors of `lanes`
+};
+
+std::vector<LoopShape> LoopShapes() {
+  std::vector<LoopShape> shapes;
+  const auto add_scalar = [&](std::initializer_list<DataType> types,
+                              std::initializer_list<OpKind> ops) {
+    for (DataType type : types) {
+      for (OpKind op : ops) {
+        // One element, a partial chunk past the first, several chunks.
+        for (int count : {1, 300, 992}) {
+          shapes.push_back({op, type, 0, count});
+        }
+      }
+    }
+  };
+  add_scalar({DataType::kInt16, DataType::kInt32, DataType::kUInt32},
+             {OpKind::kIntAdd, OpKind::kIntDiv, OpKind::kIntShift});
+  add_scalar({DataType::kBit, DataType::kByte, DataType::kBin16, DataType::kBin32,
+              DataType::kBin64},
+             {OpKind::kLogicXor, OpKind::kPopcount, OpKind::kCompare, OpKind::kCrc32Step,
+              OpKind::kHashStep});
+  add_scalar({DataType::kFloat32, DataType::kFloat64, DataType::kFloat80},
+             {OpKind::kFpAdd, OpKind::kFpDiv, OpKind::kFpSqrt, OpKind::kFpFma,
+              OpKind::kFpArctan, OpKind::kFpSin, OpKind::kFpLog, OpKind::kFpExp});
+  const std::pair<OpKind, DataType> vector_combos[] = {
+      {OpKind::kVecAddF32, DataType::kFloat32}, {OpKind::kVecFmaF32, DataType::kFloat32},
+      {OpKind::kVecMulF64, DataType::kFloat64}, {OpKind::kVecFmaF64, DataType::kFloat64},
+      {OpKind::kVecAddI32, DataType::kInt32},   {OpKind::kVecMulI32, DataType::kInt32},
+      {OpKind::kVecShuffle, DataType::kBin32}};
+  for (const auto& [op, type] : vector_combos) {
+    for (int lanes : {4, 16}) {
+      shapes.push_back({op, type, lanes, 32});
+    }
+  }
+  return shapes;
+}
+
+// Runs two kernel batches of `shape` on a fresh machine from `make_machine`, either through
+// the production testcase or through the per-element oracle, and returns what they left.
+struct LoopOutcome {
+  std::vector<SdcRecord> records;
+  uint64_t errors = 0;
+  uint64_t next_input_draw = 0;
+  uint64_t ops = 0;
+  double busy_seconds = 0.0;
+};
+
+template <typename MakeMachine>
+LoopOutcome RunLoopShape(const LoopShape& shape, bool oracle, MakeMachine make_machine) {
+  FaultyMachine machine = make_machine();
+  machine.cpu().SetTimeScale(1e3);
+  machine.cpu().thermal().ForceUniform(65.0);
+  const std::unique_ptr<Testcase> testcase =
+      shape.lanes == 0 ? MakeScalarSweepCase(shape.op, shape.type, shape.count)
+                       : MakeVectorSweepCase(shape.op, shape.type, shape.lanes, shape.count);
+  Rng rng(77);
+  LoopOutcome outcome;
+  TestContext context;
+  context.machine = &machine;
+  context.lcores = {2};
+  context.rng = &rng;
+  context.records = &outcome.records;
+  context.cpu_id = "loop";
+  for (int batch = 0; batch < 2; ++batch) {
+    if (oracle) {
+      OracleLoopBatch(context, testcase->info().id, shape.op, shape.type, shape.lanes,
+                      shape.count);
+    } else {
+      testcase->RunBatch(context);
+    }
+    machine.cpu().AdvanceSeconds(1e-3);
+  }
+  const int pcore = machine.cpu().pcore_of(context.lcores.front());
+  outcome.errors = context.errors_found;
+  outcome.next_input_draw = rng.Next();
+  outcome.ops = machine.cpu().op_count(pcore, shape.op);
+  outcome.busy_seconds = machine.cpu().ConsumeBusySeconds(pcore);
+  return outcome;
+}
+
+void ExpectSameOutcome(const LoopOutcome& batched, const LoopOutcome& oracle,
+                       const std::string& label) {
+  EXPECT_GT(batched.ops, 0u) << label;
+  EXPECT_EQ(batched.errors, oracle.errors) << label;
+  EXPECT_EQ(batched.next_input_draw, oracle.next_input_draw) << label;
+  EXPECT_EQ(batched.ops, oracle.ops) << label;
+  EXPECT_EQ(batched.busy_seconds, oracle.busy_seconds) << label;
+  ASSERT_EQ(batched.records.size(), oracle.records.size()) << label;
+  for (size_t i = 0; i < batched.records.size(); ++i) {
+    const SdcRecord& a = batched.records[i];
+    const SdcRecord& b = oracle.records[i];
+    EXPECT_EQ(a.testcase_id, b.testcase_id) << label << " record " << i;
+    EXPECT_EQ(a.lcore, b.lcore) << label << " record " << i;
+    EXPECT_EQ(a.pcore, b.pcore) << label << " record " << i;
+    EXPECT_EQ(a.type, b.type) << label << " record " << i;
+    EXPECT_EQ(a.expected, b.expected) << label << " record " << i;
+    EXPECT_EQ(a.actual, b.actual) << label << " record " << i;
+    EXPECT_EQ(a.temperature, b.temperature) << label << " record " << i;
+    EXPECT_EQ(a.time_seconds, b.time_seconds) << label << " record " << i;
+  }
+}
+
+TEST(InstructionLoopTest, BatchedKernelsMatchPerElementLoop) {
+  const std::vector<LoopShape> shapes = LoopShapes();
+  std::vector<OpKind> ops;
+  for (const LoopShape& shape : shapes) {
+    ops.push_back(shape.op);
+  }
+  SignBitHook sign_bit;
+  ImageOnlyHook image_only;
+  const auto with_hook = [](CorruptionHook* hook) {
+    return [hook] {
+      FaultyMachine machine(MakeArchSpec("M2"));
+      machine.cpu().SetCorruptionHook(hook);
+      return machine;
+    };
+  };
+  uint64_t defect_records = 0;
+  uint64_t sign_records = 0;
+  uint64_t image_records = 0;
+  for (const LoopShape& shape : shapes) {
+    const std::string label = OpKindName(shape.op) + "." + DataTypeName(shape.type) + " l" +
+                              std::to_string(shape.lanes) + " n" + std::to_string(shape.count);
+    const auto defective = [&ops] { return LoopDefectMachine(ops); };
+    const LoopOutcome batched = RunLoopShape(shape, false, defective);
+    ExpectSameOutcome(batched, RunLoopShape(shape, true, defective), label + " defect");
+    defect_records += batched.records.size();
+    for (auto [hook, tally] : {std::pair{static_cast<CorruptionHook*>(&sign_bit), &sign_records},
+                               std::pair{static_cast<CorruptionHook*>(&image_only),
+                                         &image_records}}) {
+      const LoopOutcome hooked = RunLoopShape(shape, false, with_hook(hook));
+      ExpectSameOutcome(hooked, RunLoopShape(shape, true, with_hook(hook)), label);
+      *tally += hooked.records.size();
+    }
+  }
+  EXPECT_GT(defect_records, 10000u);
+  EXPECT_GT(sign_records, 10000u);
+  // Raw payloads narrower than 64 bits and f64x results that lost a fraction bit record;
+  // the other image-only changes keep the value.
+  EXPECT_GT(image_records, 1000u);
+  EXPECT_LT(image_records, sign_records);
+}
+
+// A context on lcore 0 of `machine` that stores every record.
+TestContext RecordingContext(FaultyMachine& machine, std::vector<SdcRecord>& records) {
+  TestContext context;
+  context.machine = &machine;
+  context.lcores = {0};
+  context.records = &records;
+  return context;
+}
+
+// The typed comparisons on values a loop cannot produce: a sign-bit-only change of a
+// +-0 golden keeps the f32/f64 value, so it is no SDC; NaN never equals itself.
+TEST(InstructionLoopTest, SignOnlyChangeOfZeroIsNoMismatch) {
+  SignBitHook hook;
+  for (DataType type : {DataType::kFloat32, DataType::kFloat64}) {
+    const bool f32 = type == DataType::kFloat32;
+    const auto image = [f32](double value) {
+      return f32 ? BitsOfFloat(static_cast<float>(value)) : BitsOfDouble(value);
+    };
+    const std::vector<Word128> golden = {image(0.0), image(-0.0), image(1.5),
+                                         image(std::nan(""))};
+    FaultyMachine batched_machine(MakeArchSpec("M2"));
+    FaultyMachine oracle_machine(MakeArchSpec("M2"));
+    batched_machine.cpu().SetCorruptionHook(&hook);
+    oracle_machine.cpu().SetCorruptionHook(&hook);
+    std::vector<SdcRecord> batched_records;
+    std::vector<SdcRecord> oracle_records;
+    TestContext batched = RecordingContext(batched_machine, batched_records);
+    TestContext oracle = RecordingContext(oracle_machine, oracle_records);
+
+    std::vector<Word128> routed = golden;
+    batched_machine.cpu().ExecuteBatch(0, OpKind::kFpMul, type, routed);
+    RecordLoopMismatches(batched, "zero", 0, type, golden, routed);
+    for (const Word128& bits : golden) {
+      if (f32) {
+        const float value = FloatFromBits(bits);
+        const float result = oracle_machine.cpu().ExecuteF32(0, OpKind::kFpMul, value);
+        if (result != value) {
+          oracle.RecordComputation("zero", 0, type, BitsOfFloat(value), BitsOfFloat(result));
+        }
+      } else {
+        const double value = DoubleFromBits(bits);
+        const double result = oracle_machine.cpu().ExecuteF64(0, OpKind::kFpMul, value);
+        if (result != value) {
+          oracle.RecordComputation("zero", 0, type, BitsOfDouble(value),
+                                   BitsOfDouble(result));
+        }
+      }
+    }
+    ASSERT_EQ(batched_records.size(), 2u) << DataTypeName(type);  // 1.5 and NaN only
+    ASSERT_EQ(oracle_records.size(), 2u) << DataTypeName(type);
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(batched_records[i].expected, golden[i + 2]);
+      EXPECT_EQ(batched_records[i].expected, oracle_records[i].expected);
+      EXPECT_EQ(batched_records[i].actual, oracle_records[i].actual);
+    }
+  }
+}
+
+// An f64x corruption that only re-encodes the golden value is no SDC; one that changes it
+// is recorded with the canonical image.
+TEST(InstructionLoopTest, F64xReencodingOfGoldenIsNoMismatch) {
+  FaultyMachine machine(MakeArchSpec("M2"));
+  std::vector<SdcRecord> records;
+  TestContext context = RecordingContext(machine, records);
+  const Word128 golden = BitsOfFloat80(3.0L);  // mantissa 0xc000..., even
+  const Word128 reencoded{golden.lo >> 1, golden.hi + 1};
+  ASSERT_NE(reencoded, golden);
+  ASSERT_EQ(Float80FromBits(reencoded), 3.0L);
+  Word128 changed = golden;
+  changed.FlipBit(40);
+  const std::vector<Word128> goldens = {golden, golden};
+  const std::vector<Word128> routed = {reencoded, changed};
+  RecordLoopMismatches(context, "f64x", 0, DataType::kFloat80, goldens, routed);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(context.errors_found, 1u);
+  EXPECT_EQ(records[0].expected, golden);
+  EXPECT_EQ(records[0].actual, BitsOfFloat80(Float80FromBits(changed)));
 }
 
 }  // namespace

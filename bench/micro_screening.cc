@@ -7,9 +7,9 @@
 // "generate_screen" run under both models:
 //   cached    -- the production path: per-defect survive terms memoized once per
 //                faulty processor, clean parts streamed via the packed byte columns.
-//   reference -- the pre-memoization implementation kept behind
-//                ScreeningConfig::use_reference_model, recomputing
-//                MatchingTestcases/ExpectedErrors at every probe.
+//   reference -- the pre-memoization ReferenceScreen test oracle
+//                (tests/oracles/oracles.h), recomputing MatchingTestcases/ExpectedErrors
+//                at every probe.
 // The binary asserts that both models, at every thread count, produce identical
 // ScreeningStats (counters and the detections vector, months compared bitwise) and
 // exits non-zero on any divergence; the closing "summary" line reports the
@@ -17,11 +17,14 @@
 //
 // "generate" likewise runs under both models: cached is the blocked SIMD generator
 // (GenerationPlan + bulk uniform fill + branchless classify, docs/performance.md),
-// reference the original per-processor loop kept behind
-// PopulationConfig::use_reference_generator. The binary asserts the two fleets are
-// byte-identical -- columns, faulty index, defect arena (doubles compared bitwise),
-// per-arch tallies -- at every thread count, and the summary reports the blocked
-// generator's speedup at one thread.
+// reference the original per-processor loop, run by the GenerateFleetReference test
+// oracle. The binary asserts the two fleets are byte-identical -- columns, faulty index,
+// defect arena (doubles compared bitwise), per-arch tallies -- at every thread count,
+// and the summary reports the blocked generator's speedup at one thread.
+//
+// The oracles run on one lane whatever the row's thread count, so every "reference" row
+// times the one-lane oracle; the 2- and 8-thread reference rows repeat the 1-thread
+// measurement next to that row's multi-lane cached half.
 //
 // Further row families cover the batched engine and the SIMD kernels
 // (docs/performance.md):
@@ -68,6 +71,7 @@
 #include "src/fleet/population.h"
 #include "src/telemetry/series.h"
 #include "src/toolchain/registry.h"
+#include "tests/oracles/oracles.h"
 
 namespace sdc {
 namespace {
@@ -277,8 +281,6 @@ int Main(int argc, char** argv) {
 
   PopulationConfig population_config;
   population_config.processor_count = processors;
-  PopulationConfig reference_population = population_config;
-  reference_population.use_reference_generator = true;
 
   // Ground truth for the determinism assertions: the blocked generator and the cached
   // screening model at one thread. Every other (generator, dispatch, threads) variant
@@ -294,11 +296,10 @@ int Main(int argc, char** argv) {
     // The blocked kernel against the pre-blocking per-processor loop, timed as
     // interleaved pairs, and the blocked kernel on scalar dispatch: three generators,
     // one fleet, asserted byte-identical below.
-    deterministic &= IdenticalFleets(
-        golden_fleet, FleetPopulation::Generate(reference_population, context));
+    deterministic &= IdenticalFleets(golden_fleet, GenerateFleetReference(population_config));
     const PairedWalls generate_walls = BestPairedWalls(
         repeats, [&] { (void)FleetPopulation::Generate(population_config, context); },
-        [&] { (void)FleetPopulation::Generate(reference_population, context); });
+        [&] { (void)GenerateFleetReference(population_config); });
     EmitJson("generate", "cached", threads, generate_walls.first, processors);
     EmitJson("generate", "reference", threads, generate_walls.second, processors);
 
@@ -336,30 +337,28 @@ int Main(int argc, char** argv) {
       series_overhead = series_walls.min_ratio;
     }
 
-    for (const bool use_reference : {false, true}) {
-      ScreeningConfig screening_config;
-      screening_config.use_reference_model = use_reference;
-      const char* model = use_reference ? "reference" : "cached";
+    // The cached model (its "screen" row is the plain half of the series pairs above),
+    // then the oracles on the same fleet.
+    deterministic &= IdenticalStats(golden, pipeline.Run(fleet, ScreeningConfig(), context));
+    EmitJson("screen", "cached", threads, series_walls.first, processors);
+    const double cached_both_wall = BestWallSeconds(repeats, [&] {
+      const FleetPopulation f = FleetPopulation::Generate(population_config, context);
+      (void)pipeline.Run(f, ScreeningConfig(), context);
+    });
+    EmitJson("generate_screen", "cached", threads, cached_both_wall, processors);
 
-      deterministic &= IdenticalStats(golden, pipeline.Run(fleet, screening_config, context));
-
-      const double screen_wall =
-          use_reference ? BestWallSeconds(repeats,
-                                          [&] {
-                                            (void)pipeline.Run(fleet, screening_config,
-                                                               context);
-                                          })
-                        : series_walls.first;
-      EmitJson("screen", model, threads, screen_wall, processors);
-      if (threads == 1) {
-        (use_reference ? reference_screen_t1 : cached_screen_t1) = screen_wall;
-      }
-
-      const double both_wall = BestWallSeconds(repeats, [&] {
-        const FleetPopulation f = FleetPopulation::Generate(population_config, context);
-        (void)pipeline.Run(f, screening_config, context);
-      });
-      EmitJson("generate_screen", model, threads, both_wall, processors);
+    deterministic &= IdenticalStats(golden, ReferenceScreen(pipeline, fleet, ScreeningConfig()));
+    const double reference_wall = BestWallSeconds(
+        repeats, [&] { (void)ReferenceScreen(pipeline, fleet, ScreeningConfig()); });
+    EmitJson("screen", "reference", threads, reference_wall, processors);
+    const double reference_both_wall = BestWallSeconds(repeats, [&] {
+      const FleetPopulation f = GenerateFleetReference(population_config);
+      (void)ReferenceScreen(pipeline, f, ScreeningConfig());
+    });
+    EmitJson("generate_screen", "reference", threads, reference_both_wall, processors);
+    if (threads == 1) {
+      cached_screen_t1 = series_walls.first;
+      reference_screen_t1 = reference_wall;
     }
 
     // The same cached screen with the vector kernel pinned off: the delta against the

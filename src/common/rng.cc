@@ -26,6 +26,9 @@ Rng::Rng(uint64_t seed) : seed_(seed) {
   }
 }
 
+// Cache-line aligned so the loop's speed does not depend on the link layout (see
+// CountBytesScalar in src/common/simd.cc).
+__attribute__((aligned(64)))
 void Rng::FillBlock(std::span<uint64_t> out) {
   // The state lives in locals for the loop so the compiler keeps it in registers; the
   // update is Next()'s, verbatim.

@@ -54,17 +54,11 @@ LifecycleReport RunLifecycle(Farron& farron, FaultyMachine& machine, const TestS
     if (injector != nullptr) {
       injector->set_age_months(month);
     }
-    ProtectionReport app;
-    if (config.workload.use_reference_loop) {
-      app = SimulateProtectedWorkloadReference(farron, machine, suite, config.workload,
-                                               config.app_hours_per_interval, true);
-    } else {
-      session.BeginWorkload(config.app_hours_per_interval);
-      while (!session.workload_done()) {
-        session.Step(3600.0);
-      }
-      app = session.FinishWorkload();
+    session.BeginWorkload(config.app_hours_per_interval);
+    while (!session.workload_done()) {
+      session.Step(3600.0);
     }
+    const ProtectionReport app = session.FinishWorkload();
     period.app_sdc_events = app.sdc_events;
     period.backoff_seconds = app.backoff_seconds;
     report.total_app_sdc_events += app.sdc_events;

@@ -33,10 +33,6 @@ struct WorkloadSpec {
   // preferred core was decommissioned, the pool's first usable core is used instead.
   int preferred_pcore = -1;
   uint64_t seed = 5;
-  // Escape hatch: run the retained monolithic loop instead of the ProtectionSession
-  // decomposition (src/farron/session.h). The two are byte-identical -- report, event
-  // log, metrics, trace -- which tests/session_test.cc asserts against this flag.
-  bool use_reference_loop = false;
 };
 
 struct ProtectionReport {
@@ -57,17 +53,11 @@ struct ProtectionReport {
 // Replays `hours` of the workload on the machine. With `protect` true, Farron's boundary
 // controller throttles the workload on temperature excursions; with false, the workload
 // runs unchecked (the no-mitigation comparison). Implemented as a thin loop over
-// ProtectionSession; WorkloadSpec::use_reference_loop selects the retained original.
+// ProtectionSession; tests/session_test.cc checks it byte for byte against the original
+// monolithic loop, kept as a test oracle (tests/oracles/oracles.h).
 ProtectionReport SimulateProtectedWorkload(Farron& farron, FaultyMachine& machine,
                                            const TestSuite& suite, const WorkloadSpec& spec,
                                            double hours, bool protect);
-
-// The pre-session monolithic loop, kept verbatim as the byte-identity reference for the
-// session decomposition (and reachable via WorkloadSpec::use_reference_loop).
-ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachine& machine,
-                                                    const TestSuite& suite,
-                                                    const WorkloadSpec& spec, double hours,
-                                                    bool protect);
 
 }  // namespace sdc
 

@@ -8,12 +8,12 @@
 // next-due round time -- plus a Step/RunTestRound API that advances in bounded quanta and
 // reports what it consumed.
 //
-// Equivalence contract: driving a session to completion reproduces the retained reference
-// loop byte for byte -- same ProtectionReport, same event-log sequence, same metrics and
-// trace deltas -- regardless of the Step quantum (an iteration of the control loop is the
-// indivisible unit, and iterations never look at quantum boundaries). The reference
-// implementation stays reachable through WorkloadSpec::use_reference_loop, and
-// tests/session_test.cc pins the equivalence at several quanta.
+// Equivalence contract: driving a session to completion reproduces the original
+// monolithic loop byte for byte -- same ProtectionReport, same event-log sequence, same
+// metrics and trace deltas -- regardless of the Step quantum (an iteration of the control
+// loop is the indivisible unit, and iterations never look at quantum boundaries). That
+// loop is kept as a test oracle (tests/oracles/oracles.h), and tests/session_test.cc pins
+// the equivalence at several quanta.
 //
 // The budgeted round path (RunTestRound with a finite budget, optionally with a rotating
 // ripple window over the plan) is new capability for the fleet scrubber

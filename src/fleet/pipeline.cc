@@ -153,8 +153,9 @@ static_assert(kFleetShardGrain % kScreeningShardGrain == 0,
               "stream shards must tile exactly into screening shards");
 
 // Shared by the public ExpectedErrors and the memo builder so both evaluate the exact
-// same floating-point expression: byte-identical stats between the memoized and the
-// reference model depend on the terms being bitwise equal.
+// same floating-point expression: byte-identical stats between the memoized kernel and
+// the test oracle, which calls ExpectedErrors at every probe, depend on the terms being
+// bitwise equal.
 double ExpectedErrorsWithMatching(const Defect& defect, const StageParams& stage,
                                   int pcores, int matching) {
   if (matching == 0) {
@@ -177,8 +178,8 @@ double ExpectedErrorsWithMatching(const Defect& defect, const StageParams& stage
 // function of the defect, the stage parameters, and the core count only -- never of the
 // scenario's seed, cadence, horizon, or grouping -- so the batched kernel computes one
 // table per group of scenarios with bit-identical stage parameters. The expressions
-// mirror ScreenProcessorReference exactly (same helper, same term shape), which keeps
-// the cached doubles bitwise equal to what the reference computes.
+// mirror the ReferenceScreen oracle (tests/oracles/oracles.cc) exactly -- same helper,
+// same term shape -- which keeps the cached doubles bitwise equal to what it computes.
 void ComputeSurviveTerms(std::span<const Defect> defects, std::span<const int> matching,
                          const std::array<StageParams, kStageCount>& stages, int pcores,
                          std::span<std::array<double, kStageCount>> terms) {
@@ -222,10 +223,11 @@ MetricsDelta DeltaFromShardStats(const ScreeningStats& stats) {
   return delta;
 }
 
-// Provenance shared by the memoized and reference models: the defect context is reduced
-// the same way in both (first id, min onset, min trigger), so the two models emit
-// byte-identical records. sub_shard / rng_stream are stamped later by FinishShardRange,
-// the one frame that knows the shard index.
+// Provenance of one detection: the defect context reduced to first id, min onset and min
+// trigger -- the reduction the ReferenceScreen oracle (tests/oracles/oracles.cc) repeats
+// independently and the equivalence suite compares field by field. sub_shard /
+// rng_stream are stamped later by FinishShardRange, the one frame that knows the shard
+// index.
 DetectionProvenance ProvenanceOf(uint64_t serial, int arch_index,
                                  std::span<const Defect> defects,
                                  const ScreeningConfig& config, TestStage stage,
@@ -261,7 +263,7 @@ void ReplayFaultyProbes(uint64_t serial, int arch_index, std::span<const Defect>
                         const ScreeningConfig& config, Rng& rng, ScreeningStats& stats) {
   const size_t defect_count = defects.size();
   // Survive product over the defects active at the probe age, folded in storage order
-  // (the same order the reference multiplies in, so the product rounds identically).
+  // (the same order the oracle multiplies in, so the product rounds identically).
   auto probability_at = [&](int stage, double age_months) {
     double survive = 1.0;
     for (size_t d = 0; d < defect_count; ++d) {
@@ -326,8 +328,8 @@ void ReplayFaultyProbes(uint64_t serial, int arch_index, std::span<const Defect>
   }
 }
 
-// Shared epilogue of the screening kernel's two model paths: stamps the shard identity
-// onto the provenance records appended during the call and, when tracing, emits the
+// Epilogue of the screening kernel, once per scenario: stamps the shard identity onto
+// the provenance records appended during the call and, when tracing, emits the
 // shard's "screen.subshard" span plus one "detection" instant per new detection. The
 // screening shard index and its RNG stream coincide by construction (Rng::Fork(sub_shard)).
 void FinishShardRange(const ScreeningShardView& view, uint64_t sub_shard,
@@ -375,47 +377,12 @@ double ScreeningPipeline::ExpectedErrors(const Defect& defect, const StageParams
   return ExpectedErrorsWithMatching(defect, stage, pcores, MatchingTestcases(defect));
 }
 
-std::span<const Defect> ScreeningShardView::DefectsOf(uint64_t serial) const {
-  const auto it =
-      std::lower_bound(faulty_serials.begin(), faulty_serials.end(), serial);
-  if (it == faulty_serials.end() || *it != serial) {
-    return {};
-  }
-  return FaultyDefects(static_cast<size_t>(it - faulty_serials.begin()));
-}
-
-FleetProcessorView ScreeningShardView::processor(uint64_t serial) const {
-  const uint8_t flags = flag_bytes[serial - column_base];
-  return {serial, arch_index(serial), (flags & FleetPopulation::kFaultyFlag) != 0,
-          (flags & FleetPopulation::kDetectableFlag) != 0, DefectsOf(serial)};
-}
-
 void ScreeningPipeline::ScreenShardRangeBatch(
     const ScreeningShardView& view, std::span<const ScreeningConfig> scenarios,
     const std::array<ProcessorSpec, kArchCount>& arch_specs, uint64_t sub_shard,
     SimdLevel simd, std::span<Rng> rngs, std::span<ScreeningStats> stats,
     std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
-  // Reference-model scenarios replay the per-processor oracle on their own; in streaming
-  // mode they still ride the shared generation pass. Cached scenarios share the work
-  // below.
-  bool any_cached = false;
-  for (size_t k = 0; k < k_count; ++k) {
-    if (!scenarios[k].use_reference_model) {
-      any_cached = true;
-      continue;
-    }
-    const size_t first_detection = stats[k].detections.size();
-    const uint64_t faulty_before = stats[k].faulty;
-    for (uint64_t serial = view.begin; serial < view.end; ++serial) {
-      ScreenProcessorReference(view.processor(serial), scenarios[k], rngs[k], stats[k]);
-    }
-    FinishShardRange(view, sub_shard, first_detection, faulty_before, stats[k], traces[k]);
-  }
-  if (!any_cached) {
-    return;
-  }
-
   // Scenario-invariant work, paid once for the whole batch: the clean-path arch
   // histogram and the faulty-range lookup.
   uint64_t hist[kArchCount] = {};
@@ -428,9 +395,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<size_t> first_detection(k_count);
   std::vector<uint64_t> faulty_before(k_count);
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      continue;
-    }
     first_detection[k] = stats[k].detections.size();
     faulty_before[k] = stats[k].faulty;
     stats[k].tested += view.end - view.begin;
@@ -447,9 +411,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<size_t> group_of(k_count, 0);
   std::vector<size_t> group_rep;
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      continue;
-    }
     size_t g = 0;
     while (g < group_rep.size() &&
            std::memcmp(&scenarios[group_rep[g]].stages, &scenarios[k].stages,
@@ -463,10 +424,10 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   }
 
   // Faulty-major loop: the suite-matching memo, the sorted onsets, and each group's
-  // survive-term table are computed once per part and replayed under every cached
-  // scenario -- only the probe schedule itself is per-scenario work. Scenario k consumes
-  // only rngs[k], in ascending serial order -- exactly the draw sequence its independent
-  // run makes, which is what keeps every batched slot byte-identical.
+  // survive-term table are computed once per part and replayed under every scenario --
+  // only the probe schedule itself is per-scenario work. Scenario k consumes only
+  // rngs[k], in ascending serial order -- exactly the draw sequence its independent run
+  // makes, which is what keeps every batched slot byte-identical.
   std::vector<int> matching;
   std::vector<double> sorted_onsets;
   std::vector<std::vector<std::array<double, kStageCount>>> group_terms(group_rep.size());
@@ -494,9 +455,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
       }
     }
     for (size_t k = 0; k < k_count; ++k) {
-      if (scenarios[k].use_reference_model) {
-        continue;
-      }
       ++stats[k].faulty;
       if (!detectable) {
         continue;  // escapes every stage (Section 2.3's false negatives)
@@ -506,9 +464,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     }
   }
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      continue;
-    }
     FinishShardRange(view, sub_shard, first_detection[k], faulty_before[k], stats[k],
                      traces[k]);
   }
@@ -677,73 +632,6 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
     metrics->RecordTimerSeconds("screening.run.wall", run_elapsed.count());
   }
   return std::move(total.stats);
-}
-
-void ScreeningPipeline::ScreenProcessorReference(const FleetProcessorView& processor,
-                                                 const ScreeningConfig& config, Rng& rng,
-                                                 ScreeningStats& stats) const {
-  ++stats.tested;
-  ++stats.tested_by_arch[processor.arch_index];
-  if (!processor.faulty) {
-    return;
-  }
-  ++stats.faulty;
-  if (!processor.toolchain_detectable) {
-    return;  // escapes every stage (Section 2.3's false negatives)
-  }
-  const int pcores = MakeArchSpec(processor.arch_index).physical_cores;
-
-  // Per-stage detection probabilities recomputed from scratch at every probe (a part is
-  // detected when any defect reproduces).
-  auto stage_probability = [&](const StageParams& stage, double age_months) {
-    double survive = 1.0;
-    for (const Defect& defect : processor.defects) {
-      if (defect.onset_months > age_months) {
-        continue;  // not yet developed
-      }
-      const double expected = ExpectedErrors(defect, stage, pcores);
-      survive *= 1.0 - stage.catch_factor * (1.0 - std::exp(-expected));
-    }
-    return 1.0 - survive;
-  };
-
-  bool detected = false;
-  TestStage detected_stage = TestStage::kFactory;
-  double detected_month = 0.0;
-  const TestStage pre_production[] = {TestStage::kFactory, TestStage::kDatacenter,
-                                      TestStage::kReinstall};
-  for (TestStage stage : pre_production) {
-    if (rng.NextBernoulli(
-            stage_probability(config.stages[static_cast<int>(stage)], 0.0))) {
-      detected = true;
-      detected_stage = stage;
-      break;
-    }
-  }
-  if (!detected) {
-    for (int cycle = 1;; ++cycle) {
-      const double month = RegularRoundMonth(processor.serial, cycle, config);
-      if (month > config.horizon_months) {
-        break;
-      }
-      if (rng.NextBernoulli(stage_probability(
-              config.stages[static_cast<int>(TestStage::kRegular)], month))) {
-        detected = true;
-        detected_stage = TestStage::kRegular;
-        detected_month = month;
-        break;
-      }
-    }
-  }
-  if (detected) {
-    ++stats.detected_by_stage[static_cast<int>(detected_stage)];
-    ++stats.detected_by_arch[processor.arch_index];
-    stats.detections.push_back({processor.serial, processor.arch_index, true,
-                                detected_stage, detected_month});
-    stats.provenance.push_back(ProvenanceOf(processor.serial, processor.arch_index,
-                                            processor.defects, config, detected_stage,
-                                            detected_month));
-  }
 }
 
 ShardOutcomeObserver::~ShardOutcomeObserver() = default;

@@ -21,9 +21,10 @@
 // only when a wear-out defect's onset month is crossed -- every other cycle is a cached
 // lookup. The clean-processor fast path never touches the model at all: it streams the
 // packed per-processor byte columns and jumps between faulty parts via the fleet's
-// sorted faulty-serial index. The pre-memoization implementation is retained as a
-// test-only reference (ScreeningConfig::use_reference_model) and the equivalence suite
-// asserts byte-identical stats between the two at several thread counts.
+// sorted faulty-serial index. The pre-memoization implementation lives outside the
+// engine as a test oracle (ReferenceScreen, tests/oracles/oracles.h), and the
+// equivalence suite asserts byte-identical stats between the two at several thread
+// counts.
 //
 // Every entry point runs on an EngineContext (src/common/context.h), the one place that
 // decides lanes, vector level and telemetry sinks; configs describe only the experiment.
@@ -88,10 +89,6 @@ struct ScreeningConfig {
   // machine tests at the same month boundaries.
   int regular_groups = 6;
   uint64_t seed = 77;
-  // Test-only hook: run the slow pre-memoization model that recomputes MatchingTestcases
-  // and ExpectedErrors at every probe. Output must be byte-identical to the default
-  // memoized path (tests/screening_model_test.cc); production callers leave this false.
-  bool use_reference_model = false;
 };
 
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
@@ -125,8 +122,8 @@ struct ProcessorOutcome {
 // Compact provenance record attached to every screening detection: enough context to
 // answer "which defect, drawn from which RNG stream, was caught where and why" without
 // re-running the fleet (docs/observability.md). Built inside the screening kernel, so it
-// exists for both the memoized and reference models and for both execution modes;
-// ScreeningStats keeps it parallel to `detections` (same length, same order).
+// exists in both execution modes; ScreeningStats keeps it parallel to `detections` (same
+// length, same order).
 struct DetectionProvenance {
   uint64_t serial = 0;
   std::string defect_id;       // id of the processor's first defect
@@ -191,8 +188,6 @@ struct ScreeningShardView {
     const DefectRange& range = faulty_ranges[ordinal];
     return {defects.data() + range.offset, range.count};
   }
-  std::span<const Defect> DefectsOf(uint64_t serial) const;
-  FleetProcessorView processor(uint64_t serial) const;
 };
 
 class ScreeningPipeline {
@@ -241,23 +236,14 @@ class ScreeningPipeline {
   // (kScreeningShardGrain) per forked RNG stream; `sub_shard` is that global shard index
   // -- stamped into every new provenance record and, when traces[k] is non-null, emitted
   // as the shard's "screen.subshard" span plus one "detection" instant per new detection.
-  // Cached-model scenarios share the SIMD arch histogram and the per-defect
-  // MatchingTestcases memo; reference-model scenarios run ScreenProcessorReference per
-  // processor (still amortizing shard generation in streaming mode). All spans must have
-  // scenarios.size() entries.
+  // Scenarios share the SIMD arch histogram and the per-defect MatchingTestcases memo.
+  // All spans must have scenarios.size() entries.
   void ScreenShardRangeBatch(const ScreeningShardView& view,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
                              uint64_t sub_shard, SimdLevel simd, std::span<Rng> rngs,
                              std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
-
-  // Pre-memoization implementation, kept verbatim as the equivalence-test oracle. Screens
-  // one processor (clean parts included), recomputing MatchingTestcases / ExpectedErrors
-  // at every probe. Reached only via ScreeningConfig::use_reference_model.
-  void ScreenProcessorReference(const FleetProcessorView& processor,
-                                const ScreeningConfig& config, Rng& rng,
-                                ScreeningStats& stats) const;
 
   const TestSuite* suite_;
 };

@@ -69,11 +69,6 @@ struct PopulationConfig {
   // Share of faulty parts no testcase can expose (complex multi-thread scenarios).
   double undetectable_share = 0.04;
   uint64_t seed = 20210101;
-  // Runs the original per-processor scalar generator instead of the blocked kernel
-  // (docs/performance.md). Both produce the same fleet to the bit -- columns, faulty
-  // index, defect arena, tallies -- which tests and bench/micro_screening assert; the
-  // flag exists so that equivalence stays checkable forever (the PR 3 / PR 6 precedent).
-  bool use_reference_generator = false;
 };
 
 // Per-shard generation tallies. Cheap integer counters that shard consumers and the
@@ -115,9 +110,10 @@ struct FleetShardBuffer {
 // (weight re-summing, MakeArchSpec lookups, CDF boundaries, Bernoulli thresholds) lives
 // here instead of in the per-processor loop. `blocked` reports whether the bulk kernel
 // is usable: it needs an exact, drawing arch CDF and a per-arch prevalence that consumes
-// exactly one draw per processor (0 < rate/detectability < 1); any degenerate config --
-// or PopulationConfig::use_reference_generator -- falls back to the reference loop,
-// which handles every input. Both paths generate identical bytes (docs/performance.md).
+// exactly one draw per processor (0 < rate/detectability < 1); any degenerate config
+// falls back to the per-processor loop, which handles every input. Both paths generate
+// identical bytes (docs/performance.md); the GenerateFleetReference test oracle
+// (tests/oracles/oracles.h) clears `blocked` to check exactly that.
 struct GenerationPlan {
   std::vector<double> shares;                  // hoisted copy of config.arch_share
   std::array<int, kArchCount> pcores_by_arch{};  // hoisted MakeArchSpec(...).physical_cores

@@ -93,8 +93,9 @@ EffectivenessAccumulator::EffectivenessAccumulator(const TestSuite* suite,
                                                    const StageParams& stage)
     : suite_(suite), stage_(stage) {}
 
-void EffectivenessAccumulator::BeginStream(const PopulationConfig& /*config*/,
-                                           uint64_t shard_count) {
+void EffectivenessAccumulator::BeginStreamWithContext(EngineContext* /*context*/,
+                                                      const PopulationConfig& /*config*/,
+                                                      uint64_t shard_count) {
   shard_effective_.assign(shard_count, {});
   result_ = TestcaseEffectiveness{};
 }

@@ -39,7 +39,8 @@ class EffectivenessAccumulator : public ShardConsumer {
   // `suite` must outlive the stream pass.
   EffectivenessAccumulator(const TestSuite* suite, const StageParams& stage);
 
-  void BeginStream(const PopulationConfig& config, uint64_t shard_count) override;
+  void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
+                              uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 

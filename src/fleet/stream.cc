@@ -51,13 +51,8 @@ std::span<const Defect> FleetShard::DefectsOf(uint64_t serial) const {
 ShardConsumer::~ShardConsumer() = default;
 
 void ShardConsumer::BeginStreamWithContext(EngineContext* /*context*/,
-                                           const PopulationConfig& config,
-                                           uint64_t shard_count) {
-  BeginStream(config, shard_count);
-}
-
-void ShardConsumer::BeginStream(const PopulationConfig& /*config*/,
-                                uint64_t /*shard_count*/) {}
+                                           const PopulationConfig& /*config*/,
+                                           uint64_t /*shard_count*/) {}
 
 void ShardConsumer::EndStream() {}
 

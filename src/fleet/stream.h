@@ -82,14 +82,11 @@ class ShardConsumer {
 
   // Called once before any shard, on the driving thread. Drive always passes the context
   // it runs on (never null), so consumers can resolve telemetry sinks and the vector
-  // level from it -- and PIN them for the whole pass (src/common/context.h). The default
-  // implementation forwards to the context-free BeginStream, so consumers that need no
-  // context override that one instead.
+  // level from it -- and PIN them for the whole pass (src/common/context.h). Does
+  // nothing by default.
   virtual void BeginStreamWithContext(EngineContext* context,
                                       const PopulationConfig& config,
                                       uint64_t shard_count);
-  // Context-free form, for consumers that do not care about contexts.
-  virtual void BeginStream(const PopulationConfig& config, uint64_t shard_count);
   // Called once per shard; thread-safe against itself on distinct shards.
   virtual void ConsumeShard(const FleetShard& shard) = 0;
   // Called once after every shard completed, on the driving thread.

@@ -29,6 +29,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/series.h"
 #include "src/telemetry/trace.h"
+#include "tests/oracles/oracles.h"
 #include "tests/test_engine.h"
 
 namespace sdc {
@@ -131,16 +132,6 @@ void ExpectFleetsIdentical(const FleetPopulation& a, const FleetPopulation& b) {
         << "defect " << i;
   }
   EXPECT_EQ(HashFleet(a), HashFleet(b));
-}
-
-FleetPopulation GenerateVariant(uint64_t processors, uint64_t seed, bool reference,
-                                SimdLevel simd, int threads) {
-  PopulationConfig config;
-  config.processor_count = processors;
-  config.seed = seed;
-  config.use_reference_generator = reference;
-  EngineContext context(PinnedEngine(threads, simd));
-  return FleetPopulation::Generate(config, context);
 }
 
 // Shared mid-size fleet (200k parts) to keep the statistical tests fast but stable.
@@ -246,20 +237,19 @@ TEST_F(FleetTest, GenerationDeterministic) {
 
 TEST_F(FleetTest, BlockedGeneratorMatchesReferenceAcrossThreadsAndSimd) {
   // The tentpole contract: the blocked SIMD generator and the original per-processor
-  // loop produce byte-identical fleets -- columns, faulty index, defect arena, tallies --
-  // at every thread count and dispatch level. 100k parts spans 13 shards including a
-  // partial tail shard, so block tails and shard boundaries are both exercised.
-  const FleetPopulation reference =
-      GenerateVariant(100000, 991, /*reference=*/true, SimdLevel::kAuto, 1);
+  // loop (the GenerateFleetReference oracle) produce byte-identical fleets -- columns,
+  // faulty index, defect arena, tallies -- at every thread count and dispatch level.
+  // 100k parts spans 13 shards including a partial tail shard, so block tails and shard
+  // boundaries are both exercised.
+  PopulationConfig config;
+  config.processor_count = 100000;
+  config.seed = 991;
+  const FleetPopulation reference = GenerateFleetReference(config);
   for (const int threads : {1, 2, 8}) {
     for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
-      const FleetPopulation blocked =
-          GenerateVariant(100000, 991, /*reference=*/false, simd, threads);
-      ExpectFleetsIdentical(reference, blocked);
+      EngineContext context(PinnedEngine(threads, simd));
+      ExpectFleetsIdentical(reference, FleetPopulation::Generate(config, context));
     }
-    const FleetPopulation reference_mt =
-        GenerateVariant(100000, 991, /*reference=*/true, SimdLevel::kAuto, threads);
-    ExpectFleetsIdentical(reference, reference_mt);
   }
 }
 
@@ -276,12 +266,8 @@ TEST_F(FleetTest, DegenerateConfigsFallBackToReferenceBehavior) {
   PopulationConfig one_arch = zero_rate;
   one_arch.detected_rate = PopulationConfig().detected_rate;
   one_arch.arch_share = {};  // zero total: NextWeighted returns 0 without drawing
-  for (const PopulationConfig& base : {zero_rate, all_faulty, one_arch}) {
-    PopulationConfig ref = base;
-    ref.use_reference_generator = true;
-    PopulationConfig blocked = base;
-    blocked.use_reference_generator = false;
-    ExpectFleetsIdentical(GenerateFleet(ref), GenerateFleet(blocked));
+  for (const PopulationConfig& config : {zero_rate, all_faulty, one_arch}) {
+    ExpectFleetsIdentical(GenerateFleetReference(config), GenerateFleet(config));
   }
   const FleetPopulation zero = GenerateFleet(zero_rate);
   EXPECT_EQ(zero.faulty_count(), 0u);
@@ -299,10 +285,7 @@ TEST_F(FleetTest, GoldenFleetSnapshotHash) {
   config.processor_count = 100000;
   const FleetPopulation fleet = GenerateFleet(config);
   EXPECT_EQ(HashFleet(fleet), 0xa03e3b0bb460cae3ull);
-  PopulationConfig reference_config = config;
-  reference_config.use_reference_generator = true;
-  EXPECT_EQ(HashFleet(GenerateFleet(reference_config)),
-            0xa03e3b0bb460cae3ull);
+  EXPECT_EQ(HashFleet(GenerateFleetReference(config)), 0xa03e3b0bb460cae3ull);
 }
 
 // ---- Absolute digest manifest ---------------------------------------------------------

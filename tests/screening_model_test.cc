@@ -1,9 +1,9 @@
 // Equivalence suite for the memoized detection model (docs/performance.md): the default
 // cached screening path must be byte-identical -- every counter, every detection in
-// order, detection months compared bitwise -- to the retained pre-memoization reference
-// implementation (ScreeningConfig::use_reference_model) at several thread counts. Any
-// divergence means the memoization changed the model or the RNG draw order, both of
-// which break the determinism contract in docs/parallelism.md.
+// order, every provenance field, months and temperatures compared bitwise -- to the
+// pre-memoization ReferenceScreen oracle (tests/oracles/oracles.h) at several thread
+// counts. Any divergence means the memoization changed the model or the RNG draw order,
+// both of which break the determinism contract in docs/parallelism.md.
 
 #include <cstring>
 #include <sstream>
@@ -16,6 +16,7 @@
 #include "src/fleet/population.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
+#include "tests/oracles/oracles.h"
 #include "tests/test_engine.h"
 
 namespace sdc {
@@ -31,12 +32,15 @@ class ScreeningModelTest : public ::testing::Test {
     config.seed = 20260805;
     fleet_ = new FleetPopulation(GenerateFleet(config));
     suite_ = new TestSuite(TestSuite::BuildFull());
+    reference_ = new ScreeningStats(Reference(ScreeningConfig()));
   }
   static void TearDownTestSuite() {
     delete fleet_;
     delete suite_;
+    delete reference_;
     fleet_ = nullptr;
     suite_ = nullptr;
+    reference_ = nullptr;
   }
 
   // Screens the shared fleet under `config` alone, on a fresh context.
@@ -54,9 +58,13 @@ class ScreeningModelTest : public ::testing::Test {
     return ScreeningPipeline(suite_).RunBatch(*fleet_, batch, context);
   }
 
-  static ScreeningStats RunModel(bool use_reference, int threads,
-                                 MetricsRegistry* metrics = nullptr) {
-    return RunAlone(ScreeningConfig{.use_reference_model = use_reference}, threads, metrics);
+  // The oracle's screen of the shared fleet under `config` (one lane, no sinks).
+  static ScreeningStats Reference(const ScreeningConfig& config) {
+    return ReferenceScreen(ScreeningPipeline(suite_), *fleet_, config);
+  }
+
+  static bool SameBits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
   }
 
   static void ExpectIdentical(const ScreeningStats& cached, const ScreeningStats& reference) {
@@ -75,58 +83,80 @@ class ScreeningModelTest : public ::testing::Test {
       EXPECT_EQ(c.stage, r.stage) << "detection " << i;
       // Bitwise, not EXPECT_DOUBLE_EQ: the cached path must reproduce the reference's
       // floating-point rounding exactly, not merely approximately.
-      EXPECT_EQ(std::memcmp(&c.month, &r.month, sizeof(double)), 0)
+      EXPECT_TRUE(SameBits(c.month, r.month))
           << "detection " << i << " month " << c.month << " vs " << r.month;
+    }
+    // The whole provenance record, field by field; doubles bitwise.
+    ASSERT_EQ(cached.provenance.size(), reference.provenance.size());
+    for (size_t i = 0; i < cached.provenance.size(); ++i) {
+      const DetectionProvenance& c = cached.provenance[i];
+      const DetectionProvenance& r = reference.provenance[i];
+      EXPECT_EQ(c.serial, r.serial) << "provenance " << i;
+      EXPECT_EQ(c.defect_id, r.defect_id) << "provenance " << i;
+      EXPECT_EQ(c.defect_count, r.defect_count) << "provenance " << i;
+      EXPECT_EQ(c.arch_index, r.arch_index) << "provenance " << i;
+      EXPECT_EQ(c.stage, r.stage) << "provenance " << i;
+      EXPECT_EQ(c.sub_shard, r.sub_shard) << "provenance " << i;
+      EXPECT_EQ(c.rng_stream, r.rng_stream) << "provenance " << i;
+      EXPECT_TRUE(SameBits(c.onset_months, r.onset_months)) << "provenance " << i;
+      EXPECT_TRUE(SameBits(c.min_trigger_celsius, r.min_trigger_celsius))
+          << "provenance " << i;
+      EXPECT_TRUE(SameBits(c.stage_temperature_celsius, r.stage_temperature_celsius))
+          << "provenance " << i;
+      EXPECT_TRUE(SameBits(c.month, r.month)) << "provenance " << i;
     }
   }
 
   static FleetPopulation* fleet_;
   static TestSuite* suite_;
+  static ScreeningStats* reference_;  // the oracle's screen under the default config
 };
 
 FleetPopulation* ScreeningModelTest::fleet_ = nullptr;
 TestSuite* ScreeningModelTest::suite_ = nullptr;
+ScreeningStats* ScreeningModelTest::reference_ = nullptr;
 
 TEST_F(ScreeningModelTest, CachedMatchesReferenceAtOneThread) {
-  ExpectIdentical(RunModel(false, 1), RunModel(true, 1));
+  ExpectIdentical(RunAlone(ScreeningConfig(), 1), *reference_);
 }
 
 TEST_F(ScreeningModelTest, CachedMatchesReferenceAtTwoThreads) {
-  ExpectIdentical(RunModel(false, 2), RunModel(true, 2));
+  ExpectIdentical(RunAlone(ScreeningConfig(), 2), *reference_);
 }
 
 TEST_F(ScreeningModelTest, CachedMatchesReferenceAtEightThreads) {
-  ExpectIdentical(RunModel(false, 8), RunModel(true, 8));
+  ExpectIdentical(RunAlone(ScreeningConfig(), 8), *reference_);
 }
 
 TEST_F(ScreeningModelTest, CachedIsThreadCountInvariant) {
   // The cached fast path skips clean processors outright; that must not perturb the
   // shard-order merge that makes stats thread-count invariant.
-  const ScreeningStats one = RunModel(false, 1);
-  ExpectIdentical(RunModel(false, 2), one);
-  ExpectIdentical(RunModel(false, 8), one);
-  // And both models agree across thread counts, not just within one.
-  ExpectIdentical(one, RunModel(true, 8));
+  const ScreeningStats one = RunAlone(ScreeningConfig(), 1);
+  ExpectIdentical(RunAlone(ScreeningConfig(), 2), one);
+  ExpectIdentical(RunAlone(ScreeningConfig(), 8), one);
+  // And the engine agrees with the oracle across thread counts, not just within one.
+  ExpectIdentical(one, *reference_);
 }
 
 TEST_F(ScreeningModelTest, MetricsSnapshotsIdenticalAcrossModels) {
   // The observable metric stream (sans wall-clock timers) is part of the contract too.
-  const auto snapshot_json = [](bool use_reference, int threads) {
+  // The oracle emits no metrics, so this compares thread counts only; the absolute
+  // bytes are pinned by FleetDigestManifest (tests/fleet_test.cc).
+  const auto snapshot_json = [](int threads) {
     MetricsRegistry registry;
-    (void)RunModel(use_reference, threads, &registry);
+    (void)RunAlone(ScreeningConfig(), threads, &registry);
     std::ostringstream out;
     WriteMetricsJson(out, registry.Snapshot(), /*include_timers=*/false);
     return out.str();
   };
-  const std::string cached = snapshot_json(false, 1);
-  EXPECT_EQ(cached, snapshot_json(true, 1));
-  EXPECT_EQ(cached, snapshot_json(false, 8));
+  const std::string cached = snapshot_json(1);
+  EXPECT_EQ(cached, snapshot_json(8));
   EXPECT_NE(cached.find("screening.tested"), std::string::npos);
 }
 
 TEST_F(ScreeningModelTest, FastPathActuallyDetects) {
   // Guard against the equivalence holding vacuously (nothing detected at all).
-  const ScreeningStats stats = RunModel(false, 1);
+  const ScreeningStats stats = RunAlone(ScreeningConfig(), 1);
   EXPECT_EQ(stats.tested, kFleetSize);
   EXPECT_GT(stats.faulty, 0u);
   EXPECT_GT(stats.total_detected(), 0u);
@@ -142,14 +172,13 @@ TEST_F(ScreeningModelTest, FastPathActuallyDetects) {
 
 // K scenarios with distinct seeds and cadences (the spread the bench uses too), so the
 // batch cannot pass by accidentally computing one scenario K times.
-ScenarioBatch MakeBatch(int k_count, bool use_reference) {
+ScenarioBatch MakeBatch(int k_count) {
   static constexpr double kPeriods[] = {3.0, 1.0, 2.0, 6.0};
   ScenarioBatch batch;
   for (int k = 0; k < k_count; ++k) {
     ScreeningConfig config;
     config.seed = 77 + static_cast<uint64_t>(k);
     config.regular_period_months = kPeriods[k % 4];
-    config.use_reference_model = use_reference;
     batch.scenarios.push_back(config);
   }
   return batch;
@@ -157,9 +186,8 @@ ScenarioBatch MakeBatch(int k_count, bool use_reference) {
 
 class ScreeningBatchTest : public ScreeningModelTest {
  protected:
-  static void ExpectBatchMatchesIndependent(int k_count, int threads,
-                                            bool use_reference) {
-    const ScenarioBatch batch = MakeBatch(k_count, use_reference);
+  static void ExpectBatchMatchesIndependent(int k_count, int threads) {
+    const ScenarioBatch batch = MakeBatch(k_count);
     const std::vector<ScreeningStats> batched = RunBatchOn(batch, threads);
     ASSERT_EQ(batched.size(), batch.scenarios.size());
     for (int k = 0; k < k_count; ++k) {
@@ -171,42 +199,24 @@ class ScreeningBatchTest : public ScreeningModelTest {
 };
 
 TEST_F(ScreeningBatchTest, BatchedMatchesIndependentAtOneThread) {
-  ExpectBatchMatchesIndependent(8, 1, /*use_reference=*/false);
+  ExpectBatchMatchesIndependent(8, 1);
 }
 
 TEST_F(ScreeningBatchTest, BatchedMatchesIndependentAtTwoThreads) {
-  ExpectBatchMatchesIndependent(8, 2, /*use_reference=*/false);
+  ExpectBatchMatchesIndependent(8, 2);
 }
 
 TEST_F(ScreeningBatchTest, BatchedMatchesIndependentAtEightThreads) {
-  ExpectBatchMatchesIndependent(8, 8, /*use_reference=*/false);
-}
-
-TEST_F(ScreeningBatchTest, BatchedReferenceModelMatchesIndependent) {
-  // Reference-model scenarios take the per-scenario fallback inside the batch kernel;
-  // that path must be the same bits too. Small K: the reference model is slow.
-  ExpectBatchMatchesIndependent(2, 2, /*use_reference=*/true);
-}
-
-TEST_F(ScreeningBatchTest, MixedModelBatchMatchesIndependent) {
-  // Cached and reference scenarios in ONE batch: the cached slots ride the fused loop
-  // while the reference slot replays per scenario, and each must match its solo run.
-  ScenarioBatch batch = MakeBatch(3, /*use_reference=*/false);
-  batch.scenarios[1].use_reference_model = true;
-  const std::vector<ScreeningStats> batched = RunBatchOn(batch, 2);
-  ASSERT_EQ(batched.size(), 3u);
-  for (size_t k = 0; k < batch.scenarios.size(); ++k) {
-    SCOPED_TRACE("scenario " + std::to_string(k));
-    ExpectIdentical(batched[k], RunAlone(batch.scenarios[k], 2));
-  }
+  ExpectBatchMatchesIndependent(8, 8);
 }
 
 TEST_F(ScreeningBatchTest, DistinctStageParamsBatchMatchesIndependent) {
   // Scenarios with bit-identical stage parameters share one survive-term table per
   // faulty part; scenarios whose parameters differ must land in their own group and
   // still match their solo runs bitwise. Three groups here: {0, 2} (default stages),
-  // {1} (hotter re-install), {3} (weaker factory catch).
-  ScenarioBatch batch = MakeBatch(4, /*use_reference=*/false);
+  // {1} (hotter re-install), {3} (weaker factory catch). Each slot is also checked
+  // against the oracle, which recomputes every term from its own stage parameters.
+  ScenarioBatch batch = MakeBatch(4);
   batch.scenarios[1].stages[2].temperature_celsius = 72.0;
   batch.scenarios[3].stages[0].catch_factor = 0.05;
   const std::vector<ScreeningStats> batched = RunBatchOn(batch, 2);
@@ -214,12 +224,13 @@ TEST_F(ScreeningBatchTest, DistinctStageParamsBatchMatchesIndependent) {
   for (size_t k = 0; k < batch.scenarios.size(); ++k) {
     SCOPED_TRACE("scenario " + std::to_string(k));
     ExpectIdentical(batched[k], RunAlone(batch.scenarios[k], 2));
+    ExpectIdentical(batched[k], Reference(batch.scenarios[k]));
   }
 }
 
 TEST_F(ScreeningBatchTest, BatchIsThreadCountInvariant) {
-  const std::vector<ScreeningStats> one = RunBatchOn(MakeBatch(4, false), 1);
-  const std::vector<ScreeningStats> eight = RunBatchOn(MakeBatch(4, false), 8);
+  const std::vector<ScreeningStats> one = RunBatchOn(MakeBatch(4), 1);
+  const std::vector<ScreeningStats> eight = RunBatchOn(MakeBatch(4), 8);
   ASSERT_EQ(one.size(), eight.size());
   for (size_t k = 0; k < one.size(); ++k) {
     SCOPED_TRACE("scenario " + std::to_string(k));
@@ -230,7 +241,7 @@ TEST_F(ScreeningBatchTest, BatchIsThreadCountInvariant) {
 TEST_F(ScreeningBatchTest, ScenariosActuallyDiffer) {
   // Guard against the equivalence holding because every slot carries the same bits: the
   // seeds differ, so the detection sets must differ somewhere.
-  const std::vector<ScreeningStats> batched = RunBatchOn(MakeBatch(4, false), 2);
+  const std::vector<ScreeningStats> batched = RunBatchOn(MakeBatch(4), 2);
   ASSERT_EQ(batched.size(), 4u);
   bool any_difference = false;
   for (size_t k = 1; k < batched.size(); ++k) {
@@ -258,7 +269,7 @@ TEST_F(ScreeningBatchTest, EmptyBatchReturnsNoStats) {
 TEST_F(ScreeningBatchTest, SharedRegistryGetsTheSumOfIndependentRuns) {
   // Every scenario of a batch merges into the context's one registry, so each counter
   // (and histogram bucket) is the sum of the scenarios' independent runs.
-  const ScenarioBatch batch = MakeBatch(3, false);
+  const ScenarioBatch batch = MakeBatch(3);
   MetricsRegistry batch_registry;
   (void)RunBatchOn(batch, 2, &batch_registry);
   MetricsSnapshot expected;

@@ -1,6 +1,7 @@
-// Tests for src/farron/session.h: the reentrant ProtectionSession against the retained
-// reference loop (byte-identity of report, event log, metrics), step-quantum invariance,
-// ablation configs under the session API, and budgeted round execution.
+// Tests for src/farron/session.h: the reentrant ProtectionSession against the original
+// monolithic loop, kept as a test oracle (tests/oracles/oracles.h) -- byte-identity of
+// report, event log, metrics -- plus step-quantum invariance, ablation configs under the
+// session API, and budgeted round execution.
 
 #include <cmath>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "src/fault/catalog.h"
 #include "src/telemetry/event_log.h"
 #include "src/telemetry/metrics.h"
+#include "tests/oracles/oracles.h"
 #include "tests/test_engine.h"
 
 namespace sdc {
@@ -79,10 +81,8 @@ TEST_F(SessionTest, WorkloadByteIdenticalToReference) {
                                                 .metrics = &reference_metrics,
                                                 .event_log = &reference_log});
   Farron reference(suite_, &reference_machine, FarronConfig(), reference_context);
-  WorkloadSpec reference_spec = spec;
-  reference_spec.use_reference_loop = true;
-  const ProtectionReport via_reference = SimulateProtectedWorkload(
-      reference, reference_machine, *suite_, reference_spec, 3.0, true);
+  const ProtectionReport via_reference = SimulateProtectedWorkloadReference(
+      reference, reference_machine, *suite_, spec, 3.0, true);
 
   ExpectReportsIdentical(via_session, via_reference);
 
@@ -111,10 +111,8 @@ TEST_F(SessionTest, UnprotectedWorkloadMatchesReference) {
 
   FaultyMachine reference_machine(FindInCatalog("FPU1"), 31);
   Farron reference_farron(suite_, &reference_machine, config, context_);
-  WorkloadSpec reference_spec = spec;
-  reference_spec.use_reference_loop = true;
-  const ProtectionReport via_reference = SimulateProtectedWorkload(
-      reference_farron, reference_machine, *suite_, reference_spec, 2.0, false);
+  const ProtectionReport via_reference = SimulateProtectedWorkloadReference(
+      reference_farron, reference_machine, *suite_, spec, 2.0, false);
 
   ExpectReportsIdentical(via_session, via_reference);
 }
@@ -159,10 +157,8 @@ TEST_F(SessionTest, AblationConfigsMatchReference) {
 
       FaultyMachine reference_machine(FindInCatalog("SIMD1"), 33);
       Farron reference_farron(suite_, &reference_machine, config, context_);
-      WorkloadSpec reference_spec = spec;
-      reference_spec.use_reference_loop = true;
-      const ProtectionReport via_reference = SimulateProtectedWorkload(
-          reference_farron, reference_machine, *suite_, reference_spec, 1.5, true);
+      const ProtectionReport via_reference = SimulateProtectedWorkloadReference(
+          reference_farron, reference_machine, *suite_, spec, 1.5, true);
 
       ExpectReportsIdentical(via_session, via_reference);
     }

@@ -255,13 +255,21 @@ TEST(SimdLevelTest, NamesRoundTrip) {
 
 TEST(SimdLevelTest, ResolveClampsToSupported) {
   // kAuto resolves to the best supported level; an explicit request the host cannot run
-  // clamps down instead of dispatching an illegal instruction.
+  // clamps down instead of dispatching an illegal instruction. ResolveSimdLevel honors
+  // SDC_SIMD, so the body runs with it unset and the caller's value is restored after.
+  const char* inherited = std::getenv("SDC_SIMD");
+  const bool had_value = inherited != nullptr;
+  const std::string saved = had_value ? inherited : "";
+  ASSERT_EQ(unsetenv("SDC_SIMD"), 0);
   const SimdLevel best = BestSupportedSimdLevel();
   EXPECT_EQ(ResolveSimdLevel(SimdLevel::kAuto), best);
   EXPECT_EQ(ResolveSimdLevel(SimdLevel::kScalar), SimdLevel::kScalar);
   EXPECT_EQ(ResolveSimdLevel(SimdLevel::kNEON) == SimdLevel::kNEON ||
                 ResolveSimdLevel(SimdLevel::kNEON) == best,
             true);
+  if (had_value) {
+    ASSERT_EQ(setenv("SDC_SIMD", saved.c_str(), /*overwrite=*/1), 0);
+  }
 }
 
 TEST(SimdLevelTest, EnvironmentVariableForcesLevel) {

@@ -52,21 +52,14 @@ class StreamEquivalenceTest : public ::testing::Test {
     return config;
   }
 
-  static ScreeningConfig MakeScreeningConfig(bool use_reference) {
-    ScreeningConfig config;
-    config.use_reference_model = use_reference;
-    return config;
-  }
-
   // The materialized baseline: build the fleet, then run each aggregation against it.
   static PassResults RunMaterialized(uint64_t processors, int threads,
-                                     MetricsRegistry* metrics = nullptr,
-                                     bool use_reference = false) {
+                                     MetricsRegistry* metrics = nullptr) {
     EngineContext context(PinnedEngine(threads, metrics));
     const FleetPopulation fleet =
         FleetPopulation::Generate(MakePopulationConfig(processors), context);
     ScreeningPipeline pipeline(suite_);
-    const ScreeningConfig screening = MakeScreeningConfig(use_reference);
+    const ScreeningConfig screening;
     PassResults results;
     results.stats = pipeline.Run(fleet, screening, context);
     results.capacity = SimulateCapacityRetention(fleet, results.stats, screening);
@@ -91,10 +84,9 @@ class StreamEquivalenceTest : public ::testing::Test {
 
   // The fused pass: all four aggregations ride one FleetShardStream drive.
   static PassResults RunStreaming(uint64_t processors, int threads,
-                                  MetricsRegistry* metrics = nullptr,
-                                  bool use_reference = false) {
+                                  MetricsRegistry* metrics = nullptr) {
     ScreeningPipeline pipeline(suite_);
-    const ScreeningConfig screening = MakeScreeningConfig(use_reference);
+    const ScreeningConfig screening;
     FleetShardStream stream(MakePopulationConfig(processors));
     StreamingScreen screen(&pipeline, screening);
     CapacityAccumulator capacity;
@@ -240,14 +232,6 @@ TEST_F(StreamEquivalenceTest, MetricsSnapshotsIdenticalAcrossModes) {
   EXPECT_NE(materialized.find("screening.tested"), std::string::npos);
 }
 
-TEST_F(StreamEquivalenceTest, ReferenceModelStreamsIdenticallyToo) {
-  // The retained pre-memoization oracle must stream through the same shard views without
-  // perturbing a single draw. Smaller fleet: the reference model is deliberately slow.
-  constexpr uint64_t kSmall = 50000;
-  ExpectIdenticalResults(RunStreaming(kSmall, 2, nullptr, /*use_reference=*/true),
-                         RunMaterialized(kSmall, 2, nullptr, /*use_reference=*/true));
-}
-
 TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
   // A FleetMaterializer riding the same drive as other consumers rebuilds exactly the
   // fleet Generate produces (Generate itself is this consumer; this pins the multi-
@@ -258,7 +242,7 @@ TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
   FleetPopulation rebuilt;
   FleetMaterializer materializer(&rebuilt);
   ScreeningPipeline pipeline(suite_);
-  StreamingScreen screen(&pipeline, MakeScreeningConfig(false));
+  StreamingScreen screen(&pipeline, ScreeningConfig());
   FleetShardStream stream(config);
   stream.Drive({&screen, &materializer}, context);
   EXPECT_EQ(rebuilt.arch_bytes(), expected.arch_bytes());

@@ -96,7 +96,7 @@ size_t Word128Hash::operator()(const Word128& w) const {
   return static_cast<size_t>(x);
 }
 
-Word128 BitsOfFloat80(long double value) {
+Word128 BitsOfFloat80Portable(long double value) {
   Word128 out;
   const bool negative = std::signbit(value);
   long double magnitude = negative ? -value : value;
@@ -135,7 +135,7 @@ Word128 BitsOfFloat80(long double value) {
   return out;
 }
 
-long double Float80FromBits(const Word128& bits) {
+long double Float80FromBitsPortable(const Word128& bits) {
   const uint16_t high16 = static_cast<uint16_t>(bits.hi & 0xffffu);
   const bool negative = (high16 & 0x8000u) != 0;
   const int biased = high16 & 0x7fffu;

@@ -6,15 +6,18 @@
 // in a 128-bit container (`Word128`) so one analysis pipeline serves every type, including the
 // 80-bit one.
 //
-// The 80-bit encoding is produced portably from `long double` with frexpl/ldexpl instead of
-// relying on the x87 in-memory layout; the result matches the x87 format (sign, 15-bit biased
-// exponent, explicit integer bit, 63 fraction bits) for normal values.
+// The 80-bit encoding is defined portably from `long double` with frexpl/ldexpl; the result
+// matches the x87 format (sign, 15-bit biased exponent, explicit integer bit, 63 fraction
+// bits) for normal values. On an x87 host the values whose in-memory bytes already are that
+// encoding are copied instead.
 
 #ifndef SDC_SRC_COMMON_BITS_H_
 #define SDC_SRC_COMMON_BITS_H_
 
 #include <bit>
+#include <cfloat>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace sdc {
@@ -86,9 +89,38 @@ inline Word128 BitsOfInt32(int32_t value) { return {static_cast<uint32_t>(value)
 inline Word128 BitsOfUInt32(uint32_t value) { return {value, 0}; }
 inline Word128 BitsOfFloat(float value) { return {std::bit_cast<uint32_t>(value), 0}; }
 inline Word128 BitsOfDouble(double value) { return {std::bit_cast<uint64_t>(value), 0}; }
+
+// The portable x87 encoders, built on frexp/ldexp: BitsOfFloat80 and Float80FromBits below
+// fall back to them for every value whose image the host's own layout cannot give.
+Word128 BitsOfFloat80Portable(long double value);
+long double Float80FromBitsPortable(const Word128& bits);
+
+// True when `long double` is the x87 extended format, stored little-endian in its first
+// 10 bytes, so a canonical image and the in-memory value are the same bytes.
+inline constexpr bool kX87LongDouble = LDBL_MANT_DIG == 64 && LDBL_MAX_EXP == 16384 &&
+                                       sizeof(long double) >= 10 &&
+                                       std::endian::native == std::endian::little;
+
 // Encodes into the 80-bit x87 extended format (normal and zero values; infinities and NaNs
-// are encoded as the maximum-exponent patterns).
-Word128 BitsOfFloat80(long double value);
+// are encoded as the maximum-exponent patterns, denormals as signed zero). On an x87 host
+// normal, zero and infinite values copy their own bytes, which are that encoding.
+inline Word128 BitsOfFloat80(long double value) {
+  if constexpr (kX87LongDouble) {
+    Word128 out;
+    uint16_t top = 0;
+    std::memcpy(&out.lo, &value, 8);
+    std::memcpy(&top, reinterpret_cast<const unsigned char*>(&value) + 8, 2);
+    out.hi = top;
+    const unsigned exponent = top & 0x7fffu;
+    const bool integer_bit = (out.lo >> 63) != 0;
+    if ((exponent != 0 && exponent != 0x7fffu && integer_bit) ||
+        (exponent == 0 && out.lo == 0) ||
+        (exponent == 0x7fffu && out.lo == 0x8000000000000000ull)) {
+      return out;
+    }
+  }
+  return BitsOfFloat80Portable(value);
+}
 inline Word128 BitsOfRaw(uint64_t value, int width_bits) {
   const uint64_t mask = width_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width_bits) - 1);
   return {value & mask, 0};
@@ -105,7 +137,22 @@ inline float FloatFromBits(const Word128& bits) {
   return std::bit_cast<float>(static_cast<uint32_t>(bits.lo));
 }
 inline double DoubleFromBits(const Word128& bits) { return std::bit_cast<double>(bits.lo); }
-long double Float80FromBits(const Word128& bits);
+// Decodes an 80-bit image (bits above the low 80 are ignored). On an x87 host a normal
+// image (biased exponent in [1, 0x7ffe], integer bit set) is copied as is; zeros,
+// infinities, NaNs, denormals and unnormals are decoded portably.
+inline long double Float80FromBits(const Word128& bits) {
+  if constexpr (kX87LongDouble) {
+    const unsigned exponent = static_cast<unsigned>(bits.hi) & 0x7fffu;
+    if (exponent != 0 && exponent != 0x7fffu && (bits.lo >> 63) != 0) {
+      long double value = 0.0L;
+      const auto top = static_cast<uint16_t>(bits.hi);
+      std::memcpy(&value, &bits.lo, 8);
+      std::memcpy(reinterpret_cast<unsigned char*>(&value) + 8, &top, 2);
+      return value;
+    }
+  }
+  return Float80FromBitsPortable(bits);
+}
 inline uint64_t RawFromBits(const Word128& bits) { return bits.lo; }
 
 // Index of the first fraction (mantissa) bit and the number of fraction bits for a floating

@@ -28,6 +28,9 @@ class DefectInjector : public CorruptionHook {
   double age_months() const { return age_months_; }
 
   // CorruptionHook:
+  // The op kinds of the computation defects; fixed at construction. OnExecuteBatch returns
+  // before any draw for every other kind.
+  uint64_t CorruptibleOps() const override { return computation_op_union_; }
   void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override;
   bool OnCoherenceFault(const OpContext& context) override;
   bool OnTxFault(const OpContext& context) override;

@@ -1,11 +1,15 @@
 #include "src/integrity/adler32.h"
 
+#include <algorithm>
 #include <array>
 
 namespace sdc {
 namespace {
 
 constexpr uint32_t kAdlerModulus = 65521;
+// zlib's NMAX: the most bytes whose unreduced sums fit uint32_t when a and b start below
+// the modulus.
+constexpr size_t kAdlerNmax = 5552;
 constexpr uint64_t kCrc64Polynomial = 0xC96C5795D7870F42ull;  // ECMA-182, reflected
 
 std::array<uint64_t, 256> BuildCrc64Table() {
@@ -30,28 +34,41 @@ const std::array<uint64_t, 256>& Crc64Table() {
 uint32_t Adler32(std::span<const uint8_t> data) {
   uint32_t a = 1;
   uint32_t b = 0;
-  for (uint8_t byte : data) {
-    a = (a + byte) % kAdlerModulus;
-    b = (b + a) % kAdlerModulus;
+  while (!data.empty()) {
+    // Sums congruent to the per-byte reduced ones; kAdlerNmax bytes cannot overflow them.
+    const size_t run = std::min(data.size(), kAdlerNmax);
+    for (uint8_t byte : data.first(run)) {
+      a += byte;
+      b += a;
+    }
+    a %= kAdlerModulus;
+    b %= kAdlerModulus;
+    data = data.subspan(run);
   }
   return (b << 16) | a;
 }
 
 uint32_t Adler32OnProcessor(Processor& cpu, int lcore, std::span<const uint8_t> data) {
+  // A routed pair may hold up to 0xffff each; 16 unreduced bytes on top of that stay far
+  // inside uint32_t, and reducing once per block gives the per-byte reduced sums.
   uint32_t a = 1;
   uint32_t b = 0;
   size_t in_block = 0;
   for (uint8_t byte : data) {
-    a = (a + byte) % kAdlerModulus;
-    b = (b + a) % kAdlerModulus;
+    a += byte;
+    b += a;
     if (++in_block == 16) {
       // Route the running pair once per block, like an unrolled SIMD implementation.
-      const uint32_t packed = (b << 16) | a;
+      const uint32_t packed = ((b % kAdlerModulus) << 16) | (a % kAdlerModulus);
       const uint32_t routed = cpu.ExecuteU32(lcore, OpKind::kIntAdd, packed);
       a = routed & 0xffffu;
       b = routed >> 16;
       in_block = 0;
     }
+  }
+  if (in_block > 0) {
+    a %= kAdlerModulus;
+    b %= kAdlerModulus;
   }
   return (b << 16) | a;
 }

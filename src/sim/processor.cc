@@ -11,12 +11,8 @@ Processor::Processor(ProcessorSpec spec)
       utilization_(static_cast<size_t>(spec_.physical_cores), 0.0) {}
 
 OpContext Processor::CountOps(int lcore, OpKind op, DataType type, uint64_t count) {
+  CountCleanOps(lcore, op, count);
   const int pcore = pcore_of(lcore);
-  CoreState& core = cores_[pcore];
-  const int kind = static_cast<int>(op);
-  core.op_counts[kind] += count;
-  core.ops_since_advance[kind] += count;
-  core.busy_cycles_unconsumed += count * static_cast<uint64_t>(LatencyCycles(op));
   OpContext context;
   context.pcore = pcore;
   context.lcore = lcore;
@@ -24,46 +20,20 @@ OpContext Processor::CountOps(int lcore, OpKind op, DataType type, uint64_t coun
   context.type = type;
   context.temperature = thermal_.core_temperature(pcore);
   context.utilization = utilization_[pcore];
-  context.op_intensity = core.op_intensity[kind];
+  context.op_intensity = cores_[pcore].op_intensity[static_cast<int>(op)];
   context.weight = time_scale_;
   return context;
 }
 
 void Processor::ExecuteBatch(int lcore, OpKind op, DataType type, std::span<Word128> values) {
+  if (!MayCorrupt(op)) {
+    CountCleanOps(lcore, op, values.size());
+    return;
+  }
   const OpContext context = CountOps(lcore, op, type, values.size());
-  if (hook_ != nullptr && !values.empty()) {
+  if (!values.empty()) {
     hook_->OnExecuteBatch(context, values);
   }
-}
-
-Word128 Processor::Execute(int lcore, OpKind op, DataType type, const Word128& golden_bits) {
-  Word128 value = golden_bits;
-  ExecuteBatch(lcore, op, type, std::span<Word128>(&value, 1));
-  return value;
-}
-
-int32_t Processor::ExecuteI32(int lcore, OpKind op, int32_t golden) {
-  return Int32FromBits(Execute(lcore, op, DataType::kInt32, BitsOfInt32(golden)));
-}
-
-uint32_t Processor::ExecuteU32(int lcore, OpKind op, uint32_t golden) {
-  return UInt32FromBits(Execute(lcore, op, DataType::kUInt32, BitsOfUInt32(golden)));
-}
-
-float Processor::ExecuteF32(int lcore, OpKind op, float golden) {
-  return FloatFromBits(Execute(lcore, op, DataType::kFloat32, BitsOfFloat(golden)));
-}
-
-double Processor::ExecuteF64(int lcore, OpKind op, double golden) {
-  return DoubleFromBits(Execute(lcore, op, DataType::kFloat64, BitsOfDouble(golden)));
-}
-
-long double Processor::ExecuteF80(int lcore, OpKind op, long double golden) {
-  return Float80FromBits(Execute(lcore, op, DataType::kFloat80, BitsOfFloat80(golden)));
-}
-
-uint64_t Processor::ExecuteRaw(int lcore, OpKind op, uint64_t golden, DataType type) {
-  return RawFromBits(Execute(lcore, op, type, BitsOfRaw(golden, BitWidth(type))));
 }
 
 OpContext Processor::MakeContext(int lcore, OpKind op, DataType type) {
@@ -85,6 +55,9 @@ void Processor::AdvanceSeconds(double dt_seconds) {
   constexpr double kBlend = 0.5;
   for (CoreState& core : cores_) {
     for (int kind = 0; kind < kOpKindCount; ++kind) {
+      if (core.ops_since_advance[kind] == 0 && core.op_intensity[kind] == 0.0) {
+        continue;  // a dead cell: the blend of two zeros would store +0 again
+      }
       const double fresh =
           static_cast<double>(core.ops_since_advance[kind]) * time_scale_ / dt_seconds;
       core.op_intensity[kind] = (1.0 - kBlend) * core.op_intensity[kind] + kBlend * fresh;

@@ -52,6 +52,13 @@ class CorruptionHook {
  public:
   virtual ~CorruptionHook() = default;
 
+  // Bitmask over OpKind: bit k is set unless OnExecuteBatch is guaranteed to leave every
+  // batch of kind k untouched and to draw nothing for it. The processor reads it once, when
+  // the hook is installed, so it must not change while the hook is installed. An op outside
+  // the mask is clean: the processor counts it and returns its golden result without
+  // calling the hook.
+  virtual uint64_t CorruptibleOps() const { return ~uint64_t{0}; }
+
   // May corrupt, in place, the result bits of a batch of computational operations that all
   // run under `context`. On entry `values` holds the correct results' bit images, in
   // execution order; an element left untouched keeps its golden result.
@@ -72,9 +79,19 @@ class Processor {
 
   const ProcessorSpec& spec() const { return spec_; }
 
-  // Installs the defect hook. The hook must outlive the processor. Pass nullptr to clear.
-  void SetCorruptionHook(CorruptionHook* hook) { hook_ = hook; }
+  // Installs the defect hook and caches its CorruptibleOps() mask. The hook must outlive
+  // the processor. Pass nullptr to clear.
+  void SetCorruptionHook(CorruptionHook* hook) {
+    hook_ = hook;
+    corruptible_ops_ = hook != nullptr ? hook->CorruptibleOps() : 0;
+  }
   CorruptionHook* corruption_hook() const { return hook_; }
+
+  // False when no installed defect can corrupt an op of kind `op`: such an op's result is
+  // its golden result, and it consumes no draw, so callers may skip computing it.
+  bool MayCorrupt(OpKind op) const {
+    return ((corruptible_ops_ >> static_cast<int>(op)) & 1) != 0;
+  }
 
   // --- Execution (called by testcases / workloads). ---
 
@@ -82,20 +99,56 @@ class Processor {
   // `lcore`, advances its busy-cycle account by their latency, and hands them to the hook in
   // one call under one context; the hook corrupts results in place. A batch of N is exactly
   // N single ops issued back to back: nothing between them could have changed the context
-  // (clock, thermal state, utilization, op intensity, time scale).
+  // (clock, thermal state, utilization, op intensity, time scale). A clean batch
+  // (!MayCorrupt(op)) is only counted; the hook is not called.
   void ExecuteBatch(int lcore, OpKind op, DataType type, std::span<Word128> values);
 
-  // A batch of one: returns the (possibly corrupted) result bits.
-  Word128 Execute(int lcore, OpKind op, DataType type, const Word128& golden_bits);
+  // Records `count` ops of `op` on `lcore` whose results nobody computes: op counters,
+  // intensity tally and busy cycles, exactly as ExecuteBatch would. Only valid for an op
+  // with !MayCorrupt(op), whose results ExecuteBatch would have left golden.
+  void CountCleanOps(int lcore, OpKind op, uint64_t count) {
+    CoreState& core = cores_[pcore_of(lcore)];
+    const int kind = static_cast<int>(op);
+    core.op_counts[kind] += count;
+    core.ops_since_advance[kind] += count;
+    core.busy_cycles_unconsumed += count * static_cast<uint64_t>(LatencyCycles(op));
+  }
+
+  // A batch of one: returns the (possibly corrupted) result bits. A clean op
+  // (!MayCorrupt(op)) is counted and returns its golden bits without a hook call.
+  Word128 Execute(int lcore, OpKind op, DataType type, const Word128& golden_bits) {
+    Word128 value = golden_bits;
+    if (!MayCorrupt(op)) {
+      CountCleanOps(lcore, op, 1);
+    } else {
+      ExecuteBatch(lcore, op, type, std::span<Word128>(&value, 1));
+    }
+    return value;
+  }
 
   // Typed conveniences.
-  int32_t ExecuteI32(int lcore, OpKind op, int32_t golden);
-  uint32_t ExecuteU32(int lcore, OpKind op, uint32_t golden);
-  float ExecuteF32(int lcore, OpKind op, float golden);
-  double ExecuteF64(int lcore, OpKind op, double golden);
-  long double ExecuteF80(int lcore, OpKind op, long double golden);
-  // Non-numerical payloads (bit/byte/bin16/bin32/bin64 depending on width).
-  uint64_t ExecuteRaw(int lcore, OpKind op, uint64_t golden, DataType type);
+  int32_t ExecuteI32(int lcore, OpKind op, int32_t golden) {
+    return Int32FromBits(Execute(lcore, op, DataType::kInt32, BitsOfInt32(golden)));
+  }
+  uint32_t ExecuteU32(int lcore, OpKind op, uint32_t golden) {
+    return UInt32FromBits(Execute(lcore, op, DataType::kUInt32, BitsOfUInt32(golden)));
+  }
+  float ExecuteF32(int lcore, OpKind op, float golden) {
+    return FloatFromBits(Execute(lcore, op, DataType::kFloat32, BitsOfFloat(golden)));
+  }
+  double ExecuteF64(int lcore, OpKind op, double golden) {
+    return DoubleFromBits(Execute(lcore, op, DataType::kFloat64, BitsOfDouble(golden)));
+  }
+  // The result always takes the x87 image round trip, clean or not: it canonicalises NaN
+  // payloads and flushes denormals to zero, as a routed result always has.
+  long double ExecuteF80(int lcore, OpKind op, long double golden) {
+    return Float80FromBits(Execute(lcore, op, DataType::kFloat80, BitsOfFloat80(golden)));
+  }
+  // Non-numerical payloads (bit/byte/bin16/bin32/bin64 depending on width); the result is
+  // `golden` masked to the type's width.
+  uint64_t ExecuteRaw(int lcore, OpKind op, uint64_t golden, DataType type) {
+    return RawFromBits(Execute(lcore, op, type, BitsOfRaw(golden, BitWidth(type))));
+  }
 
   // Builds the context for a memory-system operation without producing a result value; used
   // by the coherence bus and the transactional memory model.
@@ -142,8 +195,7 @@ class Processor {
     uint64_t busy_cycles_unconsumed = 0;
   };
 
-  // Counts `count` ops of `op` on `lcore` (op counters, busy cycles) and returns the context
-  // they run under.
+  // CountCleanOps, then returns the context the `count` ops run under.
   OpContext CountOps(int lcore, OpKind op, DataType type, uint64_t count);
 
   ProcessorSpec spec_;
@@ -151,6 +203,7 @@ class Processor {
   std::vector<CoreState> cores_;
   std::vector<double> utilization_;
   CorruptionHook* hook_ = nullptr;
+  uint64_t corruptible_ops_ = 0;  // hook_->CorruptibleOps(), 0 without a hook
   double now_seconds_ = 0.0;
   double time_scale_ = 1.0;
 };

@@ -1,6 +1,8 @@
 // Unit tests for src/common: RNG, bit views, statistics, table rendering.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -12,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
+#include "tests/oracles/oracles.h"
 
 namespace sdc {
 namespace {
@@ -401,6 +404,79 @@ TEST(BitsTest, Float80EncodingStructure) {
   // Sign bit for negatives.
   const Word128 negative = BitsOfFloat80(-1.0L);
   EXPECT_TRUE(negative.GetBit(79));
+}
+
+// The 10 bytes an x87 long double occupies (all of it elsewhere, up to 16 bytes), as an
+// image: distinguishes NaN payloads, signed zeros and encodings == cannot.
+Word128 StoredBytes(long double value) {
+  unsigned char bytes[16] = {};
+  std::memcpy(bytes, &value, kX87LongDouble ? 10 : std::min(sizeof(value), sizeof(bytes)));
+  Word128 image;
+  std::memcpy(&image.lo, bytes, 8);
+  std::memcpy(&image.hi, bytes + 8, 8);
+  return image;
+}
+
+long double FromStoredBytes(const Word128& image) {
+  unsigned char bytes[16] = {};
+  std::memcpy(bytes, &image.lo, 8);
+  std::memcpy(bytes + 8, &image.hi, 8);
+  long double value = 0.0L;
+  std::memcpy(&value, bytes, kX87LongDouble ? 10 : std::min(sizeof(value), sizeof(bytes)));
+  return value;
+}
+
+// One x87 image of every edge class: signed zeros, denormals and pseudo-denormals,
+// smallest and largest normals, unnormals (integer bit clear), infinities and
+// pseudo-infinities, quiet and signalling NaNs with payloads, and pseudo-NaNs.
+std::vector<Word128> Float80EdgeImages() {
+  std::vector<Word128> images;
+  const uint64_t top = 0x8000000000000000ull;
+  for (uint64_t sign : {uint64_t{0}, uint64_t{0x8000}}) {
+    for (const auto& [exponent, mantissa] : std::initializer_list<std::pair<uint64_t, uint64_t>>{
+             {0, 0},                             // zero
+             {0, 1},                             // smallest denormal
+             {0, top - 1},                       // largest denormal
+             {0, top},                           // pseudo-denormal
+             {0, top | 12345},                   // pseudo-denormal with fraction
+             {1, top},                           // smallest normal
+             {1, 0},                             // unnormal, zero mantissa
+             {16383, top},                       // 1.0
+             {16383, 0x4000000000000000ull},     // unnormal 0.5 * 2^0
+             {16384, top | 0x4000000000000000ull},  // 3.0
+             {0x7ffe, ~uint64_t{0}},             // largest normal
+             {0x7ffe, 0x7fffffffffffffffull},    // unnormal at the top exponent
+             {0x7fff, top},                      // infinity
+             {0x7fff, 0},                        // pseudo-infinity
+             {0x7fff, top | 1},                  // signalling NaN
+             {0x7fff, 0xc000000000000000ull},    // default quiet NaN
+             {0x7fff, 0xc000000000000000ull | 0xbeef},  // quiet NaN with payload
+             {0x7fff, 0x4000000000000000ull},    // pseudo-NaN
+         }) {
+      images.push_back({mantissa, sign | exponent});
+    }
+  }
+  return images;
+}
+
+TEST(BitsTest, Float80ConversionsMatchPortableReference) {
+  std::vector<Word128> images = Float80EdgeImages();
+  Rng rng(80);
+  for (int i = 0; i < 1000000; ++i) {
+    images.push_back({rng.Next(), rng.Next()});  // bits above the low 80 must be ignored
+  }
+  for (long double value : {1e-4950L, -3.6e-4951L, std::numeric_limits<long double>::min(),
+                            std::numeric_limits<long double>::max(), 1.0L / 3.0L}) {
+    images.push_back(StoredBytes(value));
+  }
+  for (const Word128& image : images) {
+    const Word128 expected_bits = BitsOfFloat80Reference(FromStoredBytes(image));
+    ASSERT_EQ(BitsOfFloat80(FromStoredBytes(image)), expected_bits)
+        << std::hex << image.hi << ":" << image.lo;
+    ASSERT_EQ(StoredBytes(Float80FromBits(image)),
+              StoredBytes(Float80FromBitsReference(image)))
+        << std::hex << image.hi << ":" << image.lo;
+  }
 }
 
 TEST(BitsTest, Float80FractionFlipIsSmallLoss) {

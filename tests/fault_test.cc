@@ -190,6 +190,28 @@ TEST(InjectorTest, CorruptsOnlyMatchingOps) {
   EXPECT_GE(injector.total_activations(), 1u);
 }
 
+// The injector's clean-op mask is the op kinds of its computation defects: consistency
+// defects and the onset gate never narrow or widen it.
+TEST(InjectorTest, CorruptibleOpsAreComputationDefectOps) {
+  Defect computation = SimpleDefect();
+  computation.affected_ops = {OpKind::kFpMul, OpKind::kIntDiv};
+  computation.onset_months = 1e6;  // dormant, but its ops stay in the mask
+  Defect consistency = SimpleDefect();
+  consistency.feature = Feature::kCache;
+  consistency.affected_ops = {OpKind::kLoad, OpKind::kFpAdd};
+  ASSERT_EQ(consistency.type(), SdcType::kConsistency);
+  DefectInjector injector({computation, consistency}, 5);
+  injector.set_age_months(0.0);
+  EXPECT_EQ(injector.CorruptibleOps(), (uint64_t{1} << static_cast<int>(OpKind::kFpMul)) |
+                                           (uint64_t{1} << static_cast<int>(OpKind::kIntDiv)));
+  Processor cpu(MakeArchSpec("M2"));
+  cpu.SetCorruptionHook(&injector);
+  EXPECT_TRUE(cpu.MayCorrupt(OpKind::kFpMul));
+  EXPECT_FALSE(cpu.MayCorrupt(OpKind::kFpAdd));
+  EXPECT_FALSE(cpu.MayCorrupt(OpKind::kLoad));
+  EXPECT_EQ(DefectInjector({}, 5).CorruptibleOps(), 0u);
+}
+
 TEST(InjectorTest, OnsetGatesActivation) {
   Defect defect = SimpleDefect();
   defect.min_trigger_celsius = 0.0;

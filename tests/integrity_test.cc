@@ -2,6 +2,7 @@
 // The ECC and RS suites are parameterized sweeps over every error position / erasure combo.
 
 #include <bit>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "src/integrity/ecc.h"
 #include "src/integrity/erasure.h"
 #include "src/integrity/hash.h"
+#include "tests/oracles/oracles.h"
 
 namespace sdc {
 namespace {
@@ -293,6 +295,60 @@ TEST(Adler32Test, ProcessorPathMatchesHostWhenHealthy) {
     }
     EXPECT_EQ(Adler32OnProcessor(machine.cpu(), 0, data), Adler32(data)) << size;
   }
+}
+
+// Replaces every routed Adler pair with one whose halves both lie in [65521, 65535]: the
+// unreduced values a defect can leave behind, which the next block must absorb.
+class AdlerOverflowHook : public CorruptionHook {
+ public:
+  void OnExecuteBatch(const OpContext&, std::span<Word128> values) override {
+    for (Word128& value : values) {
+      const uint64_t a = 65521 + (value.lo & 0xffffu) % 15;
+      const uint64_t b = 65521 + (value.lo >> 16) % 15;
+      value.lo = (b << 16) | a;
+    }
+  }
+  bool OnCoherenceFault(const OpContext&) override { return false; }
+  bool OnTxFault(const OpContext&) override { return false; }
+};
+
+// The deferred-modulo sums against the per-byte reduced reference, golden and routed, on a
+// random and an all-0xff buffer. Lengths run 0..20000: every length up to 1024 (all block
+// residues, many blocks), every 7th beyond, and every length around each multiple of
+// zlib's 5552-byte reduction run.
+TEST(Adler32Test, DeferredModuloMatchesPerByteReference) {
+  constexpr size_t kMaxLength = 20000;
+  std::vector<size_t> lengths;
+  for (size_t length = 0; length <= kMaxLength; ++length) {
+    const size_t from_run = length % 5552;
+    if (length <= 1024 || length % 7 == 0 || from_run <= 17 || from_run >= 5552 - 17) {
+      lengths.push_back(length);
+    }
+  }
+  Rng rng(32);
+  std::vector<uint8_t> random(kMaxLength);
+  for (auto& byte : random) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  const std::vector<uint8_t> saturated(kMaxLength, 0xff);
+  AdlerOverflowHook hook;
+  FaultyMachine machine(MakeArchSpec("M2"));
+  FaultyMachine reference_machine(MakeArchSpec("M2"));
+  machine.cpu().SetCorruptionHook(&hook);
+  reference_machine.cpu().SetCorruptionHook(&hook);
+  for (const std::span<const uint8_t> all :
+       {std::span<const uint8_t>(random), std::span<const uint8_t>(saturated)}) {
+    for (size_t length : lengths) {
+      const std::span<const uint8_t> data = all.first(length);
+      ASSERT_EQ(Adler32(data), Adler32Reference(data)) << length;
+      ASSERT_EQ(Adler32OnProcessor(machine.cpu(), 0, data),
+                Adler32OnProcessorReference(reference_machine.cpu(), 0, data))
+          << length;
+    }
+  }
+  EXPECT_EQ(machine.cpu().total_op_count(OpKind::kIntAdd),
+            reference_machine.cpu().total_op_count(OpKind::kIntAdd));
+  EXPECT_GT(machine.cpu().total_op_count(OpKind::kIntAdd), 0u);
 }
 
 TEST(Crc64Test, EmptyAndStability) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -326,6 +327,91 @@ ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachin
     trace->MergeDelta(std::move(run_delta));
   }
   return report;
+}
+
+Word128 BitsOfFloat80Reference(long double value) {
+  constexpr int kBias = 16383;
+  Word128 out;
+  const bool negative = std::signbit(value);
+  long double magnitude = negative ? -value : value;
+  uint16_t high16 = negative ? 0x8000u : 0u;
+  if (magnitude == 0.0L) {
+    out.hi = high16;
+    return out;
+  }
+  if (std::isinf(magnitude) || std::isnan(magnitude)) {
+    high16 = static_cast<uint16_t>(high16 | 0x7fffu);
+    out.hi = high16;
+    out.lo = std::isnan(magnitude) ? 0xc000000000000000ull : 0x8000000000000000ull;
+    return out;
+  }
+  int exponent = 0;
+  long double mantissa = std::frexp(magnitude, &exponent);
+  mantissa *= 2.0L;
+  exponent -= 1;
+  const int biased = exponent + kBias;
+  if (biased <= 0) {
+    out.hi = high16;
+    return out;
+  }
+  if (biased >= 0x7fff) {
+    out.hi = static_cast<uint64_t>(high16 | 0x7fffu);
+    out.lo = 0x8000000000000000ull;
+    return out;
+  }
+  out.lo = static_cast<uint64_t>(std::floor(mantissa * 0x1.0p63L));
+  out.hi = static_cast<uint64_t>(high16 | static_cast<uint16_t>(biased));
+  return out;
+}
+
+long double Float80FromBitsReference(const Word128& bits) {
+  constexpr int kBias = 16383;
+  constexpr int kFractionBits = 63;
+  const auto high16 = static_cast<uint16_t>(bits.hi & 0xffffu);
+  const bool negative = (high16 & 0x8000u) != 0;
+  const int biased = high16 & 0x7fffu;
+  const uint64_t mantissa = bits.lo;
+  long double magnitude = 0.0L;
+  if (biased == 0x7fff) {
+    magnitude = (mantissa << 1) == 0 ? std::numeric_limits<long double>::infinity()
+                                     : std::numeric_limits<long double>::quiet_NaN();
+  } else if (biased == 0 && mantissa == 0) {
+    magnitude = 0.0L;
+  } else {
+    magnitude =
+        std::ldexp(static_cast<long double>(mantissa), biased - kBias - kFractionBits);
+  }
+  return negative ? -magnitude : magnitude;
+}
+
+uint32_t Adler32Reference(std::span<const uint8_t> data) {
+  constexpr uint32_t kModulus = 65521;
+  uint32_t a = 1;
+  uint32_t b = 0;
+  for (uint8_t byte : data) {
+    a = (a + byte) % kModulus;
+    b = (b + a) % kModulus;
+  }
+  return (b << 16) | a;
+}
+
+uint32_t Adler32OnProcessorReference(Processor& cpu, int lcore,
+                                     std::span<const uint8_t> data) {
+  constexpr uint32_t kModulus = 65521;
+  uint32_t a = 1;
+  uint32_t b = 0;
+  size_t in_block = 0;
+  for (uint8_t byte : data) {
+    a = (a + byte) % kModulus;
+    b = (b + a) % kModulus;
+    if (++in_block == 16) {
+      const uint32_t routed = cpu.ExecuteU32(lcore, OpKind::kIntAdd, (b << 16) | a);
+      a = routed & 0xffffu;
+      b = routed >> 16;
+      in_block = 0;
+    }
+  }
+  return (b << 16) | a;
 }
 
 }  // namespace sdc

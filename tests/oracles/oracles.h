@@ -1,6 +1,7 @@
 // Test oracles: the pre-optimisation implementations of fleet generation, fleet
-// screening and the protected workload, kept outside the production code as the
-// references the equivalence suites check the engine against (docs/performance.md).
+// screening, the protected workload, the x87 bit images and Adler-32, kept outside the
+// production code as the references the equivalence suites check the engine against
+// (docs/performance.md).
 //
 // Each oracle is deliberately simple and runs on one lane: no shared memo, no blocked
 // kernel, no session decomposition. Production and oracle share only public API, so a
@@ -11,11 +12,16 @@
 #ifndef SDC_TESTS_ORACLES_ORACLES_H_
 #define SDC_TESTS_ORACLES_ORACLES_H_
 
+#include <cstdint>
+#include <span>
+
+#include "src/common/bits.h"
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
 #include "src/fault/machine.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
+#include "src/sim/processor.h"
 #include "src/toolchain/registry.h"
 
 namespace sdc {
@@ -43,6 +49,37 @@ ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachin
                                                     const TestSuite& suite,
                                                     const WorkloadSpec& spec, double hours,
                                                     bool protect);
+
+// The x87 encoders as the portable frexp/ldexp code computes them for every value, with no
+// in-memory copy: what BitsOfFloat80 / Float80FromBits (src/common/bits.h) must return.
+Word128 BitsOfFloat80Reference(long double value);
+long double Float80FromBitsReference(const Word128& bits);
+
+// Adler-32 with both sums reduced after every byte, as RFC 1950 writes it: what Adler32 /
+// Adler32OnProcessor (src/integrity/adler32.h) must return. The routed form hands the
+// packed pair to the processor once per 16-byte block as a kIntAdd on kUInt32.
+uint32_t Adler32Reference(std::span<const uint8_t> data);
+uint32_t Adler32OnProcessorReference(Processor& cpu, int lcore, std::span<const uint8_t> data);
+
+// Forwards every call to `inner` but keeps CorruptionHook's default CorruptibleOps (every
+// kind), so a processor carrying it never takes its clean-op path: every op is computed,
+// handed to the hook and compared. Installing it over an injector gives the same results,
+// draws and counts as the injector alone, only slower.
+class FullPathHook : public CorruptionHook {
+ public:
+  explicit FullPathHook(CorruptionHook* inner) : inner_(inner) {}
+
+  void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override {
+    inner_->OnExecuteBatch(context, values);
+  }
+  bool OnCoherenceFault(const OpContext& context) override {
+    return inner_->OnCoherenceFault(context);
+  }
+  bool OnTxFault(const OpContext& context) override { return inner_->OnTxFault(context); }
+
+ private:
+  CorruptionHook* inner_;
+};
 
 }  // namespace sdc
 

@@ -99,6 +99,59 @@ TEST_F(SessionTest, WorkloadByteIdenticalToReference) {
   EXPECT_EQ(session_text.str(), reference_text.str());
 }
 
+// A protected workload whose kernel is a loop no defect of the part can corrupt. The loop
+// takes the clean path and skips its input draws on the session's rng, which also draws
+// the workload bursts; report, event log and metrics must equal a run where FullPathHook
+// sends every op through the injector.
+TEST_F(SessionTest, CleanLoopKernelMatchesFullPath) {
+  const FaultyProcessorInfo& info = FindInCatalog("MIX1");
+  WorkloadSpec spec = BusySpec();
+  {
+    FaultyMachine probe(info, 41);
+    bool found = false;
+    for (size_t i = 0; i < suite_->size() && !found; ++i) {
+      const TestcaseInfo& testcase = suite_->info(i);
+      if (testcase.id.starts_with("loop.") && !probe.cpu().MayCorrupt(testcase.ops.front())) {
+        spec.kernel_case_index = i;
+        found = true;
+      }
+    }
+    ASSERT_TRUE(found);
+  }
+  struct Outcome {
+    ProtectionReport report;
+    std::string events;
+    std::string metrics;
+  };
+  const auto run = [&](bool full_path) {
+    FaultyMachine machine(info, 41);
+    FullPathHook hook(machine.injector());
+    if (full_path) {
+      machine.cpu().SetCorruptionHook(&hook);
+    }
+    MetricsRegistry metrics;
+    EventLog log;
+    EngineContext context(EngineOptions{
+        .threads = 1, .env_overrides = false, .metrics = &metrics, .event_log = &log});
+    Farron farron(suite_, &machine, FarronConfig(), context);
+    Outcome outcome;
+    outcome.report = SimulateProtectedWorkload(farron, machine, *suite_, spec, 1.0, true);
+    std::ostringstream events;
+    std::ostringstream text;
+    log.Dump(events);
+    metrics.Snapshot().DumpText(text);
+    outcome.events = events.str();
+    outcome.metrics = text.str();
+    return outcome;
+  };
+  const Outcome clean = run(false);
+  const Outcome full = run(true);
+  ExpectReportsIdentical(clean.report, full.report);
+  EXPECT_EQ(clean.events, full.events);
+  EXPECT_EQ(clean.metrics, full.metrics);
+  EXPECT_GT(clean.report.backoff_engagements, 0u);
+}
+
 // The unprotected path (protect = false) must match too: no boundary control, only
 // observation.
 TEST_F(SessionTest, UnprotectedWorkloadMatchesReference) {

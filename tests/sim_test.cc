@@ -1,7 +1,12 @@
 // Unit tests for src/sim: thermal model, processor execution engine, coherent bus, and
 // transactional memory -- including the defect hooks via small fake CorruptionHooks.
 
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -212,6 +217,123 @@ TEST(ProcessorTest, HookCorruptsResults) {
   EXPECT_EQ(cpu.ExecuteI32(0, OpKind::kIntAdd, 4), 5);
   cpu.SetCorruptionHook(nullptr);
   EXPECT_EQ(cpu.ExecuteI32(0, OpKind::kIntAdd, 4), 4);
+}
+
+// A FlipHook that declares only `mask` corruptible and counts the batches it sees.
+class MaskedFlipHook : public FlipHook {
+ public:
+  explicit MaskedFlipHook(uint64_t mask) : mask_(mask) {}
+  uint64_t CorruptibleOps() const override { return mask_; }
+  void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override {
+    ++batches;
+    FlipHook::OnExecuteBatch(context, values);
+  }
+
+  int batches = 0;
+
+ private:
+  uint64_t mask_;
+};
+
+TEST(ProcessorTest, MayCorruptFollowsHookMask) {
+  Processor cpu(SmallSpec());
+  FlipHook every_op;
+  MaskedFlipHook only_mul(uint64_t{1} << static_cast<int>(OpKind::kIntMul));
+  for (int kind = 0; kind < kOpKindCount; ++kind) {
+    const auto op = static_cast<OpKind>(kind);
+    EXPECT_FALSE(cpu.MayCorrupt(op)) << OpKindName(op);  // no hook: defect-free
+    cpu.SetCorruptionHook(&every_op);
+    EXPECT_TRUE(cpu.MayCorrupt(op)) << OpKindName(op);   // the default mask
+    cpu.SetCorruptionHook(&only_mul);
+    EXPECT_EQ(cpu.MayCorrupt(op), op == OpKind::kIntMul) << OpKindName(op);
+    cpu.SetCorruptionHook(nullptr);
+  }
+}
+
+// A clean op returns its golden result without a hook call and leaves exactly the op
+// count, busy cycles and intensity tally a routed op leaves.
+TEST(ProcessorTest, CleanOpsReturnGoldenAndCountLikeRoutedOps) {
+  MaskedFlipHook clean_hook(uint64_t{1} << static_cast<int>(OpKind::kIntMul));
+  FlipHook routed_hook;
+  Processor clean(SmallSpec());
+  Processor routed(SmallSpec());
+  clean.SetCorruptionHook(&clean_hook);
+  routed.SetCorruptionHook(&routed_hook);
+  const int lcore = 3;
+  const int pcore = clean.pcore_of(lcore);
+  const auto busy_seconds = [](uint64_t cycles) {
+    return static_cast<double>(cycles) / (SmallSpec().frequency_ghz * 1e9);
+  };
+  const auto expect_one_op = [&](OpKind op) {
+    EXPECT_EQ(clean.op_count(pcore, op), 1u) << OpKindName(op);
+    EXPECT_EQ(routed.op_count(pcore, op), 1u) << OpKindName(op);
+    const double busy = clean.ConsumeBusySeconds(pcore);
+    EXPECT_EQ(busy, routed.ConsumeBusySeconds(pcore)) << OpKindName(op);
+    EXPECT_EQ(busy, busy_seconds(LatencyCycles(op))) << OpKindName(op);
+  };
+
+  EXPECT_EQ(clean.ExecuteI32(lcore, OpKind::kIntAdd, -7), -7);
+  EXPECT_EQ(routed.ExecuteI32(lcore, OpKind::kIntAdd, -7), -8);
+  expect_one_op(OpKind::kIntAdd);
+  EXPECT_EQ(clean.ExecuteU32(lcore, OpKind::kIntSub, 0xdeadbeefu), 0xdeadbeefu);
+  routed.ExecuteU32(lcore, OpKind::kIntSub, 0xdeadbeefu);
+  expect_one_op(OpKind::kIntSub);
+  const float f32 = std::bit_cast<float>(0x7fc01234u);  // NaN with a payload
+  EXPECT_EQ(std::bit_cast<uint32_t>(clean.ExecuteF32(lcore, OpKind::kFpAdd, f32)),
+            0x7fc01234u);
+  routed.ExecuteF32(lcore, OpKind::kFpAdd, f32);
+  expect_one_op(OpKind::kFpAdd);
+  const double f64 = clean.ExecuteF64(lcore, OpKind::kFpDiv, -0.0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(f64), std::bit_cast<uint64_t>(-0.0));
+  routed.ExecuteF64(lcore, OpKind::kFpDiv, -0.0);
+  expect_one_op(OpKind::kFpDiv);
+  // Raw payloads are still masked to their width.
+  EXPECT_EQ(clean.ExecuteRaw(lcore, OpKind::kLogicXor, 0x1a5, DataType::kByte), 0xa5u);
+  routed.ExecuteRaw(lcore, OpKind::kLogicXor, 0x1a5, DataType::kByte);
+  expect_one_op(OpKind::kLogicXor);
+  const Word128 wide{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  EXPECT_EQ(clean.Execute(lcore, OpKind::kPopcount, DataType::kBin64, wide), wide);
+  routed.Execute(lcore, OpKind::kPopcount, DataType::kBin64, wide);
+  expect_one_op(OpKind::kPopcount);
+  std::vector<Word128> batch(5, wide);
+  clean.ExecuteBatch(lcore, OpKind::kCompare, DataType::kBin64, batch);
+  EXPECT_EQ(batch, std::vector<Word128>(5, wide));
+  EXPECT_EQ(clean.op_count(pcore, OpKind::kCompare), 5u);
+  EXPECT_EQ(clean.ConsumeBusySeconds(pcore), busy_seconds(5 * LatencyCycles(OpKind::kCompare)));
+  EXPECT_EQ(clean_hook.batches, 0);
+
+  // The clean ops fed the same intensity estimates the routed ones did.
+  clean.SetTimeScale(10.0);
+  routed.SetTimeScale(10.0);
+  clean.AdvanceSeconds(1e-3);
+  routed.AdvanceSeconds(1e-3);
+  for (OpKind op : {OpKind::kIntAdd, OpKind::kFpDiv, OpKind::kPopcount}) {
+    const double intensity = clean.MakeContext(lcore, op).op_intensity;
+    EXPECT_GT(intensity, 0.0) << OpKindName(op);
+    EXPECT_EQ(intensity, routed.MakeContext(lcore, op).op_intensity) << OpKindName(op);
+  }
+
+  // The corruptible kind still reaches the hook.
+  EXPECT_EQ(clean.ExecuteI32(lcore, OpKind::kIntMul, 4), 5);
+  EXPECT_EQ(clean_hook.batches, 1);
+}
+
+// A clean f64x op still takes the image round trip: NaN payloads become the default NaN
+// and denormals flush to signed zero, as a routed result's would.
+TEST(ProcessorTest, CleanF80StillCanonicalises) {
+  Processor cpu(SmallSpec());
+  const size_t image_bytes = kX87LongDouble ? 10 : sizeof(long double);
+  const long double payload_nan = std::nanl("48879");
+  const long double default_nan = std::numeric_limits<long double>::quiet_NaN();
+  ASSERT_NE(std::memcmp(&payload_nan, &default_nan, image_bytes), 0);
+  const long double result = cpu.ExecuteF80(0, OpKind::kFpSqrt, payload_nan);
+  EXPECT_EQ(std::memcmp(&result, &default_nan, image_bytes), 0);  // the payload is gone
+  const long double denormal = -std::numeric_limits<long double>::denorm_min() * 5;
+  ASSERT_NE(denormal, 0.0L);
+  const long double flushed = cpu.ExecuteF80(0, OpKind::kFpSqrt, denormal);
+  EXPECT_EQ(flushed, 0.0L);
+  EXPECT_TRUE(std::signbit(flushed));
+  EXPECT_EQ(cpu.op_count(0, OpKind::kFpSqrt), 2u);
 }
 
 // --- Coherent bus ---

@@ -17,6 +17,7 @@
 #include "src/toolchain/cases.h"
 #include "src/toolchain/framework.h"
 #include "src/toolchain/registry.h"
+#include "tests/oracles/oracles.h"
 #include "tests/test_engine.h"
 
 namespace sdc {
@@ -815,6 +816,108 @@ TEST(InstructionLoopTest, BatchedKernelsMatchPerElementLoop) {
   // the other image-only changes keep the value.
   EXPECT_GT(image_records, 1000u);
   EXPECT_LT(image_records, sign_records);
+}
+
+// Every loop shape on a part whose defect hits every other shape's op but not this one's:
+// the kernel takes the clean path (skip the input draws, count the ops) and must leave
+// what the per-element oracle leaves when every op runs through the full path.
+TEST(InstructionLoopTest, CleanKernelsMatchFullPathPerElementLoop) {
+  const std::vector<LoopShape> shapes = LoopShapes();
+  for (const LoopShape& shape : shapes) {
+    const std::string label = OpKindName(shape.op) + "." + DataTypeName(shape.type) + " l" +
+                              std::to_string(shape.lanes) + " n" + std::to_string(shape.count);
+    std::vector<OpKind> others;
+    for (const LoopShape& other : shapes) {
+      if (other.op != shape.op) {
+        others.push_back(other.op);
+      }
+    }
+    const auto clean = [&others] { return LoopDefectMachine(others); };
+    ASSERT_FALSE(clean().cpu().MayCorrupt(shape.op)) << label;
+    std::unique_ptr<FullPathHook> full_path;
+    const auto full = [&] {
+      FaultyMachine machine = LoopDefectMachine(others);
+      full_path = std::make_unique<FullPathHook>(machine.injector());
+      machine.cpu().SetCorruptionHook(full_path.get());
+      return machine;
+    };
+    const LoopOutcome batched = RunLoopShape(shape, false, clean);
+    ExpectSameOutcome(batched, RunLoopShape(shape, true, full), label + " clean");
+    EXPECT_TRUE(batched.records.empty()) << label;
+    EXPECT_EQ(batched.errors, 0u) << label;
+  }
+}
+
+// One RunPlan over every loop.* / vec.* case of the suite on a part whose defect hits
+// every other loop op: the injector alone (clean ops skipped) and the same injector behind
+// FullPathHook (every op computed and routed) must produce the same report.
+TEST(InstructionLoopTest, SuiteLoopPlanMatchesFullPath) {
+  const TestSuite suite = TestSuite::BuildFull();
+  std::vector<TestPlanEntry> plan;
+  std::vector<OpKind> loop_ops;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    const TestcaseInfo& info = suite.info(i);
+    if (info.id.starts_with("loop.") || info.id.starts_with("vec.")) {
+      plan.push_back({i, 1.0});
+      if (std::find(loop_ops.begin(), loop_ops.end(), info.ops.front()) == loop_ops.end()) {
+        loop_ops.push_back(info.ops.front());
+      }
+    }
+  }
+  ASSERT_GT(plan.size(), 400u);
+  std::vector<OpKind> hit;
+  for (size_t k = 0; k < loop_ops.size(); k += 2) {
+    hit.push_back(loop_ops[k]);
+  }
+  FaultyProcessorInfo info = LoopDefectMachine(hit).info();
+  info.defects.front().base_log10_rate = -8.0;  // ~1e-3 of represented ops at 1e5
+  FaultyMachine direct(info, 9);
+  FaultyMachine routed(info, 9);
+  FullPathHook full_path(routed.injector());
+  routed.cpu().SetCorruptionHook(&full_path);
+
+  TestRunConfig config = FastConfig();
+  config.pcores_under_test = {0, 1};
+  EngineContext context(PinnedEngine(1));
+  TestFramework framework(&suite);
+  const RunReport a = framework.RunPlan(direct, plan, config, context);
+  const RunReport b = framework.RunPlan(routed, plan, config, context);
+
+  size_t clean_entries = 0;
+  size_t failed_entries = 0;
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (size_t i = 0; i < a.results.size(); ++i) {
+    const TestcaseResult& x = a.results[i];
+    const TestcaseResult& y = b.results[i];
+    EXPECT_EQ(x.testcase_id, y.testcase_id);
+    EXPECT_EQ(x.duration_seconds, y.duration_seconds) << x.testcase_id;
+    EXPECT_EQ(x.errors, y.errors) << x.testcase_id;
+    EXPECT_EQ(x.errors_per_pcore, y.errors_per_pcore) << x.testcase_id;
+    EXPECT_EQ(x.op_histogram, y.op_histogram) << x.testcase_id;
+    clean_entries += direct.cpu().MayCorrupt(suite.info(plan[i].testcase_index).ops.front())
+                         ? 0
+                         : 1;
+    failed_entries += x.failed() ? 1 : 0;
+  }
+  EXPECT_EQ(a.total_wall_seconds, b.total_wall_seconds);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (size_t i = 0; i < a.records.size(); ++i) {
+    const SdcRecord& x = a.records[i];
+    const SdcRecord& y = b.records[i];
+    EXPECT_EQ(x.testcase_id, y.testcase_id) << i;
+    EXPECT_EQ(x.cpu_id, y.cpu_id) << i;
+    EXPECT_EQ(x.pcore, y.pcore) << i;
+    EXPECT_EQ(x.lcore, y.lcore) << i;
+    EXPECT_EQ(x.sdc_type, y.sdc_type) << i;
+    EXPECT_EQ(x.type, y.type) << i;
+    EXPECT_EQ(x.expected, y.expected) << i;
+    EXPECT_EQ(x.actual, y.actual) << i;
+    EXPECT_EQ(x.temperature, y.temperature) << i;
+    EXPECT_EQ(x.time_seconds, y.time_seconds) << i;
+  }
+  EXPECT_GT(clean_entries, 100u);
+  EXPECT_GT(failed_entries, 20u);
+  EXPECT_EQ(direct.injector()->total_activations(), routed.injector()->total_activations());
 }
 
 // A context on lcore 0 of `machine` that stores every record.

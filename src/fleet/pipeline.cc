@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <numeric>
 #include <utility>
 
 #include "src/common/context.h"
@@ -83,7 +82,7 @@ void ScreeningStats::MergeFrom(ScreeningStats&& other) {
   // No exact-size reserve here: repeated merges must keep vector growth geometric, or a
   // chain of N shard merges degrades to O(N * detections) element moves. The other
   // side's buffer is taken over only while this side owns none, so a fold presized from
-  // the shard totals (PresizeFold) keeps its one allocation.
+  // the shard totals (StreamingScreen::EndStream) keeps its one allocation.
   if (detections.capacity() == 0) {
     detections = std::move(other.detections);
   } else {
@@ -471,10 +470,8 @@ void ScreeningPipeline::ScreenShardRangeBatch(
 
 namespace {
 
-// One cumulative sample of the screening trajectory, taken at a fleet-grain boundary of
-// the serial axis. Both execution modes call exactly this with the same (boundary,
-// cumulative-stats) pairs, which is what makes the series byte-identical across
-// streaming and materialized runs.
+// One cumulative sample of the screening trajectory, taken at a stream-shard boundary of
+// the serial axis (every kFleetShardGrain serials, plus the fleet's end).
 void AppendScreeningSeriesPoint(SeriesRecorder* series, uint64_t end_serial,
                                 const ScreeningStats& cumulative) {
   const auto x = static_cast<double>(end_serial);
@@ -484,26 +481,6 @@ void AppendScreeningSeriesPoint(SeriesRecorder* series, uint64_t end_serial,
   series->Append("screening.detected", SeriesClock::kSim, x, detected);
   series->Append("screening.escapes", SeriesClock::kSim, x,
                  static_cast<double>(cumulative.faulty) - detected);
-}
-
-// Screening shards are kScreeningShardGrain wide; samples are taken only where a shard
-// end lands on a kFleetShardGrain multiple (or the fleet's end), so the materialized
-// fold samples exactly the stream-shard boundaries of the streaming mode.
-bool IsSeriesBoundary(uint64_t end_serial, uint64_t fleet_size) {
-  return end_serial % kFleetShardGrain == 0 || end_serial == fleet_size;
-}
-
-// Sizes an ordered fold's accumulator once from the shard totals, so every MergeFrom
-// into it appends in place -- the idiom of ScrubDiscoveryObserver::EndStream.
-// shard_stats(s) names shard s's stats.
-template <typename ShardStats>
-void PresizeFold(ScreeningStats& total, size_t shard_count, ShardStats shard_stats) {
-  size_t detections = 0;
-  for (size_t shard = 0; shard < shard_count; ++shard) {
-    detections += shard_stats(shard).detections.size();
-  }
-  total.detections.reserve(detections);
-  total.provenance.reserve(detections);
 }
 
 }  // namespace
@@ -517,26 +494,18 @@ ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
                                                         const ScenarioBatch& batch,
                                                         EngineContext& context) const {
-  const size_t k_count = batch.scenarios.size();
-  if (k_count == 0) {
+  if (batch.scenarios.empty()) {
     return {};
   }
-  // Sinks are pinned once for the whole pass (src/common/context.h).
-  const SimdLevel simd = context.simd();
-  MetricsRegistry* metrics = context.metrics();
-  TraceRecorder* trace = context.trace();
-  SeriesRecorder* series = context.series();
   const auto run_start = std::chrono::steady_clock::now();
   // The whole pass as one host-clock span.
-  TraceRecorder::ScopedHostSpan run_span(trace, "screening.run", "screen",
+  TraceRecorder::ScopedHostSpan run_span(context.trace(), "screening.run", "screen",
                                          kTraceTrackScreen);
-  ThreadPool& pool = context.pool();
-
-  std::array<ProcessorSpec, kArchCount> arch_specs;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    arch_specs[static_cast<size_t>(arch)] = MakeArchSpec(arch);
-  }
-
+  // The materialized fleet replayed as stream shards: the same per-shard slots, kernel
+  // calls and ordered fold as a fused streaming pass over the same serials.
+  StreamingScreen screen(this, batch);
+  screen.BeginStreamWithContext(
+      &context, fleet.config(), ThreadPool::ShardCountFor(0, fleet.size(), kFleetShardGrain));
   ScreeningShardView fleet_view;
   fleet_view.column_base = 0;
   fleet_view.arch_bytes = fleet.arch_bytes();
@@ -544,94 +513,20 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   fleet_view.faulty_serials = fleet.faulty_serials();
   fleet_view.faulty_ranges = fleet.faulty_ranges();
   fleet_view.defects = fleet.defect_arena();
-
-  // One base RNG per scenario; shard s of scenario k draws from bases[k].Fork(s) -- the
-  // stream an independent Run of scenarios[k] would fork for the same serials.
-  std::vector<Rng> bases;
-  bases.reserve(k_count);
-  for (const ScreeningConfig& scenario : batch.scenarios) {
-    bases.emplace_back(scenario.seed);
-  }
-
-  // One slot per scenario travels through the ordered reduce, so the metric sink sees
-  // exactly the per-shard deltas each scenario's independent run would, in shard order.
-  struct ShardResult {
-    std::vector<ScreeningStats> stats;
-    std::vector<MetricsDelta> deltas;
-    std::vector<TraceDelta> traces;
-  };
-  // Spelled-out ParallelMap + ordered fold (same reduction ParallelReduce performs), so
-  // scenario 0's cumulative stats can feed the series sink at fleet-grain boundaries.
-  std::vector<ShardResult> shard_results = pool.ParallelMap<ShardResult>(
-      0, fleet.size(), kScreeningShardGrain,
-      [&](uint64_t shard, uint64_t begin, uint64_t end) {
-        const auto shard_start = std::chrono::steady_clock::now();
-        ShardResult result;
-        result.stats.resize(k_count);
-        result.deltas.resize(k_count);
-        result.traces.resize(k_count);
-        ScreeningShardView view = fleet_view;
-        view.begin = begin;
-        view.end = end;
-        std::vector<Rng> rngs;
-        rngs.reserve(k_count);
-        std::vector<TraceDelta*> traces(k_count, nullptr);
-        for (size_t k = 0; k < k_count; ++k) {
-          rngs.push_back(bases[k].Fork(shard));
-          if (trace != nullptr) {
-            traces[k] = &result.traces[k];
-          }
-        }
-        ScreenShardRangeBatch(view, batch.scenarios, arch_specs, shard, simd, rngs,
-                              result.stats, traces);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - shard_start;
-        if (metrics != nullptr) {
-          for (size_t k = 0; k < k_count; ++k) {
-            result.deltas[k] = DeltaFromShardStats(result.stats[k]);
-          }
-          metrics->RecordTimerSeconds("screening.shard.wall", elapsed.count());
-        }
-        return result;
-      });
-  ShardResult total;
-  total.stats.resize(k_count);
-  total.deltas.resize(k_count);
-  total.traces.resize(k_count);
-  for (size_t k = 0; k < k_count; ++k) {
-    PresizeFold(total.stats[k], shard_results.size(), [&](size_t shard) -> const ScreeningStats& {
-      return shard_results[shard].stats[k];
-    });
-  }
-  for (size_t shard = 0; shard < shard_results.size(); ++shard) {
-    ShardResult& shard_result = shard_results[shard];
-    for (size_t k = 0; k < k_count; ++k) {
-      total.stats[k].MergeFrom(std::move(shard_result.stats[k]));
-      total.deltas[k].MergeFrom(shard_result.deltas[k]);
-      total.traces[k].MergeFrom(std::move(shard_result.traces[k]));
-    }
-    if (series != nullptr) {
-      const uint64_t end_serial =
-          std::min<uint64_t>((shard + 1) * kScreeningShardGrain, fleet.size());
-      if (IsSeriesBoundary(end_serial, fleet.size())) {
-        AppendScreeningSeriesPoint(series, end_serial, total.stats[0]);
-      }
-    }
-  }
+  context.pool().ParallelFor(0, fleet.size(), kFleetShardGrain,
+                             [&](uint64_t shard, uint64_t begin, uint64_t end) {
+                               ScreeningShardView view = fleet_view;
+                               view.begin = begin;
+                               view.end = end;
+                               screen.ScreenShard(shard, view);
+                             });
+  screen.EndStream();
   const std::chrono::duration<double> run_elapsed =
       std::chrono::steady_clock::now() - run_start;
-  for (size_t k = 0; k < k_count; ++k) {
-    if (metrics != nullptr) {
-      metrics->MergeDelta(total.deltas[k]);
-    }
-    if (trace != nullptr) {
-      trace->MergeDelta(std::move(total.traces[k]));
-    }
-  }
-  if (metrics != nullptr) {
+  if (MetricsRegistry* metrics = context.metrics(); metrics != nullptr) {
     metrics->RecordTimerSeconds("screening.run.wall", run_elapsed.count());
   }
-  return std::move(total.stats);
+  return screen.TakeBatchStats();
 }
 
 ShardOutcomeObserver::~ShardOutcomeObserver() = default;
@@ -683,34 +578,42 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
 }
 
 void StreamingScreen::ConsumeShard(const FleetShard& shard) {
-  const auto shard_start = std::chrono::steady_clock::now();
-  const size_t k_count = scenarios_.size();
-  std::vector<ScreeningStats>& stats = shard_stats_[shard.shard];
-
   ScreeningShardView view;
+  view.begin = shard.begin;
+  view.end = shard.end;
   view.column_base = shard.begin;
   view.arch_bytes = shard.arch_bytes;
   view.flag_bytes = shard.flag_bytes;
   view.faulty_serials = shard.faulty_serials;
   view.faulty_ranges = shard.faulty_ranges;
   view.defects = shard.defects;
+  ScreenShard(shard.shard, view);
+  for (const ObserverEntry& entry : observers_) {
+    entry.observer->ObserveShard(shard, shard_stats_[shard.shard][entry.scenario]);
+  }
+}
 
+void StreamingScreen::ScreenShard(uint64_t shard, ScreeningShardView view) {
+  const auto shard_start = std::chrono::steady_clock::now();
+  const size_t k_count = scenarios_.size();
+  std::vector<ScreeningStats>& stats = shard_stats_[shard];
   std::vector<TraceDelta*> traces(k_count, nullptr);
   if (trace_ != nullptr) {
     for (size_t k = 0; k < k_count; ++k) {
-      traces[k] = &shard_traces_[shard.shard][k];
+      traces[k] = &shard_traces_[shard][k];
     }
   }
 
   // Stream shards start at multiples of kFleetShardGrain, so b / kScreeningShardGrain is
-  // the *global* screening shard index: the embedded sub-shards use exactly the RNG
-  // streams the materialized Run would fork for the same serials.
+  // the *global* screening shard index: each embedded sub-shard draws from the RNG stream
+  // fixed by its serials, whichever pass it belongs to.
+  const uint64_t end = view.end;
   std::vector<Rng> rngs;
   rngs.reserve(k_count);
-  for (uint64_t b = shard.begin; b < shard.end; b += kScreeningShardGrain) {
+  for (uint64_t b = view.begin; b < end; b += kScreeningShardGrain) {
     const uint64_t screening_shard = b / kScreeningShardGrain;
     view.begin = b;
-    view.end = std::min(b + kScreeningShardGrain, shard.end);
+    view.end = std::min(b + kScreeningShardGrain, end);
     rngs.clear();
     for (size_t k = 0; k < k_count; ++k) {
       rngs.push_back(bases_[k].Fork(screening_shard));
@@ -723,12 +626,9 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
       std::chrono::steady_clock::now() - shard_start;
   if (metrics_ != nullptr) {
     for (size_t k = 0; k < k_count; ++k) {
-      shard_deltas_[shard.shard][k] = DeltaFromShardStats(stats[k]);
+      shard_deltas_[shard][k] = DeltaFromShardStats(stats[k]);
     }
     metrics_->RecordTimerSeconds("screening.shard.wall", elapsed.count());
-  }
-  for (const ObserverEntry& entry : observers_) {
-    entry.observer->ObserveShard(shard, stats[entry.scenario]);
   }
 }
 
@@ -739,10 +639,15 @@ void StreamingScreen::EndStream() {
   TraceRecorder::ScopedHostSpan merge_span(trace_, "screening.aggregate", "aggregate",
                                            kTraceTrackAggregate);
   std::vector<MetricsDelta> total_deltas(k_count);
+  // Each scenario's accumulator is sized once from the shard totals, so every MergeFrom
+  // into it appends in place.
   for (size_t k = 0; k < k_count; ++k) {
-    PresizeFold(stats_[k], shard_stats_.size(), [&](size_t shard) -> const ScreeningStats& {
-      return shard_stats_[shard][k];
-    });
+    size_t detections = 0;
+    for (const std::vector<ScreeningStats>& shard : shard_stats_) {
+      detections += shard[k].detections.size();
+    }
+    stats_[k].detections.reserve(detections);
+    stats_[k].provenance.reserve(detections);
   }
   for (size_t shard = 0; shard < shard_stats_.size(); ++shard) {
     for (size_t k = 0; k < k_count; ++k) {
@@ -755,9 +660,8 @@ void StreamingScreen::EndStream() {
       }
     }
     if (series_ != nullptr) {
-      // Stream shards end exactly at the materialized fold's fleet-grain boundaries, and
-      // scenario 0's cumulative stats match shard for shard, so these are the same
-      // points RunBatch appends -- byte-identical across execution modes.
+      // One point per stream shard from scenario 0's cumulative stats; a materialized
+      // RunBatch replays the same shards, so both modes append the same points.
       const uint64_t end_serial =
           std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_);
       AppendScreeningSeriesPoint(series_, end_serial, stats_[0]);

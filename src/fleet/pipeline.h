@@ -52,9 +52,9 @@ class SeriesRecorder;
 
 // Fixed shard width for screening. Like the generation grain, part of the determinism
 // format: screening shard s draws from Rng::Fork(s). kFleetShardGrain is an exact
-// multiple, and stream shards start at multiples of it, so the screening shards embedded
-// in a stream shard coincide exactly with the materialized path's global shard layout --
-// the reason streaming screening is byte-identical by construction (docs/streaming.md).
+// multiple, and every pass -- streamed or materialized -- screens stream shards of
+// kFleetShardGrain serials as their embedded screening shards, so each serial draws from
+// the same stream in both modes (docs/streaming.md).
 inline constexpr uint64_t kScreeningShardGrain = 4096;
 
 enum class TestStage {
@@ -206,14 +206,18 @@ class ScreeningPipeline {
   // columns. Result k is byte-identical to the batch of scenarios[k] alone -- counters,
   // detections, detection months bitwise -- at any thread count; the clean-path scan and
   // the per-defect suite matching are paid once per shard instead of once per scenario.
-  // Returns one ScreeningStats per scenario, in batch order. The pass runs on `context`:
-  // its pool supplies the lanes, its vector level drives the clean-path scan, and its
-  // sinks are pinned once at pass start (src/common/context.h). Every scenario's
-  // per-shard "screening.*" metric deltas and "screen.subshard"/"detection" sim trace
-  // events merge into those sinks in shard order, scenario after scenario; the series
-  // sink samples scenario 0's cumulative "screening.tested" / "screening.detected" /
-  // "screening.escapes" once per kFleetShardGrain of serials. Each pass also leaves one
-  // "screening.run" host span and one "screening.run.wall" timer sample, whatever K is.
+  // Returns one ScreeningStats per scenario, in batch order. The pass is a StreamingScreen
+  // fed the fleet's columns: kFleetShardGrain-wide shards, each screened as its
+  // kScreeningShardGrain sub-shards on the context's lanes, then the stream's ordered
+  // fold -- so stats, metrics, trace and series are byte-identical to a fused streaming
+  // pass over the same fleet. It runs on `context`: its pool supplies the lanes, its
+  // vector level drives the clean-path scan, and its sinks are pinned once at pass start
+  // (src/common/context.h). Every scenario's per-shard "screening.*" metric deltas and
+  // "screen.subshard"/"detection" sim trace events merge into those sinks shard-major,
+  // scenario after scenario within each shard; the series sink samples scenario 0's
+  // cumulative "screening.tested" / "screening.detected" / "screening.escapes" once per
+  // kFleetShardGrain of serials. Each pass also leaves one "screening.run" host span and
+  // one "screening.run.wall" timer sample, whatever K is.
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
                                        const ScenarioBatch& batch,
                                        EngineContext& context) const;
@@ -232,7 +236,7 @@ class ScreeningPipeline {
   // stats[k] for every scenario k (counters add, so one stats object may accumulate
   // several consecutive shards), drawing scenario k's randomness only from rngs[k] in
   // serial order -- the reason each slot is byte-identical to a batch of that scenario
-  // alone. Both RunBatch and StreamingScreen call exactly this, one screening shard
+  // alone. Every pass reaches it through StreamingScreen, one screening shard
   // (kScreeningShardGrain) per forked RNG stream; `sub_shard` is that global shard index
   // -- stamped into every new provenance record and, when traces[k] is non-null, emitted
   // as the shard's "screen.subshard" span plus one "detection" instant per new detection.
@@ -269,10 +273,12 @@ class ShardOutcomeObserver {
 
 // Fused streaming screener: a ShardConsumer that screens every generated shard in place,
 // so generate -> screen -> aggregate happens in one pass without materializing the fleet.
-// Each stream shard is screened as its embedded kScreeningShardGrain sub-shards with the
-// same globally-indexed Rng::Fork streams the materialized RunBatch uses, and per-shard
-// stats and metric deltas are merged in shard order in EndStream -- TakeStats() is
-// therefore byte-identical to Run() on the materialized fleet at any thread count
+// Each stream shard is screened as its embedded kScreeningShardGrain sub-shards, each
+// drawing from the Rng::Fork stream of its global sub-shard index, and per-shard stats,
+// metric deltas and sim trace events are merged in shard order in EndStream (shard-major,
+// scenario after scenario within each shard). This is the engine's one screening fold:
+// the materialized RunBatch replays a generated fleet's shards through it, so TakeStats()
+// is byte-identical to Run() on the materialized fleet at any thread count
 // (tests/stream_test.cc).
 //
 // Batched form: constructed from a ScenarioBatch, the consumer screens every generated
@@ -310,10 +316,19 @@ class StreamingScreen : public ShardConsumer {
   std::vector<ScreeningStats> TakeBatchStats() { return std::move(stats_); }
 
  private:
+  // RunBatch replays a materialized fleet's shards through ScreenShard.
+  friend class ScreeningPipeline;
+
   struct ObserverEntry {
     ShardOutcomeObserver* observer = nullptr;
     size_t scenario = 0;
   };
+
+  // Screens stream shard `shard`, whose serials are [view.begin, view.end), into its
+  // per-shard slots: the kernel over each embedded screening shard, then the shard's
+  // metric deltas and "screening.shard.wall" sample. ConsumeShard adds only the observer
+  // notification. Thread-safe against itself on distinct shards.
+  void ScreenShard(uint64_t shard, ScreeningShardView view);
 
   const ScreeningPipeline* pipeline_;
   std::vector<ScreeningConfig> scenarios_;
@@ -323,8 +338,7 @@ class StreamingScreen : public ShardConsumer {
   std::vector<ObserverEntry> observers_;
   // The context's sinks, pinned at pass start; every scenario merges into them. The
   // series samples scenario 0 only (the RunBatch contract): EndStream appends one
-  // cumulative point per stream shard during its ordered fold, at exactly the
-  // fleet-grain boundaries RunBatch samples.
+  // cumulative point per stream shard during its ordered fold.
   MetricsRegistry* metrics_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   SeriesRecorder* series_ = nullptr;

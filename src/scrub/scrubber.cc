@@ -22,23 +22,17 @@ namespace {
 constexpr double kSecondsPerMonth = 30.44 * 24.0 * 3600.0;  // as Farron::TestOverhead
 
 // Walks one shard's faulty index against its screening outcomes (both ascending by
-// serial) and appends one candidate per faulty part. Shared by the streaming observer
-// and the materialized builder so the two discovery modes cannot diverge.
-template <typename FaultyDefectsFn>
-void AppendCandidates(std::span<const uint64_t> faulty_serials,
-                      const FaultyDefectsFn& defects_of,
-                      const std::function<int(uint64_t)>& arch_of,
-                      const std::function<bool(uint64_t)>& detectable_of,
-                      std::span<const ProcessorOutcome> detections,
+// serial) and appends one candidate per faulty part.
+void AppendCandidates(const FleetShard& shard, std::span<const ProcessorOutcome> detections,
                       std::vector<ScrubCandidate>& out) {
   size_t cursor = 0;
-  for (size_t ordinal = 0; ordinal < faulty_serials.size(); ++ordinal) {
-    const uint64_t serial = faulty_serials[ordinal];
+  for (size_t ordinal = 0; ordinal < shard.faulty_serials.size(); ++ordinal) {
+    const uint64_t serial = shard.faulty_serials[ordinal];
     ScrubCandidate candidate;
     candidate.serial = serial;
-    candidate.arch_index = arch_of(serial);
-    candidate.toolchain_detectable = detectable_of(serial);
-    std::span<const Defect> defects = defects_of(ordinal);
+    candidate.arch_index = shard.arch_index(serial);
+    candidate.toolchain_detectable = shard.toolchain_detectable(serial);
+    std::span<const Defect> defects = shard.FaultyDefects(ordinal);
     candidate.defects.assign(defects.begin(), defects.end());
     while (cursor < detections.size() && detections[cursor].serial < serial) {
       ++cursor;
@@ -126,11 +120,7 @@ void ScrubDiscoveryObserver::ObserveShard(const FleetShard& shard,
   for (int arch = 0; arch < kArchCount; ++arch) {
     partial.arch_totals[arch] = shard.tally->by_arch[arch];
   }
-  AppendCandidates(
-      shard.faulty_serials, [&](size_t ordinal) { return shard.FaultyDefects(ordinal); },
-      [&](uint64_t serial) { return shard.arch_index(serial); },
-      [&](uint64_t serial) { return shard.toolchain_detectable(serial); },
-      shard_stats.detections, partial.candidates);
+  AppendCandidates(shard, shard_stats.detections, partial.candidates);
 }
 
 void ScrubDiscoveryObserver::EndStream() {
@@ -151,21 +141,6 @@ void ScrubDiscoveryObserver::EndStream() {
   partials_.shrink_to_fit();
 }
 
-std::vector<ScrubCandidate> CandidatesFromMaterialized(const FleetPopulation& fleet,
-                                                       const ScreeningStats& stats) {
-  std::vector<ScrubCandidate> candidates;
-  candidates.reserve(fleet.faulty_serials().size());
-  AppendCandidates(
-      fleet.faulty_serials(),
-      [&](size_t ordinal) {
-        return fleet.processor(fleet.faulty_serials()[ordinal]).defects;
-      },
-      [&](uint64_t serial) { return fleet.processor(serial).arch_index; },
-      [&](uint64_t serial) { return fleet.processor(serial).toolchain_detectable; },
-      stats.detections, candidates);
-  return candidates;
-}
-
 FleetScrubber::FleetScrubber(const TestSuite* suite) : suite_(suite) {}
 
 ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context) const {
@@ -182,24 +157,12 @@ ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context
 
   // --- Discovery: who escaped pre-production screening. ---
   ScreeningPipeline pipeline(suite_);
-  std::vector<ScrubCandidate> candidates;
-  std::array<uint64_t, kArchCount> arch_totals{};
-  if (config.stream_discovery) {
-    FleetShardStream stream(config.population);
-    StreamingScreen screen(&pipeline, config.screening);
-    ScrubDiscoveryObserver discovery;
-    screen.AddObserver(&discovery);
-    stream.Drive({&screen}, context);
-    candidates = discovery.TakeCandidates();
-    arch_totals = discovery.arch_totals();
-  } else {
-    const FleetPopulation fleet = FleetPopulation::Generate(config.population, context);
-    const ScreeningStats stats = pipeline.Run(fleet, config.screening, context);
-    candidates = CandidatesFromMaterialized(fleet, stats);
-    for (int arch = 0; arch < kArchCount; ++arch) {
-      arch_totals[arch] = fleet.CountByArch(arch);
-    }
-  }
+  StreamingScreen screen(&pipeline, config.screening);
+  ScrubDiscoveryObserver discovery;
+  screen.AddObserver(&discovery);
+  FleetShardStream(config.population).Drive({&screen}, context);
+  std::vector<ScrubCandidate> candidates = discovery.TakeCandidates();
+  const std::array<uint64_t, kArchCount>& arch_totals = discovery.arch_totals();
   report.faulty = candidates.size();
 
   std::array<int, kArchCount> arch_cores{};

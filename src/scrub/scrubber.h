@@ -10,9 +10,9 @@
 // the pre-production stages (factory, datacenter, re-install); the scrubber then owns one
 // ProtectionSession per escape -- a real FaultyMachine plus Farron -- and replaces the
 // screen's modeled regular cadence with budgeted, prioritized in-production test rounds.
-// Discovery runs either streaming (a ScrubDiscoveryObserver on the fused
-// generate->screen pass, defect spans copied while the shard is alive) or materialized;
-// both produce byte-identical candidates.
+// Discovery is a ScrubDiscoveryObserver on the fused generate->screen pass: candidates
+// and their defects are copied out while each shard is alive, so the fleet is never
+// materialized.
 //
 // Scheduler. Each sim-epoch dispenses a global budget of processor-seconds
 // (budget_fraction * fleet_size * epoch_seconds) by score
@@ -27,8 +27,7 @@
 // execute concurrently on the context's ThreadPool (each session owns its machine, Farron
 // and RNG stream, forked per-serial from the scrub seed; the TestSuite is built once and
 // shared read-only) and their results fold back in funding order. The report is therefore
-// byte-identical at any thread count and across streaming/materialized discovery
-// (tests/scrub_test.cc pins 1/2/8 threads x both modes).
+// byte-identical at any thread count (tests/scrub_test.cc pins 1/2/8 threads).
 
 #ifndef SDC_SRC_SCRUB_SCRUBBER_H_
 #define SDC_SRC_SCRUB_SCRUBBER_H_
@@ -69,9 +68,6 @@ struct ScrubConfig {
   // The fleet and the pre-production screen that decides who escapes into production.
   PopulationConfig population;
   ScreeningConfig screening;
-  // Run discovery on the fused streaming pass (ScrubDiscoveryObserver) instead of a
-  // materialized fleet + Run. Candidates are byte-identical either way.
-  bool stream_discovery = true;
 
   // Per-session Farron template. Telemetry sinks and context are ignored -- sessions run
   // sink-free on worker lanes; the scrubber aggregates and emits its own scrub.* delta.
@@ -183,8 +179,8 @@ struct ScrubReport {
 // Streaming discovery hook: a ShardOutcomeObserver that walks each shard's faulty index
 // against the shard's screening outcomes (both ascending by serial) and copies out one
 // ScrubCandidate per faulty part while the defect spans are alive. Per-shard partials
-// fold in shard order, so TakeCandidates() is byte-identical to
-// CandidatesFromMaterialized at any thread count.
+// fold in shard order, so TakeCandidates() is byte-identical at any thread count and to
+// the same walk over a materialized fleet and its Run (tests/scrub_test.cc).
 class ScrubDiscoveryObserver : public ShardOutcomeObserver {
  public:
   void BeginStream(const PopulationConfig& population, const ScreeningConfig& screening,
@@ -208,11 +204,6 @@ class ScrubDiscoveryObserver : public ShardOutcomeObserver {
   std::array<uint64_t, kArchCount> arch_totals_{};
 };
 
-// Materialized-discovery counterpart: same walk over fleet.faulty_serials() and the
-// stats' detections.
-std::vector<ScrubCandidate> CandidatesFromMaterialized(const FleetPopulation& fleet,
-                                                       const ScreeningStats& stats);
-
 class FleetScrubber {
  public:
   // `suite` is shared read-only by every session (built once per scrub run, never per
@@ -225,8 +216,7 @@ class FleetScrubber {
   // loop adds "scrub.*" metrics, scrub-track trace events, and cumulative
   // "scrub.budget" / "scrub.spent" / "scrub.detections" / "scrub.sessions_funded"
   // series, one point per epoch (x = the epoch's end month). The epoch loop is serial,
-  // so every one of them is byte-identical at any thread count and across discovery
-  // modes.
+  // so every one of them is byte-identical at any thread count.
   ScrubReport Run(const ScrubConfig& config, EngineContext& context) const;
 
  private:

@@ -1,6 +1,7 @@
 // Tests for src/fleet: population generation and the four-stage screening pipeline.
 // Statistical assertions use loose bounds around the Table 1 / Table 2 calibration targets.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -321,7 +322,7 @@ constexpr ManifestRow kDigestManifest[] = {
     {"batch.stats.1", 0x04e24fa6c57a44b7ull},
     {"batch.stats.2", 0x3c18d6fd01f85a7full},
     {"batch.metrics", 0xc4eb112de2d912deull},
-    {"batch.trace", 0x76a4a653cb86acfbull},
+    {"batch.trace", 0x2d64b2febac3a5e7ull},
     {"batch.series", 0xa8b4cd637d256517ull},
     {"scrub.report", 0x98b7e4d13dc2fd24ull},
     {"scrub.metrics", 0x89a529e41e618898ull},
@@ -431,8 +432,8 @@ TEST(FleetDigestManifest, EnginePassesMatchRecordedDigests) {
     AddSinks(documents, "sweep", sinks, true);
   }
   {
-    // The same sweep materialized: RunBatch merges into the shared sinks in its own
-    // (scenario-major) order, so it gets rows of its own.
+    // The same sweep materialized. RunBatch replays the fleet's shards through the
+    // streamed sweep's fold, so its rows must equal the sweep.* rows byte for byte.
     ManifestSinks sinks;
     const FleetPopulation fleet = FleetPopulation::Generate(population, sinks.context);
     const std::vector<ScreeningStats> stats = pipeline.RunBatch(fleet, batch, sinks.context);
@@ -460,6 +461,16 @@ TEST(FleetDigestManifest, EnginePassesMatchRecordedDigests) {
     AddSinks(documents, "scrub", sinks, false);
   }
 
+  for (const auto& [name, document] : documents) {
+    if (!name.starts_with("batch.")) {
+      continue;
+    }
+    const std::string sweep_name = "sweep." + name.substr(std::string("batch.").size());
+    const auto sweep = std::find_if(documents.begin(), documents.end(),
+                                    [&](const auto& row) { return row.first == sweep_name; });
+    ASSERT_NE(sweep, documents.end()) << sweep_name;
+    EXPECT_TRUE(document == sweep->second) << name << " differs from " << sweep_name;
+  }
   ExpectDocumentsMatch(documents, kDigestManifest);
 }
 

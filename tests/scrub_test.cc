@@ -1,13 +1,18 @@
-// Tests for src/scrub: discovery equivalence (streaming vs materialized), report
+// Tests for src/scrub: streamed discovery against a materialized reference walk, report
 // byte-identity at 1/2/8 threads, strict budget accounting, degenerate configs, and the
 // coverage-vs-budget tradeoff direction.
 
+#include <algorithm>
+#include <bit>
 #include <iomanip>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "src/common/context.h"
+#include "src/fleet/pipeline.h"
+#include "src/fleet/population.h"
+#include "src/fleet/stream.h"
 #include "src/scrub/scrubber.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -78,25 +83,95 @@ std::string Fingerprint(const ScrubReport& report) {
   return out.str();
 }
 
-// The acceptance bar of the PR: identical JSON-able output at 1, 2, and 8 threads, for
-// both discovery modes.
-TEST_F(ScrubTest, ByteIdenticalAcrossThreadsAndDiscovery) {
+// Identical JSON-able output at 1, 2, and 8 threads.
+TEST_F(ScrubTest, ByteIdenticalAcrossThreads) {
   FleetScrubber scrubber(suite_);
   std::string expected;
-  for (const bool streaming : {true, false}) {
-    for (const int threads : {1, 2, 8}) {
-      ScrubConfig config = SmallConfig();
-      config.stream_discovery = streaming;
-      EngineContext context(EngineOptions{.threads = threads, .env_overrides = false});
-      const ScrubReport report = scrubber.Run(config, context);
-      const std::string fingerprint = Fingerprint(report);
-      if (expected.empty()) {
-        expected = fingerprint;
-        EXPECT_GT(report.sessions, 0u);
-        EXPECT_GT(report.timeline.size(), 0u);
+  for (const int threads : {1, 2, 8}) {
+    EngineContext context(EngineOptions{.threads = threads, .env_overrides = false});
+    const ScrubReport report = scrubber.Run(SmallConfig(), context);
+    const std::string fingerprint = Fingerprint(report);
+    if (expected.empty()) {
+      expected = fingerprint;
+      EXPECT_GT(report.sessions, 0u);
+      EXPECT_GT(report.timeline.size(), 0u);
+    } else {
+      EXPECT_EQ(fingerprint, expected) << "threads=" << threads;
+    }
+  }
+}
+
+// Reference discovery: the candidate walk over a materialized fleet and its screening
+// stats -- every faulty part in serial order, marked by its detection (if any).
+std::vector<ScrubCandidate> ReferenceCandidates(const FleetPopulation& fleet,
+                                                const ScreeningStats& stats) {
+  std::vector<ScrubCandidate> candidates;
+  size_t cursor = 0;
+  for (const uint64_t serial : fleet.faulty_serials()) {
+    const FleetProcessorView processor = fleet.processor(serial);
+    ScrubCandidate candidate;
+    candidate.serial = serial;
+    candidate.arch_index = processor.arch_index;
+    candidate.toolchain_detectable = processor.toolchain_detectable;
+    candidate.defects.assign(processor.defects.begin(), processor.defects.end());
+    while (cursor < stats.detections.size() && stats.detections[cursor].serial < serial) {
+      ++cursor;
+    }
+    if (cursor < stats.detections.size() && stats.detections[cursor].serial == serial &&
+        stats.detections[cursor].detected) {
+      if (stats.detections[cursor].stage == TestStage::kRegular) {
+        candidate.screen_regular_month = stats.detections[cursor].month;
       } else {
-        EXPECT_EQ(fingerprint, expected)
-            << "streaming=" << streaming << " threads=" << threads;
+        candidate.pre_production_detected = true;
+      }
+    }
+    candidates.push_back(std::move(candidate));
+  }
+  return candidates;
+}
+
+// Streamed discovery (what FleetScrubber::Run uses) yields exactly the reference
+// candidates and arch histogram at every lane count.
+TEST_F(ScrubTest, DiscoveryMatchesMaterializedReference) {
+  const ScrubConfig config = SmallConfig();
+  const ScreeningPipeline pipeline(suite_);
+  EngineContext reference_context(EngineOptions{.threads = 1, .env_overrides = false});
+  const FleetPopulation fleet = FleetPopulation::Generate(config.population, reference_context);
+  const std::vector<ScrubCandidate> expected = ReferenceCandidates(
+      fleet, pipeline.Run(fleet, config.screening, reference_context));
+  ASSERT_GT(expected.size(), 0u);
+  // Both outcome kinds occur, so the walk's detection matching is exercised.
+  EXPECT_TRUE(std::any_of(expected.begin(), expected.end(), [](const ScrubCandidate& c) {
+    return c.pre_production_detected;
+  }));
+  EXPECT_TRUE(std::any_of(expected.begin(), expected.end(), [](const ScrubCandidate& c) {
+    return c.screen_regular_month >= 0.0;
+  }));
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    EngineContext context(EngineOptions{.threads = threads, .env_overrides = false});
+    StreamingScreen screen(&pipeline, config.screening);
+    ScrubDiscoveryObserver discovery;
+    screen.AddObserver(&discovery);
+    FleetShardStream(config.population).Drive({&screen}, context);
+    for (int arch = 0; arch < kArchCount; ++arch) {
+      EXPECT_EQ(discovery.arch_totals()[arch], fleet.CountByArch(arch)) << "arch " << arch;
+    }
+    const std::vector<ScrubCandidate> candidates = discovery.TakeCandidates();
+    ASSERT_EQ(candidates.size(), expected.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const ScrubCandidate& got = candidates[i];
+      const ScrubCandidate& want = expected[i];
+      EXPECT_EQ(got.serial, want.serial) << i;
+      EXPECT_EQ(got.arch_index, want.arch_index) << i;
+      EXPECT_EQ(got.toolchain_detectable, want.toolchain_detectable) << i;
+      EXPECT_EQ(got.pre_production_detected, want.pre_production_detected) << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.screen_regular_month),
+                std::bit_cast<uint64_t>(want.screen_regular_month))
+          << i;
+      ASSERT_EQ(got.defects.size(), want.defects.size()) << i;
+      for (size_t d = 0; d < got.defects.size(); ++d) {
+        EXPECT_EQ(got.defects[d].id, want.defects[d].id) << i << '/' << d;
       }
     }
   }

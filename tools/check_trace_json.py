@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Acceptance check for sdcctl's --trace-out export (docs/observability.md).
 
-Four properties, end to end through the CLI:
+Five properties, end to end through the CLI:
 
 1. Schema: `sdcctl screen N --trace-out -` puts exactly one Chrome/Perfetto trace-event
    JSON document on stdout -- a traceEvents array whose entries all carry ph/name/pid/tid,
@@ -14,6 +14,10 @@ Four properties, end to end through the CLI:
 4. Provenance cross-check: the number of detection instants equals the
    screening.detected and screening.provenance.records counters a metrics run reports
    for the same fleet.
+5. Sweep equivalence: `--sweep seeds:3 screen N` emits the same sim timeline with and
+   without `--stream` (both merge shard by shard, scenario after scenario within each
+   shard). Per-track timestamps are not checked here: every scenario's screen.subshard
+   spans restart at its shard's first serial.
 
 Usage: check_trace_json.py <sdcctl-binary> [processors]
 """
@@ -100,6 +104,12 @@ def main() -> int:
     assert sim_events(streamed["traceEvents"]) == sim_events(events), \
         "streaming sim timeline diverges from materialized"
 
+    sweep = ["--sweep", "seeds:3", "screen", str(processors), "--trace-out", "-"]
+    sweep_events = check_schema(run_json(binary, sweep))
+    sweep_streamed = check_schema(run_json(binary, ["--stream"] + sweep))
+    assert sim_events(sweep_streamed) == sim_events(sweep_events), \
+        "streaming sweep sim timeline diverges from materialized"
+
     metrics = run_json(binary, ["screen", str(processors), "--metrics-out", "-"])
     counters = metrics["counters"]
     assert counters["screening.detected"] == detections, \
@@ -108,7 +118,7 @@ def main() -> int:
         (counters["screening.provenance.records"], detections)
 
     print(f"ok: trace JSON validates; {detections} detection instants match "
-          "screening.detected and screening.provenance.records")
+          "screening.detected and screening.provenance.records; sweep timelines match")
     return 0
 
 

@@ -64,22 +64,29 @@ FarronRoundSummary Farron::RunRegularRound(const std::vector<Feature>& app_featu
     summary.processor_deprecated = true;
     return summary;
   }
-  std::vector<TestPlanEntry> plan;
-  if (config_.enable_priorities) {
-    PriorityPlanParams params = config_.plan_params;
-    params.duration_scale = DurationScale();
-    plan = priorities_.BuildRegularPlan(app_features, params);
-  } else {
-    plan = framework_.EqualPlan(60.0);  // ablation: the baseline's equal allocation
-  }
-  Emit(EventKind::kRoundStarted, "regular", -1, PriorityTracker::PlanSeconds(plan));
-  summary.report = RunTestPlan(plan);
+  const std::vector<TestPlanEntry> plan = BuildRegularPlan(app_features);
   summary.plan_seconds = PriorityTracker::PlanSeconds(plan);
+  Emit(EventKind::kRoundStarted, "regular", -1, summary.plan_seconds);
+  summary.report = RunTestPlan(plan);
+  CloseRegularRound(summary);
+  return summary;
+}
+
+std::vector<TestPlanEntry> Farron::BuildRegularPlan(
+    const std::vector<Feature>& app_features) const {
+  if (!config_.enable_priorities) {
+    return framework_.EqualPlan(60.0);  // ablation: the baseline's equal allocation
+  }
+  PriorityPlanParams params = config_.plan_params;
+  params.duration_scale = DurationScale();
+  return priorities_.BuildRegularPlan(app_features, params);
+}
+
+void Farron::CloseRegularRound(FarronRoundSummary& summary) {
   last_plan_seconds_ = summary.plan_seconds;
   AbsorbFailures(summary.report, summary);
   Emit(EventKind::kRoundCompleted, "regular", -1,
        static_cast<double>(summary.report.total_errors()));
-  return summary;
 }
 
 BoundaryDecision Farron::ObserveTemperature(double temperature_celsius) {

@@ -134,12 +134,20 @@ class Farron {
 
  private:
   // Sessions decompose the regular-test cycle into budgeted chunks and need the same
-  // internals RunRegularRound uses (plan execution, failure absorption, event emission).
+  // internals RunRegularRound uses (plan build, plan execution, round close, event
+  // emission).
   friend class ProtectionSession;
 
   // Runs `plan` on the machine in Farron's testing environment (hot testing, usable cores
   // only), on the context.
   RunReport RunTestPlan(const std::vector<TestPlanEntry>& plan) const;
+  // The regular round's plan: prioritized under the current duration scale, or the
+  // ablation's equal allocation.
+  std::vector<TestPlanEntry> BuildRegularPlan(
+      const std::vector<Feature>& app_features) const;
+  // Closes a regular round whose report and plan_seconds are filled in: records the plan
+  // time for TestOverhead(), absorbs failures and emits kRoundCompleted.
+  void CloseRegularRound(FarronRoundSummary& summary);
   void AbsorbFailures(const RunReport& report, FarronRoundSummary& summary);
   void Emit(EventKind kind, const std::string& subject, int pcore = -1, double value = 0.0);
 

@@ -226,15 +226,7 @@ ProtectionReport ProtectionSession::FinishWorkload() {
 }
 
 std::vector<TestPlanEntry> ProtectionSession::BuildRoundPlan(bool advance_cursor) {
-  const FarronConfig& config = farron_->config();
-  std::vector<TestPlanEntry> plan;
-  if (config.enable_priorities) {
-    PriorityPlanParams params = config.plan_params;
-    params.duration_scale = farron_->DurationScale();
-    plan = farron_->priorities().BuildRegularPlan(options_.app_features, params);
-  } else {
-    plan = farron_->framework_.EqualPlan(60.0);  // ablation: equal allocation
-  }
+  std::vector<TestPlanEntry> plan = farron_->BuildRegularPlan(options_.app_features);
   const size_t window = options_.max_cases_per_round;
   if (window == 0 || plan.size() <= window) {
     return plan;
@@ -286,7 +278,6 @@ void ProtectionSession::AccountDiagnosis(const FarronRoundSummary& summary) {
 }
 
 double ProtectionSession::RunTestRound(double budget_seconds) {
-  const FarronConfig& config = farron_->config();
   if (farron_->pool().processor_deprecated()) {
     FarronRoundSummary summary;
     summary.processor_deprecated = true;
@@ -295,27 +286,17 @@ double ProtectionSession::RunTestRound(double budget_seconds) {
     return 0.0;
   }
   if (!round_in_progress_) {
-    std::vector<TestPlanEntry> plan = BuildRoundPlan(/*advance_cursor=*/true);
-    const double plan_seconds = PriorityTracker::PlanSeconds(plan);
-    if (options_.max_cases_per_round == 0 && budget_seconds >= plan_seconds) {
-      // The budget covers the whole prioritized plan: run the round exactly as Farron
-      // does -- one RunPlan (burn-in applied once), identical report and event sequence.
-      last_round_summary_ = farron_->RunRegularRound(options_.app_features);
-      scheduled_seconds_ += last_round_summary_->plan_seconds;
-      AccountDiagnosis(*last_round_summary_);
-      ++completed_rounds_;
-      next_round_due_months_ += config.regular_period_months;
-      return last_round_summary_->plan_seconds;
-    }
-    round_plan_ = std::move(plan);
-    round_plan_seconds_ = plan_seconds;
+    round_plan_ = BuildRoundPlan(/*advance_cursor=*/true);
+    round_plan_seconds_ = PriorityTracker::PlanSeconds(round_plan_);
     round_next_entry_ = 0;
     round_report_ = RunReport{};
     round_in_progress_ = true;
     farron_->Emit(EventKind::kRoundStarted, "regular", -1, round_plan_seconds_);
   }
   // Fund the longest prefix of remaining entries that fits the budget -- never overdraft,
-  // so a scheduler dispensing grants can trust consumed <= granted.
+  // so a scheduler dispensing grants can trust consumed <= granted. A budget that covers
+  // the whole plan funds it as one chunk: one RunPlan, burn-in applied once, exactly
+  // Farron::RunRegularRound's round.
   size_t end = round_next_entry_;
   double chunk_seconds = 0.0;
   while (end < round_plan_.size() &&
@@ -350,11 +331,8 @@ void ProtectionSession::FinishRound() {
   summary.report = std::move(round_report_);
   round_report_ = RunReport{};
   summary.plan_seconds = round_plan_seconds_;
-  farron_->last_plan_seconds_ = round_plan_seconds_;  // keeps TestOverhead() coherent
-  farron_->AbsorbFailures(summary.report, summary);
+  farron_->CloseRegularRound(summary);
   AccountDiagnosis(summary);
-  farron_->Emit(EventKind::kRoundCompleted, "regular", -1,
-                static_cast<double>(summary.report.total_errors()));
   ++completed_rounds_;
   next_round_due_months_ += farron_->config().regular_period_months;
   last_round_summary_ = std::move(summary);

@@ -18,11 +18,11 @@
 //                                                     (docs/scrubbing.md)
 //
 // Global flags (accepted anywhere on the command line):
-//   --threads N        worker count for the parallel hot paths: fleet generation and
-//                      screening always honor it, and `sweep` / `export sweep:CPU` switch
-//                      to per-entry parallel plan execution when it is given. N=0 means
-//                      hardware concurrency; SDC_THREADS overrides N. Results are
-//                      bit-identical at every thread count.
+//   --threads N        worker count for the parallel hot paths: fleet generation,
+//                      screening, and the per-entry isolated plan execution of `sweep` /
+//                      `export sweep:CPU`. N=0 means hardware concurrency; SDC_THREADS
+//                      overrides N. Results are bit-identical at every thread count,
+//                      whether or not the flag is given.
 //   --metrics-out FILE attach a MetricsRegistry to the command's hot paths and write the
 //                      snapshot JSON (docs/observability.md) to FILE after the command
 //                      finishes. FILE may be `-` for stdout; the command's human-readable
@@ -105,7 +105,6 @@ namespace {
 
 struct GlobalOptions {
   int threads = 0;        // worker count for parallel paths (0 = hardware concurrency)
-  bool threads_set = false;  // --threads given: sweeps opt into parallel plan entries
   std::string metrics_out;   // --metrics-out target; empty = no metrics export
   MetricsRegistry* metrics = nullptr;  // non-null when a snapshot will be written
   std::string trace_out;     // --trace-out target; empty = no trace export
@@ -214,6 +213,18 @@ int CmdSuite(const std::string& filter) {
   return 0;
 }
 
+// The hot-environment run of `sweep` and `export sweep:CPU`. Entries always run isolated,
+// so the output is the same at every lane count, with or without --threads.
+TestRunConfig SweepRunConfig() {
+  TestRunConfig config;
+  config.time_scale = 2e7;
+  config.simultaneous_cores = true;
+  config.burn_in_seconds = 300.0;
+  config.seed = 3;
+  config.parallel_plan_entries = true;
+  return config;
+}
+
 int CmdSweep(const std::string& cpu_id, double seconds_per_case,
              const GlobalOptions& options) {
   if (!TryFindInCatalog(cpu_id).has_value()) {
@@ -223,17 +234,12 @@ int CmdSweep(const std::string& cpu_id, double seconds_per_case,
   const TestSuite suite = TestSuite::BuildFull();
   TestFramework framework(&suite);
   FaultyMachine machine(FindInCatalog(cpu_id), 1);
-  TestRunConfig config;
-  config.time_scale = 2e7;
-  config.simultaneous_cores = true;
-  config.burn_in_seconds = 300.0;
-  config.seed = 3;
-  config.parallel_plan_entries = options.threads_set;
   std::cout << "sweeping " << cpu_id << " with " << suite.size() << " testcases at "
             << seconds_per_case << " s/case (hot environment)...\n";
   EngineContext context(FleetEngineOptions(options));
   const RunReport report =
-      framework.RunPlan(machine, framework.EqualPlan(seconds_per_case), config, context);
+      framework.RunPlan(machine, framework.EqualPlan(seconds_per_case), SweepRunConfig(),
+                        context);
   TextTable table({"failing testcase", "errors", "freq (/min)"});
   for (const TestcaseResult& result : report.results) {
     if (result.failed()) {
@@ -449,15 +455,9 @@ int CmdExport(const std::string& what, const GlobalOptions& options) {
     const TestSuite suite = TestSuite::BuildFull();
     TestFramework framework(&suite);
     FaultyMachine machine(FindInCatalog(cpu_id), 1);
-    TestRunConfig config;
-    config.time_scale = 2e7;
-    config.simultaneous_cores = true;
-    config.burn_in_seconds = 300.0;
-    config.seed = 3;
-    config.parallel_plan_entries = options.threads_set;
     EngineContext context(FleetEngineOptions(options));
     WriteRunReportJson(std::cout, framework.RunPlan(machine, framework.EqualPlan(30.0),
-                                                    config, context));
+                                                    SweepRunConfig(), context));
     return 0;
   }
   std::cerr << "export targets: catalog | screening | sweep:<cpu_id>\n";
@@ -855,7 +855,6 @@ int Main(int argc, char** argv) {
         return InvalidOperand("--threads operand", argv[i]);
       }
       options.threads = *threads;
-      options.threads_set = true;
       continue;
     }
     if (std::strcmp(argv[i], "--metrics-out") == 0) {

@@ -68,8 +68,7 @@ void Processor::AdvanceSeconds(double dt_seconds) {
 
 double Processor::ConsumeBusySeconds(int pcore) {
   CoreState& core = cores_[pcore];
-  const double seconds =
-      static_cast<double>(core.busy_cycles_unconsumed) / (spec_.frequency_ghz * 1e9);
+  const double seconds = BusySeconds(core.busy_cycles_unconsumed);
   core.busy_cycles_unconsumed = 0;
   return seconds;
 }

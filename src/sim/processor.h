@@ -174,6 +174,11 @@ class Processor {
 
   // Busy seconds accumulated on `pcore` since this was last called (latency-weighted).
   double ConsumeBusySeconds(int pcore);
+  // The busy seconds `cycles` latency-weighted cycles stand for, as ConsumeBusySeconds
+  // converts them.
+  double BusySeconds(uint64_t cycles) const {
+    return static_cast<double>(cycles) / (spec_.frequency_ghz * 1e9);
+  }
 
   double now_seconds() const { return now_seconds_; }
   double core_temperature(int pcore) const { return thermal_.core_temperature(pcore); }

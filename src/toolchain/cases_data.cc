@@ -344,6 +344,7 @@ std::unique_ptr<Testcase> MakeRleCase(int bytes) {
   info.style = TestcaseStyle::kApplicationLogic;
   info.ops = {OpKind::kIntAdd};
   info.types = {DataType::kByte};
+  info.ops_depend_on_inputs = true;  // one routed count per repeated byte
   return std::make_unique<RleCase>(std::move(info), bytes);
 }
 

@@ -351,6 +351,7 @@ std::unique_ptr<Testcase> MakeSortCheckCase(int elements) {
   info.style = TestcaseStyle::kApplicationLogic;
   info.ops = {OpKind::kCompare};
   info.types = {DataType::kInt32};
+  info.ops_depend_on_inputs = true;  // comparisons until each key settles
   return std::make_unique<SortCheckCase>(std::move(info), elements);
 }
 
@@ -361,6 +362,7 @@ std::unique_ptr<Testcase> MakeBinarySearchCase(int elements, int queries) {
   info.style = TestcaseStyle::kApplicationLogic;
   info.ops = {OpKind::kCompare};
   info.types = {DataType::kInt32};
+  info.ops_depend_on_inputs = true;  // probes until each target is found
   return std::make_unique<BinarySearchCase>(std::move(info), elements, queries);
 }
 

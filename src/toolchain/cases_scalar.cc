@@ -92,8 +92,11 @@ constexpr int kChunk = 256;
 // in element order), the chunk goes through Processor::ExecuteBatch, and mismatches are
 // recorded in element order. When no defect of the machine can corrupt `op`, every result
 // would stay golden: the loop only skips the input draws it would have made and counts the
-// ops. The skip is not optional: the rng may be shared with a caller that draws after the
-// kernel (a protection session's workload phases).
+// ops. Inside a plan that path runs only in the first batch of a clean entry, whose rng
+// dies with the entry (TestFramework::RunEntry replays the later batches). The skip is
+// still required wherever later draws read the same rng: the session workload kernel,
+// whose protection session draws its workload phases after each batch, and any
+// corruptible entry whose kernel also runs clean ops.
 template <typename Fill>
 void RunInChunks(TestContext& context, const std::string& testcase_id, OpKind op,
                  DataType type, int count, int draws_per_element, Fill fill) {

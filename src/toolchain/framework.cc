@@ -77,6 +77,50 @@ void AccumulatePlanTrace(const RunReport& report, TraceRecorder* trace) {
   trace->MergeDelta(std::move(delta));
 }
 
+// The per-batch op profile of a clean plan entry (TestFramework::RunEntry), measured
+// around the entry's one real batch, and the closed form of the batch-group loop for a
+// group that starts from zero busy time.
+struct CleanProfile {
+  std::array<uint64_t, kOpKindCount> counts{};  // ops of each kind one batch executes
+  double batch_busy = 0.0;     // what the group loop adds per batch: max(busy, 1e-9)
+  uint64_t group_batches = 0;  // batches in a group that starts at zero busy time
+  double group_busy = 0.0;     // that group's busy seconds, summed as the loop sums them
+
+  // Runs one real batch of `testcase` on the context's single lcore and takes its op
+  // counts there as the profile of every batch.
+  static CleanProfile Measure(Testcase& testcase, TestContext& context,
+                              double min_batch_busy_seconds) {
+    Processor& cpu = context.cpu();
+    const int pcore = cpu.pcore_of(context.lcores.front());
+    CleanProfile profile;
+    for (int kind = 0; kind < kOpKindCount; ++kind) {
+      profile.counts[kind] = cpu.op_count(pcore, static_cast<OpKind>(kind));
+    }
+    testcase.RunBatch(context);
+    uint64_t cycles = 0;
+    for (int kind = 0; kind < kOpKindCount; ++kind) {
+      const auto op = static_cast<OpKind>(kind);
+      profile.counts[kind] = cpu.op_count(pcore, op) - profile.counts[kind];
+      cycles += profile.counts[kind] * static_cast<uint64_t>(LatencyCycles(op));
+    }
+    profile.batch_busy = std::max(cpu.BusySeconds(cycles), 1e-9);
+    do {
+      profile.group_busy += profile.batch_busy;
+      ++profile.group_batches;
+    } while (profile.group_busy < min_batch_busy_seconds);
+    return profile;
+  }
+
+  // Records `batches` batches' ops on `lcore` without running the kernel.
+  void Count(Processor& cpu, int lcore, uint64_t batches) const {
+    for (int kind = 0; kind < kOpKindCount; ++kind) {
+      if (counts[kind] != 0) {
+        cpu.CountCleanOps(lcore, static_cast<OpKind>(kind), batches * counts[kind]);
+      }
+    }
+  }
+};
+
 }  // namespace
 
 bool RunReport::any_error() const {
@@ -236,6 +280,15 @@ void TestFramework::RunEntry(FaultyMachine& machine, const TestPlanEntry& entry,
   context.max_records = config.max_records;
   context.cpu_id = machine.info().cpu_id;
 
+  // A clean entry: single-threaded, no op kind it runs can be corrupted on this machine,
+  // and its per-batch op counts do not follow its inputs. Its results are golden, so only
+  // its op counts, busy time and clock steps are observable, and entry_rng dies with the
+  // entry: after one real batch the rest are replayed from that batch's profile.
+  const bool clean = !info.multithreaded && !info.ops_depend_on_inputs &&
+                     std::none_of(info.ops.begin(), info.ops.end(),
+                                  [&cpu](OpKind op) { return cpu.MayCorrupt(op); });
+  CleanProfile profile;  // measured by the entry's first batch; group_batches 0 until then
+
   if (config.simultaneous_cores) {
     machine.SetAllCoreUtilization(1.0);
   }
@@ -268,18 +321,43 @@ void TestFramework::RunEntry(FaultyMachine& machine, const TestPlanEntry& entry,
     }
     const uint64_t errors_at_start = context.errors_found;
     double tested_seconds = 0.0;
+    bool first_group = true;
     while (tested_seconds < per_core_seconds) {
       double busy = 0.0;
-      // Group kernel runs until enough busy time accumulates; small kernels would otherwise
-      // pay one clock/thermal step per handful of operations.
-      do {
-        testcase.RunBatch(context);
-        double batch_busy = 0.0;
-        for (int lcore : context.lcores) {
-          batch_busy = std::max(batch_busy, cpu.ConsumeBusySeconds(cpu.pcore_of(lcore)));
+      if (!clean) {
+        // Group kernel runs until enough busy time accumulates; small kernels would
+        // otherwise pay one clock/thermal step per handful of operations.
+        do {
+          testcase.RunBatch(context);
+          double batch_busy = 0.0;
+          for (int lcore : context.lcores) {
+            batch_busy = std::max(batch_busy, cpu.ConsumeBusySeconds(cpu.pcore_of(lcore)));
+          }
+          busy += std::max(batch_busy, 1e-9);
+        } while (busy < config.min_batch_busy_seconds);
+      } else if (first_group) {
+        // A core slot's first batch also consumes whatever busy time the core carried in,
+        // so its group is finished by the loop's own additions.
+        const int lcore = context.lcores.front();
+        if (profile.group_batches == 0) {
+          profile = CleanProfile::Measure(testcase, context, config.min_batch_busy_seconds);
+        } else {
+          profile.Count(cpu, lcore, 1);
         }
-        busy += std::max(batch_busy, 1e-9);
-      } while (busy < config.min_batch_busy_seconds);
+        busy = std::max(cpu.ConsumeBusySeconds(pcore), 1e-9);
+        uint64_t batches = 0;
+        for (; busy < config.min_batch_busy_seconds; ++batches) {
+          busy += profile.batch_busy;
+        }
+        profile.Count(cpu, lcore, batches);
+        cpu.ConsumeBusySeconds(pcore);
+        first_group = false;
+      } else {
+        // Every later group starts from zero busy time: its closed form.
+        profile.Count(cpu, context.lcores.front(), profile.group_batches);
+        cpu.ConsumeBusySeconds(pcore);
+        busy = profile.group_busy;
+      }
       const double represented = busy * cpu.time_scale();
       tested_seconds += represented;
       cpu.AdvanceSeconds(represented * wall_scale);

@@ -38,6 +38,15 @@ struct TestcaseInfo {
   std::vector<OpKind> ops;              // op kinds the kernel exercises
   std::vector<DataType> types;          // datatypes whose results are checked
   bool multithreaded = false;           // consistency tests need >= 2 cores
+  // The op contract every testcase keeps: a batch executes only kinds in `ops`, all of
+  // them on the context's lcores, and on a defect-free machine it records nothing. Unless
+  // this flag is set, a batch also executes the same count of every kind whatever its
+  // inputs, so one batch's op profile stands for every batch of the testcase: a
+  // single-threaded plan entry that no defect of the machine can touch runs one real batch
+  // and replays that profile for the rest (TestFramework::RunEntry). Set it when the counts
+  // follow the data (a sort's comparisons, a search's probes). A new testcase must pass
+  // ToolchainContractTest.EveryTestcaseKeepsItsOpContract (tests/toolchain_test.cc).
+  bool ops_depend_on_inputs = false;
 };
 
 // One observed silent data corruption.

@@ -848,6 +848,41 @@ TEST(InstructionLoopTest, CleanKernelsMatchFullPathPerElementLoop) {
   }
 }
 
+// Bit image of a double: clock and temperature comparisons below are bitwise.
+uint64_t DoubleBits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Two plan reports agree entry by entry and record by record, floating point bitwise.
+void ExpectSameReport(const RunReport& a, const RunReport& b, const std::string& label) {
+  ASSERT_EQ(a.results.size(), b.results.size()) << label;
+  for (size_t i = 0; i < a.results.size(); ++i) {
+    const TestcaseResult& x = a.results[i];
+    const TestcaseResult& y = b.results[i];
+    EXPECT_EQ(x.testcase_id, y.testcase_id) << label;
+    EXPECT_EQ(x.duration_seconds, y.duration_seconds) << label << " " << x.testcase_id;
+    EXPECT_EQ(x.errors, y.errors) << label << " " << x.testcase_id;
+    EXPECT_EQ(x.errors_per_pcore, y.errors_per_pcore) << label << " " << x.testcase_id;
+    EXPECT_EQ(x.op_histogram, y.op_histogram) << label << " " << x.testcase_id;
+  }
+  EXPECT_EQ(DoubleBits(a.total_wall_seconds), DoubleBits(b.total_wall_seconds)) << label;
+  ASSERT_EQ(a.records.size(), b.records.size()) << label;
+  for (size_t i = 0; i < a.records.size(); ++i) {
+    const SdcRecord& x = a.records[i];
+    const SdcRecord& y = b.records[i];
+    EXPECT_EQ(x.testcase_id, y.testcase_id) << label << " record " << i;
+    EXPECT_EQ(x.cpu_id, y.cpu_id) << label << " record " << i;
+    EXPECT_EQ(x.pcore, y.pcore) << label << " record " << i;
+    EXPECT_EQ(x.lcore, y.lcore) << label << " record " << i;
+    EXPECT_EQ(x.sdc_type, y.sdc_type) << label << " record " << i;
+    EXPECT_EQ(x.type, y.type) << label << " record " << i;
+    EXPECT_EQ(x.expected, y.expected) << label << " record " << i;
+    EXPECT_EQ(x.actual, y.actual) << label << " record " << i;
+    EXPECT_EQ(DoubleBits(x.temperature), DoubleBits(y.temperature))
+        << label << " record " << i;
+    EXPECT_EQ(DoubleBits(x.time_seconds), DoubleBits(y.time_seconds))
+        << label << " record " << i;
+  }
+}
+
 // One RunPlan over every loop.* / vec.* case of the suite on a part whose defect hits
 // every other loop op: the injector alone (clean ops skipped) and the same injector behind
 // FullPathHook (every op computed and routed) must produce the same report.
@@ -883,37 +918,14 @@ TEST(InstructionLoopTest, SuiteLoopPlanMatchesFullPath) {
   const RunReport a = framework.RunPlan(direct, plan, config, context);
   const RunReport b = framework.RunPlan(routed, plan, config, context);
 
+  ExpectSameReport(a, b, "loop plan");
   size_t clean_entries = 0;
   size_t failed_entries = 0;
-  ASSERT_EQ(a.results.size(), b.results.size());
   for (size_t i = 0; i < a.results.size(); ++i) {
-    const TestcaseResult& x = a.results[i];
-    const TestcaseResult& y = b.results[i];
-    EXPECT_EQ(x.testcase_id, y.testcase_id);
-    EXPECT_EQ(x.duration_seconds, y.duration_seconds) << x.testcase_id;
-    EXPECT_EQ(x.errors, y.errors) << x.testcase_id;
-    EXPECT_EQ(x.errors_per_pcore, y.errors_per_pcore) << x.testcase_id;
-    EXPECT_EQ(x.op_histogram, y.op_histogram) << x.testcase_id;
     clean_entries += direct.cpu().MayCorrupt(suite.info(plan[i].testcase_index).ops.front())
                          ? 0
                          : 1;
-    failed_entries += x.failed() ? 1 : 0;
-  }
-  EXPECT_EQ(a.total_wall_seconds, b.total_wall_seconds);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (size_t i = 0; i < a.records.size(); ++i) {
-    const SdcRecord& x = a.records[i];
-    const SdcRecord& y = b.records[i];
-    EXPECT_EQ(x.testcase_id, y.testcase_id) << i;
-    EXPECT_EQ(x.cpu_id, y.cpu_id) << i;
-    EXPECT_EQ(x.pcore, y.pcore) << i;
-    EXPECT_EQ(x.lcore, y.lcore) << i;
-    EXPECT_EQ(x.sdc_type, y.sdc_type) << i;
-    EXPECT_EQ(x.type, y.type) << i;
-    EXPECT_EQ(x.expected, y.expected) << i;
-    EXPECT_EQ(x.actual, y.actual) << i;
-    EXPECT_EQ(x.temperature, y.temperature) << i;
-    EXPECT_EQ(x.time_seconds, y.time_seconds) << i;
+    failed_entries += a.results[i].failed() ? 1 : 0;
   }
   EXPECT_GT(clean_entries, 100u);
   EXPECT_GT(failed_entries, 20u);
@@ -997,6 +1009,167 @@ TEST(InstructionLoopTest, F64xReencodingOfGoldenIsNoMismatch) {
   EXPECT_EQ(context.errors_found, 1u);
   EXPECT_EQ(records[0].expected, golden);
   EXPECT_EQ(records[0].actual, BitsOfFloat80(Float80FromBits(changed)));
+}
+
+// --- Clean plan entries ---
+
+// The op contract of TestcaseInfo (src/toolchain/testcase.h), for every suite testcase on a
+// defect-free part under three input seeds: a batch executes only the kinds its info
+// declares, on the context's cores, and records nothing. A testcase that does not declare
+// ops_depend_on_inputs executes the same count of every kind in every batch under every
+// seed; one that declares it does vary, so the flag cannot go stale. TestFramework::RunEntry
+// replays a clean entry's first batch on the strength of this contract.
+TEST(ToolchainContractTest, EveryTestcaseKeepsItsOpContract) {
+  const TestSuite suite = TestSuite::BuildFull();
+  using Profile = std::array<uint64_t, kOpKindCount>;
+  constexpr int kBatches = 3;
+  size_t flagged = 0;
+  for (size_t index = 0; index < suite.size(); ++index) {
+    Testcase& testcase = suite.at(index);
+    const TestcaseInfo& info = testcase.info();
+    if (!info.multithreaded) {
+      // The coherence bus and transactional memory consult the hook whatever its
+      // corruptible-op mask says, so only a consistency test may use them.
+      for (OpKind op : info.ops) {
+        EXPECT_LT(static_cast<int>(op), static_cast<int>(OpKind::kLoad)) << info.id;
+      }
+    }
+    std::set<Profile> profiles;
+    for (uint64_t seed : {1, 2, 3}) {
+      FaultyMachine machine(MakeArchSpec("M2"));
+      Processor& cpu = machine.cpu();
+      Rng rng(seed);
+      std::vector<SdcRecord> records;
+      TestContext context;
+      context.machine = &machine;
+      context.lcores = info.multithreaded ? std::vector<int>{2, 6} : std::vector<int>{2};
+      context.rng = &rng;
+      context.records = &records;
+      context.cpu_id = "contract";
+      const auto count_ops = [&] {
+        Profile total{};
+        Profile on_context_cores{};
+        for (int kind = 0; kind < kOpKindCount; ++kind) {
+          const auto op = static_cast<OpKind>(kind);
+          total[kind] = cpu.total_op_count(op);
+          for (int lcore : context.lcores) {
+            on_context_cores[kind] += cpu.op_count(cpu.pcore_of(lcore), op);
+          }
+        }
+        return std::pair{total, on_context_cores};
+      };
+      for (int batch = 0; batch < kBatches; ++batch) {
+        const auto [total_before, on_cores_before] = count_ops();
+        testcase.RunBatch(context);
+        const auto [total_after, on_cores_after] = count_ops();
+        Profile profile{};
+        for (int kind = 0; kind < kOpKindCount; ++kind) {
+          profile[kind] = total_after[kind] - total_before[kind];
+          const std::string kind_name = OpKindName(static_cast<OpKind>(kind));
+          EXPECT_EQ(profile[kind], on_cores_after[kind] - on_cores_before[kind])
+              << info.id << " ran " << kind_name << " off its cores";
+          // Consistency tests pad their rounds with private-cell loads (PadRound) that the
+          // transactional ones do not declare: the fleet model matches those by their tx
+          // kinds. A consistency test never replays.
+          const bool padding = info.multithreaded && kind == static_cast<int>(OpKind::kLoad);
+          if (profile[kind] != 0 && !padding) {
+            EXPECT_NE(std::find(info.ops.begin(), info.ops.end(), static_cast<OpKind>(kind)),
+                      info.ops.end())
+                << info.id << " ran undeclared " << kind_name;
+          }
+        }
+        profiles.insert(profile);
+      }
+      EXPECT_EQ(context.errors_found, 0u) << info.id << " seed " << seed;
+      EXPECT_TRUE(records.empty()) << info.id << " seed " << seed;
+    }
+    if (info.ops_depend_on_inputs) {
+      ++flagged;
+      EXPECT_GT(profiles.size(), 1u)
+          << info.id << " declares ops_depend_on_inputs but ran one profile";
+    } else {
+      EXPECT_EQ(profiles.size(), 1u)
+          << info.id << " ran input-dependent op counts: declare ops_depend_on_inputs";
+    }
+  }
+  EXPECT_EQ(flagged, 10u);
+}
+
+// RunPlan over the whole suite on a part whose defect hits every third computation kind.
+// The injector alone replays each clean entry after its first batch; the same injector
+// behind FullPathHook makes every kind corruptible, so every batch of every entry runs its
+// kernel. Both must leave the same report, clock and core temperatures in every run mode,
+// including a core that carries busy time into the plan.
+TEST(ToolchainContractTest, SuitePlanReplayMatchesFullPath) {
+  const TestSuite suite = TestSuite::BuildFull();
+  const TestFramework framework(&suite);
+  std::vector<TestPlanEntry> plan = framework.EqualPlan(1.0);
+  std::vector<OpKind> hit;
+  for (int kind = 0; kind <= static_cast<int>(OpKind::kVecGf256); kind += 3) {
+    hit.push_back(static_cast<OpKind>(kind));
+  }
+  FaultyProcessorInfo info = LoopDefectMachine(hit).info();
+  info.defects.front().base_log10_rate = -8.0;
+
+  FaultyMachine probe(info, 9);
+  const auto is_clean = [&](const TestPlanEntry& entry) {
+    const TestcaseInfo& case_info = suite.info(entry.testcase_index);
+    return !case_info.multithreaded && !case_info.ops_depend_on_inputs &&
+           std::none_of(case_info.ops.begin(), case_info.ops.end(),
+                        [&](OpKind op) { return probe.cpu().MayCorrupt(op); });
+  };
+  size_t flagged_entries = 0;
+  for (const TestPlanEntry& entry : plan) {
+    flagged_entries += suite.info(entry.testcase_index).ops_depend_on_inputs ? 1 : 0;
+  }
+  EXPECT_GT(std::count_if(plan.begin(), plan.end(), is_clean), 300);
+  EXPECT_EQ(flagged_entries, 10u);
+  // Start the plan with a clean entry, so the busy time the cores carry in below meets a
+  // replayed core slot.
+  std::rotate(plan.begin(), std::find_if(plan.begin(), plan.end(), is_clean), plan.end());
+
+  TestRunConfig sequential = FastConfig();
+  sequential.pcores_under_test = {0, 1};
+  TestRunConfig simultaneous = sequential;
+  simultaneous.simultaneous_cores = true;
+  simultaneous.burn_in_seconds = 30.0;
+  TestRunConfig pinned = sequential;
+  pinned.pin_temperature_celsius = 75.0;
+  TestRunConfig parallel = sequential;
+  parallel.parallel_plan_entries = true;
+  const struct {
+    const char* name;
+    const TestRunConfig& config;
+    int lanes;
+  } modes[] = {{"sequential", sequential, 1},
+               {"simultaneous+burn-in", simultaneous, 1},
+               {"pinned", pinned, 1},
+               {"parallel/1", parallel, 1},
+               {"parallel/4", parallel, 4}};
+  for (const auto& mode : modes) {
+    FaultyMachine direct(info, 9);
+    FaultyMachine routed(info, 9);
+    FullPathHook full_path(routed.injector());
+    routed.cpu().SetCorruptionHook(&full_path);
+    for (FaultyMachine* machine : {&direct, &routed}) {
+      machine->cpu().CountCleanOps(0, OpKind::kIntSub, 5000);  // busy time pcores 0 and 1
+      machine->cpu().CountCleanOps(2, OpKind::kIntSub, 7000);  // carry into the plan
+    }
+    EngineContext context(PinnedEngine(mode.lanes));
+    const RunReport a = framework.RunPlan(direct, plan, mode.config, context);
+    const RunReport b = framework.RunPlan(routed, plan, mode.config, context);
+    ExpectSameReport(a, b, mode.name);
+    EXPECT_GT(a.total_errors(), 0u) << mode.name;
+    EXPECT_EQ(DoubleBits(direct.cpu().now_seconds()), DoubleBits(routed.cpu().now_seconds()))
+        << mode.name;
+    for (int pcore = 0; pcore < direct.cpu().spec().physical_cores; ++pcore) {
+      EXPECT_EQ(DoubleBits(direct.cpu().core_temperature(pcore)),
+                DoubleBits(routed.cpu().core_temperature(pcore)))
+          << mode.name << " pcore " << pcore;
+    }
+    EXPECT_EQ(direct.injector()->total_activations(), routed.injector()->total_activations())
+        << mode.name;
+  }
 }
 
 }  // namespace

@@ -28,7 +28,8 @@ import socket as socketlib
 import subprocess
 import sys
 import tempfile
-import time
+
+from sdcd_harness import running_daemon
 
 FLEET_SEED_A = 7
 FLEET_SEED_B = 9
@@ -92,20 +93,7 @@ def main() -> int:
     processors = int(sys.argv[3]) if len(sys.argv) > 3 else 100_000
 
     workdir = tempfile.mkdtemp(prefix="sdcd-")
-    socket = os.path.join(workdir, "sdcd.sock")
-    daemon = subprocess.Popen([sdcd, "--socket", socket, "--lanes", str(DAEMON_LANES)],
-                              stderr=subprocess.PIPE, text=True)
-    try:
-        deadline = time.time() + 10
-        while True:
-            if os.path.exists(socket) and subprocess.run(
-                    [ctl, "--socket", socket, "ping"],
-                    capture_output=True).returncode == 0:
-                break
-            assert time.time() < deadline, "sdcd did not come up within 10 s"
-            assert daemon.poll() is None, f"sdcd died at startup: {daemon.stderr.read()}"
-            time.sleep(0.05)
-
+    with running_daemon(sdcd, ctl, workdir, DAEMON_LANES) as (daemon, socket):
         spec_a = [f"name=a", f"processors={processors}", f"seed={FLEET_SEED_A}",
                   f"lanes={LANES_PER_CAMPAIGN}"]
         spec_b = [f"name=b", f"processors={processors}", f"seed={FLEET_SEED_B}",
@@ -201,10 +189,6 @@ def main() -> int:
         print(f"ok: {campaigns} campaigns over {socket}; overlapped == serial == "
               f"one-shot at {processors} processors; cancel + exit statuses verified")
         return 0
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
 
 
 if __name__ == "__main__":

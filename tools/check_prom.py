@@ -21,12 +21,12 @@ Usage: check_prom.py <sdcd-binary> <sdcctl-binary> [processors]
 Default fleet size is 100,000.
 """
 
-import os
 import re
 import subprocess
 import sys
 import tempfile
-import time
+
+from sdcd_harness import running_daemon
 
 METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 TYPE_LINE = re.compile(r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary)$")
@@ -140,20 +140,7 @@ def main() -> int:
 
     # Pass 1b + 2: the live daemon, polled twice around a campaign boundary.
     workdir = tempfile.mkdtemp(prefix="sdcd-prom-")
-    socket = os.path.join(workdir, "sdcd.sock")
-    daemon = subprocess.Popen([sdcd, "--socket", socket, "--lanes", "2"],
-                              stderr=subprocess.PIPE, text=True)
-    try:
-        deadline = time.time() + 10
-        while True:
-            if os.path.exists(socket) and subprocess.run(
-                    [ctl, "--socket", socket, "ping"],
-                    capture_output=True).returncode == 0:
-                break
-            assert time.time() < deadline, "sdcd did not come up within 10 s"
-            assert daemon.poll() is None, f"sdcd died at startup: {daemon.stderr.read()}"
-            time.sleep(0.05)
-
+    with running_daemon(sdcd, ctl, workdir, 2) as (daemon, socket):
         first_id = client(ctl, socket, "submit", "name=p1",
                           f"processors={processors}").strip()[len("ok id="):]
         client(ctl, socket, "wait", first_id)
@@ -178,10 +165,6 @@ def main() -> int:
               f"{len(poll_2)} daemon samples; counters monotonic across polls at "
               f"{processors} processors")
         return 0
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
 
 
 if __name__ == "__main__":

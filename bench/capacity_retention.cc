@@ -9,6 +9,7 @@
 #include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/capacity.h"
+#include "src/fleet/stream.h"
 
 int main() {
   using namespace sdc;
@@ -17,12 +18,13 @@ int main() {
   EngineContext context;
   PopulationConfig population_config;
   population_config.processor_count = 1'000'000;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  const ScreeningConfig config;
-  const ScreeningStats stats = pipeline.Run(fleet, config, context);
-  const CapacityReport report = SimulateCapacityRetention(fleet, stats, config);
+  StreamingScreen screen(&pipeline, ScreeningConfig());
+  CapacityAccumulator capacity;
+  screen.AddObserver(&capacity);
+  FleetShardStream(population_config).Drive({&screen}, context);
+  const CapacityReport report = capacity.TakeReport();
 
   TextTable table({"month", "baseline cores lost", "fine-grained cores lost"});
   for (const CapacityPoint& point : report.timeline) {

@@ -72,6 +72,7 @@
 #include "src/telemetry/series.h"
 #include "src/toolchain/registry.h"
 #include "tests/oracles/oracles.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -287,7 +288,7 @@ int Main(int argc, char** argv) {
   // must reproduce this fleet and these stats bitwise.
   EngineContext serial(BenchEngine(1, auto_level));
   const FleetPopulation golden_fleet = FleetPopulation::Generate(population_config, serial);
-  const ScreeningStats golden = pipeline.Run(golden_fleet, ScreeningConfig(), serial);
+  const ScreeningStats golden = RunBatchOfOne(pipeline, golden_fleet, ScreeningConfig(), serial);
 
   for (int threads : {1, 2, 8}) {
     EngineContext context(BenchEngine(threads, auto_level));
@@ -323,14 +324,15 @@ int Main(int argc, char** argv) {
     // series) must not move a bit. The plain half is the cached "screen" row.
     SeriesRecorder check_recorder;
     context.AttachSeries(&check_recorder);
-    deterministic &= IdenticalStats(golden, pipeline.Run(fleet, ScreeningConfig(), context));
+    deterministic &=
+        IdenticalStats(golden, RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context));
     context.AttachSeries(nullptr);
     const PairedWalls series_walls = BestPairedWalls(
-        repeats, [&] { (void)pipeline.Run(fleet, ScreeningConfig(), context); },
+        repeats, [&] { (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context); },
         [&] {
           SeriesRecorder recorder;
           context.AttachSeries(&recorder);
-          (void)pipeline.Run(fleet, ScreeningConfig(), context);
+          (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context);
           context.AttachSeries(nullptr);
         });
     if (threads == 1) {
@@ -339,11 +341,12 @@ int Main(int argc, char** argv) {
 
     // The cached model (its "screen" row is the plain half of the series pairs above),
     // then the oracles on the same fleet.
-    deterministic &= IdenticalStats(golden, pipeline.Run(fleet, ScreeningConfig(), context));
+    deterministic &=
+        IdenticalStats(golden, RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context));
     EmitJson("screen", "cached", threads, series_walls.first, processors);
     const double cached_both_wall = BestWallSeconds(repeats, [&] {
       const FleetPopulation f = FleetPopulation::Generate(population_config, context);
-      (void)pipeline.Run(f, ScreeningConfig(), context);
+      (void)RunBatchOfOne(pipeline, f, ScreeningConfig(), context);
     });
     EmitJson("generate_screen", "cached", threads, cached_both_wall, processors);
 
@@ -364,9 +367,9 @@ int Main(int argc, char** argv) {
     // The same cached screen with the vector kernel pinned off: the delta against the
     // "screen" row above is the SIMD clean-path contribution. Output must not move a bit.
     deterministic &=
-        IdenticalStats(golden, pipeline.Run(fleet, ScreeningConfig(), scalar_context));
+        IdenticalStats(golden, RunBatchOfOne(pipeline, fleet, ScreeningConfig(), scalar_context));
     const double scalar_wall = BestWallSeconds(repeats, [&] {
-      (void)pipeline.Run(fleet, ScreeningConfig(), scalar_context);
+      (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), scalar_context);
     });
     EmitJson("screen_scalar", "cached", threads, scalar_wall, processors);
     if (threads == 1) {
@@ -385,8 +388,8 @@ int Main(int argc, char** argv) {
       const std::vector<ScreeningStats> batched = pipeline.RunBatch(fleet, batch, context);
       for (int k = 0; k < k_count; ++k) {
         const size_t slot = static_cast<size_t>(k);
-        deterministic &= IdenticalStats(batched[slot],
-                                        pipeline.Run(fleet, batch.scenarios[slot], context));
+        deterministic &= IdenticalStats(
+            batched[slot], RunBatchOfOne(pipeline, fleet, batch.scenarios[slot], context));
       }
       const double batch_wall = BestWallSeconds(repeats, [&] {
         (void)pipeline.RunBatch(fleet, batch, context);

@@ -9,6 +9,7 @@
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/stats.h"
+#include "src/fleet/stream.h"
 
 int main() {
   using namespace sdc;
@@ -19,9 +20,12 @@ int main() {
   config.processor_count = 30000;  // "tens of thousands of CPUs"
   config.seed = 123;
   EngineContext context;
-  const FleetPopulation fleet = FleetPopulation::Generate(config, context);
-  const TestcaseEffectiveness effectiveness =
-      ComputeTestcaseEffectiveness(suite, fleet, ScreeningConfig().stages[3]);
+  ScreeningPipeline pipeline(&suite);
+  StreamingScreen screen(&pipeline, ScreeningConfig());
+  EffectivenessAccumulator accumulator(&suite, ScreeningConfig().stages[3]);
+  FleetShardStream(config).Drive({&screen, &accumulator}, context);
+  const ScreeningStats stats = screen.TakeStats();
+  const TestcaseEffectiveness effectiveness = accumulator.TakeResult();
 
   TextTable table({"", "measured", "paper"});
   table.AddRow({"testcases", std::to_string(effectiveness.total_testcases), "633"});
@@ -31,7 +35,7 @@ int main() {
                 std::to_string(effectiveness.ineffective_testcases()), "560"});
   table.Print(std::cout);
 
-  std::cout << "\nfaulty parts in this cluster: " << fleet.faulty_count() << "\n";
+  std::cout << "\nfaulty parts in this cluster: " << stats.faulty << "\n";
   std::cout << "effective testcases by kernel family:\n";
   std::set<std::string> families;
   for (const std::string& id : effectiveness.effective_ids) {

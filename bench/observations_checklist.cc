@@ -12,8 +12,9 @@
 #include "src/analysis/repro.h"
 #include "src/common/context.h"
 #include "src/common/table.h"
-#include "src/fleet/capacity.h"
+#include "src/fleet/pipeline.h"
 #include "src/fleet/stats.h"
+#include "src/fleet/stream.h"
 #include "src/tolerance/evaluation.h"
 
 namespace {
@@ -42,9 +43,10 @@ int main() {
   EngineContext context;
   PopulationConfig population_config;
   population_config.processor_count = 300000;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   ScreeningPipeline pipeline(&suite);
-  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
+  StreamingScreen screen(&pipeline, ScreeningConfig());
+  FleetShardStream(population_config).Drive({&screen}, context);
+  const ScreeningStats stats = screen.TakeStats();
 
   {  // Obs 1: overall failure rate ~3.61 permyriad.
     const double rate = stats.TotalRate() * 1e4;
@@ -168,9 +170,9 @@ int main() {
     PopulationConfig small_config;
     small_config.processor_count = 30000;
     small_config.seed = 123;
-    const FleetPopulation small = FleetPopulation::Generate(small_config, context);
-    const TestcaseEffectiveness effectiveness =
-        ComputeTestcaseEffectiveness(suite, small, ScreeningConfig().stages[3]);
+    EffectivenessAccumulator accumulator(&suite, ScreeningConfig().stages[3]);
+    FleetShardStream(small_config).Drive({&accumulator}, context);
+    const TestcaseEffectiveness effectiveness = accumulator.TakeResult();
     verdicts.push_back({"Obs 11", "560/633 testcases never detect a fault",
                         std::to_string(effectiveness.ineffective_testcases()) + "/633 idle",
                         effectiveness.ineffective_testcases() > 633 / 2});

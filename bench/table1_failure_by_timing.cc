@@ -9,7 +9,7 @@
 #include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
-#include "src/fleet/population.h"
+#include "src/fleet/stream.h"
 #include "src/telemetry/metrics.h"
 
 int main() {
@@ -21,10 +21,11 @@ int main() {
   const auto start = std::chrono::steady_clock::now();
   PopulationConfig population_config;
   population_config.processor_count = 1'000'000;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
+  StreamingScreen screen(&pipeline, ScreeningConfig());
+  FleetShardStream(population_config).Drive({&screen}, context);
+  const ScreeningStats stats = screen.TakeStats();
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
   const double paper[] = {0.776, 0.180, 2.306, 0.348};
@@ -37,8 +38,8 @@ int main() {
   table.AddRow({"total", FormatDouble(stats.TotalRate() * 1e4, 3), "3.610"});
   table.Print(std::cout);
 
-  std::cout << "\nfleet: " << fleet.size() << " processors, "
-            << fleet.faulty_count() << " with latent defects; "
+  std::cout << "\nfleet: " << stats.tested << " processors, "
+            << stats.faulty << " with latent defects; "
             << stats.total_detected() << " detected\n";
   std::cout << "pre-production share of detections: "
             << FormatPercent(stats.PreProductionRate() / stats.TotalRate(), 2)

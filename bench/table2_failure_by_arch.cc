@@ -10,7 +10,7 @@
 #include "src/common/context.h"
 #include "src/common/table.h"
 #include "src/fleet/pipeline.h"
-#include "src/fleet/population.h"
+#include "src/fleet/stream.h"
 #include "src/telemetry/metrics.h"
 
 int main() {
@@ -22,10 +22,11 @@ int main() {
   const auto start = std::chrono::steady_clock::now();
   PopulationConfig population_config;
   population_config.processor_count = 1'000'000;
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  const ScreeningStats stats = pipeline.Run(fleet, ScreeningConfig(), context);
+  StreamingScreen screen(&pipeline, ScreeningConfig());
+  FleetShardStream(population_config).Drive({&screen}, context);
+  const ScreeningStats stats = screen.TakeStats();
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
 
   TextTable table({"arch", "tested", "measured (permyriad)", "paper (permyriad)"});
@@ -33,7 +34,7 @@ int main() {
   for (int arch = 0; arch < kArchCount; ++arch) {
     table.AddRow({ArchName(arch), std::to_string(stats.tested_by_arch[arch]),
                   FormatDouble(stats.ArchRate(arch) * 1e4, 3),
-                  FormatDouble(fleet.config().detected_rate[arch] * 1e4, 3)});
+                  FormatDouble(population_config.detected_rate[arch] * 1e4, 3)});
     arches_with_detections += stats.detected_by_arch[arch] > 0 ? 1 : 0;
   }
   table.AddRow({"avg", std::to_string(stats.tested), FormatDouble(stats.TotalRate() * 1e4, 3),

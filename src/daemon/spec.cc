@@ -104,6 +104,28 @@ bool ApplyScenarioAssignment(const std::string& token, SweepScenario& scenario,
   return false;
 }
 
+bool CheckStepCount(double horizon_months, double step_months, double limit,
+                    const std::string& what, std::string& error) {
+  // Negated so a NaN ratio fails too.
+  if (!(horizon_months / step_months <= limit)) {
+    std::ostringstream message;
+    message << what << " " << step_months << " over a " << horizon_months
+            << "-month horizon exceeds " << limit << " steps";
+    error = message.str();
+    return false;
+  }
+  return true;
+}
+
+namespace {
+
+bool CheckRegularRounds(const ScreeningConfig& config, std::string& error) {
+  return CheckStepCount(config.horizon_months, config.regular_period_months,
+                        kMaxRegularRounds, "period_months", error);
+}
+
+}  // namespace
+
 bool ParseSweepSpec(const std::string& spec, std::vector<SweepScenario>& out,
                     std::string& error) {
   if (spec.rfind("seeds:", 0) == 0) {
@@ -149,6 +171,10 @@ bool ParseSweepSpec(const std::string& spec, std::vector<SweepScenario>& out,
     }
     if (!any) {
       continue;  // blank or comment-only line
+    }
+    if (std::string limit_error; !CheckRegularRounds(scenario.config, limit_error)) {
+      error = spec + ":" + std::to_string(line_number) + ": " + limit_error;
+      return false;
     }
     if (out.size() == kMaxSweepScenarios) {
       error = spec + ": more than " + std::to_string(kMaxSweepScenarios) + " scenarios";
@@ -311,11 +337,18 @@ bool ParseCampaignSpec(const std::string& text, CampaignSpec& out, std::string& 
     error = "scrub.* keys require kind=scrub";
     return false;
   }
+  if (!CheckStepCount(spec.scrub_horizon_months, spec.scrub_epoch_months, kMaxScrubEpochs,
+                      "scrub.epoch_months", error)) {
+    return false;
+  }
   if (!sweep_spec.empty()) {
     if (!ParseSweepSpec(sweep_spec, spec.scenarios, error)) {
       return false;
     }
   } else {
+    if (!CheckRegularRounds(base_scenario.config, error)) {
+      return false;
+    }
     spec.scenarios.push_back(std::move(base_scenario));
   }
   out = std::move(spec);

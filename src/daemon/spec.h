@@ -37,9 +37,24 @@ int StageIndexOf(const std::string& name);
 bool ApplyScenarioAssignment(const std::string& token, SweepScenario& scenario,
                              std::string& error);
 
+// Step-count limits of the parsers. A scenario's regular loop visits every round up to
+// its horizon for each escaping faulty part, and a scrub run plans and runs every epoch,
+// so a tiny cadence (period_months=1e-300) would spin a lane until int overflow and a
+// tiny epoch would schedule an enormous epoch count. Specs whose horizon / step exceeds
+// these are usage errors (docs/daemon.md). They are constants, not options; every config
+// in the tree is far inside them (the longest is a 1200-epoch scrub).
+inline constexpr double kMaxRegularRounds = 10000;  // horizon_months / period_months
+inline constexpr double kMaxScrubEpochs = 2400;     // scrub horizon / epoch_months
+
+// Returns false and fills `error` when horizon_months / step_months exceeds `limit`.
+// `what` names the step in the message (e.g. "period_months").
+bool CheckStepCount(double horizon_months, double step_months, double limit,
+                    const std::string& what, std::string& error);
+
 // Expands a sweep operand into scenarios. `seeds:K` yields K scenarios varying only the
 // screening seed (base 77 + k); anything else names a scenario file, one scenario per
-// non-comment line of key=value tokens. At most kMaxSweepScenarios scenarios.
+// non-comment line of key=value tokens, checked against kMaxRegularRounds once the line's
+// keys are all applied. At most kMaxSweepScenarios scenarios.
 inline constexpr size_t kMaxSweepScenarios = 256;
 bool ParseSweepSpec(const std::string& spec, std::vector<SweepScenario>& out,
                     std::string& error);
@@ -74,7 +89,9 @@ struct CampaignSpec {
 //                        (kind=scrub only; sweep= is rejected for scrub campaigns)
 // Every key is optional, but the line must contain at least one token: an empty or
 // blank spec -- the truncated-submit case on the socket -- is an error, not a default
-// campaign. Returns false and fills `error` on any violation.
+// campaign. Keys come in any order, so the step limits (kMaxRegularRounds,
+// kMaxScrubEpochs) are checked after the last token. Returns false and fills `error` on
+// any violation.
 bool ParseCampaignSpec(const std::string& text, CampaignSpec& out, std::string& error);
 
 }  // namespace sdc

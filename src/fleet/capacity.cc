@@ -17,9 +17,8 @@ void InitTimeline(CapacityReport& report, const ScreeningConfig& config) {
   }
 }
 
-// Applies one in-production detection to both decommission policies. Shared by the
-// materialized replay and the streaming accumulator so the policy arithmetic exists once;
-// report.timeline must already be sized by InitTimeline.
+// Applies one in-production detection to both decommission policies; report.timeline
+// must already be sized by InitTimeline.
 void ApplyProductionDetection(const FleetProcessorView& processor,
                               const ProcessorOutcome& outcome,
                               const ScreeningConfig& config, CapacityReport& report) {
@@ -55,29 +54,6 @@ int DefectiveCoreCount(const FleetProcessorView& processor) {
   return static_cast<int>(cores.size());
 }
 
-CapacityReport SimulateCapacityRetention(const FleetPopulation& fleet,
-                                         const ScreeningStats& stats,
-                                         const ScreeningConfig& config) {
-  CapacityReport report;
-  // Per-arch core totals come from the population's cached arch histogram -- no fleet
-  // scan, and detections address faulty parts through the fleet's sorted serial index.
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    report.fleet_cores += fleet.CountByArch(arch) *
-                          static_cast<uint64_t>(MakeArchSpec(arch).physical_cores);
-  }
-  InitTimeline(report, config);
-  for (const ProcessorOutcome& outcome : stats.detections) {
-    if (outcome.stage != TestStage::kRegular) {
-      continue;  // pre-production: the part never carried production load
-    }
-    if (outcome.serial >= fleet.size() || !fleet.faulty(outcome.serial)) {
-      continue;
-    }
-    ApplyProductionDetection(fleet.processor(outcome.serial), outcome, config, report);
-  }
-  return report;
-}
-
 void CapacityAccumulator::BeginStream(const PopulationConfig& /*population*/,
                                       const ScreeningConfig& screening,
                                       uint64_t shard_count) {
@@ -90,8 +66,7 @@ void CapacityAccumulator::ObserveShard(const FleetShard& shard,
                                        const ScreeningStats& shard_stats) {
   CapacityReport& partial = partials_[shard.shard];
   InitTimeline(partial, config_);
-  // The shard's per-arch tally contributes its slice of the deployed-core total; summed
-  // over shards this equals the materialized CountByArch fold exactly.
+  // The shard's per-arch tally contributes its slice of the deployed-core total.
   for (int arch = 0; arch < kArchCount; ++arch) {
     partial.fleet_cores += shard.tally->by_arch[static_cast<size_t>(arch)] *
                            static_cast<uint64_t>(MakeArchSpec(arch).physical_cores);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/fleet/pipeline.h"
-#include "src/fleet/population.h"
 
 namespace sdc {
 
@@ -43,20 +42,15 @@ struct CapacityReport {
   }
 };
 
-// Replays the screening outcome's production detections against both policies.
-CapacityReport SimulateCapacityRetention(const FleetPopulation& fleet,
-                                         const ScreeningStats& stats,
-                                         const ScreeningConfig& config);
-
 // Number of defective physical cores of a fleet part (union over its defects; a defect with
 // no core list affects every core).
 int DefectiveCoreCount(const FleetProcessorView& processor);
 
-// Streaming counterpart of SimulateCapacityRetention: attach to a StreamingScreen and the
-// capacity replay fuses into the generate+screen pass, consuming each shard's detections
-// while the defect spans are alive. Every quantity is an integer counter accumulated per
-// shard and merged in shard order, so TakeReport() equals the materialized report exactly
-// at any thread count (tests/stream_test.cc).
+// Replays the screening outcome's production detections against both policies. Attach
+// to a StreamingScreen and the capacity replay fuses into the generate+screen pass,
+// consuming each shard's detections while the defect spans are alive. Every quantity is
+// an integer counter accumulated per shard and merged in shard order, so TakeReport() is
+// the same at any thread count (tests/stream_test.cc).
 class CapacityAccumulator : public ShardOutcomeObserver {
  public:
   void BeginStream(const PopulationConfig& population, const ScreeningConfig& screening,

@@ -331,7 +331,7 @@ void ReplayFaultyProbes(uint64_t serial, int arch_index, std::span<const Defect>
 // the provenance records appended during the call and, when tracing, emits the
 // shard's "screen.subshard" span plus one "detection" instant per new detection. The
 // screening shard index and its RNG stream coincide by construction (Rng::Fork(sub_shard)).
-void FinishShardRange(const ScreeningShardView& view, uint64_t sub_shard,
+void FinishShardRange(uint64_t begin, uint64_t end, uint64_t sub_shard,
                       size_t first_detection, uint64_t faulty_before,
                       ScreeningStats& stats, TraceDelta* trace) {
   for (size_t i = first_detection; i < stats.provenance.size(); ++i) {
@@ -342,8 +342,8 @@ void FinishShardRange(const ScreeningShardView& view, uint64_t sub_shard,
     return;
   }
   TraceEvent span = MakeTraceSpan("screen.subshard", "screen", kTraceTrackScreen,
-                                  static_cast<double>(view.begin),
-                                  static_cast<double>(view.end - view.begin));
+                                  static_cast<double>(begin),
+                                  static_cast<double>(end - begin));
   span.num_args.reserve(3);
   span.num_args.emplace_back("sub_shard", static_cast<double>(sub_shard));
   span.num_args.emplace_back("faulty",
@@ -377,26 +377,27 @@ double ScreeningPipeline::ExpectedErrors(const Defect& defect, const StageParams
 }
 
 void ScreeningPipeline::ScreenShardRangeBatch(
-    const ScreeningShardView& view, std::span<const ScreeningConfig> scenarios,
-    const std::array<ProcessorSpec, kArchCount>& arch_specs, uint64_t sub_shard,
-    SimdLevel simd, std::span<Rng> rngs, std::span<ScreeningStats> stats,
+    const FleetShard& shard, uint64_t begin, uint64_t end,
+    std::span<const ScreeningConfig> scenarios,
+    const std::array<ProcessorSpec, kArchCount>& arch_specs, SimdLevel simd,
+    std::span<Rng> rngs, std::span<ScreeningStats> stats,
     std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
   // Scenario-invariant work, paid once for the whole batch: the clean-path arch
   // histogram and the faulty-range lookup.
   uint64_t hist[kArchCount] = {};
-  CountBytesByValue(view.arch_bytes.data() + (view.begin - view.column_base),
-                    view.end - view.begin, kArchCount, hist, simd);
-  const auto first = std::lower_bound(view.faulty_serials.begin(),
-                                      view.faulty_serials.end(), view.begin);
-  const auto last = std::lower_bound(first, view.faulty_serials.end(), view.end);
+  CountBytesByValue(shard.arch_bytes.data() + (begin - shard.begin), end - begin,
+                    kArchCount, hist, simd);
+  const auto first =
+      std::lower_bound(shard.faulty_serials.begin(), shard.faulty_serials.end(), begin);
+  const auto last = std::lower_bound(first, shard.faulty_serials.end(), end);
 
   std::vector<size_t> first_detection(k_count);
   std::vector<uint64_t> faulty_before(k_count);
   for (size_t k = 0; k < k_count; ++k) {
     first_detection[k] = stats[k].detections.size();
     faulty_before[k] = stats[k].faulty;
-    stats[k].tested += view.end - view.begin;
+    stats[k].tested += end - begin;
     for (int arch = 0; arch < kArchCount; ++arch) {
       stats[k].tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
     }
@@ -432,10 +433,10 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<std::vector<std::array<double, kStageCount>>> group_terms(group_rep.size());
   for (auto it = first; it != last; ++it) {
     const uint64_t faulty_serial = *it;
-    const bool detectable = view.toolchain_detectable(faulty_serial);
-    const int arch_index = view.arch_index(faulty_serial);
-    const size_t ordinal = static_cast<size_t>(it - view.faulty_serials.begin());
-    const std::span<const Defect> defects = view.FaultyDefects(ordinal);
+    const bool detectable = shard.toolchain_detectable(faulty_serial);
+    const int arch_index = shard.arch_index(faulty_serial);
+    const size_t ordinal = static_cast<size_t>(it - shard.faulty_serials.begin());
+    const std::span<const Defect> defects = shard.FaultyDefects(ordinal);
     if (detectable) {
       matching.resize(defects.size());
       for (size_t d = 0; d < defects.size(); ++d) {
@@ -462,8 +463,11 @@ void ScreeningPipeline::ScreenShardRangeBatch(
                          sorted_onsets, scenarios[k], rngs[k], stats[k]);
     }
   }
+  // Stream shards start at multiples of kFleetShardGrain, so this is the *global*
+  // screening shard index, the same whichever pass the serials belong to.
+  const uint64_t sub_shard = begin / kScreeningShardGrain;
   for (size_t k = 0; k < k_count; ++k) {
-    FinishShardRange(view, sub_shard, first_detection[k], faulty_before[k], stats[k],
+    FinishShardRange(begin, end, sub_shard, first_detection[k], faulty_before[k], stats[k],
                      traces[k]);
   }
 }
@@ -485,12 +489,6 @@ void AppendScreeningSeriesPoint(SeriesRecorder* series, uint64_t end_serial,
 
 }  // namespace
 
-ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
-                                      const ScreeningConfig& config,
-                                      EngineContext& context) const {
-  return std::move(RunBatch(fleet, ScenarioBatch{.scenarios = {config}}, context).front());
-}
-
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
                                                         const ScenarioBatch& batch,
                                                         EngineContext& context) const {
@@ -506,20 +504,29 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   StreamingScreen screen(this, batch);
   screen.BeginStreamWithContext(
       &context, fleet.config(), ThreadPool::ShardCountFor(0, fleet.size(), kFleetShardGrain));
-  ScreeningShardView fleet_view;
-  fleet_view.column_base = 0;
-  fleet_view.arch_bytes = fleet.arch_bytes();
-  fleet_view.flag_bytes = fleet.flag_bytes();
-  fleet_view.faulty_serials = fleet.faulty_serials();
-  fleet_view.faulty_ranges = fleet.faulty_ranges();
-  fleet_view.defects = fleet.defect_arena();
-  context.pool().ParallelFor(0, fleet.size(), kFleetShardGrain,
-                             [&](uint64_t shard, uint64_t begin, uint64_t end) {
-                               ScreeningShardView view = fleet_view;
-                               view.begin = begin;
-                               view.end = end;
-                               screen.ScreenShard(shard, view);
-                             });
+  const std::span<const uint64_t> faulty_serials = fleet.faulty_serials();
+  context.pool().ParallelFor(
+      0, fleet.size(), kFleetShardGrain, [&](uint64_t shard, uint64_t begin, uint64_t end) {
+        // Columns and faulty index are sliced to the shard; `defects` is the whole arena,
+        // which the fleet-wide range offsets address. No observer is attached, so the
+        // screen never reads `tally`, which stays null.
+        const auto first =
+            std::lower_bound(faulty_serials.begin(), faulty_serials.end(), begin);
+        const auto last = std::lower_bound(first, faulty_serials.end(), end);
+        const auto offset = static_cast<size_t>(first - faulty_serials.begin());
+        const auto count = static_cast<size_t>(last - first);
+        FleetShard view;
+        view.shard = shard;
+        view.begin = begin;
+        view.end = end;
+        view.arch_bytes = std::span<const uint8_t>(fleet.arch_bytes()).subspan(begin, end - begin);
+        view.flag_bytes = std::span<const uint8_t>(fleet.flag_bytes()).subspan(begin, end - begin);
+        view.faulty_serials = faulty_serials.subspan(offset, count);
+        view.faulty_ranges =
+            std::span<const DefectRange>(fleet.faulty_ranges()).subspan(offset, count);
+        view.defects = fleet.defect_arena();
+        screen.ConsumeShard(view);
+      });
   screen.EndStream();
   const std::chrono::duration<double> run_elapsed =
       std::chrono::steady_clock::now() - run_start;
@@ -578,57 +585,39 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
 }
 
 void StreamingScreen::ConsumeShard(const FleetShard& shard) {
-  ScreeningShardView view;
-  view.begin = shard.begin;
-  view.end = shard.end;
-  view.column_base = shard.begin;
-  view.arch_bytes = shard.arch_bytes;
-  view.flag_bytes = shard.flag_bytes;
-  view.faulty_serials = shard.faulty_serials;
-  view.faulty_ranges = shard.faulty_ranges;
-  view.defects = shard.defects;
-  ScreenShard(shard.shard, view);
-  for (const ObserverEntry& entry : observers_) {
-    entry.observer->ObserveShard(shard, shard_stats_[shard.shard][entry.scenario]);
-  }
-}
-
-void StreamingScreen::ScreenShard(uint64_t shard, ScreeningShardView view) {
   const auto shard_start = std::chrono::steady_clock::now();
   const size_t k_count = scenarios_.size();
-  std::vector<ScreeningStats>& stats = shard_stats_[shard];
+  std::vector<ScreeningStats>& stats = shard_stats_[shard.shard];
   std::vector<TraceDelta*> traces(k_count, nullptr);
   if (trace_ != nullptr) {
     for (size_t k = 0; k < k_count; ++k) {
-      traces[k] = &shard_traces_[shard][k];
+      traces[k] = &shard_traces_[shard.shard][k];
     }
   }
 
-  // Stream shards start at multiples of kFleetShardGrain, so b / kScreeningShardGrain is
-  // the *global* screening shard index: each embedded sub-shard draws from the RNG stream
-  // fixed by its serials, whichever pass it belongs to.
-  const uint64_t end = view.end;
+  // Each embedded screening shard draws from the RNG stream of its global index, which
+  // its serials fix: stream shards start at multiples of kFleetShardGrain.
   std::vector<Rng> rngs;
   rngs.reserve(k_count);
-  for (uint64_t b = view.begin; b < end; b += kScreeningShardGrain) {
-    const uint64_t screening_shard = b / kScreeningShardGrain;
-    view.begin = b;
-    view.end = std::min(b + kScreeningShardGrain, end);
+  for (uint64_t b = shard.begin; b < shard.end; b += kScreeningShardGrain) {
     rngs.clear();
     for (size_t k = 0; k < k_count; ++k) {
-      rngs.push_back(bases_[k].Fork(screening_shard));
+      rngs.push_back(bases_[k].Fork(b / kScreeningShardGrain));
     }
-    pipeline_->ScreenShardRangeBatch(view, scenarios_, arch_specs_, screening_shard,
-                                     simd_, rngs, stats, traces);
+    pipeline_->ScreenShardRangeBatch(shard, b, std::min(b + kScreeningShardGrain, shard.end),
+                                     scenarios_, arch_specs_, simd_, rngs, stats, traces);
   }
 
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - shard_start;
   if (metrics_ != nullptr) {
     for (size_t k = 0; k < k_count; ++k) {
-      shard_deltas_[shard][k] = DeltaFromShardStats(stats[k]);
+      shard_deltas_[shard.shard][k] = DeltaFromShardStats(stats[k]);
     }
     metrics_->RecordTimerSeconds("screening.shard.wall", elapsed.count());
+  }
+  for (const ObserverEntry& entry : observers_) {
+    entry.observer->ObserveShard(shard, stats[entry.scenario]);
   }
 }
 
@@ -661,7 +650,7 @@ void StreamingScreen::EndStream() {
     }
     if (series_ != nullptr) {
       // One point per stream shard from scenario 0's cumulative stats; a materialized
-      // RunBatch replays the same shards, so both modes append the same points.
+      // RunBatch replays the same shards, so it appends the same points.
       const uint64_t end_serial =
           std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_);
       AppendScreeningSeriesPoint(series_, end_serial, stats_[0]);

@@ -13,7 +13,7 @@
 // which is exactly why Table 1's re-install column dominates).
 //
 // Cost model (docs/performance.md): there is one screening kernel, a batch of K
-// scenarios over one pass of the fleet; single-scenario screening (Run, a one-config
+// scenarios over one pass of the fleet; single-scenario screening (a one-config
 // StreamingScreen) is a batch of one. The per-defect expected-error terms depend only on
 // (defect, stage params, core count), so the kernel evaluates them exactly once per
 // faulty processor and memoizes the per-stage survive factors. Pre-production probes are
@@ -52,9 +52,9 @@ class SeriesRecorder;
 
 // Fixed shard width for screening. Like the generation grain, part of the determinism
 // format: screening shard s draws from Rng::Fork(s). kFleetShardGrain is an exact
-// multiple, and every pass -- streamed or materialized -- screens stream shards of
-// kFleetShardGrain serials as their embedded screening shards, so each serial draws from
-// the same stream in both modes (docs/streaming.md).
+// multiple, and every pass screens stream shards of kFleetShardGrain serials as their
+// embedded screening shards, so each serial draws from the same stream whichever pass
+// it belongs to (docs/streaming.md).
 inline constexpr uint64_t kScreeningShardGrain = 4096;
 
 enum class TestStage {
@@ -98,7 +98,7 @@ struct ScreeningConfig {
 // MatchingTestcases suite scan -- so one pass costs ~one scan plus K cheap probe
 // replays. Scenario k draws from Rng(scenarios[k].seed).Fork(shard), exactly the
 // streams its independent run would use, so every batched ScreeningStats is
-// byte-identical to pipeline.Run(fleet, scenarios[k]) (tests/screening_model_test.cc).
+// byte-identical to a batch of scenarios[k] alone (tests/screening_model_test.cc).
 struct ScenarioBatch {
   // Scenario configs; seeds, stage parameters, cadence and horizon may all differ per
   // scenario. The batch runs on one context, and every scenario's deltas merge into the
@@ -121,9 +121,8 @@ struct ProcessorOutcome {
 
 // Compact provenance record attached to every screening detection: enough context to
 // answer "which defect, drawn from which RNG stream, was caught where and why" without
-// re-running the fleet (docs/observability.md). Built inside the screening kernel, so it
-// exists in both execution modes; ScreeningStats keeps it parallel to `detections` (same
-// length, same order).
+// re-running the fleet (docs/observability.md). Built inside the screening kernel;
+// ScreeningStats keeps it parallel to `detections` (same length, same order).
 struct DetectionProvenance {
   uint64_t serial = 0;
   std::string defect_id;       // id of the processor's first defect
@@ -164,60 +163,30 @@ struct ScreeningStats {
   void MergeFrom(ScreeningStats&& other);
 };
 
-// Column-backed view of one screening shard [begin, end). The spans either cover the
-// whole materialized fleet (column_base = 0) or one stream shard's scratch buffer
-// (column_base = the stream shard's begin); faulty_serials always holds global serials,
-// and faulty_ranges offsets address `defects`. This is the one shard shape the screening
-// kernel runs on, which is how the materialized and streaming modes share every
-// instruction of the hot loop.
-struct ScreeningShardView {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  uint64_t column_base = 0;  // serial that arch_bytes[0] / flag_bytes[0] describe
-  std::span<const uint8_t> arch_bytes;
-  std::span<const uint8_t> flag_bytes;
-  std::span<const uint64_t> faulty_serials;
-  std::span<const DefectRange> faulty_ranges;
-  std::span<const Defect> defects;
-
-  int arch_index(uint64_t serial) const { return arch_bytes[serial - column_base]; }
-  bool toolchain_detectable(uint64_t serial) const {
-    return (flag_bytes[serial - column_base] & FleetPopulation::kDetectableFlag) != 0;
-  }
-  std::span<const Defect> FaultyDefects(size_t ordinal) const {
-    const DefectRange& range = faulty_ranges[ordinal];
-    return {defects.data() + range.offset, range.count};
-  }
-};
-
 class ScreeningPipeline {
  public:
   // `suite` provides testcase metadata for matching-minutes computation; it must outlive
   // the pipeline.
   explicit ScreeningPipeline(const TestSuite* suite);
 
-  // Screens the whole fleet: RunBatch over a batch of one. Per-shard stats are merged in
-  // shard order and each shard draws from its own forked RNG stream, so the result is
-  // bit-identical at any thread count.
-  ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config,
-                     EngineContext& context) const;
-
-  // Screens the whole fleet under every scenario of `batch` in one pass over the packed
-  // columns. Result k is byte-identical to the batch of scenarios[k] alone -- counters,
-  // detections, detection months bitwise -- at any thread count; the clean-path scan and
-  // the per-defect suite matching are paid once per shard instead of once per scenario.
-  // Returns one ScreeningStats per scenario, in batch order. The pass is a StreamingScreen
-  // fed the fleet's columns: kFleetShardGrain-wide shards, each screened as its
-  // kScreeningShardGrain sub-shards on the context's lanes, then the stream's ordered
-  // fold -- so stats, metrics, trace and series are byte-identical to a fused streaming
-  // pass over the same fleet. It runs on `context`: its pool supplies the lanes, its
-  // vector level drives the clean-path scan, and its sinks are pinned once at pass start
-  // (src/common/context.h). Every scenario's per-shard "screening.*" metric deltas and
-  // "screen.subshard"/"detection" sim trace events merge into those sinks shard-major,
-  // scenario after scenario within each shard; the series sink samples scenario 0's
-  // cumulative "screening.tested" / "screening.detected" / "screening.escapes" once per
-  // kFleetShardGrain of serials. Each pass also leaves one "screening.run" host span and
-  // one "screening.run.wall" timer sample, whatever K is.
+  // Screens a materialized fleet under every scenario of `batch` in one pass over its
+  // packed columns. Production screens the stream (StreamingScreen); this overload stays
+  // only for perfbench's digest gate and the tests that compare the two. Result k is
+  // byte-identical to the batch of scenarios[k] alone -- counters, detections, detection
+  // months bitwise -- at any thread count; the clean-path scan and the per-defect suite
+  // matching are paid once per shard instead of once per scenario. Returns one
+  // ScreeningStats per scenario, in batch order. The pass is a StreamingScreen fed the
+  // fleet's kFleetShardGrain-wide shards through ConsumeShard on the context's lanes,
+  // then the stream's ordered fold -- so stats, metrics, trace and series are
+  // byte-identical to a fused streaming pass over the same fleet. It runs on `context`:
+  // its pool supplies the lanes, its vector level drives the clean-path scan, and its
+  // sinks are pinned once at pass start (src/common/context.h). Every scenario's
+  // per-shard "screening.*" metric deltas and "screen.subshard"/"detection" sim trace
+  // events merge into those sinks shard-major, scenario after scenario within each shard;
+  // the series sink samples scenario 0's cumulative "screening.tested" /
+  // "screening.detected" / "screening.escapes" once per kFleetShardGrain of serials. Each
+  // pass also leaves one "screening.run" host span and one "screening.run.wall" timer
+  // sample, whatever K is.
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
                                        const ScenarioBatch& batch,
                                        EngineContext& context) const;
@@ -232,20 +201,20 @@ class ScreeningPipeline {
  private:
   friend class StreamingScreen;
 
-  // The screening kernel: one pass over [view.begin, view.end) that accumulates into
-  // stats[k] for every scenario k (counters add, so one stats object may accumulate
-  // several consecutive shards), drawing scenario k's randomness only from rngs[k] in
-  // serial order -- the reason each slot is byte-identical to a batch of that scenario
-  // alone. Every pass reaches it through StreamingScreen, one screening shard
-  // (kScreeningShardGrain) per forked RNG stream; `sub_shard` is that global shard index
-  // -- stamped into every new provenance record and, when traces[k] is non-null, emitted
-  // as the shard's "screen.subshard" span plus one "detection" instant per new detection.
-  // Scenarios share the SIMD arch histogram and the per-defect MatchingTestcases memo.
-  // All spans must have scenarios.size() entries.
-  void ScreenShardRangeBatch(const ScreeningShardView& view,
+  // The screening kernel: one pass over the sub-shard [begin, end) of `shard` that
+  // accumulates into stats[k] for every scenario k (counters add, so one stats object
+  // may accumulate several consecutive sub-shards), drawing scenario k's randomness only
+  // from rngs[k] in serial order -- the reason each slot is byte-identical to a batch of
+  // that scenario alone. StreamingScreen::ConsumeShard calls it once per screening shard
+  // (kScreeningShardGrain) with that shard's forked RNG streams; the global sub-shard
+  // index begin / kScreeningShardGrain is stamped into every new provenance record and,
+  // when traces[k] is non-null, emitted as the "screen.subshard" span plus one
+  // "detection" instant per new detection. Scenarios share the SIMD arch histogram and
+  // the per-defect MatchingTestcases memo. All spans must have scenarios.size() entries.
+  void ScreenShardRangeBatch(const FleetShard& shard, uint64_t begin, uint64_t end,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                             uint64_t sub_shard, SimdLevel simd, std::span<Rng> rngs,
+                             SimdLevel simd, std::span<Rng> rngs,
                              std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
 
@@ -255,8 +224,8 @@ class ScreeningPipeline {
 // Observer of per-shard screening outcomes during a fused streaming pass. ObserveShard
 // runs while the shard's defect spans are still alive, so downstream aggregations
 // (capacity replay, wear-out exposure, testcase effectiveness over outcomes) can consume
-// detection records together with the defect data that produced them -- the streaming
-// replacement for random-accessing a materialized fleet after Run. Concurrency contract
+// detection records together with the defect data that produced them, without a
+// random-access fleet. Concurrency contract
 // matches ShardConsumer: ObserveShard is called concurrently on distinct shards, so
 // observers keep per-shard partials and fold them in shard order in EndStream.
 class ShardOutcomeObserver {
@@ -277,16 +246,15 @@ class ShardOutcomeObserver {
 // drawing from the Rng::Fork stream of its global sub-shard index, and per-shard stats,
 // metric deltas and sim trace events are merged in shard order in EndStream (shard-major,
 // scenario after scenario within each shard). This is the engine's one screening fold:
-// the materialized RunBatch replays a generated fleet's shards through it, so TakeStats()
-// is byte-identical to Run() on the materialized fleet at any thread count
-// (tests/stream_test.cc).
+// the materialized RunBatch replays a generated fleet's shards through ConsumeShard, so
+// TakeStats() is byte-identical to RunBatch on the materialized fleet at any thread
+// count (tests/stream_test.cc).
 //
 // Batched form: constructed from a ScenarioBatch, the consumer screens every generated
 // shard once per batched kernel call, producing one ScreeningStats per scenario from the
 // single generation pass -- the scenario-sweep configuration the engine is built for
 // (K scenarios cost one generate plus K cheap probe replays instead of K full passes).
-// TakeBatchStats()[k] is byte-identical to an independent streaming (or materialized)
-// run of scenarios[k].
+// TakeBatchStats()[k] is byte-identical to an independent run of scenarios[k].
 class StreamingScreen : public ShardConsumer {
  public:
   // `pipeline` must outlive the stream pass. The single-config form is a batch of one.
@@ -304,6 +272,9 @@ class StreamingScreen : public ShardConsumer {
   // completes against what was pinned here.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
+  // Screens the shard's embedded screening shards into its per-shard slots, records the
+  // shard's metric deltas and "screening.shard.wall" sample, then hands every observer
+  // its scenario's shard stats. Thread-safe against itself on distinct shards.
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 
@@ -316,19 +287,10 @@ class StreamingScreen : public ShardConsumer {
   std::vector<ScreeningStats> TakeBatchStats() { return std::move(stats_); }
 
  private:
-  // RunBatch replays a materialized fleet's shards through ScreenShard.
-  friend class ScreeningPipeline;
-
   struct ObserverEntry {
     ShardOutcomeObserver* observer = nullptr;
     size_t scenario = 0;
   };
-
-  // Screens stream shard `shard`, whose serials are [view.begin, view.end), into its
-  // per-shard slots: the kernel over each embedded screening shard, then the shard's
-  // metric deltas and "screening.shard.wall" sample. ConsumeShard adds only the observer
-  // notification. Thread-safe against itself on distinct shards.
-  void ScreenShard(uint64_t shard, ScreeningShardView view);
 
   const ScreeningPipeline* pipeline_;
   std::vector<ScreeningConfig> scenarios_;

@@ -137,6 +137,9 @@ void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& pl
                         const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
                         FleetShardBuffer& buffer);
 
+// The materialized fleet: every column and the whole defect arena in memory. Production
+// passes stream instead (FleetShardStream, src/fleet/stream.h); this class stays only for
+// perfbench's digest gate and the tests that compare the stream against it.
 class FleetPopulation {
  public:
   // Flag bits of flag_bytes() entries.
@@ -170,8 +173,8 @@ class FleetPopulation {
   // instead of testing every processor's flag byte.
   const std::vector<uint64_t>& faulty_serials() const { return faulty_serials_; }
 
-  // Arena slice per faulty part, parallel to faulty_serials(). Exposed so column-view
-  // consumers (ScreeningShardView) can address the arena without per-part calls.
+  // Arena slice per faulty part, parallel to faulty_serials(). Exposed so RunBatch can
+  // slice the fleet into FleetShard views that address the arena without per-part calls.
   const std::vector<DefectRange>& faulty_ranges() const { return faulty_ranges_; }
 
   // Defects of the faulty part at `ordinal` within faulty_serials().

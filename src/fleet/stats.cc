@@ -29,8 +29,7 @@ bool TestcaseMatchesDefect(const TestcaseInfo& info, const Defect& defect) {
 }
 
 // Whether one run of `info` at the stage settings reaches the half-expected-error
-// detection threshold against `defect`. Shared by the materialized scan and the
-// streaming accumulator so both evaluate the identical floating-point expression.
+// detection threshold against `defect`.
 bool TestcaseDetectsDefect(const TestcaseInfo& info, const Defect& defect,
                            const StageParams& stage, int pcores) {
   if (!TestcaseMatchesDefect(info, defect)) {
@@ -48,46 +47,6 @@ bool TestcaseDetectsDefect(const TestcaseInfo& info, const Defect& defect,
 }
 
 }  // namespace
-
-TestcaseEffectiveness ComputeTestcaseEffectiveness(const TestSuite& suite,
-                                                   const FleetPopulation& fleet,
-                                                   const StageParams& stage) {
-  TestcaseEffectiveness effectiveness;
-  effectiveness.total_testcases = suite.size();
-  // The faulty slice is tiny and the fleet already indexes it: walk faulty_serials()
-  // directly instead of rescanning the million-part fleet per testcase.
-  const std::vector<uint64_t>& faulty_serials = fleet.faulty_serials();
-  std::array<int, kArchCount> pcores_by_arch;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    pcores_by_arch[static_cast<size_t>(arch)] = MakeArchSpec(arch).physical_cores;
-  }
-  for (size_t i = 0; i < suite.size(); ++i) {
-    const TestcaseInfo& info = suite.info(i);
-    bool effective = false;
-    for (size_t ordinal = 0; ordinal < faulty_serials.size(); ++ordinal) {
-      const uint64_t serial = faulty_serials[ordinal];
-      if (!fleet.toolchain_detectable(serial)) {
-        continue;
-      }
-      const int pcores =
-          pcores_by_arch[static_cast<size_t>(fleet.arch_index(serial))];
-      for (const Defect& defect : fleet.FaultyDefects(ordinal)) {
-        if (TestcaseDetectsDefect(info, defect, stage, pcores)) {
-          effective = true;
-          break;
-        }
-      }
-      if (effective) {
-        break;
-      }
-    }
-    if (effective) {
-      ++effectiveness.effective_testcases;
-      effectiveness.effective_ids.push_back(info.id);
-    }
-  }
-  return effectiveness;
-}
 
 EffectivenessAccumulator::EffectivenessAccumulator(const TestSuite* suite,
                                                    const StageParams& stage)

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/fleet/pipeline.h"
-#include "src/fleet/population.h"
 #include "src/fleet/stream.h"
 
 namespace sdc {
@@ -22,18 +21,13 @@ struct TestcaseEffectiveness {
   size_t ineffective_testcases() const { return total_testcases - effective_testcases; }
 };
 
-// Evaluates which testcases would detect any of `fleet`'s detectable faulty parts under the
-// given stage settings (expected-error threshold of one half error per run counts as a
-// detection opportunity).
-TestcaseEffectiveness ComputeTestcaseEffectiveness(const TestSuite& suite,
-                                                   const FleetPopulation& fleet,
-                                                   const StageParams& stage);
-
-// Streaming counterpart of ComputeTestcaseEffectiveness: a ShardConsumer that inspects
-// each shard's defect spans while they are alive and records, per shard, which testcases
-// detect something. "Effective" is an existential property (any part, any defect), so
-// OR-folding the per-shard bitmasks in shard order yields exactly the materialized result
-// -- effective_ids in suite order included (tests/stream_test.cc).
+// Evaluates which testcases would detect any of the fleet's detectable faulty parts under
+// the given stage settings (expected-error threshold of one half error per run counts as
+// a detection opportunity). A ShardConsumer that inspects each shard's defect spans while
+// they are alive and records, per shard, which testcases detect something. "Effective"
+// is an existential property (any part, any defect), so OR-folding the per-shard bitmasks
+// gives the same result at any thread count -- effective_ids in suite order included
+// (tests/stream_test.cc).
 class EffectivenessAccumulator : public ShardConsumer {
  public:
   // `suite` must outlive the stream pass.

@@ -1,20 +1,18 @@
-// Streaming shard pipeline over the synthetic fleet (docs/streaming.md).
+// Streaming shard pipeline over the synthetic fleet (docs/streaming.md): the one
+// production fleet path.
 //
-// FleetPopulation::Generate materializes every column and defect before anything can look
-// at them, which bounds fleet size by RAM and pays a full write + re-read of the columns.
-// FleetShardStream inverts that: it generates the fleet one kFleetShardGrain-wide shard at
-// a time into per-lane scratch buffers and hands each shard -- as a FleetShard view of
-// packed byte columns plus defect spans over the shard-local arena -- to a set of
-// ShardConsumers while the data is hot in cache. A fused generate -> screen -> aggregate
-// pass therefore peaks at O(lanes * shard) bytes, so a 100M-processor fleet is a flag,
-// not an OOM.
+// FleetShardStream generates the fleet one kFleetShardGrain-wide shard at a time into
+// per-lane scratch buffers and hands each shard -- as a FleetShard view of packed byte
+// columns plus defect spans over the shard-local arena -- to a set of ShardConsumers while
+// the data is hot in cache. A fused generate -> screen -> aggregate pass therefore peaks
+// at O(lanes * shard) bytes, so a 100M-processor fleet is a flag, not an OOM.
 //
-// Determinism: the stream uses the same fixed shard layout and per-shard Rng::Fork
-// streams as the materialized path (the two share one generation kernel,
-// GenerateFleetShard), consumers store per-shard partial results indexed by shard, and
-// EndStream merges them in shard order -- the same contract as docs/parallelism.md, so
-// every streaming result is byte-identical to its materialized counterpart at any thread
-// count (tests/stream_test.cc pins this at 1/2/8 threads).
+// Determinism: every shard draws from its own Rng::Fork stream through the one
+// generation kernel (GenerateFleetShard), consumers store per-shard partial results
+// indexed by shard, and EndStream merges them in shard order -- the contract of
+// docs/parallelism.md, so every result is byte-identical at any thread count, and to
+// the materialized fleet FleetMaterializer rebuilds from the same stream
+// (tests/stream_test.cc pins this at 1/2/8 threads).
 
 #ifndef SDC_SRC_FLEET_STREAM_H_
 #define SDC_SRC_FLEET_STREAM_H_

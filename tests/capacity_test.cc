@@ -3,44 +3,43 @@
 #include <gtest/gtest.h>
 
 #include "src/fleet/capacity.h"
+#include "src/fleet/stream.h"
 #include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
 
+// One streamed generate+screen pass with the capacity replay attached; every property
+// below reads that pass's stats and report.
 class CapacityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     PopulationConfig config;
     config.processor_count = 300000;
     config.seed = 999;
+    const TestSuite suite = TestSuite::BuildFull();
+    const ScreeningPipeline pipeline(&suite);
+    StreamingScreen screen(&pipeline, ScreeningConfig());
+    CapacityAccumulator capacity;
+    screen.AddObserver(&capacity);
     EngineContext context(PinnedEngine(2));
-    fleet_ = new FleetPopulation(FleetPopulation::Generate(config, context));
-    suite_ = new TestSuite(TestSuite::BuildFull());
-    pipeline_ = new ScreeningPipeline(suite_);
-    stats_ = new ScreeningStats(pipeline_->Run(*fleet_, ScreeningConfig(), context));
+    FleetShardStream(config).Drive({&screen}, context);
+    stats_ = new ScreeningStats(screen.TakeStats());
+    report_ = new CapacityReport(capacity.TakeReport());
   }
   static void TearDownTestSuite() {
+    delete report_;
     delete stats_;
-    delete pipeline_;
-    delete suite_;
-    delete fleet_;
+    report_ = nullptr;
     stats_ = nullptr;
-    pipeline_ = nullptr;
-    suite_ = nullptr;
-    fleet_ = nullptr;
   }
 
-  static FleetPopulation* fleet_;
-  static TestSuite* suite_;
-  static ScreeningPipeline* pipeline_;
   static ScreeningStats* stats_;
+  static CapacityReport* report_;
 };
 
-FleetPopulation* CapacityTest::fleet_ = nullptr;
-TestSuite* CapacityTest::suite_ = nullptr;
-ScreeningPipeline* CapacityTest::pipeline_ = nullptr;
 ScreeningStats* CapacityTest::stats_ = nullptr;
+CapacityReport* CapacityTest::report_ = nullptr;
 
 TEST_F(CapacityTest, DefectiveCoreCountUnionsDefects) {
   FleetProcessorView processor;
@@ -58,8 +57,7 @@ TEST_F(CapacityTest, DefectiveCoreCountUnionsDefects) {
 }
 
 TEST_F(CapacityTest, FineGrainedNeverLosesMoreThanBaseline) {
-  const CapacityReport report =
-      SimulateCapacityRetention(*fleet_, *stats_, ScreeningConfig());
+  const CapacityReport& report = *report_;
   EXPECT_LE(report.fine_grained_cores_lost, report.baseline_cores_lost);
   for (const CapacityPoint& point : report.timeline) {
     EXPECT_LE(point.fine_grained_cores_lost, point.baseline_cores_lost);
@@ -67,8 +65,7 @@ TEST_F(CapacityTest, FineGrainedNeverLosesMoreThanBaseline) {
 }
 
 TEST_F(CapacityTest, OnlyProductionDetectionsCost) {
-  const CapacityReport report =
-      SimulateCapacityRetention(*fleet_, *stats_, ScreeningConfig());
+  const CapacityReport& report = *report_;
   uint64_t regular = 0;
   for (const ProcessorOutcome& outcome : stats_->detections) {
     regular += outcome.stage == TestStage::kRegular ? 1 : 0;
@@ -77,8 +74,7 @@ TEST_F(CapacityTest, OnlyProductionDetectionsCost) {
 }
 
 TEST_F(CapacityTest, TimelineIsMonotoneCumulative) {
-  const CapacityReport report =
-      SimulateCapacityRetention(*fleet_, *stats_, ScreeningConfig());
+  const CapacityReport& report = *report_;
   for (size_t i = 1; i < report.timeline.size(); ++i) {
     EXPECT_GE(report.timeline[i].baseline_cores_lost,
               report.timeline[i - 1].baseline_cores_lost);
@@ -93,8 +89,7 @@ TEST_F(CapacityTest, TimelineIsMonotoneCumulative) {
 }
 
 TEST_F(CapacityTest, SingleCoreDefectsDriveTheSavings) {
-  const CapacityReport report =
-      SimulateCapacityRetention(*fleet_, *stats_, ScreeningConfig());
+  const CapacityReport& report = *report_;
   if (report.production_detections > 0) {
     // About half of faulty parts have single-core defects (Observation 4), so the
     // fine-grained policy must save a meaningful share of the baseline's losses.

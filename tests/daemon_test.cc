@@ -6,6 +6,8 @@
 // JSON) to serial one-shot streaming runs. Runs under TSAN in CI: the manager's worker
 // threads, the scheduler, and cancellation all execute here.
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +108,41 @@ TEST(CampaignSpecTest, RejectsMalformedScrubSpecs) {
   EXPECT_FALSE(ParseCampaignSpec("kind=scrub scrub.epoch_months=0", spec, error));
   EXPECT_FALSE(ParseCampaignSpec("kind=scrub scrub.max_cases=8x", spec, error));
   EXPECT_FALSE(ParseCampaignSpec("kind=scrub scrub.sample_hours=-0.1", spec, error));
+}
+
+TEST(CampaignSpecTest, RejectsCadencesPastTheStepLimits) {
+  CampaignSpec spec;
+  std::string error;
+  // A period that never reaches the horizon would spin the regular loop to int overflow.
+  EXPECT_FALSE(ParseCampaignSpec("scenario.period_months=1e-300", spec, error));
+  EXPECT_NE(error.find("period_months"), std::string::npos) << error;
+  // Checked once every key is in: the horizon may arrive after the period.
+  EXPECT_FALSE(ParseCampaignSpec(
+      "scenario.period_months=0.01 scenario.horizon_months=1000", spec, error));
+  EXPECT_TRUE(ParseCampaignSpec(
+      "scenario.period_months=0.01 scenario.horizon_months=100", spec, error))
+      << error;
+  EXPECT_FALSE(ParseCampaignSpec("kind=scrub scrub.epoch_months=1e-300", spec, error));
+  EXPECT_NE(error.find("scrub.epoch_months"), std::string::npos) << error;
+  EXPECT_FALSE(ParseCampaignSpec(
+      "kind=scrub scrub.epoch_months=0.01 scrub.horizon_months=100", spec, error));
+  EXPECT_TRUE(ParseCampaignSpec(
+      "kind=scrub scrub.epoch_months=0.5 scrub.horizon_months=1200", spec, error))
+      << error;
+}
+
+TEST(CampaignSpecTest, SweepFileLinesObeyTheRoundLimit) {
+  const std::string path = ::testing::TempDir() + "sdc_sweep_cadence.txt";
+  {
+    std::ofstream file(path);
+    file << "name=ok period_months=1\n"
+         << "name=tiny period_months=1e-300\n";
+  }
+  std::vector<SweepScenario> scenarios;
+  std::string error;
+  EXPECT_FALSE(ParseSweepSpec(path, scenarios, error));
+  EXPECT_NE(error.find(":2: period_months"), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "src/farron/longitudinal.h"
 #include "src/farron/protection.h"
 #include "src/fault/catalog.h"
+#include "src/fleet/capacity.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
@@ -312,6 +313,11 @@ constexpr ManifestRow kDigestManifest[] = {
     {"streamed.metrics", 0xedcd3f50e8cbf6a4ull},
     {"streamed.trace", 0xf733607d49e8280full},
     {"streamed.series", 0xa8b4cd637d256517ull},
+    // Recorded from the materialized SimulateCapacityRetention and
+    // ComputeTestcaseEffectiveness before those twins were deleted; the stream consumers
+    // that replaced them must keep producing the same documents.
+    {"capacity.report", 0x94f31ba41b55f27aull},
+    {"effectiveness", 0x1f8d8332f5ac4a70ull},
     {"sweep.stats.0", 0x3c3678b195edb9b9ull},
     {"sweep.stats.1", 0x04e24fa6c57a44b7ull},
     {"sweep.stats.2", 0x3c18d6fd01f85a7full},
@@ -371,6 +377,44 @@ void AddSinks(ManifestDocuments& documents, const std::string& row,
                          }));
 }
 
+std::string RenderCapacityReport(const CapacityReport& report) {
+  return Render([&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject();
+    json.KeyValue("fleet_cores", report.fleet_cores);
+    json.KeyValue("production_detections", report.production_detections);
+    json.KeyValue("baseline_cores_lost", report.baseline_cores_lost);
+    json.KeyValue("fine_grained_cores_lost", report.fine_grained_cores_lost);
+    json.KeyValue("parts_deprecated_fine", report.parts_deprecated_fine);
+    json.Key("timeline").BeginArray();
+    for (const CapacityPoint& point : report.timeline) {
+      json.BeginObject();
+      json.KeyValue("month", point.month);
+      json.KeyValue("baseline_cores_lost", point.baseline_cores_lost);
+      json.KeyValue("fine_grained_cores_lost", point.fine_grained_cores_lost);
+      json.EndObject();
+    }
+    json.EndArray();
+    json.EndObject();
+  });
+}
+
+std::string RenderEffectiveness(const TestcaseEffectiveness& effectiveness) {
+  return Render([&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject();
+    json.KeyValue("total_testcases", static_cast<uint64_t>(effectiveness.total_testcases));
+    json.KeyValue("effective_testcases",
+                  static_cast<uint64_t>(effectiveness.effective_testcases));
+    json.Key("effective_ids").BeginArray();
+    for (const std::string& id : effectiveness.effective_ids) {
+      json.Value(id);
+    }
+    json.EndArray();
+    json.EndObject();
+  });
+}
+
 uint64_t DigestOf(const std::string& document) {
   return Fnv1a64(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(document.data()), document.size()));
@@ -403,15 +447,23 @@ TEST(FleetDigestManifest, EnginePassesMatchRecordedDigests) {
     ManifestSinks sinks;
     const FleetPopulation fleet = FleetPopulation::Generate(population, sinks.context);
     AddStats(documents, "materialized.stats",
-             pipeline.Run(fleet, ScreeningConfig(), sinks.context));
+             RunBatchOfOne(pipeline, fleet, ScreeningConfig(), sinks.context));
     AddSinks(documents, "materialized", sinks, true);
   }
   {
+    // The capacity replay and the effectiveness scan ride the same pass; neither touches
+    // a sink, so the streamed.* rows cannot tell they are there.
     ManifestSinks sinks;
     StreamingScreen screen(&pipeline, ScreeningConfig());
-    FleetShardStream(population).Drive({&screen}, sinks.context);
+    CapacityAccumulator capacity;
+    screen.AddObserver(&capacity);
+    EffectivenessAccumulator effectiveness(
+        &suite, ScreeningConfig().stages[static_cast<size_t>(TestStage::kRegular)]);
+    FleetShardStream(population).Drive({&screen, &effectiveness}, sinks.context);
     AddStats(documents, "streamed.stats", screen.TakeStats());
     AddSinks(documents, "streamed", sinks, true);
+    documents.emplace_back("capacity.report", RenderCapacityReport(capacity.TakeReport()));
+    documents.emplace_back("effectiveness", RenderEffectiveness(effectiveness.TakeResult()));
   }
   // `sdcctl --sweep seeds:3`: three default scenarios with consecutive seeds.
   ScenarioBatch batch;
@@ -662,7 +714,7 @@ TEST(SessionDigestManifest, SessionRunsMatchRecordedDigests) {
 
 TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {
   ScreeningPipeline pipeline(suite_);
-  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig(), context_);
+  const ScreeningStats stats = RunBatchOfOne(pipeline, *fleet_, ScreeningConfig(), context_);
   ASSERT_GT(stats.total_detected(), 0u);
   const double factory = stats.StageRate(TestStage::kFactory);
   const double datacenter = stats.StageRate(TestStage::kDatacenter);
@@ -681,7 +733,7 @@ TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {
 
 TEST_F(FleetTest, UndetectablePartsEscapeEveryStage) {
   ScreeningPipeline pipeline(suite_);
-  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig(), context_);
+  const ScreeningStats stats = RunBatchOfOne(pipeline, *fleet_, ScreeningConfig(), context_);
   EXPECT_LT(stats.total_detected(), stats.faulty);
 }
 
@@ -727,7 +779,7 @@ TEST_F(FleetTest, LateOnsetDefectsDetectedInRegularRounds) {
   }
   EXPECT_TRUE(any_late_onset);  // the generator produces wear-out defects
   ScreeningPipeline pipeline(suite_);
-  const ScreeningStats stats = pipeline.Run(*fleet_, ScreeningConfig(), context_);
+  const ScreeningStats stats = RunBatchOfOne(pipeline, *fleet_, ScreeningConfig(), context_);
   for (const ProcessorOutcome& outcome : stats.detections) {
     if (outcome.stage == TestStage::kRegular) {
       EXPECT_GT(outcome.month, 0.0);
@@ -764,7 +816,7 @@ TEST_F(FleetTest, StaggeredDetectionMonthsAreSpread) {
   ScreeningPipeline pipeline(suite_);
   ScreeningConfig config;
   config.regular_groups = 6;
-  const ScreeningStats stats = pipeline.Run(*fleet_, config, context_);
+  const ScreeningStats stats = RunBatchOfOne(pipeline, *fleet_, config, context_);
   std::set<double> months;
   for (const ProcessorOutcome& outcome : stats.detections) {
     if (outcome.stage == TestStage::kRegular) {
@@ -787,9 +839,9 @@ TEST_F(FleetTest, EffectivenessCountsSmallShareOfSuite) {
   PopulationConfig config;
   config.processor_count = 30000;
   config.seed = 7;
-  FleetPopulation small = GenerateFleet(config);
-  const TestcaseEffectiveness effectiveness =
-      ComputeTestcaseEffectiveness(*suite_, small, ScreeningConfig().stages[3]);
+  EffectivenessAccumulator accumulator(suite_, ScreeningConfig().stages[3]);
+  FleetShardStream(config).Drive({&accumulator}, context_);
+  const TestcaseEffectiveness effectiveness = accumulator.TakeResult();
   EXPECT_EQ(effectiveness.total_testcases, kFullSuiteSize);
   // The paper reports 560/633 (88%) ineffective; this suite is parametrically redundant
   // (many size/lane variants of one kernel match together), so the bound here is looser --

@@ -187,10 +187,10 @@ TEST(ParallelDeterminismTest, ScreeningIsThreadCountInvariant) {
 
   const ScreeningConfig config;
   EngineContext serial_context(PinnedEngine(1));
-  const ScreeningStats serial = pipeline.Run(fleet, config, serial_context);
+  const ScreeningStats serial = RunBatchOfOne(pipeline, fleet, config, serial_context);
   for (int threads : {2, 8}) {
     EngineContext context(PinnedEngine(threads));
-    const ScreeningStats parallel = pipeline.Run(fleet, config, context);
+    const ScreeningStats parallel = RunBatchOfOne(pipeline, fleet, config, context);
     EXPECT_EQ(parallel.tested, serial.tested);
     EXPECT_EQ(parallel.faulty, serial.faulty);
     EXPECT_EQ(parallel.detected_by_stage, serial.detected_by_stage);
@@ -259,7 +259,7 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossThreadCounts) 
     population_config.processor_count = 30000;
     population_config.seed = 20230901;
     const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
-    (void)pipeline.Run(fleet, ScreeningConfig(), context);
+    (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context);
 
     FaultyMachine machine(FindInCatalog("MIX2"), 77);
     TestRunConfig run_config;

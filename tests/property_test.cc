@@ -3,7 +3,9 @@
 //    type and (for single-core computation parts) the right core attribution;
 //  * every micro-architecture's simulated package behaves thermally;
 //  * the damage model respects width/type invariants for every datatype;
-//  * every catalog defect's activation law is monotone in temperature and capped.
+//  * every catalog defect's activation law is monotone in temperature and capped;
+//  * every streamed screening report is internally consistent (stage and arch sums,
+//    detections within faulty within tested, provenance parallel to detections).
 
 #include <set>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
+#include "src/fleet/stream.h"
 #include "src/toolchain/framework.h"
 #include "tests/test_engine.h"
 
@@ -244,6 +247,76 @@ TEST(DefectLawTest, RateMonotoneInTemperatureAndCapped) {
     }
   }
 }
+
+// --- Report invariants of every streamed ScreeningStats ---
+
+// Fleet seeds; each runs one K=3 batch over regular cadences of 3, 1 and 6 months.
+class ScreeningReportTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScreeningReportTest, EveryScenarioReportIsConsistent) {
+  PopulationConfig population;
+  population.processor_count = 120000;
+  population.seed = GetParam();
+  ScenarioBatch batch;
+  for (const double period : {3.0, 1.0, 6.0}) {
+    ScreeningConfig config;
+    config.seed = 77 + batch.scenarios.size();
+    config.regular_period_months = period;
+    batch.scenarios.push_back(config);
+  }
+  ScreeningPipeline pipeline(g_suite);
+  StreamingScreen screen(&pipeline, batch);
+  EngineContext context(PinnedEngine(2));
+  FleetShardStream(population).Drive({&screen}, context);
+  const std::vector<ScreeningStats> reports = screen.TakeBatchStats();
+  ASSERT_EQ(reports.size(), batch.scenarios.size());
+  for (size_t k = 0; k < reports.size(); ++k) {
+    SCOPED_TRACE("scenario " + std::to_string(k));
+    const ScreeningStats& stats = reports[k];
+    const ScreeningConfig& config = batch.scenarios[k];
+    EXPECT_EQ(stats.tested, population.processor_count);
+    EXPECT_GT(stats.total_detected(), 0u);  // not vacuous
+
+    uint64_t by_stage = 0;
+    for (const uint64_t count : stats.detected_by_stage) {
+      by_stage += count;
+    }
+    EXPECT_EQ(by_stage, stats.total_detected());
+    EXPECT_EQ(stats.detections.size(), stats.total_detected());
+    EXPECT_LE(stats.total_detected(), stats.faulty);
+    EXPECT_LE(stats.faulty, stats.tested);
+
+    uint64_t tested_by_arch = 0;
+    uint64_t detected_by_arch = 0;
+    for (int arch = 0; arch < kArchCount; ++arch) {
+      const auto a = static_cast<size_t>(arch);
+      tested_by_arch += stats.tested_by_arch[a];
+      detected_by_arch += stats.detected_by_arch[a];
+      EXPECT_LE(stats.detected_by_arch[a], stats.tested_by_arch[a]) << ArchName(arch);
+    }
+    EXPECT_EQ(tested_by_arch, stats.tested);
+    EXPECT_EQ(detected_by_arch, stats.total_detected());
+
+    ASSERT_EQ(stats.provenance.size(), stats.detections.size());
+    for (size_t i = 0; i < stats.detections.size(); ++i) {
+      const ProcessorOutcome& outcome = stats.detections[i];
+      const DetectionProvenance& record = stats.provenance[i];
+      EXPECT_EQ(record.serial, outcome.serial) << "detection " << i;
+      EXPECT_EQ(record.stage, outcome.stage) << "detection " << i;
+      EXPECT_EQ(record.month, outcome.month) << "detection " << i;
+      if (i > 0) {
+        EXPECT_LT(stats.detections[i - 1].serial, outcome.serial) << "detection " << i;
+      }
+      if (outcome.stage == TestStage::kRegular) {
+        EXPECT_GT(outcome.month, 0.0) << "detection " << i;
+        EXPECT_LE(outcome.month, config.horizon_months) << "detection " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FleetSeeds, ScreeningReportTest,
+                         ::testing::Values(uint64_t{20210101}, uint64_t{7}, uint64_t{424242}));
 
 }  // namespace
 }  // namespace sdc

@@ -47,7 +47,7 @@ class ScreeningModelTest : public ::testing::Test {
   static ScreeningStats RunAlone(const ScreeningConfig& config, int threads,
                                  MetricsRegistry* metrics = nullptr) {
     EngineContext context(PinnedEngine(threads, metrics));
-    return ScreeningPipeline(suite_).Run(*fleet_, config, context);
+    return RunBatchOfOne(ScreeningPipeline(suite_), *fleet_, config, context);
   }
 
   // Screens the shared fleet under every scenario of `batch` in one pass, on a fresh

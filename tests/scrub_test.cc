@@ -16,6 +16,7 @@
 #include "src/scrub/scrubber.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
+#include "tests/test_engine.h"
 
 namespace sdc {
 namespace {
@@ -138,7 +139,7 @@ TEST_F(ScrubTest, DiscoveryMatchesMaterializedReference) {
   EngineContext reference_context(EngineOptions{.threads = 1, .env_overrides = false});
   const FleetPopulation fleet = FleetPopulation::Generate(config.population, reference_context);
   const std::vector<ScrubCandidate> expected = ReferenceCandidates(
-      fleet, pipeline.Run(fleet, config.screening, reference_context));
+      fleet, RunBatchOfOne(pipeline, fleet, config.screening, reference_context));
   ASSERT_GT(expected.size(), 0u);
   // Both outcome kinds occur, so the walk's detection matching is exercised.
   EXPECT_TRUE(std::any_of(expected.begin(), expected.end(), [](const ScrubCandidate& c) {

@@ -121,7 +121,7 @@ class SeriesDeterminismTest : public ::testing::Test {
     population.seed = kFleetSeed;
     const FleetPopulation fleet = FleetPopulation::Generate(population, context);
     ScreeningPipeline pipeline(suite_);
-    pipeline.Run(fleet, ScreeningConfig(), context);
+    RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context);
     std::ostringstream out;
     WriteSeriesJson(out, recorder.Snapshot(), /*include_host=*/false);
     return out.str();
@@ -209,7 +209,7 @@ TEST_F(SeriesDeterminismTest, ContextAttachmentFeedsSeries) {
   population.seed = kFleetSeed;
   const FleetPopulation fleet = FleetPopulation::Generate(population, context);
   ScreeningPipeline pipeline(suite_);
-  pipeline.Run(fleet, ScreeningConfig{}, context);
+  RunBatchOfOne(pipeline, fleet, ScreeningConfig{}, context);
   const SeriesSnapshot snapshot = recorder.Snapshot();
   EXPECT_EQ(snapshot.sim.count("fleet.generate.faulty"), 1u);
   EXPECT_EQ(snapshot.sim.count("screening.tested"), 1u);

@@ -299,7 +299,7 @@ class SimdScreeningTest : public ::testing::Test {
   static ScreeningStats Screen(const FleetPopulation& fleet, SimdLevel simd,
                                int threads = 2) {
     EngineContext context(PinnedEngine(threads, simd));
-    return ScreeningPipeline(suite_).Run(fleet, ScreeningConfig(), context);
+    return RunBatchOfOne(ScreeningPipeline(suite_), fleet, ScreeningConfig(), context);
   }
 
   static void ExpectIdentical(const ScreeningStats& a, const ScreeningStats& b) {
@@ -382,8 +382,9 @@ TEST_F(SimdScreeningTest, EnvOverrideForcesScalarInPipeline) {
   EngineContext forced_context(EngineOptions{.threads = 2});
   ASSERT_EQ(unsetenv("SDC_SIMD"), 0);
   EXPECT_EQ(forced_context.simd(), SimdLevel::kScalar);
-  ExpectIdentical(ScreeningPipeline(suite_).Run(fleet, ScreeningConfig(), forced_context),
-                  baseline);
+  ExpectIdentical(
+      RunBatchOfOne(ScreeningPipeline(suite_), fleet, ScreeningConfig(), forced_context),
+      baseline);
   EXPECT_GT(baseline.total_detected(), 0u);
 }
 

@@ -1,9 +1,10 @@
 // Equivalence suite for the streaming shard pipeline (docs/streaming.md): a fused
 // generate->screen->aggregate pass over FleetShardStream must be byte-identical -- every
 // counter, every detection in order, detection months compared bitwise, metrics snapshot
-// included -- to generating a materialized FleetPopulation and running the same
-// aggregations over it, at several thread counts. Also pins the memory contract: peak
-// streaming scratch is O(lanes * shard), not O(fleet).
+// included -- to generating a materialized FleetPopulation and screening it, at several
+// thread counts, and every aggregation the stream carries (capacity, effectiveness,
+// exposure) must be lane-count invariant. Also pins the memory contract: peak streaming
+// scratch is O(lanes * shard), not O(fleet).
 
 #include <cstring>
 #include <sstream>
@@ -28,7 +29,8 @@ namespace {
 constexpr uint64_t kFleetSize = 200000;
 constexpr uint64_t kFleetSeed = 20260805;
 
-// Everything both modes can produce from one generate+screen pass.
+// Everything one generate+screen pass produces. The materialized pass fills only stats
+// and exposures; capacity and effectiveness exist only as stream consumers.
 struct PassResults {
   ScreeningStats stats;
   CapacityReport capacity;
@@ -52,7 +54,8 @@ class StreamEquivalenceTest : public ::testing::Test {
     return config;
   }
 
-  // The materialized baseline: build the fleet, then run each aggregation against it.
+  // The materialized baseline: build the fleet, screen it, and derive the exposures
+  // through its random-access DefectsOf.
   static PassResults RunMaterialized(uint64_t processors, int threads,
                                      MetricsRegistry* metrics = nullptr) {
     EngineContext context(PinnedEngine(threads, metrics));
@@ -61,12 +64,8 @@ class StreamEquivalenceTest : public ::testing::Test {
     ScreeningPipeline pipeline(suite_);
     const ScreeningConfig screening;
     PassResults results;
-    results.stats = pipeline.Run(fleet, screening, context);
-    results.capacity = SimulateCapacityRetention(fleet, results.stats, screening);
-    results.effectiveness = ComputeTestcaseEffectiveness(
-        *suite_, fleet, screening.stages[static_cast<size_t>(TestStage::kRegular)]);
-    // The cadence study's exposure derivation (bench/cadence_tradeoff.cc), via the
-    // fleet's random-access DefectsOf.
+    results.stats = RunBatchOfOne(pipeline, fleet, screening, context);
+    // The cadence study's exposure derivation (bench/cadence_tradeoff.cc).
     for (const ProcessorOutcome& outcome : results.stats.detections) {
       if (outcome.stage != TestStage::kRegular) {
         continue;
@@ -127,38 +126,27 @@ class StreamEquivalenceTest : public ::testing::Test {
     }
   }
 
-  static void ExpectIdenticalCapacity(const CapacityReport& streaming,
-                                      const CapacityReport& materialized) {
-    EXPECT_EQ(streaming.fleet_cores, materialized.fleet_cores);
-    EXPECT_EQ(streaming.production_detections, materialized.production_detections);
-    EXPECT_EQ(streaming.baseline_cores_lost, materialized.baseline_cores_lost);
-    EXPECT_EQ(streaming.fine_grained_cores_lost, materialized.fine_grained_cores_lost);
-    EXPECT_EQ(streaming.parts_deprecated_fine, materialized.parts_deprecated_fine);
-    ASSERT_EQ(streaming.timeline.size(), materialized.timeline.size());
-    for (size_t i = 0; i < streaming.timeline.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&streaming.timeline[i].month, &materialized.timeline[i].month,
-                            sizeof(double)),
-                0)
+  static void ExpectIdenticalCapacity(const CapacityReport& a, const CapacityReport& b) {
+    EXPECT_EQ(a.fleet_cores, b.fleet_cores);
+    EXPECT_EQ(a.production_detections, b.production_detections);
+    EXPECT_EQ(a.baseline_cores_lost, b.baseline_cores_lost);
+    EXPECT_EQ(a.fine_grained_cores_lost, b.fine_grained_cores_lost);
+    EXPECT_EQ(a.parts_deprecated_fine, b.parts_deprecated_fine);
+    ASSERT_EQ(a.timeline.size(), b.timeline.size());
+    for (size_t i = 0; i < a.timeline.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&a.timeline[i].month, &b.timeline[i].month, sizeof(double)), 0)
           << "timeline point " << i;
-      EXPECT_EQ(streaming.timeline[i].baseline_cores_lost,
-                materialized.timeline[i].baseline_cores_lost)
+      EXPECT_EQ(a.timeline[i].baseline_cores_lost, b.timeline[i].baseline_cores_lost)
           << "timeline point " << i;
-      EXPECT_EQ(streaming.timeline[i].fine_grained_cores_lost,
-                materialized.timeline[i].fine_grained_cores_lost)
+      EXPECT_EQ(a.timeline[i].fine_grained_cores_lost, b.timeline[i].fine_grained_cores_lost)
           << "timeline point " << i;
     }
   }
 
-  static void ExpectIdenticalResults(const PassResults& streaming,
-                                     const PassResults& materialized) {
+  // What a stream and the materialized pass both produce: stats and exposures.
+  static void ExpectMatchesMaterialized(const PassResults& streaming,
+                                        const PassResults& materialized) {
     ExpectIdenticalStats(streaming.stats, materialized.stats);
-    ExpectIdenticalCapacity(streaming.capacity, materialized.capacity);
-    EXPECT_EQ(streaming.effectiveness.total_testcases,
-              materialized.effectiveness.total_testcases);
-    EXPECT_EQ(streaming.effectiveness.effective_testcases,
-              materialized.effectiveness.effective_testcases);
-    EXPECT_EQ(streaming.effectiveness.effective_ids,
-              materialized.effectiveness.effective_ids);
     ASSERT_EQ(streaming.exposures.size(), materialized.exposures.size());
     for (size_t i = 0; i < streaming.exposures.size(); ++i) {
       EXPECT_EQ(streaming.exposures[i].serial, materialized.exposures[i].serial);
@@ -173,29 +161,38 @@ class StreamEquivalenceTest : public ::testing::Test {
     }
   }
 
+  // Two streams: everything, the stream-only aggregations included.
+  static void ExpectIdenticalStreams(const PassResults& a, const PassResults& b) {
+    ExpectMatchesMaterialized(a, b);
+    ExpectIdenticalCapacity(a.capacity, b.capacity);
+    EXPECT_EQ(a.effectiveness.total_testcases, b.effectiveness.total_testcases);
+    EXPECT_EQ(a.effectiveness.effective_testcases, b.effectiveness.effective_testcases);
+    EXPECT_EQ(a.effectiveness.effective_ids, b.effectiveness.effective_ids);
+  }
+
   static TestSuite* suite_;
 };
 
 TestSuite* StreamEquivalenceTest::suite_ = nullptr;
 
 TEST_F(StreamEquivalenceTest, MatchesMaterializedAtOneThread) {
-  ExpectIdenticalResults(RunStreaming(kFleetSize, 1), RunMaterialized(kFleetSize, 1));
+  ExpectMatchesMaterialized(RunStreaming(kFleetSize, 1), RunMaterialized(kFleetSize, 1));
 }
 
 TEST_F(StreamEquivalenceTest, MatchesMaterializedAtTwoThreads) {
-  ExpectIdenticalResults(RunStreaming(kFleetSize, 2), RunMaterialized(kFleetSize, 2));
+  ExpectMatchesMaterialized(RunStreaming(kFleetSize, 2), RunMaterialized(kFleetSize, 2));
 }
 
 TEST_F(StreamEquivalenceTest, MatchesMaterializedAtEightThreads) {
-  ExpectIdenticalResults(RunStreaming(kFleetSize, 8), RunMaterialized(kFleetSize, 8));
+  ExpectMatchesMaterialized(RunStreaming(kFleetSize, 8), RunMaterialized(kFleetSize, 8));
 }
 
 TEST_F(StreamEquivalenceTest, StreamingIsThreadCountInvariant) {
   const PassResults one = RunStreaming(kFleetSize, 1);
-  ExpectIdenticalResults(RunStreaming(kFleetSize, 2), one);
-  ExpectIdenticalResults(RunStreaming(kFleetSize, 8), one);
-  // Cross-mode, cross-thread-count: streaming at 8 equals materialized at 1.
-  ExpectIdenticalResults(one, RunMaterialized(kFleetSize, 8));
+  ExpectIdenticalStreams(RunStreaming(kFleetSize, 2), one);
+  ExpectIdenticalStreams(RunStreaming(kFleetSize, 8), one);
+  // Cross-mode, cross-thread-count: streaming at 1 equals materialized at 8.
+  ExpectMatchesMaterialized(one, RunMaterialized(kFleetSize, 8));
 }
 
 TEST_F(StreamEquivalenceTest, NotVacuouslyEqual) {

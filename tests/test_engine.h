@@ -6,8 +6,11 @@
 #ifndef SDC_TESTS_TEST_ENGINE_H_
 #define SDC_TESTS_TEST_ENGINE_H_
 
+#include <utility>
+
 #include "src/common/context.h"
 #include "src/common/simd.h"
+#include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 
 namespace sdc {
@@ -36,6 +39,14 @@ inline EngineOptions PinnedEngine(int threads, MetricsRegistry* metrics,
 inline FleetPopulation GenerateFleet(const PopulationConfig& config, int threads = 2) {
   EngineContext context(PinnedEngine(threads));
   return FleetPopulation::Generate(config, context);
+}
+
+// Screens a materialized fleet under one scenario: RunBatch over a batch of one.
+inline ScreeningStats RunBatchOfOne(const ScreeningPipeline& pipeline,
+                                    const FleetPopulation& fleet, const ScreeningConfig& config,
+                                    EngineContext& context) {
+  return std::move(
+      pipeline.RunBatch(fleet, ScenarioBatch{.scenarios = {config}}, context).front());
 }
 
 }  // namespace sdc

@@ -88,7 +88,7 @@ class TraceFleetTest : public ::testing::Test {
     population.processor_count = kFleetSize;
     const FleetPopulation fleet = FleetPopulation::Generate(population, context);
     ScreeningPipeline pipeline(suite_);
-    return pipeline.Run(fleet, ScreeningConfig(), context);
+    return RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context);
   }
 
   // Fused streaming generate+screen with a recorder attached.
@@ -211,7 +211,7 @@ TEST_F(TraceFleetTest, RunAndRunBatchLeaveOneRunSpanAndOneRunTimerSample) {
     TraceRecorder recorder;
     MetricsRegistry registry;
     EngineContext context(PinnedEngine(2, &registry, &recorder));
-    (void)pipeline.Run(fleet, ScreeningConfig(), context);
+    (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context);
     EXPECT_EQ(run_spans(recorder), 1u);
     EXPECT_EQ(run_timer_samples(registry), 1u);
   }

@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Acceptance check for sdcctl's --stream mode (docs/streaming.md).
+"""Acceptance check for sdcctl's fused streaming fleet pass (docs/streaming.md).
 
 Three properties, end to end through the CLI:
 
-1. Equivalence: `sdcctl metrics` and `sdcctl --stream metrics` emit identical
-   deterministic metric sections (counters / gauges / histograms) at 1 and 8 threads.
-   Timers are wall-clock and excluded by design -- the two modes also time different
-   phases ("fleet.generate.wall" vs "fleet.stream.wall").
-2. Same for the human-readable `screen` table: byte-identical stdout.
-3. Memory bound: a large streaming run completes under an address-space cap
-   (`ulimit -v` semantics via RLIMIT_AS) sized far below what the materialized fleet
-   of a 10x larger run occupies; its counters still report the full fleet. With
-   --check-cap-binding, the script also proves the cap is real by running the
-   materialized mode at 10x the size under the same cap and requiring it to die.
+1. Lane invariance: `sdcctl metrics` emits identical deterministic metric sections
+   (counters / gauges / histograms) at 1 and 4 threads. Timers are wall-clock and
+   excluded by design.
+2. Same for the human-readable `screen` table: byte-identical stdout at 1 and 4 threads.
+3. Memory bound: a large run completes under an address-space cap (`ulimit -v`
+   semantics via RLIMIT_AS) that holds the binary plus its lanes' shard scratch, not a
+   fleet; its counters still report the full fleet.
 
-Usage: check_stream_json.py <sdcctl-binary> [big_processors] [cap_mb] [--check-cap-binding]
+`--stream` is accepted and ignored, so there is no second mode to compare against; the
+stream-vs-materialized identity lives in the tier-1 suites (StreamEquivalenceTest,
+StreamBatchTest and the batch.* / sweep.* rows of FleetDigestManifest).
+
+Usage: check_stream_json.py <sdcctl-binary> [big_processors] [cap_mb]
 Defaults: 10,000,000 processors under a 96 MiB cap (the binary plus one lane of shard
-scratch fits in ~70 MiB; the 100M-processor materialized fleet does not).
+scratch fits in ~70 MiB).
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -27,6 +29,8 @@ import sys
 EQUIV_PROCESSORS = 50000
 EQUIV_SEED = 123
 DETERMINISTIC_SECTIONS = ("counters", "gauges", "histograms")
+# SDC_THREADS overrides --threads; drop it so the lane counts compared are the ones asked.
+PINNED_ENV = {k: v for k, v in os.environ.items() if k != "SDC_THREADS"}
 
 
 def run_metrics(binary, args, cap_mb=None):
@@ -41,6 +45,7 @@ def run_metrics(binary, args, cap_mb=None):
         capture_output=True,
         text=True,
         preexec_fn=preexec,
+        env=PINNED_ENV,
     )
     if result.returncode != 0:
         return result.returncode, None
@@ -52,62 +57,47 @@ def deterministic_sections(snapshot):
 
 
 def main() -> int:
-    argv = [a for a in sys.argv[1:] if a != "--check-cap-binding"]
-    check_cap_binding = "--check-cap-binding" in sys.argv[1:]
-    if not argv:
-        print(f"usage: {sys.argv[0]} <sdcctl-binary> [big_processors] [cap_mb] "
-              f"[--check-cap-binding]", file=sys.stderr)
+    argv = sys.argv[1:]
+    if not argv or len(argv) > 3:
+        print(f"usage: {sys.argv[0]} <sdcctl-binary> [big_processors] [cap_mb]",
+              file=sys.stderr)
         return 2
     binary = argv[0]
     big = int(argv[1]) if len(argv) > 1 else 10_000_000
     cap_mb = int(argv[2]) if len(argv) > 2 else 96
 
-    # 1. Metric equivalence across modes and thread counts.
+    # 1. Metric sections are the same at 1 and 4 lanes.
     base = ["metrics", str(EQUIV_PROCESSORS), "--seed", str(EQUIV_SEED)]
     rc, golden = run_metrics(binary, base + ["--threads", "1"])
-    assert rc == 0, f"materialized metrics run failed ({rc})"
+    assert rc == 0, f"1-thread metrics run failed ({rc})"
     golden_sections = deterministic_sections(golden)
     assert golden["counters"]["fleet.generate.processors"] == EQUIV_PROCESSORS
     assert golden["counters"]["screening.tested"] == EQUIV_PROCESSORS
-    for threads in (1, 8):
-        for mode_args, mode in (([], "materialized"), (["--stream"], "streaming")):
-            rc, snapshot = run_metrics(binary, mode_args + base + ["--threads", str(threads)])
-            assert rc == 0, f"{mode} metrics run failed at {threads} threads ({rc})"
-            sections = deterministic_sections(snapshot)
-            assert sections == golden_sections, (
-                f"{mode} at {threads} threads diverged from materialized t1:\n"
-                f"  got      {sections}\n  expected {golden_sections}")
+    rc, snapshot = run_metrics(binary, base + ["--threads", "4"])
+    assert rc == 0, f"4-thread metrics run failed ({rc})"
+    sections = deterministic_sections(snapshot)
+    assert sections == golden_sections, (
+        f"4 threads diverged from 1 thread:\n"
+        f"  got      {sections}\n  expected {golden_sections}")
 
     # 2. The screen table is byte-identical too.
     screen = ["screen", str(EQUIV_PROCESSORS), "--seed", str(EQUIV_SEED)]
-    materialized_table = subprocess.run([binary] + screen, capture_output=True, check=True)
-    streaming_table = subprocess.run([binary, "--stream"] + screen, capture_output=True,
-                                     check=True)
-    assert streaming_table.stdout == materialized_table.stdout, "screen table diverged"
+    one_lane = subprocess.run([binary, "--threads", "1"] + screen, capture_output=True,
+                              check=True, env=PINNED_ENV)
+    four_lanes = subprocess.run([binary, "--threads", "4"] + screen, capture_output=True,
+                                check=True, env=PINNED_ENV)
+    assert four_lanes.stdout == one_lane.stdout, "screen table diverged across lanes"
 
-    # 3. The big streaming run completes under the cap and covers the whole fleet.
-    big_args = ["--stream", "--threads", "2", "metrics", str(big)]
+    # 3. The big run completes under the cap and covers the whole fleet.
+    big_args = ["--threads", "2", "metrics", str(big)]
     rc, snapshot = run_metrics(binary, big_args, cap_mb=cap_mb)
     assert rc == 0, (
         f"streaming run of {big} processors died under the {cap_mb} MiB cap ({rc})")
     assert snapshot["counters"]["fleet.generate.processors"] == big, snapshot["counters"]
     assert snapshot["counters"]["screening.tested"] == big, snapshot["counters"]
 
-    cap_note = ""
-    if check_cap_binding:
-        # Prove the cap would actually stop a materialize-then-scan run at fleet scale:
-        # 10x the processors means ~20 bytes-per-processor of columns-plus-arena that the
-        # streaming mode never allocates.
-        rc, _ = run_metrics(binary, ["--threads", "2", "metrics", str(big * 10)],
-                            cap_mb=cap_mb)
-        assert rc != 0, (
-            f"materialized run of {big * 10} processors unexpectedly fit under "
-            f"{cap_mb} MiB -- the cap demonstrates nothing")
-        cap_note = f"; materialized x10 correctly died under the same cap"
-
-    print(f"ok: streaming == materialized (counters/gauges/histograms, screen table) "
-          f"at 1/8 threads; streaming {big} processors completed under "
-          f"{cap_mb} MiB RLIMIT_AS{cap_note}")
+    print(f"ok: 1 thread == 4 threads (counters/gauges/histograms, screen table); "
+          f"{big} processors completed under {cap_mb} MiB RLIMIT_AS")
     return 0
 
 

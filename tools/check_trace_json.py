@@ -9,20 +9,21 @@ Five properties, end to end through the CLI:
    the metadata preamble naming both clock-domain processes and every track.
 2. Sim-timeline shape: pid-1 (simulated clock) events have non-decreasing timestamps per
    track, and the generate.shard spans tile the serial axis [0, N) exactly once.
-3. Mode equivalence: `--stream` emits a byte-for-byte identical sim timeline (host spans
-   are wall-clock and excluded by design).
+3. Lane invariance: a 4-thread run emits a byte-for-byte identical sim timeline to the
+   1-thread run (host spans are wall-clock and excluded by design).
 4. Provenance cross-check: the number of detection instants equals the
    screening.detected and screening.provenance.records counters a metrics run reports
    for the same fleet.
-5. Sweep equivalence: `--sweep seeds:3 screen N` emits the same sim timeline with and
-   without `--stream` (both merge shard by shard, scenario after scenario within each
-   shard). Per-track timestamps are not checked here: every scenario's screen.subshard
-   spans restart at its shard's first serial.
+5. Sweep lane invariance: `--sweep seeds:3 screen N` emits the same sim timeline at 1
+   and 4 threads (shard by shard, scenario after scenario within each shard). Per-track
+   timestamps are not checked here: every scenario's screen.subshard spans restart at
+   its shard's first serial.
 
 Usage: check_trace_json.py <sdcctl-binary> [processors]
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -31,11 +32,13 @@ VALID_PHASES = {"M", "X", "i"}
 SIM_PID = 1
 HOST_PID = 2
 GENERATE_TRACK = 1
+# SDC_THREADS overrides --threads; drop it so the lane counts compared are the ones asked.
+PINNED_ENV = {k: v for k, v in os.environ.items() if k != "SDC_THREADS"}
 
 
 def run_json(binary, args):
     result = subprocess.run(
-        [binary] + args, capture_output=True, text=True, check=True)
+        [binary] + args, capture_output=True, text=True, check=True, env=PINNED_ENV)
     return json.loads(result.stdout)  # must be a single valid document
 
 
@@ -93,22 +96,22 @@ def main() -> int:
     binary = sys.argv[1]
     processors = int(sys.argv[2]) if len(sys.argv) == 3 else DEFAULT_PROCESSORS
 
-    doc = run_json(binary, ["screen", str(processors), "--trace-out", "-"])
+    doc = run_json(binary, ["--threads", "1", "screen", str(processors), "--trace-out", "-"])
     events = check_schema(doc)
     detections = check_sim_timeline(events, processors)
     assert detections > 0, "expected at least one detection instant"
     assert any(e["pid"] == HOST_PID for e in events), "host spans missing"
 
-    streamed = run_json(
-        binary, ["--stream", "screen", str(processors), "--trace-out", "-"])
-    assert sim_events(streamed["traceEvents"]) == sim_events(events), \
-        "streaming sim timeline diverges from materialized"
+    four_lanes = run_json(
+        binary, ["--threads", "4", "screen", str(processors), "--trace-out", "-"])
+    assert sim_events(four_lanes["traceEvents"]) == sim_events(events), \
+        "4-thread sim timeline diverges from 1 thread"
 
     sweep = ["--sweep", "seeds:3", "screen", str(processors), "--trace-out", "-"]
-    sweep_events = check_schema(run_json(binary, sweep))
-    sweep_streamed = check_schema(run_json(binary, ["--stream"] + sweep))
-    assert sim_events(sweep_streamed) == sim_events(sweep_events), \
-        "streaming sweep sim timeline diverges from materialized"
+    sweep_events = check_schema(run_json(binary, ["--threads", "1"] + sweep))
+    sweep_four = check_schema(run_json(binary, ["--threads", "4"] + sweep))
+    assert sim_events(sweep_four) == sim_events(sweep_events), \
+        "4-thread sweep sim timeline diverges from 1 thread"
 
     metrics = run_json(binary, ["screen", str(processors), "--metrics-out", "-"])
     counters = metrics["counters"]

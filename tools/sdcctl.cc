@@ -38,11 +38,10 @@
 //   --series-out FILE  attach a SeriesRecorder to the command's hot paths and write the
 //                      time-series snapshot JSON (docs/observability.md) to FILE after
 //                      the command finishes; same `-`/file discipline. Sim series are
-//                      byte-identical at any --threads and across --stream.
-//   --stream           run the fleet commands (screen, metrics, export screening) as a
-//                      fused generate->screen shard pass (docs/streaming.md): peak memory
-//                      is O(threads x shard) instead of O(fleet), and every emitted
-//                      number is byte-identical to the materialized path.
+//                      byte-identical at any --threads.
+//   --stream           accepted and ignored: the fleet commands (screen, metrics, trace,
+//                      export screening) always run one fused generate->screen shard pass
+//                      (docs/streaming.md) with O(threads x shard) peak memory.
 //   --processors N     fleet-size override for the fleet commands; wins over positional
 //                      counts and defaults, so 10^8-processor streaming runs are a flag.
 //   --seed S           fleet generation seed override for the same commands.
@@ -53,8 +52,7 @@
 //                      whitespace-separated key=value pairs drawn from name, seed,
 //                      period_months, horizon_months, regular_groups, and
 //                      stage.<factory|datacenter|reinstall|regular>.<seconds|temp|catch>.
-//                      Composes with --stream; every row is byte-identical to a separate
-//                      single-scenario run.
+//                      Every row is byte-identical to a separate single-scenario run.
 //   --socket PATH      client mode: forward the command as a protocol verb to the sdcd
 //                      daemon listening at PATH (docs/daemon.md) -- submit, status,
 //                      stats, list, wait, cancel, result, metrics, trace, prom, ping,
@@ -91,7 +89,6 @@
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
 #include "src/fleet/pipeline.h"
-#include "src/fleet/population.h"
 #include "src/fleet/stream.h"
 #include "src/report/exporters.h"
 #include "src/scrub/scrubber.h"
@@ -112,7 +109,6 @@ struct GlobalOptions {
   std::string prom_out;      // --prom-out target; empty = no Prometheus export
   std::string series_out;    // --series-out target; empty = no series export
   SeriesRecorder* series = nullptr;  // non-null when a series snapshot will be written
-  bool stream = false;       // --stream: fused streaming pipeline for the fleet commands
   uint64_t processors = 0;   // --processors override for the fleet commands
   bool processors_set = false;
   uint64_t seed = 0;         // --seed override for fleet generation
@@ -143,10 +139,8 @@ EngineOptions FleetEngineOptions(const GlobalOptions& options) {
                        .series = options.series};
 }
 
-// Batched generate+screen of `processor_count` parts (after the global overrides) through
-// either path. Streaming fuses generation and screening into one shard pass with
-// O(threads * shard) peak memory; the stats are byte-identical to the materialized path
-// (docs/streaming.md), so every table below is mode-independent. Returns one
+// Batched generate+screen of `processor_count` parts (after the global overrides): one
+// fused shard pass with O(threads * shard) peak memory (docs/streaming.md). Returns one
 // ScreeningStats per scenario of `batch`.
 std::vector<ScreeningStats> ScreenFleet(uint64_t processor_count, const ScenarioBatch& batch,
                                         const GlobalOptions& options) {
@@ -156,13 +150,9 @@ std::vector<ScreeningStats> ScreenFleet(uint64_t processor_count, const Scenario
   const TestSuite suite = TestSuite::BuildFull();
   const ScreeningPipeline pipeline(&suite);
   EngineContext context(FleetEngineOptions(options));
-  if (options.stream) {
-    StreamingScreen screen(&pipeline, batch);
-    FleetShardStream(population_config).Drive({&screen}, context);
-    return screen.TakeBatchStats();
-  }
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
-  return pipeline.RunBatch(fleet, batch, context);
+  StreamingScreen screen(&pipeline, batch);
+  FleetShardStream(population_config).Drive({&screen}, context);
+  return screen.TakeBatchStats();
 }
 
 // Single-scenario form: the default screening config, a batch of one.
@@ -253,8 +243,8 @@ int CmdSweep(const std::string& cpu_id, double seconds_per_case,
   return 0;
 }
 
-// Batched `screen --sweep`: K scenarios against one fleet in one pass
-// (ScreeningPipeline::RunBatch / batched StreamingScreen). The table rows are
+// Batched `screen --sweep`: K scenarios against one fleet in one pass (batched
+// StreamingScreen). The table rows are
 // byte-identical to K separate `screen` runs; any attached metrics/trace sink receives
 // every scenario's deltas.
 int CmdScreenSweep(uint64_t processor_count, const std::vector<SweepScenario>& scenarios,
@@ -383,8 +373,8 @@ int CmdProtect(const std::string& cpu_id, double hours, const GlobalOptions& opt
 
 // Fleet-wide budgeted scrub (docs/scrubbing.md): discovery screen, then the prioritized
 // in-production epoch loop; the scrub report JSON lands on stdout. The report is a pure
-// function of the flags -- byte-identical at any --threads and across discovery modes --
-// which tools/check_scrub_json.py relies on. --hours is the production horizon in
+// function of the flags -- byte-identical at any --threads -- which
+// tools/check_scrub_json.py relies on. --hours is the production horizon in
 // simulated hours (730.56 h per 30.44-day month); --fleet and the global --processors /
 // --seed compose, with the global overrides winning as everywhere else.
 int CmdScrub(int argc, char** argv, const GlobalOptions& options) {
@@ -428,6 +418,12 @@ int CmdScrub(int argc, char** argv, const GlobalOptions& options) {
       continue;
     }
     return InvalidOperand("scrub operand", argv[i]);
+  }
+  if (std::string error;
+      !CheckStepCount(config.horizon_months, config.epoch_months, kMaxScrubEpochs,
+                      "epoch_months", error)) {
+    std::cerr << "sdcctl: --hours: " << error << "\n";
+    return 2;
   }
   ApplyFleetOverrides(config.population, options);
   const TestSuite suite = TestSuite::BuildFull();
@@ -713,16 +709,15 @@ int Usage() {
                "                     with --metrics-out (one run, both renderings)\n"
                "  --series-out FILE  write the run's time-series snapshot JSON to FILE\n"
                "                     (`-` = stdout, same discipline); sim series are\n"
-               "                     byte-identical at any --threads and across --stream\n"
-               "  --stream           run the fleet commands (screen, metrics, export\n"
-               "                     screening) as one fused generate->screen pass with\n"
-               "                     O(threads x shard) peak memory instead of\n"
-               "                     materializing the fleet; output is byte-identical\n"
+               "                     byte-identical at any --threads\n"
+               "  --stream           accepted and ignored: the fleet commands always run\n"
+               "                     one fused generate->screen pass with O(threads x\n"
+               "                     shard) peak memory\n"
                "  --processors N     fleet-size override for the fleet commands (wins over\n"
                "                     positional counts and built-in defaults)\n"
                "  --seed S           fleet generation seed override for the same commands\n"
                "  --sweep SPEC       batch K screening scenarios against one fleet in one\n"
-               "                     pass (screen only; composes with --stream). SPEC is\n"
+               "                     pass (screen only). SPEC is\n"
                "                     seeds:K or a scenario file: one scenario per line of\n"
                "                     key=value pairs (name, seed, period_months,\n"
                "                     horizon_months, regular_groups,\n"
@@ -890,8 +885,7 @@ int Main(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--stream") == 0) {
-      options.stream = true;
-      continue;
+      continue;  // the fleet commands always stream; kept for scripts that spell it
     }
     if (std::strcmp(argv[i], "--processors") == 0) {
       if (i + 1 >= argc) {

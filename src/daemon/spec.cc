@@ -1,10 +1,10 @@
 #include "src/daemon/spec.h"
 
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "src/common/parse.h"
+#include "src/scrub/scrubber.h"
 
 namespace sdc {
 
@@ -102,19 +102,6 @@ bool ApplyScenarioAssignment(const std::string& token, SweepScenario& scenario,
   }
   error = "unknown key '" + key + "'";
   return false;
-}
-
-bool CheckStepCount(double horizon_months, double step_months, double limit,
-                    const std::string& what, std::string& error) {
-  // Negated so a NaN ratio fails too.
-  if (!(horizon_months / step_months <= limit)) {
-    std::ostringstream message;
-    message << what << " " << step_months << " over a " << horizon_months
-            << "-month horizon exceeds " << limit << " steps";
-    error = message.str();
-    return false;
-  }
-  return true;
 }
 
 namespace {

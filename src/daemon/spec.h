@@ -37,19 +37,9 @@ int StageIndexOf(const std::string& name);
 bool ApplyScenarioAssignment(const std::string& token, SweepScenario& scenario,
                              std::string& error);
 
-// Step-count limits of the parsers. A scenario's regular loop visits every round up to
-// its horizon for each escaping faulty part, and a scrub run plans and runs every epoch,
-// so a tiny cadence (period_months=1e-300) would spin a lane until int overflow and a
-// tiny epoch would schedule an enormous epoch count. Specs whose horizon / step exceeds
-// these are usage errors (docs/daemon.md). They are constants, not options; every config
-// in the tree is far inside them (the longest is a 1200-epoch scrub).
-inline constexpr double kMaxRegularRounds = 10000;  // horizon_months / period_months
-inline constexpr double kMaxScrubEpochs = 2400;     // scrub horizon / epoch_months
-
-// Returns false and fills `error` when horizon_months / step_months exceeds `limit`.
-// `what` names the step in the message (e.g. "period_months").
-bool CheckStepCount(double horizon_months, double step_months, double limit,
-                    const std::string& what, std::string& error);
+// The parsers check the library's step limits (kMaxRegularRounds in src/fleet/pipeline.h,
+// kMaxScrubEpochs in src/scrub/scrubber.h) once a spec's keys are all applied, so a
+// hostile cadence is a usage error (docs/daemon.md) instead of an exception from the run.
 
 // Expands a sweep operand into scenarios. `seeds:K` yields K scenarios varying only the
 // screening seed (base 77 + k); anything else names a scenario file, one scenario per

@@ -28,9 +28,15 @@ class DefectInjector : public CorruptionHook {
   double age_months() const { return age_months_; }
 
   // CorruptionHook:
-  // The op kinds of the computation defects; fixed at construction. OnExecuteBatch returns
-  // before any draw for every other kind.
-  uint64_t CorruptibleOps() const override { return computation_op_union_; }
+  // The op kinds of every defect, computation and consistency (a consistency defect
+  // targets kStore or kTxCommit); fixed at construction. The hooks return before any draw
+  // for every other kind. The mask keeps dormant defects (onset after age_months()): a
+  // dormant coherence defect must keep the bus caching, because once it wakes, which cores
+  // hold cached copies decides what a dropped invalidation leaves stale. A mask that
+  // followed dormancy would let the bus drop copies a later defect could observe.
+  uint64_t CorruptibleOps() const override {
+    return computation_op_union_ | consistency_op_union_;
+  }
   void OnExecuteBatch(const OpContext& context, std::span<Word128> values) override;
   bool OnCoherenceFault(const OpContext& context) override;
   bool OnTxFault(const OpContext& context) override;

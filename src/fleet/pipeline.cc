@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "src/common/context.h"
@@ -296,6 +298,7 @@ void ReplayFaultyProbes(uint64_t serial, int arch_index, std::span<const Defect>
     size_t active = 0;
     double probability = 0.0;
     bool stale = true;
+    // At most kMaxRegularRounds cycles: StreamingScreen checked the cadence.
     for (int cycle = 1;; ++cycle) {
       const double month =
           static_cast<double>(cycle) * config.regular_period_months + offset;
@@ -544,6 +547,21 @@ void ShardOutcomeObserver::BeginStream(const PopulationConfig& /*population*/,
 
 void ShardOutcomeObserver::EndStream() {}
 
+bool CheckStepCount(double horizon_months, double step_months, double limit,
+                    const std::string& what, std::string& error) {
+  // Negated so a NaN count fails too. A step that is not positive never ends a loop, and
+  // a negative count would wrap the scrubber's unsigned epoch count.
+  const double steps = horizon_months / step_months;
+  if (!(step_months > 0.0 && steps >= 0.0 && steps <= limit)) {
+    std::ostringstream message;
+    message << what << " " << step_months << " over a " << horizon_months
+            << "-month horizon is not 0 to " << limit << " steps";
+    error = message.str();
+    return false;
+  }
+  return true;
+}
+
 StreamingScreen::StreamingScreen(const ScreeningPipeline* pipeline,
                                  const ScreeningConfig& config)
     : StreamingScreen(pipeline, ScenarioBatch{.scenarios = {config}}) {}
@@ -552,6 +570,12 @@ StreamingScreen::StreamingScreen(const ScreeningPipeline* pipeline, ScenarioBatc
     : pipeline_(pipeline), scenarios_(std::move(batch.scenarios)) {
   bases_.reserve(scenarios_.size());
   for (const ScreeningConfig& scenario : scenarios_) {
+    // Bounds the regular-round loop of ReplayFaultyProbes before any lane enters it.
+    if (std::string error; !CheckStepCount(scenario.horizon_months,
+                                           scenario.regular_period_months,
+                                           kMaxRegularRounds, "regular_period_months", error)) {
+      throw std::invalid_argument(error);
+    }
     bases_.emplace_back(scenario.seed);
   }
   for (int arch = 0; arch < kArchCount; ++arch) {

@@ -91,6 +91,20 @@ struct ScreeningConfig {
   uint64_t seed = 77;
 };
 
+// Step limit of the regular-round loop: it visits every round up to the horizon for each
+// faulty part that escapes pre-production, so a tiny cadence (regular_period_months =
+// 1e-300) would spin a lane until its round counter overflows. StreamingScreen rejects a
+// scenario whose horizon_months / regular_period_months exceeds it; the spec parsers
+// reject it as a usage error first (docs/daemon.md). A constant, not an option: every
+// config in the tree is far inside it.
+inline constexpr double kMaxRegularRounds = 10000;
+
+// Returns false and fills `error` unless step_months is positive and horizon_months /
+// step_months lies in [0, limit]. `what` names the step in the message (e.g.
+// "period_months").
+bool CheckStepCount(double horizon_months, double step_months, double limit,
+                    const std::string& what, std::string& error);
+
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
 // The paper-style sweeps (seed, cadence, stage-temperature scans) re-screen the same
 // fleet K times; batching them shares everything scenario-invariant per shard -- the

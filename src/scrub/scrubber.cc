@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -144,6 +145,11 @@ void ScrubDiscoveryObserver::EndStream() {
 FleetScrubber::FleetScrubber(const TestSuite* suite) : suite_(suite) {}
 
 ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context) const {
+  // Bounds the epoch loop below.
+  if (std::string error; !CheckStepCount(config.horizon_months, config.epoch_months,
+                                         kMaxScrubEpochs, "epoch_months", error)) {
+    throw std::invalid_argument(error);
+  }
   // The context's sinks, pinned here for the whole run; the discovery passes pin the
   // same attachments at their own start.
   MetricsRegistry* metrics = context.metrics();

@@ -79,7 +79,7 @@ struct ScrubConfig {
   // budget_fraction * fleet_size * epoch_seconds processor-seconds.
   double budget_fraction = 1e-5;
   double horizon_months = 12.0;
-  double epoch_months = 1.0;
+  double epoch_months = 1.0;  // horizon_months / epoch_months <= kMaxScrubEpochs
   // Funded rounds run this many plan entries as a rotating ripple window over the
   // prioritized plan (SessionOptions::max_cases_per_round); 0 = full plans.
   size_t max_cases_per_round = 48;
@@ -204,6 +204,13 @@ class ScrubDiscoveryObserver : public ShardOutcomeObserver {
   std::array<uint64_t, kArchCount> arch_totals_{};
 };
 
+// Step limit of the epoch loop: each epoch plans and runs a round of test sessions, so a
+// tiny epoch_months would schedule an enormous epoch count. Run rejects a config whose
+// horizon_months / epoch_months exceeds it; the spec parsers and `sdcctl scrub --hours`
+// reject it as a usage error first (docs/daemon.md). A constant, not an option: the
+// longest config in the tree is a 1200-epoch scrub.
+inline constexpr double kMaxScrubEpochs = 2400;
+
 class FleetScrubber {
  public:
   // `suite` is shared read-only by every session (built once per scrub run, never per
@@ -216,7 +223,8 @@ class FleetScrubber {
   // loop adds "scrub.*" metrics, scrub-track trace events, and cumulative
   // "scrub.budget" / "scrub.spent" / "scrub.detections" / "scrub.sessions_funded"
   // series, one point per epoch (x = the epoch's end month). The epoch loop is serial,
-  // so every one of them is byte-identical at any thread count.
+  // so every one of them is byte-identical at any thread count. Throws
+  // std::invalid_argument, before any work, when the config exceeds kMaxScrubEpochs.
   ScrubReport Run(const ScrubConfig& config, EngineContext& context) const;
 
  private:

@@ -8,12 +8,14 @@ CoherentBus::CoherentBus(Processor& cpu, size_t cells)
       cached_(static_cast<size_t>(cpu.spec().physical_cores)) {}
 
 void CoherentBus::Write(int lcore, size_t addr, uint64_t value) {
-  const OpContext context = cpu_.MakeContext(lcore, OpKind::kStore, DataType::kBin64);
   memory_[addr] = value;
+  if (!cpu_.MayCorrupt(OpKind::kStore)) {
+    cpu_.CountCleanOps(lcore, OpKind::kStore, 1);
+    return;
+  }
+  const OpContext context = cpu_.MakeContext(lcore, OpKind::kStore, DataType::kBin64);
   cached_[context.pcore][addr] = value;
-  CorruptionHook* hook = cpu_.corruption_hook();
-  const bool drop_invalidation = hook != nullptr && hook->OnCoherenceFault(context);
-  if (drop_invalidation) {
+  if (cpu_.corruption_hook()->OnCoherenceFault(context)) {
     return;  // remote stale copies survive
   }
   for (size_t pcore = 0; pcore < cached_.size(); ++pcore) {
@@ -24,8 +26,11 @@ void CoherentBus::Write(int lcore, size_t addr, uint64_t value) {
 }
 
 uint64_t CoherentBus::Read(int lcore, size_t addr) {
-  const OpContext context = cpu_.MakeContext(lcore, OpKind::kLoad, DataType::kBin64);
-  auto& cache = cached_[context.pcore];
+  cpu_.CountCleanOps(lcore, OpKind::kLoad, 1);
+  if (!cpu_.MayCorrupt(OpKind::kStore)) {
+    return memory_[addr];
+  }
+  auto& cache = cached_[static_cast<size_t>(cpu_.pcore_of(lcore))];
   if (auto it = cache.find(addr); it != cache.end()) {
     return it->second;  // may be stale when an invalidation was dropped
   }
@@ -35,21 +40,26 @@ uint64_t CoherentBus::Read(int lcore, size_t addr) {
 }
 
 bool CoherentBus::AtomicCas(int lcore, size_t addr, uint64_t expected, uint64_t desired) {
-  const OpContext context = cpu_.MakeContext(lcore, OpKind::kAtomicCas, DataType::kBin64);
+  cpu_.CountCleanOps(lcore, OpKind::kAtomicCas, 1);
   if (memory_[addr] != expected) {
     return false;
   }
   memory_[addr] = desired;
+  if (!cpu_.MayCorrupt(OpKind::kStore)) {
+    return true;
+  }
   for (size_t pcore = 0; pcore < cached_.size(); ++pcore) {
     cached_[pcore].erase(addr);
   }
-  cached_[context.pcore][addr] = desired;
+  cached_[static_cast<size_t>(cpu_.pcore_of(lcore))][addr] = desired;
   return true;
 }
 
 void CoherentBus::Fence(int lcore) {
-  const OpContext context = cpu_.MakeContext(lcore, OpKind::kFence, DataType::kBin64);
-  cached_[context.pcore].clear();
+  cpu_.CountCleanOps(lcore, OpKind::kFence, 1);
+  if (cpu_.MayCorrupt(OpKind::kStore)) {
+    cached_[static_cast<size_t>(cpu_.pcore_of(lcore))].clear();
+  }
 }
 
 void CoherentBus::DirectWrite(size_t addr, uint64_t value) {

@@ -6,6 +6,12 @@
 // silently drops the invalidation with some probability, so a subsequent read on another core
 // observes stale data -- exactly the client-thread/daemon-thread checksum mismatch of
 // Section 2.2. The defect decision is delegated to the processor's CorruptionHook.
+//
+// Without dropped invalidations every cached copy equals memory, so on a processor where
+// no defect can drop one (!MayCorrupt(kStore)) the bus keeps no copies at all: each op is
+// counted and served from memory, a plain memory bus with the same results and counts.
+// The hook's mask is fixed while it is installed (CorruptionHook::CorruptibleOps), so the
+// copies a cached bus would hold can never be observed.
 
 #ifndef SDC_SRC_SIM_COHERENCE_H_
 #define SDC_SRC_SIM_COHERENCE_H_

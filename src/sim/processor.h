@@ -53,10 +53,13 @@ class CorruptionHook {
   virtual ~CorruptionHook() = default;
 
   // Bitmask over OpKind: bit k is set unless OnExecuteBatch is guaranteed to leave every
-  // batch of kind k untouched and to draw nothing for it. The processor reads it once, when
-  // the hook is installed, so it must not change while the hook is installed. An op outside
-  // the mask is clean: the processor counts it and returns its golden result without
-  // calling the hook.
+  // batch of kind k untouched and to draw nothing for it, and OnCoherenceFault and
+  // OnTxFault are guaranteed to return false and draw nothing for an op of kind k. The
+  // processor reads it once, when the hook is installed, so it must not change while the
+  // hook is installed. An op outside the mask is clean: the processor counts it and
+  // returns its golden result without calling the hook. Without kStore the coherent bus
+  // keeps no cached copies (src/sim/coherence.h), and without kTxCommit a conflicting
+  // transaction aborts without asking OnTxFault.
   virtual uint64_t CorruptibleOps() const { return ~uint64_t{0}; }
 
   // May corrupt, in place, the result bits of a batch of computational operations that all
@@ -103,13 +106,19 @@ class Processor {
   // (!MayCorrupt(op)) is only counted; the hook is not called.
   void ExecuteBatch(int lcore, OpKind op, DataType type, std::span<Word128> values);
 
-  // Records `count` ops of `op` on `lcore` whose results nobody computes: op counters,
-  // intensity tally and busy cycles, exactly as ExecuteBatch would. Only valid for an op
-  // with !MayCorrupt(op), whose results ExecuteBatch would have left golden.
+  // Records `count` ops of `op` on `lcore` without building their context: op counters,
+  // intensity tally and busy cycles, exactly as ExecuteBatch and MakeContext would. In
+  // place of ExecuteBatch, only valid for an op with !MayCorrupt(op), whose results
+  // ExecuteBatch would have left golden; in place of MakeContext, whenever nobody reads
+  // the context.
   void CountCleanOps(int lcore, OpKind op, uint64_t count) {
-    CoreState& core = cores_[pcore_of(lcore)];
+    const int pcore = pcore_of(lcore);
+    CoreState& core = cores_[pcore];
     const int kind = static_cast<int>(op);
     core.op_counts[kind] += count;
+    if (core.ops_since_advance[kind] == 0 && count != 0) {
+      touched_.push_back(pcore * kOpKindCount + kind);
+    }
     core.ops_since_advance[kind] += count;
     core.busy_cycles_unconsumed += count * static_cast<uint64_t>(LatencyCycles(op));
   }
@@ -169,7 +178,11 @@ class Processor {
   double time_scale() const { return time_scale_; }
 
   // Advances the simulated clock and the thermal model, and refreshes per-core op-intensity
-  // estimates from the operations executed since the previous call.
+  // estimates from the operations executed since the previous call. Every (pcore, kind)
+  // estimate is an EMA over advances, but only the cells that ran ops since the previous
+  // call are blended here; an idle cell catches up on the advances it skipped (each a
+  // blend with zero fresh ops, i.e. a halving) when it is next blended or read, bit for bit
+  // as an eager blend of every cell would have left it.
   void AdvanceSeconds(double dt_seconds);
 
   // Busy seconds accumulated on `pcore` since this was last called (latency-weighted).
@@ -196,7 +209,8 @@ class Processor {
   struct CoreState {
     std::array<uint64_t, kOpKindCount> op_counts{};
     std::array<uint64_t, kOpKindCount> ops_since_advance{};
-    std::array<double, kOpKindCount> op_intensity{};  // EMA, ops/second
+    std::array<double, kOpKindCount> op_intensity{};  // EMA, ops/second, as of the stamp
+    std::array<uint64_t, kOpKindCount> intensity_stamp{};  // advances_ when last current
     uint64_t busy_cycles_unconsumed = 0;
   };
 
@@ -206,6 +220,10 @@ class Processor {
   ProcessorSpec spec_;
   ThermalModel thermal_;
   std::vector<CoreState> cores_;
+  // Cells (pcore * kOpKindCount + kind) whose ops_since_advance went 0 -> n since the
+  // previous advance: the only cells AdvanceSeconds blends.
+  std::vector<int> touched_;
+  uint64_t advances_ = 0;  // AdvanceSeconds calls that moved the clock
   std::vector<double> utilization_;
   CorruptionHook* hook_ = nullptr;
   uint64_t corruptible_ops_ = 0;  // hook_->CorruptibleOps(), 0 without a hook

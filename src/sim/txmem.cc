@@ -6,7 +6,7 @@ TxMemory::TxMemory(Processor& cpu, size_t cells)
     : cpu_(cpu), cells_(cells, 0), versions_(cells, 0) {}
 
 int TxMemory::Begin(int lcore) {
-  cpu_.MakeContext(lcore, OpKind::kTxBegin, DataType::kBin64);
+  cpu_.CountCleanOps(lcore, OpKind::kTxBegin, 1);
   // Reuse a finished slot if possible to keep handles dense.
   for (size_t i = 0; i < transactions_.size(); ++i) {
     if (!transactions_[i].active) {
@@ -27,7 +27,7 @@ int TxMemory::Begin(int lcore) {
 
 uint64_t TxMemory::Read(int tx, size_t addr) {
   Transaction& t = transactions_[tx];
-  cpu_.MakeContext(t.lcore, OpKind::kTxRead, DataType::kBin64);
+  cpu_.CountCleanOps(t.lcore, OpKind::kTxRead, 1);
   if (auto it = t.write_set.find(addr); it != t.write_set.end()) {
     return it->second;  // read-own-write
   }
@@ -37,13 +37,21 @@ uint64_t TxMemory::Read(int tx, size_t addr) {
 
 void TxMemory::Write(int tx, size_t addr, uint64_t value) {
   Transaction& t = transactions_[tx];
-  cpu_.MakeContext(t.lcore, OpKind::kTxWrite, DataType::kBin64);
+  cpu_.CountCleanOps(t.lcore, OpKind::kTxWrite, 1);
   t.write_set[addr] = value;
 }
 
 bool TxMemory::Commit(int tx) {
   Transaction& t = transactions_[tx];
-  const OpContext context = cpu_.MakeContext(t.lcore, OpKind::kTxCommit, DataType::kBin64);
+  // Without a defect on kTxCommit, OnTxFault would return false and draw nothing, so
+  // nobody reads the context.
+  const bool may_skip_validation = cpu_.MayCorrupt(OpKind::kTxCommit);
+  OpContext context;
+  if (may_skip_validation) {
+    context = cpu_.MakeContext(t.lcore, OpKind::kTxCommit, DataType::kBin64);
+  } else {
+    cpu_.CountCleanOps(t.lcore, OpKind::kTxCommit, 1);
+  }
   bool conflict = false;
   for (const auto& [addr, seen_version] : t.read_versions) {
     if (versions_[addr] != seen_version) {
@@ -52,9 +60,7 @@ bool TxMemory::Commit(int tx) {
     }
   }
   if (conflict) {
-    CorruptionHook* hook = cpu_.corruption_hook();
-    const bool skip_validation = hook != nullptr && hook->OnTxFault(context);
-    if (!skip_validation) {
+    if (!may_skip_validation || !cpu_.corruption_hook()->OnTxFault(context)) {
       t.active = false;
       return false;  // proper abort; caller retries
     }
@@ -71,7 +77,7 @@ bool TxMemory::Commit(int tx) {
 
 void TxMemory::Abort(int tx) {
   Transaction& t = transactions_[tx];
-  cpu_.MakeContext(t.lcore, OpKind::kTxAbort, DataType::kBin64);
+  cpu_.CountCleanOps(t.lcore, OpKind::kTxAbort, 1);
   t.active = false;
 }
 

@@ -190,23 +190,29 @@ TEST(InjectorTest, CorruptsOnlyMatchingOps) {
   EXPECT_GE(injector.total_activations(), 1u);
 }
 
-// The injector's clean-op mask is the op kinds of its computation defects: consistency
-// defects and the onset gate never narrow or widen it.
-TEST(InjectorTest, CorruptibleOpsAreComputationDefectOps) {
+// The injector's clean-op mask is the op kinds of all its defects, computation and
+// consistency alike; the onset gate never narrows it.
+TEST(InjectorTest, CorruptibleOpsAreEveryDefectsOps) {
   Defect computation = SimpleDefect();
   computation.affected_ops = {OpKind::kFpMul, OpKind::kIntDiv};
   computation.onset_months = 1e6;  // dormant, but its ops stay in the mask
   Defect consistency = SimpleDefect();
   consistency.feature = Feature::kCache;
-  consistency.affected_ops = {OpKind::kLoad, OpKind::kFpAdd};
+  consistency.affected_ops = {OpKind::kStore, OpKind::kTxCommit};
+  consistency.onset_months = 1e6;
   ASSERT_EQ(consistency.type(), SdcType::kConsistency);
   DefectInjector injector({computation, consistency}, 5);
   injector.set_age_months(0.0);
-  EXPECT_EQ(injector.CorruptibleOps(), (uint64_t{1} << static_cast<int>(OpKind::kFpMul)) |
-                                           (uint64_t{1} << static_cast<int>(OpKind::kIntDiv)));
+  auto bit = [](OpKind op) { return uint64_t{1} << static_cast<int>(op); };
+  EXPECT_EQ(injector.CorruptibleOps(), bit(OpKind::kFpMul) | bit(OpKind::kIntDiv) |
+                                           bit(OpKind::kStore) | bit(OpKind::kTxCommit));
+  EXPECT_EQ(DefectInjector({consistency}, 5).CorruptibleOps(),
+            bit(OpKind::kStore) | bit(OpKind::kTxCommit));
   Processor cpu(MakeArchSpec("M2"));
   cpu.SetCorruptionHook(&injector);
   EXPECT_TRUE(cpu.MayCorrupt(OpKind::kFpMul));
+  EXPECT_TRUE(cpu.MayCorrupt(OpKind::kStore));
+  EXPECT_TRUE(cpu.MayCorrupt(OpKind::kTxCommit));
   EXPECT_FALSE(cpu.MayCorrupt(OpKind::kFpAdd));
   EXPECT_FALSE(cpu.MayCorrupt(OpKind::kLoad));
   EXPECT_EQ(DefectInjector({}, 5).CorruptibleOps(), 0u);

@@ -414,4 +414,19 @@ uint32_t Adler32OnProcessorReference(Processor& cpu, int lcore,
   return (b << 16) | a;
 }
 
+void EagerIntensityReference::Advance(double dt_seconds, double time_scale) {
+  if (dt_seconds <= 0.0) {
+    return;
+  }
+  constexpr double kBlend = 0.5;
+  for (auto& core : cells_) {
+    for (Cell& cell : core) {
+      const double fresh =
+          static_cast<double>(cell.ops_since_advance) * time_scale / dt_seconds;
+      cell.intensity = (1.0 - kBlend) * cell.intensity + kBlend * fresh;
+      cell.ops_since_advance = 0;
+    }
+  }
+}
+
 }  // namespace sdc

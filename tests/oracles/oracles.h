@@ -12,8 +12,10 @@
 #ifndef SDC_TESTS_ORACLES_ORACLES_H_
 #define SDC_TESTS_ORACLES_ORACLES_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "src/common/bits.h"
 #include "src/farron/farron.h"
@@ -60,6 +62,31 @@ long double Float80FromBitsReference(const Word128& bits);
 // packed pair to the processor once per 16-byte block as a kIntAdd on kUInt32.
 uint32_t Adler32Reference(std::span<const uint8_t> data);
 uint32_t Adler32OnProcessorReference(Processor& cpu, int lcore, std::span<const uint8_t> data);
+
+// The op-intensity EMA as the processor kept it before idle cells decayed lazily: every
+// (pcore, kind) cell blended on every advance, (1 - 0.5) x + 0.5 fresh. Driven with the
+// same counts and advances as a Processor, intensity() must equal the op_intensity of the
+// processor's MakeContext bitwise.
+class EagerIntensityReference {
+ public:
+  explicit EagerIntensityReference(int physical_cores) : cells_(physical_cores) {}
+
+  void Count(int pcore, OpKind op, uint64_t count) {
+    cells_[pcore][static_cast<int>(op)].ops_since_advance += count;
+  }
+  // Processor::AdvanceSeconds(dt_seconds) at `time_scale`.
+  void Advance(double dt_seconds, double time_scale);
+  double intensity(int pcore, OpKind op) const {
+    return cells_[pcore][static_cast<int>(op)].intensity;
+  }
+
+ private:
+  struct Cell {
+    uint64_t ops_since_advance = 0;
+    double intensity = 0.0;
+  };
+  std::vector<std::array<Cell, kOpKindCount>> cells_;
+};
 
 // Forwards every call to `inner` but keeps CorruptionHook's default CorruptibleOps (every
 // kind), so a processor carrying it never takes its clean-op path: every op is computed,

@@ -6,6 +6,7 @@
 #include <bit>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -266,6 +267,35 @@ TEST_F(ScrubTest, EmptyFleetIsNoop) {
   EXPECT_EQ(report.sessions, 0u);
   EXPECT_EQ(report.total_budget_seconds, 0.0);
   EXPECT_EQ(report.total_spent_seconds(), 0.0);
+}
+
+// The step limits hold for a library caller that fills ScrubConfig directly, not only
+// behind the spec parsers: a hostile epoch or screening cadence throws before any work
+// instead of spinning a lane. ctest also runs these two under a timeout
+// (step_limits_fail_fast), so a hang fails instead of stalling the suite.
+TEST_F(ScrubTest, HostileEpochFailsFast) {
+  FleetScrubber scrubber(suite_);
+  for (const double epoch_months : {1e-300, 0.0, -1.0, 4.0 / (kMaxScrubEpochs + 1)}) {
+    ScrubConfig config = SmallConfig();
+    config.epoch_months = epoch_months;
+    EXPECT_THROW(scrubber.Run(config, context_), std::invalid_argument) << epoch_months;
+  }
+  ScrubConfig backwards = SmallConfig();
+  backwards.horizon_months = -1.0;  // a negative epoch count would wrap
+  EXPECT_THROW(scrubber.Run(backwards, context_), std::invalid_argument);
+}
+
+TEST_F(ScrubTest, HostileCadenceFailsFast) {
+  FleetScrubber scrubber(suite_);
+  ScrubConfig config = SmallConfig();
+  config.screening.regular_period_months = 1e-300;
+  EXPECT_THROW(scrubber.Run(config, context_), std::invalid_argument);
+  const ScreeningPipeline pipeline(suite_);
+  config.screening.regular_period_months =
+      config.screening.horizon_months / (kMaxRegularRounds + 1);
+  EXPECT_THROW(StreamingScreen(&pipeline, config.screening), std::invalid_argument);
+  config.screening.regular_period_months = config.screening.horizon_months / 100;
+  EXPECT_NO_THROW(StreamingScreen(&pipeline, config.screening));
 }
 
 // More budget never detects fewer escapes: the coverage-vs-budget curve the tradeoff

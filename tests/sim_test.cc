@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/sim/processor.h"
 #include "src/sim/thermal.h"
 #include "src/sim/txmem.h"
+#include "tests/oracles/oracles.h"
 
 namespace sdc {
 namespace {
@@ -181,6 +183,73 @@ TEST(ProcessorTest, AdvanceUpdatesClockAndIntensity) {
   // 1000 ops x 1000 weight / 2 s = 5e5 ops/s, blended at 0.5 into a zero estimate.
   OpContext context = cpu.MakeContext(0, OpKind::kFpMul);
   EXPECT_NEAR(context.op_intensity, 2.5e5, 1e3);
+}
+
+// Idle cells decay lazily: a cell catches up on the advances it skipped when it is next
+// blended or read. Bursts on several pcores are separated by idle gaps of 0 to 5000
+// advances under varied dt and time scales; gaps of 1021-1030 take these magnitudes
+// across the normal/subnormal boundary, where each halving rounds, and the longer gaps
+// reach zero. Every read must equal the eager EMA bit for bit.
+TEST(ProcessorTest, LazyIntensityDecayMatchesEagerReference) {
+  const ProcessorSpec spec = SmallSpec();
+  Processor cpu(spec);
+  EagerIntensityReference reference(spec.physical_cores);
+  const auto count = [&](int pcore, OpKind op, uint64_t ops) {
+    cpu.CountCleanOps(pcore * spec.threads_per_core, op, ops);
+    reference.Count(pcore, op, ops);
+  };
+  const auto advance = [&](double dt) {
+    cpu.AdvanceSeconds(dt);
+    reference.Advance(dt, cpu.time_scale());
+  };
+  int subnormal_reads = 0;
+  int zero_reads = 0;
+  const auto expect_read = [&](int pcore, OpKind op, const std::string& label) {
+    const double got = cpu.MakeContext(pcore * spec.threads_per_core, op).op_intensity;
+    reference.Count(pcore, op, 1);  // MakeContext counts the op it builds a context for
+    const double want = reference.intensity(pcore, op);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << label << " pcore " << pcore << " " << OpKindName(op) << ": " << got << " vs "
+        << want;
+    subnormal_reads += std::fpclassify(want) == FP_SUBNORMAL ? 1 : 0;
+    zero_reads += want == 0.0 ? 1 : 0;
+  };
+
+  std::vector<uint64_t> gaps = {0, 1, 2, 5, 1100, 5000};
+  for (uint64_t gap = 1021; gap <= 1030; ++gap) {
+    gaps.push_back(gap);
+  }
+  const double scales[] = {1.0, 1.7, 1e3};
+  const double dts[] = {1.0, 0.3, 2.5e-3};
+  int step = 0;
+  for (const uint64_t gap : gaps) {
+    for (const int pcore : {0, 1, 3}) {
+      ++step;
+      const std::string label = "gap " + std::to_string(gap);
+      cpu.SetTimeScale(scales[step % 3]);
+      count(pcore, OpKind::kFpMul, 1 + step % 5);
+      count(pcore, OpKind::kIntAdd, 3 + step % 7);
+      advance(dts[step % 3]);
+      for (uint64_t i = 0; i < gap; ++i) {
+        advance(i % 2 == 0 ? 1e-3 : 2.5e-3);  // no op on this pcore
+      }
+      // Read after the gap, and blend a second burst into a cell that idled through it.
+      expect_read(pcore, OpKind::kFpMul, label + " read");
+      count(pcore, OpKind::kIntAdd, 2);
+      cpu.SetTimeScale(scales[(step + 1) % 3]);
+      advance(dts[(step + 1) % 3]);
+      expect_read(pcore, OpKind::kIntAdd, label + " blend");
+      // Both cells again, one and two advances on: a read or blend that left its cell's
+      // bookkeeping wrong shows before the next long gap erases it.
+      for (int again = 0; again < 2; ++again) {
+        expect_read(pcore, OpKind::kFpMul, label + " reread");
+        advance(dts[again]);
+        expect_read(pcore, OpKind::kIntAdd, label + " reread");
+      }
+    }
+  }
+  EXPECT_GT(subnormal_reads, 0);
+  EXPECT_GT(zero_reads, 0);
 }
 
 TEST(ProcessorTest, ContextCarriesTemperatureAndWeight) {

@@ -1172,5 +1172,75 @@ TEST(ToolchainContractTest, SuitePlanReplayMatchesFullPath) {
   }
 }
 
+// Every mt.* testcase on three parts: computation defects only (one on kLoad, which the
+// bus never routes), a kStore coherence defect, and a kTxCommit tx defect. The injector
+// alone runs a plain memory bus and hook-free commits wherever its mask lacks kStore /
+// kTxCommit; behind FullPathHook every kind is corruptible, so the bus keeps cached
+// copies and every conflicting commit asks the hook. Both must leave the same report, op
+// histograms, activations and shared memory.
+TEST(ToolchainContractTest, ConsistencyCasesMatchFullPath) {
+  const TestSuite suite = TestSuite::BuildFull();
+  const TestFramework framework(&suite);
+  std::vector<TestPlanEntry> plan;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    if (suite.info(i).id.starts_with("mt.")) {
+      plan.push_back({i, 1.0});
+    }
+  }
+  ASSERT_GE(plan.size(), 8u);
+  const struct {
+    const char* name;
+    FaultyMachine machine;
+    bool store_corruptible;
+    bool commit_corruptible;
+  } parts[] = {
+      {"computation", LoopDefectMachine({OpKind::kLoad, OpKind::kIntAdd}), false, false},
+      {"coherence", SeededMachine({OpKind::kStore}, {}, Feature::kCache, 7, -5.5), true,
+       false},
+      {"tx", SeededMachine({OpKind::kTxCommit}, {}, Feature::kTxMem, 9), false, true},
+  };
+  TestRunConfig sequential = FastConfig();
+  sequential.pcores_under_test = {0, 1, 2};
+  TestRunConfig simultaneous = sequential;
+  simultaneous.simultaneous_cores = true;
+  simultaneous.burn_in_seconds = 30.0;
+  for (const auto& part : parts) {
+    for (const TestRunConfig* config : {&sequential, &simultaneous}) {
+      const std::string label = std::string(part.name) +
+                                (config->simultaneous_cores ? " simultaneous" : " sequential");
+      FaultyMachine direct = part.machine.CloneFresh();
+      FaultyMachine routed = part.machine.CloneFresh();
+      ASSERT_NE(direct.injector(), nullptr) << label;
+      FullPathHook full_path(routed.injector());
+      routed.cpu().SetCorruptionHook(&full_path);
+      ASSERT_EQ(direct.cpu().MayCorrupt(OpKind::kStore), part.store_corruptible) << label;
+      ASSERT_EQ(direct.cpu().MayCorrupt(OpKind::kTxCommit), part.commit_corruptible) << label;
+      EngineContext context(PinnedEngine(1));
+      const RunReport a = framework.RunPlan(direct, plan, *config, context);
+      const RunReport b = framework.RunPlan(routed, plan, *config, context);
+      ExpectSameReport(a, b, label);
+      if (part.store_corruptible || part.commit_corruptible) {
+        EXPECT_GT(a.total_errors(), 0u) << label;
+      }
+      EXPECT_EQ(DoubleBits(direct.cpu().now_seconds()), DoubleBits(routed.cpu().now_seconds()))
+          << label;
+      const DefectInjector& x = *direct.injector();
+      const DefectInjector& y = *routed.injector();
+      EXPECT_EQ(x.total_activations(), y.total_activations()) << label;
+      for (size_t d = 0; d < x.defects().size(); ++d) {
+        EXPECT_EQ(x.activations(d), y.activations(d)) << label << " defect " << d;
+      }
+      EXPECT_EQ(direct.txmem().isolation_violations(), routed.txmem().isolation_violations())
+          << label;
+      size_t differing_cells = 0;
+      for (size_t cell = 0; cell < FaultyMachine::kSharedCells; ++cell) {
+        differing_cells += direct.bus().BackingValue(cell) != routed.bus().BackingValue(cell);
+        differing_cells += direct.txmem().DirectRead(cell) != routed.txmem().DirectRead(cell);
+      }
+      EXPECT_EQ(differing_cells, 0u) << label;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sdc

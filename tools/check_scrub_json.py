@@ -21,12 +21,16 @@ runs the same script at 1M processors.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
+# SDC_THREADS overrides --threads; drop it so the lane counts compared are the ones asked.
+PINNED_ENV = {k: v for k, v in os.environ.items() if k != "SDC_THREADS"}
+
 
 def run_scrub(binary, args):
-    result = subprocess.run([binary] + args, capture_output=True, text=True)
+    result = subprocess.run([binary] + args, capture_output=True, text=True, env=PINNED_ENV)
     assert result.returncode == 0, (
         f"sdcctl {' '.join(args)} failed ({result.returncode}):\n{result.stderr}")
     return result.stdout

@@ -8,8 +8,8 @@
 // AttachMetrics aimed at one campaign silently bleeds into the other.
 //
 // EngineContext is the fix. It captures everything the engine needs to execute --
-// worker lanes (an owned ThreadPool), the vector level for the generation and screening
-// kernels, and the optional telemetry sinks (MetricsRegistry, TraceRecorder,
+// worker lanes (an owned ThreadPool), the vector level of the generation kernel
+// (ClassifyDrawPairs), and the optional telemetry sinks (MetricsRegistry, TraceRecorder,
 // SeriesRecorder, EventLog) -- and the environment (SDC_THREADS, SDC_SIMD) is consulted
 // exactly once, inside the constructor. For the fleet engine and the session layer the
 // context is the only authority: FleetShardStream::Drive (the one production fleet
@@ -50,7 +50,8 @@ class TraceRecorder;
 struct EngineOptions {
   // Worker lanes: 0 = hardware concurrency, 1 = serial on the calling thread.
   int threads = 0;
-  // Vector level for the screening clean path; kAuto picks the best the host supports.
+  // Vector level of the fleet generator's ClassifyDrawPairs (src/common/simd.h), read by
+  // GenerationPlan; kAuto picks the best the host supports.
   SimdLevel simd = SimdLevel::kAuto;
   // Consult SDC_THREADS / SDC_SIMD (once, at construction). The sdcd daemon sets this
   // false so per-campaign lane budgets cannot be overridden by the daemon's environment.

@@ -16,117 +16,13 @@
 namespace sdc {
 namespace {
 
-// Scalar reference: four interleaved sub-histograms keep the counter increments out of
-// each other's store-to-load dependency chains (~4x over a naive scan) -- this is the
-// former inline histogram of the screening kernel, now the fallback every vector path is
-// checked against (tests/simd_test.cc). Cache-line aligned, like ClassifyRangeScalar
-// and Rng::FillBlock: at the default 16-byte function alignment, the scalar generate
-// kernel's speed moved by up to ~35% (micro_screening generate_scalar, x86-64 Xeon with
-// AVX-512) whenever unrelated code shifted the link layout.
-__attribute__((aligned(64)))
-void CountBytesScalar(const uint8_t* data, size_t size, int bucket_count,
-                      uint64_t* counts) {
-  uint64_t hist[4][256] = {};
-  size_t i = 0;
-  for (; i + 4 <= size; i += 4) {
-    ++hist[0][data[i]];
-    ++hist[1][data[i + 1]];
-    ++hist[2][data[i + 2]];
-    ++hist[3][data[i + 3]];
-  }
-  for (; i < size; ++i) {
-    ++hist[0][data[i]];
-  }
-  for (int v = 0; v < bucket_count; ++v) {
-    counts[v] += hist[0][v] + hist[1][v] + hist[2][v] + hist[3][v];
-  }
-}
-
-// The vector paths count one bucket value per pass: compare-equal produces an all-ones
-// (-1) lane per match, subtracting it accumulates matches in 8-bit lanes, and a horizontal
-// sum widens to 64 bits before the 8-bit lanes can wrap (every <= 255 iterations). With
-// bucket_count <= 16 the column stays L1-resident across the passes, so the extra passes
-// cost far less than the scalar load-increment chain.
-
-#if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
-
-uint64_t CountEqualSse2(const uint8_t* data, size_t size, uint8_t value) {
-  const __m128i needle = _mm_set1_epi8(static_cast<char>(value));
-  const __m128i zero = _mm_setzero_si128();
-  __m128i wide = zero;
-  size_t i = 0;
-  while (i + 16 <= size) {
-    __m128i acc = zero;
-    for (int block = 0; block < 255 && i + 16 <= size; ++block, i += 16) {
-      const __m128i chunk =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-      acc = _mm_sub_epi8(acc, _mm_cmpeq_epi8(chunk, needle));
-    }
-    wide = _mm_add_epi64(wide, _mm_sad_epu8(acc, zero));
-  }
-  uint64_t total = static_cast<uint64_t>(_mm_cvtsi128_si64(wide)) +
-                   static_cast<uint64_t>(
-                       _mm_cvtsi128_si64(_mm_unpackhi_epi64(wide, wide)));
-  for (; i < size; ++i) {
-    total += data[i] == value ? 1 : 0;
-  }
-  return total;
-}
-
-__attribute__((target("avx2"))) uint64_t CountEqualAvx2(const uint8_t* data, size_t size,
-                                                        uint8_t value) {
-  const __m256i needle = _mm256_set1_epi8(static_cast<char>(value));
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i wide = zero;
-  size_t i = 0;
-  while (i + 32 <= size) {
-    __m256i acc = zero;
-    for (int block = 0; block < 255 && i + 32 <= size; ++block, i += 32) {
-      const __m256i chunk =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-      acc = _mm256_sub_epi8(acc, _mm256_cmpeq_epi8(chunk, needle));
-    }
-    wide = _mm256_add_epi64(wide, _mm256_sad_epu8(acc, zero));
-  }
-  const __m128i halves = _mm_add_epi64(_mm256_castsi256_si128(wide),
-                                       _mm256_extracti128_si256(wide, 1));
-  uint64_t total = static_cast<uint64_t>(_mm_cvtsi128_si64(halves)) +
-                   static_cast<uint64_t>(
-                       _mm_cvtsi128_si64(_mm_unpackhi_epi64(halves, halves)));
-  for (; i < size; ++i) {
-    total += data[i] == value ? 1 : 0;
-  }
-  return total;
-}
-
-#endif  // SDC_SIMD_X86 && !SDC_FORCE_SCALAR
-
-#if SDC_SIMD_NEON && !defined(SDC_FORCE_SCALAR)
-
-uint64_t CountEqualNeon(const uint8_t* data, size_t size, uint8_t value) {
-  const uint8x16_t needle = vdupq_n_u8(value);
-  uint64_t total = 0;
-  size_t i = 0;
-  while (i + 16 <= size) {
-    uint8x16_t acc = vdupq_n_u8(0);
-    for (int block = 0; block < 255 && i + 16 <= size; ++block, i += 16) {
-      acc = vsubq_u8(acc, vceqq_u8(vld1q_u8(data + i), needle));
-    }
-    total += vaddlvq_u8(acc);  // 16 lanes of <= 255 sum into 16 bits without wrapping
-  }
-  for (; i < size; ++i) {
-    total += data[i] == value ? 1 : 0;
-  }
-  return total;
-}
-
-#endif  // SDC_SIMD_NEON && !SDC_FORCE_SCALAR
-
 // Scalar reference for ClassifyDrawPairs, shared as the vector paths' tail handler:
 // classifies pairs [begin, end), ORing faulty bits at their absolute positions (the
 // caller zeroes the words). The CDF walk is a fixed-trip branch-free count, so the only
-// data-dependent branch left is the rare faulty hit itself. Cache-line aligned (see
-// CountBytesScalar).
+// data-dependent branch left is the rare faulty hit itself. Cache-line aligned: at the
+// default 16-byte function alignment, the scalar generate kernel's speed moved by up to
+// ~35% (micro_screening generate_scalar, x86-64 Xeon with AVX-512) whenever unrelated code
+// shifted the link layout.
 __attribute__((aligned(64)))
 size_t ClassifyRangeScalar(const uint64_t* draws, size_t begin, size_t end,
                            const DrawClassifyTables& tables, uint8_t* class_out,
@@ -250,7 +146,7 @@ SimdLevel DetectBestLevel() {
   if (__builtin_cpu_supports("avx2")) {
     return SimdLevel::kAVX2;
   }
-  return SimdLevel::kSSE2;  // baseline on x86-64
+  return SimdLevel::kScalar;
 #elif SDC_SIMD_NEON
   return SimdLevel::kNEON;
 #else
@@ -265,12 +161,6 @@ bool LevelSupported(SimdLevel level) {
     case SimdLevel::kAuto:
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kSSE2:
-#if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
-      return true;
-#else
-      return false;
-#endif
     case SimdLevel::kAVX2:
       return BestSupportedSimdLevel() == SimdLevel::kAVX2;
     case SimdLevel::kNEON:
@@ -291,8 +181,6 @@ std::string SimdLevelName(SimdLevel level) {
       return "auto";
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSSE2:
-      return "sse2";
     case SimdLevel::kAVX2:
       return "avx2";
     case SimdLevel::kNEON:
@@ -304,9 +192,6 @@ std::string SimdLevelName(SimdLevel level) {
 SimdLevel ParseSimdLevel(const std::string& name) {
   if (name == "scalar") {
     return SimdLevel::kScalar;
-  }
-  if (name == "sse2") {
-    return SimdLevel::kSSE2;
   }
   if (name == "avx2") {
     return SimdLevel::kAVX2;
@@ -341,43 +226,6 @@ SimdLevel ResolveSimdLevel(SimdLevel requested) {
   return ClampSimdLevel(requested);
 }
 
-void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
-                       uint64_t* counts, SimdLevel level) {
-  if (size == 0 || bucket_count <= 0) {
-    return;
-  }
-  // Last-line clamp so an unresolved request can never execute an unsupported
-  // instruction; engine callers pass the level their EngineContext pinned at pass start
-  // (SDC_SIMD is read once, when the context is built).
-  if (level == SimdLevel::kAuto || !LevelSupported(level)) {
-    level = BestSupportedSimdLevel();
-  }
-  switch (level) {
-#if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
-    case SimdLevel::kSSE2:
-      for (int v = 0; v < bucket_count; ++v) {
-        counts[v] += CountEqualSse2(data, size, static_cast<uint8_t>(v));
-      }
-      return;
-    case SimdLevel::kAVX2:
-      for (int v = 0; v < bucket_count; ++v) {
-        counts[v] += CountEqualAvx2(data, size, static_cast<uint8_t>(v));
-      }
-      return;
-#endif
-#if SDC_SIMD_NEON && !defined(SDC_FORCE_SCALAR)
-    case SimdLevel::kNEON:
-      for (int v = 0; v < bucket_count; ++v) {
-        counts[v] += CountEqualNeon(data, size, static_cast<uint8_t>(v));
-      }
-      return;
-#endif
-    default:
-      CountBytesScalar(data, size, bucket_count, counts);
-      return;
-  }
-}
-
 size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
                          const DrawClassifyTables& tables, uint8_t* class_out,
                          uint64_t* faulty_bits, SimdLevel level) {
@@ -398,8 +246,6 @@ size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
       return ClassifyDrawPairsNeon(draws, count, tables, class_out, faulty_bits);
 #endif
     default:
-      // SSE2 has no 64-bit vector compare; it shares the scalar path (still branch-free
-      // in the CDF walk), keeping the "any level, same bits" contract trivially true.
       return ClassifyRangeScalar(draws, 0, count, tables, class_out, faulty_bits);
   }
 }

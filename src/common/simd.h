@@ -1,20 +1,19 @@
-// Portable SIMD kernels for the packed-byte-column hot paths (docs/performance.md).
+// Portable SIMD kernel of the blocked fleet generator (docs/performance.md).
 //
-// The screening clean-path scan reduces to one primitive: count, for every value v below
-// a small bound, how many bytes of a column equal v. CountBytesByValue implements that
-// primitive with vector compare + accumulate (SSE2/AVX2 on x86-64, NEON on aarch64) and a
-// scalar fallback; all implementations produce the same exact integer counts, so picking
-// a level is purely a speed decision and never a behavior change -- the determinism
-// contract of docs/parallelism.md is untouched by dispatch.
+// ClassifyDrawPairs is the one vector kernel: it turns a block of raw uniform draw pairs
+// into arch bytes and faulty bits with vector compares (AVX2 on x86-64, NEON on aarch64)
+// and a branch-free scalar fallback. Every implementation produces the same bytes, so
+// picking a level is purely a speed decision and never a behavior change -- the
+// determinism contract of docs/parallelism.md is untouched by dispatch.
 //
 // Dispatch layers, strongest wins:
 //   1. -DSDC_FORCE_SCALAR (CMake option SDC_FORCE_SCALAR) pins every call to the scalar
 //      path at compile time -- the CI matrix leg that proves the fallback end-to-end.
 //   2. The EngineContext's level, the only one the fleet engine reads, resolved once
 //      when the context is built (src/common/context.h): the SDC_SIMD environment
-//      variable ("scalar", "sse2", "avx2", "neon", "auto") unless the context ignores
-//      the environment, else EngineOptions::simd, whose kAuto default takes the best
-//      supported level.
+//      variable ("scalar", "avx2", "neon", "auto"; any other value is ignored) unless the
+//      context ignores the environment, else EngineOptions::simd, whose kAuto default
+//      takes the best supported level.
 //   Requests above the host's capability clamp down, never fault.
 
 #ifndef SDC_SRC_COMMON_SIMD_H_
@@ -29,12 +28,11 @@ namespace sdc {
 enum class SimdLevel {
   kAuto = 0,  // resolve to the best supported level
   kScalar,
-  kSSE2,
   kAVX2,
   kNEON,
 };
 
-// Display name ("auto", "scalar", "sse2", "avx2", "neon").
+// Display name ("auto", "scalar", "avx2", "neon").
 std::string SimdLevelName(SimdLevel level);
 
 // Parses a SimdLevel name; returns kAuto for unrecognized text.
@@ -53,15 +51,6 @@ SimdLevel ClampSimdLevel(SimdLevel requested);
 // Resolves a requested level against the environment and the host: SDC_SIMD (when set to
 // a recognized name) replaces `requested`; ClampSimdLevel then applies.
 SimdLevel ResolveSimdLevel(SimdLevel requested);
-
-// counts[v] += number of bytes in [data, data + size) equal to v, for v in
-// [0, bucket_count). Every byte must be < bucket_count (the screening columns guarantee
-// arch bytes < kArchCount); bucket_count must be in [1, 256]. `level` kAuto (or a level
-// the host cannot run) takes BestSupportedSimdLevel(); any level yields bit-identical
-// counts. Alignment-agnostic: unaligned
-// begins and tails shorter than the vector width take the scalar epilogue.
-void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
-                       uint64_t* counts, SimdLevel level = SimdLevel::kAuto);
 
 // Classification tables of the blocked fleet generator (docs/performance.md): the arch
 // CDF boundaries and the per-arch faulty-prevalence thresholds, both in the integer draw
@@ -85,9 +74,8 @@ struct DrawClassifyTables {
 //   bit i of faulty_bits = (f < fault_thresholds_u53[class_out[i]]).
 // faulty_bits must hold (count + 63) / 64 words; the kernel zeroes them first. Returns
 // the number of set faulty bits. All u53 values and table entries are < 2^54, which is
-// what lets the vector paths use signed 64-bit compares. Like CountBytesByValue, every
-// level yields bit-identical output; levels without a 64-bit vector compare (SSE2) take
-// the scalar path, so dispatch is still never a behavior change.
+// what lets the vector paths use signed 64-bit compares. Every level yields bit-identical
+// output. `level` kAuto (or a level the host cannot run) takes BestSupportedSimdLevel().
 size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
                          const DrawClassifyTables& tables, uint8_t* class_out,
                          uint64_t* faulty_bits, SimdLevel level = SimdLevel::kAuto);

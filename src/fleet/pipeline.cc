@@ -12,7 +12,6 @@
 #include "src/common/context.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/series.h"
 
@@ -382,15 +381,11 @@ double ScreeningPipeline::ExpectedErrors(const Defect& defect, const StageParams
 void ScreeningPipeline::ScreenShardRangeBatch(
     const FleetShard& shard, uint64_t begin, uint64_t end,
     std::span<const ScreeningConfig> scenarios,
-    const std::array<ProcessorSpec, kArchCount>& arch_specs, SimdLevel simd,
-    std::span<Rng> rngs, std::span<ScreeningStats> stats,
-    std::span<TraceDelta* const> traces) const {
+    const std::array<ProcessorSpec, kArchCount>& arch_specs, std::span<Rng> rngs,
+    std::span<ScreeningStats> stats, std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
-  // Scenario-invariant work, paid once for the whole batch: the clean-path arch
-  // histogram and the faulty-range lookup.
-  uint64_t hist[kArchCount] = {};
-  CountBytesByValue(shard.arch_bytes.data() + (begin - shard.begin), end - begin,
-                    kArchCount, hist, simd);
+  // Scenario-invariant work, paid once for the whole batch: the faulty-range lookup.
+  // Clean parts cost nothing here: ConsumeShard counts them from the generator's tally.
   const auto first =
       std::lower_bound(shard.faulty_serials.begin(), shard.faulty_serials.end(), begin);
   const auto last = std::lower_bound(first, shard.faulty_serials.end(), end);
@@ -400,10 +395,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   for (size_t k = 0; k < k_count; ++k) {
     first_detection[k] = stats[k].detections.size();
     faulty_before[k] = stats[k].faulty;
-    stats[k].tested += end - begin;
-    for (int arch = 0; arch < kArchCount; ++arch) {
-      stats[k].tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
-    }
   }
 
   // Scenarios whose stage parameters are bit-identical share one survive-term table per
@@ -511,8 +502,8 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   context.pool().ParallelFor(
       0, fleet.size(), kFleetShardGrain, [&](uint64_t shard, uint64_t begin, uint64_t end) {
         // Columns and faulty index are sliced to the shard; `defects` is the whole arena,
-        // which the fleet-wide range offsets address. No observer is attached, so the
-        // screen never reads `tally`, which stays null.
+        // which the fleet-wide range offsets address; `tally` is the one the generator
+        // wrote for this shard.
         const auto first =
             std::lower_bound(faulty_serials.begin(), faulty_serials.end(), begin);
         const auto last = std::lower_bound(first, faulty_serials.end(), end);
@@ -522,6 +513,7 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
         view.shard = shard;
         view.begin = begin;
         view.end = end;
+        view.tally = &fleet.shard_tallies()[shard];
         view.arch_bytes = std::span<const uint8_t>(fleet.arch_bytes()).subspan(begin, end - begin);
         view.flag_bytes = std::span<const uint8_t>(fleet.flag_bytes()).subspan(begin, end - begin);
         view.faulty_serials = faulty_serials.subspan(offset, count);
@@ -594,7 +586,6 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
   // Pin the context's sinks as of *now* for the whole pass. ConsumeShard / EndStream only
   // ever look at these pins, so a detach on the context mid-stream can neither drop nor
   // double-merge a shard's delta.
-  simd_ = context->simd();
   metrics_ = context->metrics();
   trace_ = context->trace();
   series_ = context->series();
@@ -612,6 +603,14 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
   const auto shard_start = std::chrono::steady_clock::now();
   const size_t k_count = scenarios_.size();
   std::vector<ScreeningStats>& stats = shard_stats_[shard.shard];
+  // Every part of the shard is tested under every scenario; the per-arch counts are the
+  // generator's, so no scenario rescans the arch column.
+  for (ScreeningStats& slot : stats) {
+    slot.tested += shard.size();
+    for (size_t arch = 0; arch < slot.tested_by_arch.size(); ++arch) {
+      slot.tested_by_arch[arch] += shard.tally->by_arch[arch];
+    }
+  }
   std::vector<TraceDelta*> traces(k_count, nullptr);
   if (trace_ != nullptr) {
     for (size_t k = 0; k < k_count; ++k) {
@@ -629,7 +628,7 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
       rngs.push_back(bases_[k].Fork(b / kScreeningShardGrain));
     }
     pipeline_->ScreenShardRangeBatch(shard, b, std::min(b + kScreeningShardGrain, shard.end),
-                                     scenarios_, arch_specs_, simd_, rngs, stats, traces);
+                                     scenarios_, arch_specs_, rngs, stats, traces);
   }
 
   const std::chrono::duration<double> elapsed =

@@ -19,15 +19,15 @@
 // faulty processor and memoizes the per-stage survive factors. Pre-production probes are
 // then table lookups, and the regular-cycle loop re-derives its detection probability
 // only when a wear-out defect's onset month is crossed -- every other cycle is a cached
-// lookup. The clean-processor fast path never touches the model at all: it streams the
-// packed per-processor byte columns and jumps between faulty parts via the fleet's
-// sorted faulty-serial index. The pre-memoization implementation lives outside the
-// engine as a test oracle (ReferenceScreen, tests/oracles/oracles.h), and the
-// equivalence suite asserts byte-identical stats between the two at several thread
-// counts.
+// lookup. The clean-processor fast path touches neither the model nor the columns: a
+// shard's tested counts are the generator's per-arch tally, and the kernel jumps between
+// faulty parts via the shard's sorted faulty-serial index. The pre-memoization
+// implementation lives outside the engine as a test oracle (ReferenceScreen,
+// tests/oracles/oracles.h), and the equivalence suite asserts byte-identical stats
+// between the two at several thread counts.
 //
 // Every entry point runs on an EngineContext (src/common/context.h), the one place that
-// decides lanes, vector level and telemetry sinks; configs describe only the experiment.
+// decides lanes and telemetry sinks; configs describe only the experiment.
 
 #ifndef SDC_SRC_FLEET_PIPELINE_H_
 #define SDC_SRC_FLEET_PIPELINE_H_
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stream.h"
 #include "src/telemetry/metrics.h"
@@ -108,8 +107,8 @@ bool CheckStepCount(double horizon_months, double step_months, double limit,
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
 // The paper-style sweeps (seed, cadence, stage-temperature scans) re-screen the same
 // fleet K times; batching them shares everything scenario-invariant per shard -- the
-// generated columns (streaming mode), the clean-path arch histogram, and the per-defect
-// MatchingTestcases suite scan -- so one pass costs ~one scan plus K cheap probe
+// generated shard with its per-arch tally, the faulty-range lookup, and the per-defect
+// MatchingTestcases suite scan -- so one pass costs ~one generate plus K cheap probe
 // replays. Scenario k draws from Rng(scenarios[k].seed).Fork(shard), exactly the
 // streams its independent run would use, so every batched ScreeningStats is
 // byte-identical to a batch of scenarios[k] alone (tests/screening_model_test.cc).
@@ -184,23 +183,22 @@ class ScreeningPipeline {
   explicit ScreeningPipeline(const TestSuite* suite);
 
   // Screens a materialized fleet under every scenario of `batch` in one pass over its
-  // packed columns. Production screens the stream (StreamingScreen); this overload stays
-  // only for perfbench's digest gate and the tests that compare the two. Result k is
+  // shards. Production screens the stream (StreamingScreen); this overload stays only
+  // for perfbench's digest gate and the tests that compare the two. Result k is
   // byte-identical to the batch of scenarios[k] alone -- counters, detections, detection
-  // months bitwise -- at any thread count; the clean-path scan and the per-defect suite
-  // matching are paid once per shard instead of once per scenario. Returns one
+  // months bitwise -- at any thread count; the faulty-range lookup and the per-defect
+  // suite matching are paid once per shard instead of once per scenario. Returns one
   // ScreeningStats per scenario, in batch order. The pass is a StreamingScreen fed the
   // fleet's kFleetShardGrain-wide shards through ConsumeShard on the context's lanes,
   // then the stream's ordered fold -- so stats, metrics, trace and series are
   // byte-identical to a fused streaming pass over the same fleet. It runs on `context`:
-  // its pool supplies the lanes, its vector level drives the clean-path scan, and its
-  // sinks are pinned once at pass start (src/common/context.h). Every scenario's
-  // per-shard "screening.*" metric deltas and "screen.subshard"/"detection" sim trace
-  // events merge into those sinks shard-major, scenario after scenario within each shard;
-  // the series sink samples scenario 0's cumulative "screening.tested" /
-  // "screening.detected" / "screening.escapes" once per kFleetShardGrain of serials. Each
-  // pass also leaves one "screening.run" host span and one "screening.run.wall" timer
-  // sample, whatever K is.
+  // its pool supplies the lanes, and its sinks are pinned once at pass start
+  // (src/common/context.h). Every scenario's per-shard "screening.*" metric deltas and
+  // "screen.subshard"/"detection" sim trace events merge into those sinks shard-major,
+  // scenario after scenario within each shard; the series sink samples scenario 0's
+  // cumulative "screening.tested" / "screening.detected" / "screening.escapes" once per
+  // kFleetShardGrain of serials. Each pass also leaves one "screening.run" host span and
+  // one "screening.run.wall" timer sample, whatever K is.
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
                                        const ScenarioBatch& batch,
                                        EngineContext& context) const;
@@ -223,13 +221,14 @@ class ScreeningPipeline {
   // (kScreeningShardGrain) with that shard's forked RNG streams; the global sub-shard
   // index begin / kScreeningShardGrain is stamped into every new provenance record and,
   // when traces[k] is non-null, emitted as the "screen.subshard" span plus one
-  // "detection" instant per new detection. Scenarios share the SIMD arch histogram and
-  // the per-defect MatchingTestcases memo. All spans must have scenarios.size() entries.
+  // "detection" instant per new detection. It screens only the faulty parts: the caller
+  // adds the tested counts from the shard's tally. Scenarios share the faulty-range
+  // lookup and the per-defect MatchingTestcases memo. All spans must have
+  // scenarios.size() entries.
   void ScreenShardRangeBatch(const FleetShard& shard, uint64_t begin, uint64_t end,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                             SimdLevel simd, std::span<Rng> rngs,
-                             std::span<ScreeningStats> stats,
+                             std::span<Rng> rngs, std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
 
   const TestSuite* suite_;
@@ -281,14 +280,15 @@ class StreamingScreen : public ShardConsumer {
   // scenario's shard stats.
   void AddObserver(ShardOutcomeObserver* observer, size_t scenario = 0);
 
-  // Pins the driving context's sinks and vector level -- no environment read. A detach
-  // on the context between shards cannot drop or double-merge a delta: the pass
-  // completes against what was pinned here.
+  // Pins the driving context's sinks -- no environment read. A detach on the context
+  // between shards cannot drop or double-merge a delta: the pass completes against what
+  // was pinned here.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
-  // Screens the shard's embedded screening shards into its per-shard slots, records the
-  // shard's metric deltas and "screening.shard.wall" sample, then hands every observer
-  // its scenario's shard stats. Thread-safe against itself on distinct shards.
+  // Adds the shard's tally to the tested counts of its per-shard slots, screens the
+  // faulty parts of its embedded screening shards into them, records the shard's metric
+  // deltas and "screening.shard.wall" sample, then hands every observer its scenario's
+  // shard stats. Thread-safe against itself on distinct shards.
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 
@@ -309,7 +309,6 @@ class StreamingScreen : public ShardConsumer {
   const ScreeningPipeline* pipeline_;
   std::vector<ScreeningConfig> scenarios_;
   std::vector<Rng> bases_;  // one base RNG per scenario, forked per screening shard
-  SimdLevel simd_ = SimdLevel::kScalar;  // pinned at pass start
   std::array<ProcessorSpec, kArchCount> arch_specs_;
   std::vector<ObserverEntry> observers_;
   // The context's sinks, pinned at pass start; every scenario merges into them. The

@@ -71,9 +71,10 @@ struct PopulationConfig {
   uint64_t seed = 20210101;
 };
 
-// Per-shard generation tallies. Cheap integer counters that shard consumers and the
-// materialized fleet both fold in shard order, keeping every derived count thread-count
-// invariant.
+// Per-shard generation tallies, written once by the generator: the fleet's one count of
+// parts per arch. Shard consumers read them instead of rescanning the columns (the
+// screen's tested counts, capacity, the scrubber), and they fold them in shard order,
+// keeping every derived count thread-count invariant.
 struct FleetShardTally {
   uint64_t faulty = 0;
   uint64_t defects = 0;
@@ -119,7 +120,7 @@ struct GenerationPlan {
   std::array<int, kArchCount> pcores_by_arch{};  // hoisted MakeArchSpec(...).physical_cores
   WeightedCdf arch_cdf;                        // exact replica of NextWeighted(shares)
   DrawClassifyTables tables;                   // arch CDF + prevalence thresholds, u53 space
-  SimdLevel simd = SimdLevel::kScalar;         // the context's level, for classify + tally
+  SimdLevel simd = SimdLevel::kScalar;         // the context's level, for ClassifyDrawPairs
   bool blocked = false;
 
   // Takes the vector level the context resolved when it was built; no environment read
@@ -201,6 +202,10 @@ class FleetPopulation {
     return counts_by_arch_[static_cast<size_t>(arch_index)];
   }
 
+  // The generator's tally of each kFleetShardGrain-wide shard, in shard order; RunBatch
+  // hands shard s's tally to the screen with that shard's columns.
+  const std::vector<FleetShardTally>& shard_tallies() const { return shard_tallies_; }
+
  private:
   // Rebuilds this fleet from a FleetShardStream pass (src/fleet/stream.h); Generate is
   // implemented as exactly that consumer, which is what keeps the materialized and
@@ -215,6 +220,7 @@ class FleetPopulation {
   std::vector<uint64_t> faulty_serials_;
   std::vector<DefectRange> faulty_ranges_;
   std::vector<Defect> defect_arena_;
+  std::vector<FleetShardTally> shard_tallies_;
   std::array<uint64_t, kArchCount> counts_by_arch_{};
 };
 

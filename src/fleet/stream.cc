@@ -192,24 +192,26 @@ void FleetMaterializer::BeginStreamWithContext(EngineContext* context,
   fleet_->config_ = config;
   fleet_->arch_.resize(config.processor_count);
   fleet_->flags_.resize(config.processor_count);
+  fleet_->shard_tallies_.assign(shard_count, FleetShardTally{});
   pieces_.assign(shard_count, ShardPiece{});
   trace_ = context->trace();
 }
 
 void FleetMaterializer::ConsumeShard(const FleetShard& shard) {
-  // Columns go straight into place -- shards own disjoint serial ranges -- while the
-  // variable-length faulty pieces are copied aside for the ordered stitch in EndStream.
+  // Columns and the tally go straight into place -- shards own disjoint serial ranges and
+  // tally slots -- while the variable-length faulty pieces are copied aside for the
+  // ordered stitch in EndStream.
   if (shard.size() > 0) {
     std::memcpy(fleet_->arch_.data() + shard.begin, shard.arch_bytes.data(),
                 shard.size() * sizeof(uint8_t));
     std::memcpy(fleet_->flags_.data() + shard.begin, shard.flag_bytes.data(),
                 shard.size() * sizeof(uint8_t));
   }
+  fleet_->shard_tallies_[shard.shard] = *shard.tally;
   ShardPiece& piece = pieces_[shard.shard];
   piece.faulty_serials.assign(shard.faulty_serials.begin(), shard.faulty_serials.end());
   piece.faulty_ranges.assign(shard.faulty_ranges.begin(), shard.faulty_ranges.end());
   piece.defects.assign(shard.defects.begin(), shard.defects.end());
-  piece.by_arch = shard.tally->by_arch;
 }
 
 void FleetMaterializer::EndStream() {
@@ -239,9 +241,10 @@ void FleetMaterializer::EndStream() {
     fleet_->defect_arena_.insert(fleet_->defect_arena_.end(),
                                  std::make_move_iterator(piece.defects.begin()),
                                  std::make_move_iterator(piece.defects.end()));
-    for (int arch = 0; arch < kArchCount; ++arch) {
-      fleet_->counts_by_arch_[static_cast<size_t>(arch)] +=
-          piece.by_arch[static_cast<size_t>(arch)];
+  }
+  for (const FleetShardTally& tally : fleet_->shard_tallies_) {
+    for (size_t arch = 0; arch < tally.by_arch.size(); ++arch) {
+      fleet_->counts_by_arch_[arch] += tally.by_arch[arch];
     }
   }
   pieces_.clear();

@@ -37,7 +37,7 @@ struct FleetShard {
   uint64_t shard = 0;
   uint64_t begin = 0;
   uint64_t end = 0;
-  const FleetShardTally* tally = nullptr;
+  const FleetShardTally* tally = nullptr;     // the generator's tally; never null
   std::span<const uint8_t> arch_bytes;        // indexed by serial - begin
   std::span<const uint8_t> flag_bytes;        // indexed by serial - begin
   std::span<const uint64_t> faulty_serials;   // global serials, ascending
@@ -79,9 +79,8 @@ class ShardConsumer {
   virtual ~ShardConsumer();
 
   // Called once before any shard, on the driving thread. Drive always passes the context
-  // it runs on (never null), so consumers can resolve telemetry sinks and the vector
-  // level from it -- and PIN them for the whole pass (src/common/context.h). Does
-  // nothing by default.
+  // it runs on (never null), so consumers can resolve telemetry sinks from it -- and PIN
+  // them for the whole pass (src/common/context.h). Does nothing by default.
   virtual void BeginStreamWithContext(EngineContext* context,
                                       const PopulationConfig& config,
                                       uint64_t shard_count);
@@ -145,7 +144,6 @@ class FleetMaterializer : public ShardConsumer {
     std::vector<uint64_t> faulty_serials;
     std::vector<DefectRange> faulty_ranges;  // shard-local offsets
     std::vector<Defect> defects;
-    std::array<uint64_t, kArchCount> by_arch{};
   };
 
   FleetPopulation* fleet_;

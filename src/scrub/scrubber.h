@@ -69,8 +69,9 @@ struct ScrubConfig {
   PopulationConfig population;
   ScreeningConfig screening;
 
-  // Per-session Farron template. Telemetry sinks and context are ignored -- sessions run
-  // sink-free on worker lanes; the scrubber aggregates and emits its own scrub.* delta.
+  // Per-session Farron template; each session replaces its `seed` with one mixed from
+  // the part's machine seed. Sessions run sink-free on one-lane contexts of their own;
+  // the scrubber aggregates and emits its own scrub.* delta.
   FarronConfig farron;
   WorkloadSpec workload;
   ScrubSchedulerParams scheduler;

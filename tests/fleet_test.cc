@@ -126,6 +126,19 @@ void ExpectFleetsIdentical(const FleetPopulation& a, const FleetPopulation& b) {
   for (int arch = 0; arch < kArchCount; ++arch) {
     EXPECT_EQ(a.CountByArch(arch), b.CountByArch(arch)) << ArchName(arch);
   }
+  // Every shard's tally, not only their sum: the screen and the other shard consumers
+  // read shard s's tally beside shard s's columns. The blocked generator histograms the
+  // arch column; the reference loop counts one part at a time.
+  ASSERT_EQ(a.shard_tallies().size(), b.shard_tallies().size());
+  for (size_t shard = 0; shard < a.shard_tallies().size(); ++shard) {
+    const FleetShardTally& x = a.shard_tallies()[shard];
+    const FleetShardTally& y = b.shard_tallies()[shard];
+    EXPECT_EQ(x.faulty, y.faulty) << "shard " << shard;
+    EXPECT_EQ(x.defects, y.defects) << "shard " << shard;
+    EXPECT_EQ(x.undetectable, y.undetectable) << "shard " << shard;
+    EXPECT_EQ(x.by_arch, y.by_arch) << "shard " << shard;
+    EXPECT_EQ(x.defects_by_arch, y.defects_by_arch) << "shard " << shard;
+  }
   // Field-level defect comparison is what the hash summarizes; assert it directly too so
   // a mismatch points at the defect, not at a digest.
   for (size_t i = 0; i < a.defect_arena().size(); ++i) {
@@ -242,15 +255,20 @@ TEST_F(FleetTest, BlockedGeneratorMatchesReferenceAcrossThreadsAndSimd) {
   // loop (the GenerateFleetReference oracle) produce byte-identical fleets -- columns,
   // faulty index, defect arena, tallies -- at every thread count and dispatch level.
   // 100k parts spans 13 shards including a partial tail shard, so block tails and shard
-  // boundaries are both exercised.
-  PopulationConfig config;
-  config.processor_count = 100000;
-  config.seed = 991;
-  const FleetPopulation reference = GenerateFleetReference(config);
-  for (const int threads : {1, 2, 8}) {
-    for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
-      EngineContext context(PinnedEngine(threads, simd));
-      ExpectFleetsIdentical(reference, FleetPopulation::Generate(config, context));
+  // boundaries are both exercised. 100003 parts ends on a tail of 1699, which is not a
+  // multiple of 4, so the arch histogram's unrolled loop leaves a remainder too.
+  for (const uint64_t processors : {uint64_t{100000}, uint64_t{100003}}) {
+    PopulationConfig config;
+    config.processor_count = processors;
+    config.seed = 991;
+    const FleetPopulation reference = GenerateFleetReference(config);
+    for (const int threads : {1, 2, 8}) {
+      for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+        SCOPED_TRACE(std::to_string(processors) + " parts, " + std::to_string(threads) +
+                     " lanes, " + SimdLevelName(simd));
+        EngineContext context(PinnedEngine(threads, simd));
+        ExpectFleetsIdentical(reference, FleetPopulation::Generate(config, context));
+      }
     }
   }
 }

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
+#include "src/fleet/stream.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
 #include "tests/oracles/oracles.h"
@@ -23,6 +25,50 @@ namespace sdc {
 namespace {
 
 constexpr uint64_t kFleetSize = 250000;
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectIdentical(const ScreeningStats& cached, const ScreeningStats& reference) {
+  EXPECT_EQ(cached.tested, reference.tested);
+  EXPECT_EQ(cached.faulty, reference.faulty);
+  EXPECT_EQ(cached.detected_by_stage, reference.detected_by_stage);
+  EXPECT_EQ(cached.tested_by_arch, reference.tested_by_arch);
+  EXPECT_EQ(cached.detected_by_arch, reference.detected_by_arch);
+  ASSERT_EQ(cached.detections.size(), reference.detections.size());
+  for (size_t i = 0; i < cached.detections.size(); ++i) {
+    const ProcessorOutcome& c = cached.detections[i];
+    const ProcessorOutcome& r = reference.detections[i];
+    EXPECT_EQ(c.serial, r.serial) << "detection " << i;
+    EXPECT_EQ(c.arch_index, r.arch_index) << "detection " << i;
+    EXPECT_EQ(c.detected, r.detected) << "detection " << i;
+    EXPECT_EQ(c.stage, r.stage) << "detection " << i;
+    // Bitwise, not EXPECT_DOUBLE_EQ: the cached path must reproduce the reference's
+    // floating-point rounding exactly, not merely approximately.
+    EXPECT_TRUE(SameBits(c.month, r.month))
+        << "detection " << i << " month " << c.month << " vs " << r.month;
+  }
+  // The whole provenance record, field by field; doubles bitwise.
+  ASSERT_EQ(cached.provenance.size(), reference.provenance.size());
+  for (size_t i = 0; i < cached.provenance.size(); ++i) {
+    const DetectionProvenance& c = cached.provenance[i];
+    const DetectionProvenance& r = reference.provenance[i];
+    EXPECT_EQ(c.serial, r.serial) << "provenance " << i;
+    EXPECT_EQ(c.defect_id, r.defect_id) << "provenance " << i;
+    EXPECT_EQ(c.defect_count, r.defect_count) << "provenance " << i;
+    EXPECT_EQ(c.arch_index, r.arch_index) << "provenance " << i;
+    EXPECT_EQ(c.stage, r.stage) << "provenance " << i;
+    EXPECT_EQ(c.sub_shard, r.sub_shard) << "provenance " << i;
+    EXPECT_EQ(c.rng_stream, r.rng_stream) << "provenance " << i;
+    EXPECT_TRUE(SameBits(c.onset_months, r.onset_months)) << "provenance " << i;
+    EXPECT_TRUE(SameBits(c.min_trigger_celsius, r.min_trigger_celsius))
+        << "provenance " << i;
+    EXPECT_TRUE(SameBits(c.stage_temperature_celsius, r.stage_temperature_celsius))
+        << "provenance " << i;
+    EXPECT_TRUE(SameBits(c.month, r.month)) << "provenance " << i;
+  }
+}
 
 class ScreeningModelTest : public ::testing::Test {
  protected:
@@ -61,50 +107,6 @@ class ScreeningModelTest : public ::testing::Test {
   // The oracle's screen of the shared fleet under `config` (one lane, no sinks).
   static ScreeningStats Reference(const ScreeningConfig& config) {
     return ReferenceScreen(ScreeningPipeline(suite_), *fleet_, config);
-  }
-
-  static bool SameBits(double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  }
-
-  static void ExpectIdentical(const ScreeningStats& cached, const ScreeningStats& reference) {
-    EXPECT_EQ(cached.tested, reference.tested);
-    EXPECT_EQ(cached.faulty, reference.faulty);
-    EXPECT_EQ(cached.detected_by_stage, reference.detected_by_stage);
-    EXPECT_EQ(cached.tested_by_arch, reference.tested_by_arch);
-    EXPECT_EQ(cached.detected_by_arch, reference.detected_by_arch);
-    ASSERT_EQ(cached.detections.size(), reference.detections.size());
-    for (size_t i = 0; i < cached.detections.size(); ++i) {
-      const ProcessorOutcome& c = cached.detections[i];
-      const ProcessorOutcome& r = reference.detections[i];
-      EXPECT_EQ(c.serial, r.serial) << "detection " << i;
-      EXPECT_EQ(c.arch_index, r.arch_index) << "detection " << i;
-      EXPECT_EQ(c.detected, r.detected) << "detection " << i;
-      EXPECT_EQ(c.stage, r.stage) << "detection " << i;
-      // Bitwise, not EXPECT_DOUBLE_EQ: the cached path must reproduce the reference's
-      // floating-point rounding exactly, not merely approximately.
-      EXPECT_TRUE(SameBits(c.month, r.month))
-          << "detection " << i << " month " << c.month << " vs " << r.month;
-    }
-    // The whole provenance record, field by field; doubles bitwise.
-    ASSERT_EQ(cached.provenance.size(), reference.provenance.size());
-    for (size_t i = 0; i < cached.provenance.size(); ++i) {
-      const DetectionProvenance& c = cached.provenance[i];
-      const DetectionProvenance& r = reference.provenance[i];
-      EXPECT_EQ(c.serial, r.serial) << "provenance " << i;
-      EXPECT_EQ(c.defect_id, r.defect_id) << "provenance " << i;
-      EXPECT_EQ(c.defect_count, r.defect_count) << "provenance " << i;
-      EXPECT_EQ(c.arch_index, r.arch_index) << "provenance " << i;
-      EXPECT_EQ(c.stage, r.stage) << "provenance " << i;
-      EXPECT_EQ(c.sub_shard, r.sub_shard) << "provenance " << i;
-      EXPECT_EQ(c.rng_stream, r.rng_stream) << "provenance " << i;
-      EXPECT_TRUE(SameBits(c.onset_months, r.onset_months)) << "provenance " << i;
-      EXPECT_TRUE(SameBits(c.min_trigger_celsius, r.min_trigger_celsius))
-          << "provenance " << i;
-      EXPECT_TRUE(SameBits(c.stage_temperature_celsius, r.stage_temperature_celsius))
-          << "provenance " << i;
-      EXPECT_TRUE(SameBits(c.month, r.month)) << "provenance " << i;
-    }
   }
 
   static FleetPopulation* fleet_;
@@ -161,6 +163,77 @@ TEST_F(ScreeningModelTest, FastPathActuallyDetects) {
   EXPECT_GT(stats.faulty, 0u);
   EXPECT_GT(stats.total_detected(), 0u);
   EXPECT_FALSE(stats.detections.empty());
+}
+
+// ----- edge-shaped fleets: the stream against the oracle ----------------------------
+//
+// The screen counts tested parts from the generator's per-shard tally instead of
+// rescanning the arch column, and the oracle counts them one processor at a time. These
+// fleets pin the two against each other where a tally is easiest to get wrong: two
+// screening sub-shards plus a 1-part tail (the blocked generator, with a histogram tail
+// that is not a multiple of 4), and the all-faulty and zero-faulty fleets, whose
+// degenerate prevalence sends generation down the per-processor reference loop.
+
+// Screens `config`'s fleet with a StreamingScreen at 1, 2 and 8 lanes and with the
+// materialized RunBatch, and expects each to equal ReferenceScreen over the reference
+// generator's fleet. Returns the oracle's stats for the caller's shape checks.
+ScreeningStats ExpectStreamMatchesReference(const PopulationConfig& config) {
+  const TestSuite suite = TestSuite::BuildFull();
+  const ScreeningPipeline pipeline(&suite);
+  ScreeningStats reference =
+      ReferenceScreen(pipeline, GenerateFleetReference(config), ScreeningConfig());
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("stream, threads " + std::to_string(threads));
+    EngineContext context(PinnedEngine(threads));
+    StreamingScreen screen(&pipeline, ScreeningConfig());
+    FleetShardStream(config).Drive({&screen}, context);
+    ExpectIdentical(screen.TakeStats(), reference);
+  }
+  SCOPED_TRACE("materialized");
+  EngineContext context(PinnedEngine(2));
+  ExpectIdentical(RunBatchOfOne(pipeline, GenerateFleet(config), ScreeningConfig(), context),
+                  reference);
+  return reference;
+}
+
+bool GeneratesBlocked(const PopulationConfig& config) {
+  EngineContext context(PinnedEngine(1));
+  return GenerationPlan::Build(config, context).blocked;
+}
+
+TEST(ScreeningEdgeFleetTest, TwoSubShardsAndATailMatchReference) {
+  PopulationConfig config;
+  config.processor_count = 4097;  // 4096 + a 1-part sub-shard, all in one stream shard
+  config.seed = 99;
+  ASSERT_TRUE(GeneratesBlocked(config));
+  const ScreeningStats reference = ExpectStreamMatchesReference(config);
+  EXPECT_EQ(reference.tested, 4097u);
+}
+
+TEST(ScreeningEdgeFleetTest, AllFaultyFleetMatchesReference) {
+  // detected_rate == detectability makes prevalence 1: every part is faulty, and the
+  // faulty loop does all the screening.
+  PopulationConfig config;
+  config.processor_count = 20000;
+  config.seed = 7;
+  config.detected_rate.fill(config.detectability);
+  ASSERT_FALSE(GeneratesBlocked(config));
+  const ScreeningStats reference = ExpectStreamMatchesReference(config);
+  EXPECT_EQ(reference.faulty, 20000u);
+  EXPECT_GT(reference.total_detected(), 0u);
+}
+
+TEST(ScreeningEdgeFleetTest, ZeroFaultyFleetMatchesReference) {
+  // detected_rate == 0 makes every part clean: the tally is the whole screen.
+  PopulationConfig config;
+  config.processor_count = 20001;  // odd: a partial last shard
+  config.seed = 7;
+  config.detected_rate.fill(0.0);
+  ASSERT_FALSE(GeneratesBlocked(config));
+  const ScreeningStats reference = ExpectStreamMatchesReference(config);
+  EXPECT_EQ(reference.faulty, 0u);
+  EXPECT_EQ(reference.tested, 20001u);
+  EXPECT_EQ(reference.total_detected(), 0u);
 }
 
 // ----- batched multi-scenario engine (ScreeningPipeline::RunBatch) ------------------

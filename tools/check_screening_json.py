@@ -59,7 +59,7 @@ BATCH_KEYS = {
     "ns_per_processor_scenario",
 }
 ENV_KEYS = {"bench", "simd", "forced_scalar", "hardware_threads"}
-SIMD_LEVELS = {"scalar", "sse2", "avx2", "neon"}
+SIMD_LEVELS = {"scalar", "avx2", "neon"}
 
 
 def expected_combinations():

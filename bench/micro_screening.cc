@@ -26,14 +26,10 @@
 // times the one-lane oracle; the 2- and 8-thread reference rows repeat the 1-thread
 // measurement next to that row's multi-lane cached half.
 //
-// Further row families cover the batched engine and the SIMD kernels
+// Further row families cover the batched engine and the SIMD kernel
 // (docs/performance.md):
-//   "screen_scalar"   -- the cached model on a context pinned to the scalar fallback.
-//                        The screen reads no vector level (clean parts are counted
-//                        from the generator's tally), so it times the "screen" row's
-//                        code again and screen_simd_speedup is ~1.0 by construction.
-//   "generate_scalar" -- the blocked generator on the same scalar context; its fleet too
-//                        must match the golden fleet bitwise.
+//   "generate_scalar" -- the blocked generator on a context pinned to the scalar
+//                        fallback; its fleet too must match the golden fleet bitwise.
 //   "screen_series"   -- the cached screen with a SeriesRecorder attached; the ratio to
 //                        the plain "screen" row is the live-telemetry overhead, bounded
 //                        by tools/check_screening_json.py (docs/observability.md).
@@ -223,30 +219,33 @@ bool IdenticalDefects(const Defect& a, const Defect& b) {
   return true;
 }
 
-// Byte-identity of two fleets: packed columns, sparse faulty index, arena ranges, every
-// defect field (doubles bitwise), and the merged per-arch tallies -- the contract the
-// blocked generator makes against the reference loop (docs/performance.md).
+// Byte-identity of two fleets, shard by shard: packed columns, sparse faulty index, arena
+// ranges, every defect field (doubles bitwise), and the per-arch tallies -- the contract
+// the blocked generator makes against the reference loop (docs/performance.md).
 bool IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b) {
-  if (a.size() != b.size() || a.arch_bytes() != b.arch_bytes() ||
-      a.flag_bytes() != b.flag_bytes() || a.faulty_serials() != b.faulty_serials() ||
-      a.faulty_ranges().size() != b.faulty_ranges().size() ||
-      a.defect_arena().size() != b.defect_arena().size()) {
+  if (a.size() != b.size() || a.shard_count() != b.shard_count()) {
     return false;
   }
-  for (size_t i = 0; i < a.faulty_ranges().size(); ++i) {
-    if (a.faulty_ranges()[i].offset != b.faulty_ranges()[i].offset ||
-        a.faulty_ranges()[i].count != b.faulty_ranges()[i].count) {
+  for (uint64_t s = 0; s < a.shard_count(); ++s) {
+    const FleetShard x = a.shard(s);
+    const FleetShard y = b.shard(s);
+    if (!std::ranges::equal(x.arch_bytes, y.arch_bytes) ||
+        !std::ranges::equal(x.flag_bytes, y.flag_bytes) ||
+        !std::ranges::equal(x.faulty_serials, y.faulty_serials) ||
+        x.faulty_ranges.size() != y.faulty_ranges.size() ||
+        x.defects.size() != y.defects.size() || x.tally->by_arch != y.tally->by_arch) {
       return false;
     }
-  }
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    if (a.CountByArch(arch) != b.CountByArch(arch)) {
-      return false;
+    for (size_t i = 0; i < x.faulty_ranges.size(); ++i) {
+      if (x.faulty_ranges[i].offset != y.faulty_ranges[i].offset ||
+          x.faulty_ranges[i].count != y.faulty_ranges[i].count) {
+        return false;
+      }
     }
-  }
-  for (size_t i = 0; i < a.defect_arena().size(); ++i) {
-    if (!IdenticalDefects(a.defect_arena()[i], b.defect_arena()[i])) {
-      return false;
+    for (size_t i = 0; i < x.defects.size(); ++i) {
+      if (!IdenticalDefects(x.defects[i], y.defects[i])) {
+        return false;
+      }
     }
   }
   return true;
@@ -276,7 +275,6 @@ int Main(int argc, char** argv) {
   bool deterministic = true;
   double cached_screen_t1 = 0.0;
   double reference_screen_t1 = 0.0;
-  double scalar_screen_t1 = 0.0;
   double batch_k1_t1 = 0.0;
   double batch_k8_t1 = 0.0;
   double generate_speedup = 0.0;
@@ -366,18 +364,6 @@ int Main(int argc, char** argv) {
       reference_screen_t1 = reference_wall;
     }
 
-    // The same cached screen on the scalar context. The screen reads no vector level, so
-    // this repeats the "screen" row's code; output must not move a bit.
-    deterministic &=
-        IdenticalStats(golden, RunBatchOfOne(pipeline, fleet, ScreeningConfig(), scalar_context));
-    const double scalar_wall = BestWallSeconds(repeats, [&] {
-      (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), scalar_context);
-    });
-    EmitJson("screen_scalar", "cached", threads, scalar_wall, processors);
-    if (threads == 1) {
-      scalar_screen_t1 = scalar_wall;
-    }
-
     EmitJson("screen_series", "cached", threads, series_walls.second, processors);
 
     // Batched engine: one pass over the fleet for K scenarios. Every slot must be
@@ -409,22 +395,19 @@ int Main(int argc, char** argv) {
   const double speedup =
       cached_screen_t1 > 0.0 ? reference_screen_t1 / cached_screen_t1 : 0.0;
   // How much one batched pass beats K independent passes: K * wall(K=1) / wall(K=8),
-  // both at one thread. The SIMD speedup compares the screen on the auto and scalar
-  // contexts: ~1.0 by construction, since the screen reads no vector level.
+  // both at one thread.
   const double batch_amortization =
       batch_k8_t1 > 0.0 ? 8.0 * batch_k1_t1 / batch_k8_t1 : 0.0;
-  const double simd_speedup =
-      cached_screen_t1 > 0.0 ? scalar_screen_t1 / cached_screen_t1 : 0.0;
   // generate_speedup (reference over blocked generate wall, the best pair at one thread)
   // and series_overhead (series-attached over plain screen wall, the best pair at one
   // thread) are the ratios tools/check_screening_json.py bounds: relative, so flaky hosts
   // cannot fail them on absolute wall time alone.
   std::printf("{\"bench\": \"summary\", \"screen_speedup_cached_vs_reference\": %.2f, "
-              "\"batch_amortization_k8\": %.2f, \"screen_simd_speedup\": %.2f, "
+              "\"batch_amortization_k8\": %.2f, "
               "\"generate_speedup_blocked_vs_reference\": %.2f, "
               "\"series_overhead\": %.4f, "
               "\"deterministic\": %s}\n",
-              speedup, batch_amortization, simd_speedup, generate_speedup,
+              speedup, batch_amortization, generate_speedup,
               series_overhead, deterministic ? "true" : "false");
   if (!deterministic) {
     std::fprintf(stderr,

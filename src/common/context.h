@@ -14,12 +14,13 @@
 // exactly once, inside the constructor. For the fleet engine and the session layer the
 // context is the only authority: FleetShardStream::Drive (the one production fleet
 // path), FleetScrubber::Run, TestFramework::RunPlan and Farron -- and
-// FleetPopulation::Generate / ScreeningPipeline::RunBatch, the materialized pair kept
-// for perfbench's digest gate and tests -- each exist only in a form that takes one, and
-// their configs describe the experiment alone -- no lanes, vector level or sinks. After
-// construction, no engine path reads an environment variable or any other mutable
-// process-global -- the invariant the sdcd campaign daemon (docs/daemon.md) and the
-// concurrent-campaign tests (tests/context_test.cc) are built on.
+// FleetPopulation::Generate / ScreeningPipeline::RunBatch, the materialized pair (the
+// stream's shards kept, then replayed) that perfbench's digest gate and the tests use --
+// each exist only in a form that takes one, and their configs describe the experiment
+// alone -- no lanes, vector level or sinks. After construction, no engine path reads an
+// environment variable or any other mutable process-global -- the invariant the sdcd
+// campaign daemon (docs/daemon.md) and the concurrent-campaign tests
+// (tests/context_test.cc) are built on.
 //
 // Sink lifecycle: Attach*/Detach may be called at any time, from any thread, but engine
 // passes PIN the attached sinks once when the pass starts and keep merging per-shard

@@ -76,8 +76,8 @@ struct WearoutExposure {
 };
 
 // Streaming derivation of the exposure windows. The materialized cadence study random-
-// accesses fleet.DefectsOf(serial) after Run; a streamed fleet has no such access once a
-// shard is gone, so this observer derives the same records shard by shard while the
+// accesses fleet.processor(serial).defects after Run; a streamed fleet has no such
+// access once a shard is gone, so this observer derives the same records shard by shard while the
 // defect spans are alive. Per-shard lists are concatenated in shard order, so exposures()
 // equals the materialized serial-order derivation exactly (tests/stream_test.cc).
 class WearoutExposureObserver : public ShardOutcomeObserver {

@@ -493,35 +493,14 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   // The whole pass as one host-clock span.
   TraceRecorder::ScopedHostSpan run_span(context.trace(), "screening.run", "screen",
                                          kTraceTrackScreen);
-  // The materialized fleet replayed as stream shards: the same per-shard slots, kernel
-  // calls and ordered fold as a fused streaming pass over the same serials.
+  // The materialized fleet replayed as stream shards: the same views, per-shard slots,
+  // kernel calls and ordered fold as a fused streaming pass over the same serials.
   StreamingScreen screen(this, batch);
-  screen.BeginStreamWithContext(
-      &context, fleet.config(), ThreadPool::ShardCountFor(0, fleet.size(), kFleetShardGrain));
-  const std::span<const uint64_t> faulty_serials = fleet.faulty_serials();
-  context.pool().ParallelFor(
-      0, fleet.size(), kFleetShardGrain, [&](uint64_t shard, uint64_t begin, uint64_t end) {
-        // Columns and faulty index are sliced to the shard; `defects` is the whole arena,
-        // which the fleet-wide range offsets address; `tally` is the one the generator
-        // wrote for this shard.
-        const auto first =
-            std::lower_bound(faulty_serials.begin(), faulty_serials.end(), begin);
-        const auto last = std::lower_bound(first, faulty_serials.end(), end);
-        const auto offset = static_cast<size_t>(first - faulty_serials.begin());
-        const auto count = static_cast<size_t>(last - first);
-        FleetShard view;
-        view.shard = shard;
-        view.begin = begin;
-        view.end = end;
-        view.tally = &fleet.shard_tallies()[shard];
-        view.arch_bytes = std::span<const uint8_t>(fleet.arch_bytes()).subspan(begin, end - begin);
-        view.flag_bytes = std::span<const uint8_t>(fleet.flag_bytes()).subspan(begin, end - begin);
-        view.faulty_serials = faulty_serials.subspan(offset, count);
-        view.faulty_ranges =
-            std::span<const DefectRange>(fleet.faulty_ranges()).subspan(offset, count);
-        view.defects = fleet.defect_arena();
-        screen.ConsumeShard(view);
-      });
+  screen.BeginStreamWithContext(&context, fleet.config(), fleet.shard_count());
+  context.pool().ParallelFor(0, fleet.shard_count(), 1,
+                             [&](uint64_t shard, uint64_t /*begin*/, uint64_t /*end*/) {
+                               screen.ConsumeShard(fleet.shard(shard));
+                             });
   screen.EndStream();
   const std::chrono::duration<double> run_elapsed =
       std::chrono::steady_clock::now() - run_start;
@@ -647,7 +626,8 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
 void StreamingScreen::EndStream() {
   const size_t k_count = scenarios_.size();
   // The ordered fold is wall-clock work without a deterministic timeline, so its span
-  // lives in the host domain -- same reasoning as FleetMaterializer::EndStream.
+  // lives in the host domain, which keeps the sim traces of every pass over the same
+  // fleet identical.
   TraceRecorder::ScopedHostSpan merge_span(trace_, "screening.aggregate", "aggregate",
                                            kTraceTrackAggregate);
   std::vector<MetricsDelta> total_deltas(k_count);

@@ -189,8 +189,8 @@ class ScreeningPipeline {
   // months bitwise -- at any thread count; the faulty-range lookup and the per-defect
   // suite matching are paid once per shard instead of once per scenario. Returns one
   // ScreeningStats per scenario, in batch order. The pass is a StreamingScreen fed the
-  // fleet's kFleetShardGrain-wide shards through ConsumeShard on the context's lanes,
-  // then the stream's ordered fold -- so stats, metrics, trace and series are
+  // fleet's kept shard views (FleetPopulation::shard) through ConsumeShard on the
+  // context's lanes, then the stream's ordered fold -- so stats, metrics, trace and series are
   // byte-identical to a fused streaming pass over the same fleet. It runs on `context`:
   // its pool supplies the lanes, and its sinks are pinned once at pass start
   // (src/common/context.h). Every scenario's per-shard "screening.*" metric deltas and

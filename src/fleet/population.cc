@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "src/common/context.h"
 #include "src/common/rng.h"
@@ -20,12 +22,33 @@ void FleetShardBuffer::Clear() {
   tally = FleetShardTally{};
 }
 
+std::span<const Defect> FleetShard::DefectsOf(uint64_t serial) const {
+  const auto it =
+      std::lower_bound(faulty_serials.begin(), faulty_serials.end(), serial);
+  if (it == faulty_serials.end() || *it != serial) {
+    return {};
+  }
+  return FaultyDefects(static_cast<size_t>(it - faulty_serials.begin()));
+}
+
 uint64_t FleetShardBuffer::CapacityBytes() const {
   return arch_bytes.capacity() * sizeof(uint8_t) +
          flag_bytes.capacity() * sizeof(uint8_t) +
          faulty_serials.capacity() * sizeof(uint64_t) +
          faulty_ranges.capacity() * sizeof(DefectRange) +
          defects.capacity() * sizeof(Defect);
+}
+
+FleetShard FleetShardBuffer::View() const {
+  return {.shard = shard,
+          .begin = begin,
+          .end = end,
+          .tally = &tally,
+          .arch_bytes = arch_bytes,
+          .flag_bytes = flag_bytes,
+          .faulty_serials = faulty_serials,
+          .faulty_ranges = faulty_ranges,
+          .defects = defects};
 }
 
 namespace {
@@ -71,9 +94,7 @@ void EmitFaultyProcessor(const PopulationConfig& config, const GenerationPlan& p
       rng, arch_index, plan.pcores_by_arch[static_cast<size_t>(arch_index)],
       buffer.defects);
   const bool detectable = !rng.NextBernoulli(config.undetectable_share);
-  buffer.flag_bytes[at] =
-      detectable ? (FleetPopulation::kFaultyFlag | FleetPopulation::kDetectableFlag)
-                 : FleetPopulation::kFaultyFlag;
+  buffer.flag_bytes[at] = detectable ? (kFaultyFlag | kDetectableFlag) : kFaultyFlag;
   ++tally.faulty;
   tally.defects += defect_count;
   tally.defects_by_arch[static_cast<size_t>(arch_index)] += defect_count;
@@ -171,9 +192,12 @@ void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& pl
                         const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
                         FleetShardBuffer& buffer) {
   buffer.Clear();
+  buffer.shard = shard;
+  buffer.begin = begin;
+  buffer.end = end;
   buffer.arch_bytes.resize(end - begin);
   if (plan.blocked) {
-    buffer.flag_bytes.assign(end - begin, FleetPopulation::kDetectableFlag);
+    buffer.flag_bytes.assign(end - begin, kDetectableFlag);
     GenerateShardBlocked(config, plan, base.Fork(shard), begin, end, buffer);
     return;
   }
@@ -187,7 +211,7 @@ void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& pl
     const int arch_index = static_cast<int>(rng.NextWeighted(plan.shares));
     buffer.arch_bytes[serial - begin] = static_cast<uint8_t>(arch_index);
     const double prevalence = config.detected_rate[arch_index] / config.detectability;
-    uint8_t flags = FleetPopulation::kDetectableFlag;
+    uint8_t flags = kDetectableFlag;
     if (rng.NextBernoulli(prevalence)) {
       EmitFaultyProcessor(config, plan, rng, begin, serial - begin, buffer);
       flags = buffer.flag_bytes[serial - begin];
@@ -197,26 +221,54 @@ void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& pl
   }
 }
 
-std::span<const Defect> FleetPopulation::DefectsOf(uint64_t serial) const {
-  const auto it =
-      std::lower_bound(faulty_serials_.begin(), faulty_serials_.end(), serial);
-  if (it == faulty_serials_.end() || *it != serial) {
-    return {};
+namespace {
+
+// Generate's one consumer: copies each shard view into the shard's slot. Shards own
+// disjoint slots, so nothing is left to fold after the pass.
+class ShardCollector : public ShardConsumer {
+ public:
+  explicit ShardCollector(std::vector<FleetShardBuffer>& shards) : shards_(shards) {}
+
+  void ConsumeShard(const FleetShard& shard) override {
+    FleetShardBuffer& slot = shards_[shard.shard];
+    slot.shard = shard.shard;
+    slot.begin = shard.begin;
+    slot.end = shard.end;
+    slot.arch_bytes.assign(shard.arch_bytes.begin(), shard.arch_bytes.end());
+    slot.flag_bytes.assign(shard.flag_bytes.begin(), shard.flag_bytes.end());
+    slot.faulty_serials.assign(shard.faulty_serials.begin(), shard.faulty_serials.end());
+    slot.faulty_ranges.assign(shard.faulty_ranges.begin(), shard.faulty_ranges.end());
+    slot.defects.assign(shard.defects.begin(), shard.defects.end());
+    slot.tally = *shard.tally;
   }
-  return FaultyDefects(static_cast<size_t>(it - faulty_serials_.begin()));
+
+ private:
+  std::vector<FleetShardBuffer>& shards_;
+};
+
+}  // namespace
+
+FleetPopulation::FleetPopulation(PopulationConfig config,
+                                 std::vector<FleetShardBuffer> shards)
+    : config_(std::move(config)), shards_(std::move(shards)) {
+  for (const FleetShardBuffer& shard : shards_) {
+    faulty_count_ += shard.tally.faulty;
+    for (size_t arch = 0; arch < counts_by_arch_.size(); ++arch) {
+      counts_by_arch_[arch] += shard.tally.by_arch[arch];
+    }
+  }
 }
 
 FleetPopulation FleetPopulation::Generate(const PopulationConfig& config,
                                           EngineContext& context) {
-  // Materialization is just one consumer of the shard stream: the stream generates each
-  // shard's columns and defect spans, and FleetMaterializer copies them into the fleet's
-  // arrays, stitching the sparse faulty index and the defect arena in shard order.
+  // Materialization is one consumer of the shard stream: the stream generates each
+  // shard, and the collector keeps a copy of it.
   MetricsRegistry::ScopedTimer generate_timer(context.metrics(), "fleet.generate.wall");
-  FleetPopulation fleet;
-  FleetShardStream stream(config);
-  FleetMaterializer materializer(&fleet);
-  stream.Drive({&materializer}, context);
-  return fleet;
+  const FleetShardStream stream(config);
+  std::vector<FleetShardBuffer> shards(stream.shard_count());
+  ShardCollector collector(shards);
+  stream.Drive({&collector}, context);
+  return FleetPopulation(config, std::move(shards));
 }
 
 }  // namespace sdc

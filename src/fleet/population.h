@@ -5,13 +5,14 @@
 // distributions as the study catalog; a small share is undetectable by the toolchain
 // (Section 2.3 observes such escapes).
 //
-// Storage layout (docs/performance.md): the fleet is structure-of-arrays. The hot
-// screening fields live in packed parallel byte arrays (`arch_bytes`, `flag_bytes`) so
-// the 99.96%-clean fleet scan streams sequentially through 2 bytes per processor, and
-// all Defect objects live in one shared per-fleet arena (`defect_arena`) addressed by
-// {offset, count} ranges held only for the faulty parts. Ranges and the arena are built
-// deterministically in shard order during Generate, so the layout -- like the fleet
-// content itself -- is a pure function of (config, seed) at any thread count.
+// Storage layout (docs/performance.md): the fleet is its kFleetShardGrain-wide shards,
+// each one FleetShardBuffer written by the one generation kernel. A shard holds packed
+// byte columns (`arch_bytes`, `flag_bytes`), so the 99.96%-clean fleet costs 2 bytes per
+// processor, plus a sparse faulty index whose {offset, count} ranges address the shard's
+// own defect arena. Every shard draws from its own Rng::Fork stream, so the layout -- like
+// the fleet content itself -- is a pure function of (config, seed) at any thread count.
+// Consumers read a shard through its FleetShard view: the stream hands them the view of
+// a lane's scratch buffer, the materialized FleetPopulation the view of a kept one.
 
 #ifndef SDC_SRC_FLEET_POPULATION_H_
 #define SDC_SRC_FLEET_POPULATION_H_
@@ -42,9 +43,8 @@ struct DefectRange {
   uint32_t count = 0;
 };
 
-// Borrowed view of one fleet processor, assembled from the column arrays. Cheap to copy;
-// valid only while the owning FleetPopulation (or, in tests, the backing defect vector)
-// is alive.
+// Borrowed view of one fleet processor, assembled from its shard's columns. Cheap to
+// copy; valid only while the shard's buffer is alive and unchanged.
 struct FleetProcessorView {
   uint64_t serial = 0;
   int arch_index = 0;
@@ -73,8 +73,8 @@ struct PopulationConfig {
 
 // Per-shard generation tallies, written once by the generator: the fleet's one count of
 // parts per arch. Shard consumers read them instead of rescanning the columns (the
-// screen's tested counts, capacity, the scrubber), and they fold them in shard order,
-// keeping every derived count thread-count invariant.
+// screen's tested counts, capacity), and they fold them in shard order, keeping every
+// derived count thread-count invariant.
 struct FleetShardTally {
   uint64_t faulty = 0;
   uint64_t defects = 0;
@@ -83,12 +83,61 @@ struct FleetShardTally {
   std::array<uint64_t, kArchCount> defects_by_arch{};
 };
 
-// Reusable shard-local storage filled by GenerateFleetShard. Streaming drivers keep one
-// buffer per worker lane and refill it for every shard that lane claims, so a whole
+// Flag bits of flag_bytes entries. Clean processors carry kDetectableFlag alone (nothing
+// to detect, but nothing escapes either).
+inline constexpr uint8_t kFaultyFlag = 1;
+inline constexpr uint8_t kDetectableFlag = 2;
+
+// Borrowed view of one generated shard: what every shard consumer reads. Valid only while
+// the FleetShardBuffer it was built from is alive and unchanged -- for a stream pass, the
+// duration of ShardConsumer::ConsumeShard. Serial-indexed accessors take global serials
+// in [begin, end); the packed columns are indexed serial - begin.
+struct FleetShard {
+  uint64_t shard = 0;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  const FleetShardTally* tally = nullptr;     // the generator's tally; never null
+  std::span<const uint8_t> arch_bytes;        // indexed by serial - begin
+  std::span<const uint8_t> flag_bytes;        // indexed by serial - begin
+  std::span<const uint64_t> faulty_serials;   // global serials, ascending
+  std::span<const DefectRange> faulty_ranges; // offsets into `defects`
+  std::span<const Defect> defects;            // shard-local arena
+
+  uint64_t size() const { return end - begin; }
+  int arch_index(uint64_t serial) const { return arch_bytes[serial - begin]; }
+  bool faulty(uint64_t serial) const {
+    return (flag_bytes[serial - begin] & kFaultyFlag) != 0;
+  }
+  bool toolchain_detectable(uint64_t serial) const {
+    return (flag_bytes[serial - begin] & kDetectableFlag) != 0;
+  }
+
+  // Defects of the faulty part at `ordinal` within faulty_serials.
+  std::span<const Defect> FaultyDefects(size_t ordinal) const {
+    const DefectRange& range = faulty_ranges[ordinal];
+    return {defects.data() + range.offset, range.count};
+  }
+
+  // Defects of an arbitrary in-shard processor (empty for clean parts).
+  std::span<const Defect> DefectsOf(uint64_t serial) const;
+
+  // Assembled per-processor view for callers that want all fields together.
+  FleetProcessorView processor(uint64_t serial) const {
+    return {serial, arch_index(serial), faulty(serial), toolchain_detectable(serial),
+            DefectsOf(serial)};
+  }
+};
+
+// Shard-local storage filled by GenerateFleetShard. Streaming drivers keep one buffer per
+// worker lane and refill it for every shard that lane claims, so a whole
 // generate->screen->aggregate pass peaks at O(lanes * shard) bytes regardless of fleet
-// size (docs/streaming.md).
+// size (docs/streaming.md); the materialized FleetPopulation keeps one per shard.
 struct FleetShardBuffer {
-  // Packed per-processor columns, indexed by serial - shard_begin.
+  // The shard this buffer holds: serials [begin, end) of shard `shard`.
+  uint64_t shard = 0;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  // Packed per-processor columns, indexed by serial - begin.
   std::vector<uint8_t> arch_bytes;
   std::vector<uint8_t> flag_bytes;
   // Sparse faulty index for the shard: global serials (ascending) and arena slices whose
@@ -103,6 +152,8 @@ struct FleetShardBuffer {
   // Bytes of owned container capacity (Defect payloads counted at sizeof(Defect)) -- the
   // quantity the streaming smoke test budgets against the shard budget.
   uint64_t CapacityBytes() const;
+  // The FleetShard view of this buffer: the one place such views are built.
+  FleetShard View() const;
 };
 
 // Shard-independent precomputed state of the generation kernel, built once per
@@ -129,98 +180,57 @@ struct GenerationPlan {
 };
 
 // Generates serials [begin, end) of the fleet described by `config` into `buffer`
-// (cleared first), drawing every random value from base.Fork(shard) where `base` is
-// Rng(config.seed). This is the single generation kernel: FleetPopulation::Generate and
-// FleetShardStream both call it, so the materialized and streaming fleets are identical
-// bytes by construction. `begin` must equal shard * kFleetShardGrain; `plan` is built
+// (cleared first, then labelled with shard, begin and end), drawing every random value
+// from base.Fork(shard) where `base` is Rng(config.seed). This is the single generation
+// kernel: FleetShardStream calls it and FleetPopulation::Generate keeps what the stream
+// generated, so the materialized and streaming fleets are identical bytes by
+// construction. `begin` must equal shard * kFleetShardGrain; `plan` is built
 // once per pass and shared by every shard.
 void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& plan,
                         const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
                         FleetShardBuffer& buffer);
 
-// The materialized fleet: every column and the whole defect arena in memory. Production
-// passes stream instead (FleetShardStream, src/fleet/stream.h); this class stays only for
+// The materialized fleet: one FleetShardBuffer per shard, the same storage and FleetShard
+// views a stream pass hands its consumers, kept for the whole fleet. Production passes
+// stream instead (FleetShardStream, src/fleet/stream.h); this class stays only for
 // perfbench's digest gate and the tests that compare the stream against it.
 class FleetPopulation {
  public:
-  // Flag bits of flag_bytes() entries.
-  static constexpr uint8_t kFaultyFlag = 1;
-  static constexpr uint8_t kDetectableFlag = 2;
+  // `shards[s]` holds shard s of `config`'s fleet as GenerateFleetShard wrote it; the
+  // fleet-wide counts are summed from the shard tallies.
+  FleetPopulation(PopulationConfig config, std::vector<FleetShardBuffer> shards);
 
-  // Generates on `context`: its pool supplies the lanes, its vector level drives the
-  // blocked kernel, and its sinks ("fleet.generate.*" metrics and series, generate-track
-  // trace spans) are pinned once at pass start -- no mutable process-global state is read
-  // after the context was built (src/common/context.h). Output is bit-identical for a
-  // given seed at any lane count and vector level (docs/parallelism.md).
+  // Generates on `context` through one FleetShardStream pass, copying every shard into
+  // its slot: its pool supplies the lanes, its vector level drives the blocked kernel,
+  // and its sinks ("fleet.generate.*" metrics and series, generate-track trace spans)
+  // are pinned once at pass start -- no mutable process-global state is read after the
+  // context was built (src/common/context.h). Output is bit-identical for a given seed at
+  // any lane count and vector level (docs/parallelism.md).
   static FleetPopulation Generate(const PopulationConfig& config, EngineContext& context);
 
-  uint64_t size() const { return arch_.size(); }
+  uint64_t size() const { return config_.processor_count; }
   const PopulationConfig& config() const { return config_; }
 
-  // Per-processor hot fields. Serial numbers equal fleet indices by construction.
-  int arch_index(uint64_t serial) const { return arch_[serial]; }
-  bool faulty(uint64_t serial) const { return (flags_[serial] & kFaultyFlag) != 0; }
-  bool toolchain_detectable(uint64_t serial) const {
-    return (flags_[serial] & kDetectableFlag) != 0;
-  }
+  // Shard s covers serials [s * kFleetShardGrain, (s+1) * kFleetShardGrain); its view is
+  // the one a stream pass over the same config hands its consumers.
+  uint64_t shard_count() const { return shards_.size(); }
+  FleetShard shard(uint64_t s) const { return shards_[s].View(); }
 
-  // Raw column arrays for streaming consumers (one byte per processor each). flag_bytes
-  // entries are combinations of kFaultyFlag / kDetectableFlag; clean processors carry
-  // kDetectableFlag alone (nothing to detect, but nothing escapes either).
-  const std::vector<uint8_t>& arch_bytes() const { return arch_; }
-  const std::vector<uint8_t>& flag_bytes() const { return flags_; }
-
-  // Serials of the faulty parts, ascending; the screening fast path iterates this list
-  // instead of testing every processor's flag byte.
-  const std::vector<uint64_t>& faulty_serials() const { return faulty_serials_; }
-
-  // Arena slice per faulty part, parallel to faulty_serials(). Exposed so RunBatch can
-  // slice the fleet into FleetShard views that address the arena without per-part calls.
-  const std::vector<DefectRange>& faulty_ranges() const { return faulty_ranges_; }
-
-  // Defects of the faulty part at `ordinal` within faulty_serials().
-  std::span<const Defect> FaultyDefects(size_t ordinal) const {
-    const DefectRange& range = faulty_ranges_[ordinal];
-    return {defect_arena_.data() + range.offset, range.count};
-  }
-
-  // Defects of an arbitrary processor (empty for clean parts). O(log faulty_count).
-  std::span<const Defect> DefectsOf(uint64_t serial) const;
-
-  // Assembled per-processor view for callers that want all fields together.
+  // Assembled view of any processor, read from its shard.
   FleetProcessorView processor(uint64_t serial) const {
-    return {serial, arch_index(serial), faulty(serial), toolchain_detectable(serial),
-            DefectsOf(serial)};
+    return shard(serial / kFleetShardGrain).processor(serial);
   }
 
-  // Every defect in the fleet, grouped by owning processor in serial order.
-  const std::vector<Defect>& defect_arena() const { return defect_arena_; }
-
-  // O(1): counted per shard during Generate and merged, not recomputed by scanning.
-  uint64_t faulty_count() const { return faulty_serials_.size(); }
+  // O(1): summed from the shard tallies, not recomputed by scanning.
+  uint64_t faulty_count() const { return faulty_count_; }
   uint64_t CountByArch(int arch_index) const {
     return counts_by_arch_[static_cast<size_t>(arch_index)];
   }
 
-  // The generator's tally of each kFleetShardGrain-wide shard, in shard order; RunBatch
-  // hands shard s's tally to the screen with that shard's columns.
-  const std::vector<FleetShardTally>& shard_tallies() const { return shard_tallies_; }
-
  private:
-  // Rebuilds this fleet from a FleetShardStream pass (src/fleet/stream.h); Generate is
-  // implemented as exactly that consumer, which is what keeps the materialized and
-  // streaming modes byte-identical by construction.
-  friend class FleetMaterializer;
-
   PopulationConfig config_;
-  // Structure-of-arrays processor columns, indexed by serial.
-  std::vector<uint8_t> arch_;
-  std::vector<uint8_t> flags_;
-  // Sparse faulty-part index: sorted serials plus each part's arena slice.
-  std::vector<uint64_t> faulty_serials_;
-  std::vector<DefectRange> faulty_ranges_;
-  std::vector<Defect> defect_arena_;
-  std::vector<FleetShardTally> shard_tallies_;
+  std::vector<FleetShardBuffer> shards_;
+  uint64_t faulty_count_ = 0;
   std::array<uint64_t, kArchCount> counts_by_arch_{};
 };
 

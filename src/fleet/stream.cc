@@ -1,8 +1,6 @@
 #include "src/fleet/stream.h"
 
 #include <algorithm>
-#include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "src/common/context.h"
@@ -38,15 +36,6 @@ MetricsDelta DeltaFromTally(const FleetShardTally& tally, uint64_t processors) {
 }
 
 }  // namespace
-
-std::span<const Defect> FleetShard::DefectsOf(uint64_t serial) const {
-  const auto it =
-      std::lower_bound(faulty_serials.begin(), faulty_serials.end(), serial);
-  if (it == faulty_serials.end() || *it != serial) {
-    return {};
-  }
-  return FaultyDefects(static_cast<size_t>(it - faulty_serials.begin()));
-}
 
 ShardConsumer::~ShardConsumer() = default;
 
@@ -107,16 +96,7 @@ StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
         LaneState& state = lanes[static_cast<size_t>(lane)];
         GenerateFleetShard(config_, plan, base, shard, begin, end, state.buffer);
 
-        FleetShard view;
-        view.shard = shard;
-        view.begin = begin;
-        view.end = end;
-        view.tally = &state.buffer.tally;
-        view.arch_bytes = state.buffer.arch_bytes;
-        view.flag_bytes = state.buffer.flag_bytes;
-        view.faulty_serials = state.buffer.faulty_serials;
-        view.faulty_ranges = state.buffer.faulty_ranges;
-        view.defects = state.buffer.defects;
+        const FleetShard view = state.buffer.View();
         for (ShardConsumer* consumer : consumers) {
           consumer->ConsumeShard(view);
         }
@@ -184,71 +164,6 @@ StreamReport FleetShardStream::Drive(std::initializer_list<ShardConsumer*> consu
                                      EngineContext& context) const {
   return Drive(std::span<ShardConsumer* const>(consumers.begin(), consumers.size()),
                context);
-}
-
-void FleetMaterializer::BeginStreamWithContext(EngineContext* context,
-                                               const PopulationConfig& config,
-                                               uint64_t shard_count) {
-  fleet_->config_ = config;
-  fleet_->arch_.resize(config.processor_count);
-  fleet_->flags_.resize(config.processor_count);
-  fleet_->shard_tallies_.assign(shard_count, FleetShardTally{});
-  pieces_.assign(shard_count, ShardPiece{});
-  trace_ = context->trace();
-}
-
-void FleetMaterializer::ConsumeShard(const FleetShard& shard) {
-  // Columns and the tally go straight into place -- shards own disjoint serial ranges and
-  // tally slots -- while the variable-length faulty pieces are copied aside for the
-  // ordered stitch in EndStream.
-  if (shard.size() > 0) {
-    std::memcpy(fleet_->arch_.data() + shard.begin, shard.arch_bytes.data(),
-                shard.size() * sizeof(uint8_t));
-    std::memcpy(fleet_->flags_.data() + shard.begin, shard.flag_bytes.data(),
-                shard.size() * sizeof(uint8_t));
-  }
-  fleet_->shard_tallies_[shard.shard] = *shard.tally;
-  ShardPiece& piece = pieces_[shard.shard];
-  piece.faulty_serials.assign(shard.faulty_serials.begin(), shard.faulty_serials.end());
-  piece.faulty_ranges.assign(shard.faulty_ranges.begin(), shard.faulty_ranges.end());
-  piece.defects.assign(shard.defects.begin(), shard.defects.end());
-}
-
-void FleetMaterializer::EndStream() {
-  // Host domain only: the stitch is wall-clock work with no deterministic timeline of its
-  // own, and keeping it out of the sim track is what lets streaming and materialized runs
-  // produce identical sim traces.
-  TraceRecorder::ScopedHostSpan stitch_span(trace_, "fleet.materialize", "aggregate",
-                                            kTraceTrackAggregate);
-  uint64_t total_faulty = 0;
-  uint64_t total_defects = 0;
-  for (const ShardPiece& piece : pieces_) {
-    total_faulty += piece.faulty_serials.size();
-    total_defects += piece.defects.size();
-  }
-  fleet_->faulty_serials_.reserve(total_faulty);
-  fleet_->faulty_ranges_.reserve(total_faulty);
-  fleet_->defect_arena_.reserve(total_defects);
-  // Shard-local arena offsets are running sums starting at 0, so rebasing by the arena
-  // size at the shard's turn keeps every range pointing at its own defects.
-  for (ShardPiece& piece : pieces_) {
-    const uint64_t base_offset = fleet_->defect_arena_.size();
-    for (size_t i = 0; i < piece.faulty_serials.size(); ++i) {
-      fleet_->faulty_serials_.push_back(piece.faulty_serials[i]);
-      fleet_->faulty_ranges_.push_back(
-          {base_offset + piece.faulty_ranges[i].offset, piece.faulty_ranges[i].count});
-    }
-    fleet_->defect_arena_.insert(fleet_->defect_arena_.end(),
-                                 std::make_move_iterator(piece.defects.begin()),
-                                 std::make_move_iterator(piece.defects.end()));
-  }
-  for (const FleetShardTally& tally : fleet_->shard_tallies_) {
-    for (size_t arch = 0; arch < tally.by_arch.size(); ++arch) {
-      fleet_->counts_by_arch_[arch] += tally.by_arch[arch];
-    }
-  }
-  pieces_.clear();
-  pieces_.shrink_to_fit();
 }
 
 }  // namespace sdc

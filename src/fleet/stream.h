@@ -2,8 +2,8 @@
 // production fleet path.
 //
 // FleetShardStream generates the fleet one kFleetShardGrain-wide shard at a time into
-// per-lane scratch buffers and hands each shard -- as a FleetShard view of packed byte
-// columns plus defect spans over the shard-local arena -- to a set of ShardConsumers while
+// per-lane scratch buffers and hands each shard -- as the FleetShard view of its buffer
+// (src/fleet/population.h) -- to a set of ShardConsumers while
 // the data is hot in cache. A fused generate -> screen -> aggregate pass therefore peaks
 // at O(lanes * shard) bytes, so a 100M-processor fleet is a flag, not an OOM.
 //
@@ -11,63 +11,21 @@
 // generation kernel (GenerateFleetShard), consumers store per-shard partial results
 // indexed by shard, and EndStream merges them in shard order -- the contract of
 // docs/parallelism.md, so every result is byte-identical at any thread count, and to
-// the materialized fleet FleetMaterializer rebuilds from the same stream
+// the materialized fleet FleetPopulation::Generate keeps from the same stream
 // (tests/stream_test.cc pins this at 1/2/8 threads).
 
 #ifndef SDC_SRC_FLEET_STREAM_H_
 #define SDC_SRC_FLEET_STREAM_H_
 
-#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <vector>
 
 #include "src/fleet/population.h"
 
 namespace sdc {
 
 class EngineContext;
-class TraceRecorder;
-
-// Borrowed view of one generated shard, valid only for the duration of
-// ShardConsumer::ConsumeShard. Serial-indexed accessors take global serials in
-// [begin, end); the packed columns are indexed serial - begin.
-struct FleetShard {
-  uint64_t shard = 0;
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  const FleetShardTally* tally = nullptr;     // the generator's tally; never null
-  std::span<const uint8_t> arch_bytes;        // indexed by serial - begin
-  std::span<const uint8_t> flag_bytes;        // indexed by serial - begin
-  std::span<const uint64_t> faulty_serials;   // global serials, ascending
-  std::span<const DefectRange> faulty_ranges; // offsets into `defects`
-  std::span<const Defect> defects;            // shard-local arena
-
-  uint64_t size() const { return end - begin; }
-  int arch_index(uint64_t serial) const { return arch_bytes[serial - begin]; }
-  bool faulty(uint64_t serial) const {
-    return (flag_bytes[serial - begin] & FleetPopulation::kFaultyFlag) != 0;
-  }
-  bool toolchain_detectable(uint64_t serial) const {
-    return (flag_bytes[serial - begin] & FleetPopulation::kDetectableFlag) != 0;
-  }
-
-  // Defects of the faulty part at `ordinal` within faulty_serials.
-  std::span<const Defect> FaultyDefects(size_t ordinal) const {
-    const DefectRange& range = faulty_ranges[ordinal];
-    return {defects.data() + range.offset, range.count};
-  }
-
-  // Defects of an arbitrary in-shard processor (empty for clean parts).
-  std::span<const Defect> DefectsOf(uint64_t serial) const;
-
-  // Assembled per-processor view, mirroring FleetPopulation::processor.
-  FleetProcessorView processor(uint64_t serial) const {
-    return {serial, arch_index(serial), faulty(serial), toolchain_detectable(serial),
-            DefectsOf(serial)};
-  }
-};
 
 // Consumer of a streaming fleet pass. ConsumeShard is called once per shard, concurrently
 // from the pool's lanes and in schedule-dependent order; the shard's storage is only
@@ -122,33 +80,6 @@ class FleetShardStream {
 
  private:
   PopulationConfig config_;
-};
-
-// Consumer that rebuilds the random-access FleetPopulation from the stream.
-// FleetPopulation::Generate is implemented as exactly this consumer, so the materialized
-// fleet is the streaming fleet by construction.
-class FleetMaterializer : public ShardConsumer {
- public:
-  explicit FleetMaterializer(FleetPopulation* fleet) : fleet_(fleet) {}
-
-  // Pins the context's trace sink (for the stitch span) as of pass start.
-  void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
-                              uint64_t shard_count) override;
-  void ConsumeShard(const FleetShard& shard) override;
-  void EndStream() override;
-
- private:
-  // Variable-length shard pieces held until EndStream stitches them in shard order into
-  // the sorted faulty index and the contiguous defect arena.
-  struct ShardPiece {
-    std::vector<uint64_t> faulty_serials;
-    std::vector<DefectRange> faulty_ranges;  // shard-local offsets
-    std::vector<Defect> defects;
-  };
-
-  FleetPopulation* fleet_;
-  std::vector<ShardPiece> pieces_;
-  TraceRecorder* trace_ = nullptr;  // pinned at pass start
 };
 
 }  // namespace sdc

@@ -112,30 +112,22 @@ void ScrubDiscoveryObserver::BeginStream(const PopulationConfig& /*population*/,
                                          uint64_t shard_count) {
   partials_.assign(shard_count, {});
   candidates_.clear();
-  arch_totals_ = {};
 }
 
 void ScrubDiscoveryObserver::ObserveShard(const FleetShard& shard,
                                           const ScreeningStats& shard_stats) {
-  ShardPartial& partial = partials_[shard.shard];
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    partial.arch_totals[arch] = shard.tally->by_arch[arch];
-  }
-  AppendCandidates(shard, shard_stats.detections, partial.candidates);
+  AppendCandidates(shard, shard_stats.detections, partials_[shard.shard]);
 }
 
 void ScrubDiscoveryObserver::EndStream() {
   size_t total = 0;
-  for (const ShardPartial& partial : partials_) {
-    total += partial.candidates.size();
+  for (const std::vector<ScrubCandidate>& partial : partials_) {
+    total += partial.size();
   }
   candidates_.reserve(total);
-  for (ShardPartial& partial : partials_) {
-    for (ScrubCandidate& candidate : partial.candidates) {
+  for (std::vector<ScrubCandidate>& partial : partials_) {
+    for (ScrubCandidate& candidate : partial) {
       candidates_.push_back(std::move(candidate));
-    }
-    for (int arch = 0; arch < kArchCount; ++arch) {
-      arch_totals_[arch] += partial.arch_totals[arch];
     }
   }
   partials_.clear();
@@ -168,7 +160,9 @@ ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context
   screen.AddObserver(&discovery);
   FleetShardStream(config.population).Drive({&screen}, context);
   std::vector<ScrubCandidate> candidates = discovery.TakeCandidates();
-  const std::array<uint64_t, kArchCount>& arch_totals = discovery.arch_totals();
+  // The screen's fleet-wide arch histogram (its fold of the generator tallies) sizes the
+  // clean sweep buckets.
+  const std::array<uint64_t, kArchCount> arch_totals = screen.TakeStats().tested_by_arch;
   report.faulty = candidates.size();
 
   std::array<int, kArchCount> arch_cores{};

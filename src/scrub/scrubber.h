@@ -189,20 +189,12 @@ class ScrubDiscoveryObserver : public ShardOutcomeObserver {
   void ObserveShard(const FleetShard& shard, const ScreeningStats& shard_stats) override;
   void EndStream() override;
 
-  // Candidates ascending by serial plus the fleet-wide arch histogram (needed to size
-  // the clean sweep buckets); valid once after EndStream.
+  // Candidates ascending by serial; valid once after EndStream.
   std::vector<ScrubCandidate> TakeCandidates() { return std::move(candidates_); }
-  const std::array<uint64_t, kArchCount>& arch_totals() const { return arch_totals_; }
 
  private:
-  struct ShardPartial {
-    std::vector<ScrubCandidate> candidates;
-    std::array<uint64_t, kArchCount> arch_totals{};
-  };
-
-  std::vector<ShardPartial> partials_;
+  std::vector<std::vector<ScrubCandidate>> partials_;  // per shard
   std::vector<ScrubCandidate> candidates_;
-  std::array<uint64_t, kArchCount> arch_totals_{};
 };
 
 // Step limit of the epoch loop: each epoch plans and runs a round of test sessions, so a

@@ -2,6 +2,7 @@
 // Statistical assertions use loose bounds around the Table 1 / Table 2 calibration targets.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -91,19 +92,39 @@ uint64_t HashDefect(uint64_t hash, const Defect& defect) {
   return hash;
 }
 
+// Hashes the fleet as one fleet-wide byte stream -- every arch byte, every flag byte,
+// every faulty serial, every arena range with its offset into the concatenation of the
+// shard arenas, every defect, then the per-arch counts -- so the pinned golden digest
+// does not depend on how the fleet is stored.
 uint64_t HashFleet(const FleetPopulation& fleet) {
   uint64_t hash = 0xcbf29ce484222325ull;
-  hash = Fnv1a(hash, fleet.arch_bytes().data(), fleet.arch_bytes().size());
-  hash = Fnv1a(hash, fleet.flag_bytes().data(), fleet.flag_bytes().size());
-  for (uint64_t serial : fleet.faulty_serials()) {
-    hash = Fnv1a(hash, &serial, sizeof(serial));
+  for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
+    const FleetShard shard = fleet.shard(s);
+    hash = Fnv1a(hash, shard.arch_bytes.data(), shard.arch_bytes.size());
   }
-  for (const DefectRange& range : fleet.faulty_ranges()) {
-    hash = Fnv1a(hash, &range.offset, sizeof(range.offset));
-    hash = Fnv1a(hash, &range.count, sizeof(range.count));
+  for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
+    const FleetShard shard = fleet.shard(s);
+    hash = Fnv1a(hash, shard.flag_bytes.data(), shard.flag_bytes.size());
   }
-  for (const Defect& defect : fleet.defect_arena()) {
-    hash = HashDefect(hash, defect);
+  for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
+    for (const uint64_t serial : fleet.shard(s).faulty_serials) {
+      hash = Fnv1a(hash, &serial, sizeof(serial));
+    }
+  }
+  uint64_t arena_base = 0;  // running sum of the arenas of earlier shards
+  for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
+    const FleetShard shard = fleet.shard(s);
+    for (const DefectRange& range : shard.faulty_ranges) {
+      const uint64_t offset = arena_base + range.offset;
+      hash = Fnv1a(hash, &offset, sizeof(offset));
+      hash = Fnv1a(hash, &range.count, sizeof(range.count));
+    }
+    arena_base += shard.defects.size();
+  }
+  for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
+    for (const Defect& defect : fleet.shard(s).defects) {
+      hash = HashDefect(hash, defect);
+    }
   }
   for (int arch = 0; arch < kArchCount; ++arch) {
     const uint64_t count = fleet.CountByArch(arch);
@@ -114,37 +135,42 @@ uint64_t HashFleet(const FleetPopulation& fleet) {
 
 void ExpectFleetsIdentical(const FleetPopulation& a, const FleetPopulation& b) {
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.arch_bytes(), b.arch_bytes());
-  EXPECT_EQ(a.flag_bytes(), b.flag_bytes());
-  EXPECT_EQ(a.faulty_serials(), b.faulty_serials());
-  ASSERT_EQ(a.faulty_ranges().size(), b.faulty_ranges().size());
-  for (size_t i = 0; i < a.faulty_ranges().size(); ++i) {
-    EXPECT_EQ(a.faulty_ranges()[i].offset, b.faulty_ranges()[i].offset);
-    EXPECT_EQ(a.faulty_ranges()[i].count, b.faulty_ranges()[i].count);
-  }
-  ASSERT_EQ(a.defect_arena().size(), b.defect_arena().size());
+  ASSERT_EQ(a.shard_count(), b.shard_count());
+  EXPECT_EQ(a.faulty_count(), b.faulty_count());
   for (int arch = 0; arch < kArchCount; ++arch) {
     EXPECT_EQ(a.CountByArch(arch), b.CountByArch(arch)) << ArchName(arch);
   }
-  // Every shard's tally, not only their sum: the screen and the other shard consumers
-  // read shard s's tally beside shard s's columns. The blocked generator histograms the
-  // arch column; the reference loop counts one part at a time.
-  ASSERT_EQ(a.shard_tallies().size(), b.shard_tallies().size());
-  for (size_t shard = 0; shard < a.shard_tallies().size(); ++shard) {
-    const FleetShardTally& x = a.shard_tallies()[shard];
-    const FleetShardTally& y = b.shard_tallies()[shard];
-    EXPECT_EQ(x.faulty, y.faulty) << "shard " << shard;
-    EXPECT_EQ(x.defects, y.defects) << "shard " << shard;
-    EXPECT_EQ(x.undetectable, y.undetectable) << "shard " << shard;
-    EXPECT_EQ(x.by_arch, y.by_arch) << "shard " << shard;
-    EXPECT_EQ(x.defects_by_arch, y.defects_by_arch) << "shard " << shard;
-  }
-  // Field-level defect comparison is what the hash summarizes; assert it directly too so
-  // a mismatch points at the defect, not at a digest.
-  for (size_t i = 0; i < a.defect_arena().size(); ++i) {
-    EXPECT_EQ(HashDefect(0xcbf29ce484222325ull, a.defect_arena()[i]),
-              HashDefect(0xcbf29ce484222325ull, b.defect_arena()[i]))
-        << "defect " << i;
+  for (uint64_t s = 0; s < a.shard_count(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const FleetShard x = a.shard(s);
+    const FleetShard y = b.shard(s);
+    EXPECT_EQ(x.shard, y.shard);
+    EXPECT_EQ(x.begin, y.begin);
+    EXPECT_EQ(x.end, y.end);
+    EXPECT_TRUE(std::ranges::equal(x.arch_bytes, y.arch_bytes));
+    EXPECT_TRUE(std::ranges::equal(x.flag_bytes, y.flag_bytes));
+    EXPECT_TRUE(std::ranges::equal(x.faulty_serials, y.faulty_serials));
+    ASSERT_EQ(x.faulty_ranges.size(), y.faulty_ranges.size());
+    for (size_t i = 0; i < x.faulty_ranges.size(); ++i) {
+      EXPECT_EQ(x.faulty_ranges[i].offset, y.faulty_ranges[i].offset);
+      EXPECT_EQ(x.faulty_ranges[i].count, y.faulty_ranges[i].count);
+    }
+    // Every shard's tally, not only their sum: the screen and the other shard consumers
+    // read shard s's tally beside shard s's columns. The blocked generator histograms
+    // the arch column; the reference loop counts one part at a time.
+    EXPECT_EQ(x.tally->faulty, y.tally->faulty);
+    EXPECT_EQ(x.tally->defects, y.tally->defects);
+    EXPECT_EQ(x.tally->undetectable, y.tally->undetectable);
+    EXPECT_EQ(x.tally->by_arch, y.tally->by_arch);
+    EXPECT_EQ(x.tally->defects_by_arch, y.tally->defects_by_arch);
+    // Field-level defect comparison is what the hash summarizes; assert it directly too
+    // so a mismatch points at the defect, not at a digest.
+    ASSERT_EQ(x.defects.size(), y.defects.size());
+    for (size_t i = 0; i < x.defects.size(); ++i) {
+      EXPECT_EQ(HashDefect(0xcbf29ce484222325ull, x.defects[i]),
+                HashDefect(0xcbf29ce484222325ull, y.defects[i]))
+          << "defect " << i;
+    }
   }
   EXPECT_EQ(HashFleet(a), HashFleet(b));
 }
@@ -197,44 +223,66 @@ TEST_F(FleetTest, TruePrevalenceAboveDetectedTargets) {
 
 TEST_F(FleetTest, FaultyPartsHaveDefects) {
   for (uint64_t serial = 0; serial < fleet_->size(); ++serial) {
-    if (fleet_->faulty(serial)) {
-      EXPECT_FALSE(fleet_->DefectsOf(serial).empty());
+    const FleetProcessorView processor = fleet_->processor(serial);
+    EXPECT_EQ(processor.serial, serial);
+    if (processor.faulty) {
+      EXPECT_FALSE(processor.defects.empty());
     } else {
-      EXPECT_TRUE(fleet_->DefectsOf(serial).empty());
+      EXPECT_TRUE(processor.defects.empty());
     }
   }
 }
 
 TEST_F(FleetTest, FaultyIndexMatchesFlagColumns) {
-  // The sorted faulty-serial index, the packed flag bytes, and the defect arena ranges
-  // must describe the same fleet (docs/performance.md layout invariants).
-  uint64_t listed = 0;
-  uint64_t last_serial = 0;
-  uint64_t arena_cursor = 0;
-  for (size_t ordinal = 0; ordinal < fleet_->faulty_serials().size(); ++ordinal) {
-    const uint64_t serial = fleet_->faulty_serials()[ordinal];
-    if (ordinal > 0) {
-      EXPECT_GT(serial, last_serial);  // strictly ascending
+  // Within every shard, the sorted faulty-serial index, the packed flag bytes and the
+  // defect arena ranges describe the same parts (docs/performance.md layout invariants),
+  // and the shard tallies add up to the fleet's counts.
+  uint64_t faulty = 0;
+  std::array<uint64_t, kArchCount> by_arch{};
+  for (uint64_t s = 0; s < fleet_->shard_count(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const FleetShard shard = fleet_->shard(s);
+    EXPECT_EQ(shard.shard, s);
+    EXPECT_EQ(shard.begin, s * kFleetShardGrain);
+    EXPECT_EQ(shard.end, std::min(shard.begin + kFleetShardGrain, fleet_->size()));
+    ASSERT_EQ(shard.arch_bytes.size(), shard.size());
+    ASSERT_EQ(shard.flag_bytes.size(), shard.size());
+    ASSERT_EQ(shard.faulty_ranges.size(), shard.faulty_serials.size());
+    uint64_t arena_cursor = 0;
+    for (size_t ordinal = 0; ordinal < shard.faulty_serials.size(); ++ordinal) {
+      const uint64_t serial = shard.faulty_serials[ordinal];
+      EXPECT_GE(serial, shard.begin);
+      EXPECT_LT(serial, shard.end);
+      if (ordinal > 0) {
+        EXPECT_GT(serial, shard.faulty_serials[ordinal - 1]);  // strictly ascending
+      }
+      EXPECT_TRUE(shard.faulty(serial));
+      const auto defects = shard.FaultyDefects(ordinal);
+      EXPECT_FALSE(defects.empty());
+      EXPECT_EQ(defects.data(), shard.defects.data() + arena_cursor)
+          << "arena ranges must tile the shard arena contiguously in serial order";
+      arena_cursor += defects.size();
     }
-    last_serial = serial;
-    EXPECT_TRUE(fleet_->faulty(serial));
-    const auto defects = fleet_->FaultyDefects(ordinal);
-    EXPECT_FALSE(defects.empty());
-    EXPECT_EQ(defects.data(), fleet_->defect_arena().data() + arena_cursor)
-        << "arena ranges must tile the arena contiguously in serial order";
-    arena_cursor += defects.size();
-    ++listed;
-  }
-  EXPECT_EQ(arena_cursor, fleet_->defect_arena().size());
-  EXPECT_EQ(listed, fleet_->faulty_count());
-  uint64_t flagged = 0;
-  for (uint64_t serial = 0; serial < fleet_->size(); ++serial) {
-    flagged += fleet_->faulty(serial) ? 1 : 0;
-    if (!fleet_->faulty(serial)) {
-      EXPECT_TRUE(fleet_->toolchain_detectable(serial));
+    EXPECT_EQ(arena_cursor, shard.defects.size());
+    uint64_t flagged = 0;
+    for (uint64_t serial = shard.begin; serial < shard.end; ++serial) {
+      flagged += shard.faulty(serial) ? 1 : 0;
+      if (!shard.faulty(serial)) {
+        EXPECT_TRUE(shard.toolchain_detectable(serial));
+      }
+    }
+    EXPECT_EQ(flagged, shard.faulty_serials.size());
+    EXPECT_EQ(shard.tally->faulty, shard.faulty_serials.size());
+    EXPECT_EQ(shard.tally->defects, shard.defects.size());
+    faulty += shard.tally->faulty;
+    for (size_t arch = 0; arch < by_arch.size(); ++arch) {
+      by_arch[arch] += shard.tally->by_arch[arch];
     }
   }
-  EXPECT_EQ(flagged, listed);
+  EXPECT_EQ(faulty, fleet_->faulty_count());
+  for (int arch = 0; arch < kArchCount; ++arch) {
+    EXPECT_EQ(by_arch[static_cast<size_t>(arch)], fleet_->CountByArch(arch)) << ArchName(arch);
+  }
 }
 
 TEST_F(FleetTest, GenerationDeterministic) {
@@ -245,8 +293,8 @@ TEST_F(FleetTest, GenerationDeterministic) {
   const FleetPopulation b = GenerateFleet(config);
   EXPECT_EQ(a.faulty_count(), b.faulty_count());
   for (uint64_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.arch_index(i), b.arch_index(i));
-    EXPECT_EQ(a.faulty(i), b.faulty(i));
+    EXPECT_EQ(a.processor(i).arch_index, b.processor(i).arch_index);
+    EXPECT_EQ(a.processor(i).faulty, b.processor(i).faulty);
   }
 }
 
@@ -792,8 +840,10 @@ TEST_F(FleetTest, LateOnsetDefectsDetectedInRegularRounds) {
   // Wear-out defects exist in the population and are only ever caught in regular testing
   // (month > 0), never pre-production.
   bool any_late_onset = false;
-  for (const Defect& defect : fleet_->defect_arena()) {
-    any_late_onset |= defect.onset_months > 0.0;
+  for (uint64_t s = 0; s < fleet_->shard_count(); ++s) {
+    for (const Defect& defect : fleet_->shard(s).defects) {
+      any_late_onset |= defect.onset_months > 0.0;
+    }
   }
   EXPECT_TRUE(any_late_onset);  // the generator produces wear-out defects
   ScreeningPipeline pipeline(suite_);

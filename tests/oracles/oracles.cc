@@ -123,30 +123,14 @@ FleetPopulation GenerateFleetReference(const PopulationConfig& config) {
   GenerationPlan plan = GenerationPlan::Build(config, context);
   plan.blocked = false;
 
-  FleetPopulation fleet;
-  FleetMaterializer materializer(&fleet);
-  const uint64_t shard_count = FleetShardStream(config).shard_count();
-  materializer.BeginStreamWithContext(&context, config, shard_count);
+  std::vector<FleetShardBuffer> shards(FleetShardStream(config).shard_count());
   const Rng base(config.seed);
-  FleetShardBuffer buffer;
-  for (uint64_t shard = 0; shard < shard_count; ++shard) {
+  for (uint64_t shard = 0; shard < shards.size(); ++shard) {
     const uint64_t begin = shard * kFleetShardGrain;
     const uint64_t end = std::min(begin + kFleetShardGrain, config.processor_count);
-    GenerateFleetShard(config, plan, base, shard, begin, end, buffer);
-    FleetShard view;
-    view.shard = shard;
-    view.begin = begin;
-    view.end = end;
-    view.tally = &buffer.tally;
-    view.arch_bytes = buffer.arch_bytes;
-    view.flag_bytes = buffer.flag_bytes;
-    view.faulty_serials = buffer.faulty_serials;
-    view.faulty_ranges = buffer.faulty_ranges;
-    view.defects = buffer.defects;
-    materializer.ConsumeShard(view);
+    GenerateFleetShard(config, plan, base, shard, begin, end, shards[shard]);
   }
-  materializer.EndStream();
-  return fleet;
+  return FleetPopulation(config, std::move(shards));
 }
 
 ScreeningStats ReferenceScreen(const ScreeningPipeline& pipeline, const FleetPopulation& fleet,

@@ -30,9 +30,9 @@ namespace sdc {
 
 // The original per-processor generator: GenerationPlan::Build with the blocked kernel
 // switched off, so GenerateFleetShard takes its scalar loop for every shard, run shard by
-// shard on one lane and stitched by a FleetMaterializer. Byte-identical to
-// FleetPopulation::Generate -- columns, faulty index, defect arena, tallies -- at any lane
-// count and vector level.
+// shard on one lane straight into the fleet's shard buffers. Byte-identical to
+// FleetPopulation::Generate -- columns, faulty index, defect arenas, tallies -- at any
+// lane count and vector level.
 FleetPopulation GenerateFleetReference(const PopulationConfig& config);
 
 // The pre-memoization screening model: every processor (clean parts included) screened

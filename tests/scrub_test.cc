@@ -109,8 +109,11 @@ std::vector<ScrubCandidate> ReferenceCandidates(const FleetPopulation& fleet,
                                                 const ScreeningStats& stats) {
   std::vector<ScrubCandidate> candidates;
   size_t cursor = 0;
-  for (const uint64_t serial : fleet.faulty_serials()) {
+  for (uint64_t serial = 0; serial < fleet.size(); ++serial) {
     const FleetProcessorView processor = fleet.processor(serial);
+    if (!processor.faulty) {
+      continue;
+    }
     ScrubCandidate candidate;
     candidate.serial = serial;
     candidate.arch_index = processor.arch_index;
@@ -133,7 +136,7 @@ std::vector<ScrubCandidate> ReferenceCandidates(const FleetPopulation& fleet,
 }
 
 // Streamed discovery (what FleetScrubber::Run uses) yields exactly the reference
-// candidates and arch histogram at every lane count.
+// candidates, and its screen the fleet's arch histogram, at every lane count.
 TEST_F(ScrubTest, DiscoveryMatchesMaterializedReference) {
   const ScrubConfig config = SmallConfig();
   const ScreeningPipeline pipeline(suite_);
@@ -156,8 +159,10 @@ TEST_F(ScrubTest, DiscoveryMatchesMaterializedReference) {
     ScrubDiscoveryObserver discovery;
     screen.AddObserver(&discovery);
     FleetShardStream(config.population).Drive({&screen}, context);
+    // The arch histogram FleetScrubber::Run sizes its clean sweep buckets with.
+    const ScreeningStats stats = screen.TakeStats();
     for (int arch = 0; arch < kArchCount; ++arch) {
-      EXPECT_EQ(discovery.arch_totals()[arch], fleet.CountByArch(arch)) << "arch " << arch;
+      EXPECT_EQ(stats.tested_by_arch[arch], fleet.CountByArch(arch)) << "arch " << arch;
     }
     const std::vector<ScrubCandidate> candidates = discovery.TakeCandidates();
     ASSERT_EQ(candidates.size(), expected.size());

@@ -6,7 +6,9 @@
 // exposure) must be lane-count invariant. Also pins the memory contract: peak streaming
 // scratch is O(lanes * shard), not O(fleet).
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,7 +57,7 @@ class StreamEquivalenceTest : public ::testing::Test {
   }
 
   // The materialized baseline: build the fleet, screen it, and derive the exposures
-  // through its random-access DefectsOf.
+  // through its random-access processor(serial).defects.
   static PassResults RunMaterialized(uint64_t processors, int threads,
                                      MetricsRegistry* metrics = nullptr) {
     EngineContext context(PinnedEngine(threads, metrics));
@@ -71,7 +73,7 @@ class StreamEquivalenceTest : public ::testing::Test {
         continue;
       }
       double onset = 0.0;
-      for (const Defect& defect : fleet.DefectsOf(outcome.serial)) {
+      for (const Defect& defect : fleet.processor(outcome.serial).defects) {
         if (defect.onset_months > 0.0 && defect.onset_months <= outcome.month) {
           onset = defect.onset_months;
         }
@@ -230,30 +232,49 @@ TEST_F(StreamEquivalenceTest, MetricsSnapshotsIdenticalAcrossModes) {
 }
 
 TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
-  // A FleetMaterializer riding the same drive as other consumers rebuilds exactly the
-  // fleet Generate produces (Generate itself is this consumer; this pins the multi-
-  // consumer path).
+  // A consumer riding the same drive as the screen sees exactly the shards Generate keeps
+  // (Generate is one collecting consumer on its own drive; this pins the multi-consumer
+  // path).
+  class ShardComparer : public ShardConsumer {
+   public:
+    explicit ShardComparer(const FleetPopulation* expected)
+        : expected_(expected), same_(expected->shard_count(), 0) {}
+    void ConsumeShard(const FleetShard& shard) override {
+      const FleetShard want = expected_->shard(shard.shard);
+      bool same = shard.begin == want.begin && shard.end == want.end &&
+                  std::ranges::equal(shard.arch_bytes, want.arch_bytes) &&
+                  std::ranges::equal(shard.flag_bytes, want.flag_bytes) &&
+                  std::ranges::equal(shard.faulty_serials, want.faulty_serials) &&
+                  shard.defects.size() == want.defects.size() &&
+                  shard.tally->by_arch == want.tally->by_arch;
+      for (size_t ordinal = 0; same && ordinal < shard.faulty_serials.size(); ++ordinal) {
+        const std::span<const Defect> got = shard.FaultyDefects(ordinal);
+        const std::span<const Defect> expected = want.FaultyDefects(ordinal);
+        same = got.size() == expected.size();
+        for (size_t d = 0; same && d < got.size(); ++d) {
+          same = got[d].id == expected[d].id;
+        }
+      }
+      same_[shard.shard] = same ? 1 : 0;  // shards own disjoint slots
+    }
+    const std::vector<int>& same() const { return same_; }
+
+   private:
+    const FleetPopulation* expected_;
+    std::vector<int> same_;
+  };
+
   const PopulationConfig config = MakePopulationConfig(kFleetSize);
   EngineContext context(PinnedEngine(4));
   const FleetPopulation expected = FleetPopulation::Generate(config, context);
-  FleetPopulation rebuilt;
-  FleetMaterializer materializer(&rebuilt);
+  ShardComparer comparer(&expected);
   ScreeningPipeline pipeline(suite_);
   StreamingScreen screen(&pipeline, ScreeningConfig());
   FleetShardStream stream(config);
-  stream.Drive({&screen, &materializer}, context);
-  EXPECT_EQ(rebuilt.arch_bytes(), expected.arch_bytes());
-  EXPECT_EQ(rebuilt.flag_bytes(), expected.flag_bytes());
-  EXPECT_EQ(rebuilt.faulty_serials(), expected.faulty_serials());
-  ASSERT_EQ(rebuilt.faulty_count(), expected.faulty_count());
-  for (size_t ordinal = 0; ordinal < rebuilt.faulty_count(); ++ordinal) {
-    ASSERT_EQ(rebuilt.FaultyDefects(ordinal).size(), expected.FaultyDefects(ordinal).size());
-    for (size_t d = 0; d < rebuilt.FaultyDefects(ordinal).size(); ++d) {
-      EXPECT_EQ(rebuilt.FaultyDefects(ordinal)[d].id, expected.FaultyDefects(ordinal)[d].id);
-    }
-  }
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    EXPECT_EQ(rebuilt.CountByArch(arch), expected.CountByArch(arch));
+  ASSERT_EQ(stream.shard_count(), expected.shard_count());
+  stream.Drive({&screen, &comparer}, context);
+  for (uint64_t s = 0; s < expected.shard_count(); ++s) {
+    EXPECT_EQ(comparer.same()[s], 1) << "shard " << s;
   }
 }
 

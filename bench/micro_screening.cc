@@ -6,7 +6,7 @@
 // "screen" and "generate_screen", each at 1/2/8 worker threads; "screen" and
 // "generate_screen" run under both models:
 //   cached    -- the production path: per-defect survive terms memoized once per
-//                faulty processor, clean parts streamed via the packed byte columns.
+//                faulty processor, clean parts counted from the generator's tally.
 //   reference -- the pre-memoization ReferenceScreen test oracle
 //                (tests/oracles/oracles.h), recomputing MatchingTestcases/ExpectedErrors
 //                at every probe.
@@ -18,7 +18,7 @@
 // "generate" likewise runs under both models: cached is the blocked SIMD generator
 // (GenerationPlan + bulk uniform fill + branchless classify, docs/performance.md),
 // reference the original per-processor loop, run by the GenerateFleetReference test
-// oracle. The binary asserts the two fleets are byte-identical -- columns, faulty index,
+// oracle. The binary asserts the two fleets are byte-identical -- arch column, faulty list,
 // defect arena (doubles compared bitwise), per-arch tallies -- at every thread count,
 // and the summary reports the blocked generator's speedup at one thread.
 //
@@ -219,8 +219,8 @@ bool IdenticalDefects(const Defect& a, const Defect& b) {
   return true;
 }
 
-// Byte-identity of two fleets, shard by shard: packed columns, sparse faulty index, arena
-// ranges, every defect field (doubles bitwise), and the per-arch tallies -- the contract
+// Byte-identity of two fleets, shard by shard: the arch column, the faulty list field by
+// field, every defect field (doubles bitwise), and the per-arch tallies -- the contract
 // the blocked generator makes against the reference loop (docs/performance.md).
 bool IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b) {
   if (a.size() != b.size() || a.shard_count() != b.shard_count()) {
@@ -230,15 +230,15 @@ bool IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b) {
     const FleetShard x = a.shard(s);
     const FleetShard y = b.shard(s);
     if (!std::ranges::equal(x.arch_bytes, y.arch_bytes) ||
-        !std::ranges::equal(x.flag_bytes, y.flag_bytes) ||
-        !std::ranges::equal(x.faulty_serials, y.faulty_serials) ||
-        x.faulty_ranges.size() != y.faulty_ranges.size() ||
-        x.defects.size() != y.defects.size() || x.tally->by_arch != y.tally->by_arch) {
+        x.faulty.size() != y.faulty.size() || x.defects.size() != y.defects.size() ||
+        x.tally->by_arch != y.tally->by_arch) {
       return false;
     }
-    for (size_t i = 0; i < x.faulty_ranges.size(); ++i) {
-      if (x.faulty_ranges[i].offset != y.faulty_ranges[i].offset ||
-          x.faulty_ranges[i].count != y.faulty_ranges[i].count) {
+    for (size_t i = 0; i < x.faulty.size(); ++i) {
+      if (x.faulty[i].serial != y.faulty[i].serial ||
+          x.faulty[i].defect_offset != y.faulty[i].defect_offset ||
+          x.faulty[i].defect_count != y.faulty[i].defect_count ||
+          x.faulty[i].detectable != y.faulty[i].detectable) {
         return false;
       }
     }
@@ -318,22 +318,22 @@ int Main(int argc, char** argv) {
     const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
     deterministic &= IdenticalFleets(golden_fleet, fleet);
 
-    // The cached screen plain and with a live SeriesRecorder attached, timed as
-    // interleaved pairs: sampling happens only at shard boundaries in the serial fold, so
-    // the per-pair ratio is the whole observability tax. Output (and the recorded sim
-    // series) must not move a bit. The plain half is the cached "screen" row.
-    SeriesRecorder check_recorder;
-    context.AttachSeries(&check_recorder);
-    deterministic &=
-        IdenticalStats(golden, RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context));
-    context.AttachSeries(nullptr);
+    // The cached screen plain and with a live SeriesRecorder, timed as interleaved pairs
+    // on two contexts built before the timing: sampling happens only at shard boundaries
+    // in the serial fold, so the per-pair ratio is the whole observability tax. Output
+    // (and the recorded sim series) must not move a bit. The plain half is the cached
+    // "screen" row.
+    SeriesRecorder recorder;
+    EngineOptions series_options = BenchEngine(threads, auto_level);
+    series_options.series = &recorder;
+    EngineContext series_context(series_options);
+    deterministic &= IdenticalStats(
+        golden, RunBatchOfOne(pipeline, fleet, ScreeningConfig(), series_context));
     const PairedWalls series_walls = BestPairedWalls(
         repeats, [&] { (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context); },
         [&] {
-          SeriesRecorder recorder;
-          context.AttachSeries(&recorder);
-          (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), context);
-          context.AttachSeries(nullptr);
+          recorder.Clear();
+          (void)RunBatchOfOne(pipeline, fleet, ScreeningConfig(), series_context);
         });
     if (threads == 1) {
       series_overhead = series_walls.min_ratio;

@@ -13,52 +13,4 @@ EngineContext::EngineContext(const EngineOptions& options)
       event_log_(options.event_log),
       series_(options.series) {}
 
-MetricsRegistry* EngineContext::metrics() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return metrics_;
-}
-
-TraceRecorder* EngineContext::trace() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return trace_;
-}
-
-EventLog* EngineContext::event_log() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return event_log_;
-}
-
-SeriesRecorder* EngineContext::series() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return series_;
-}
-
-MetricsRegistry* EngineContext::AttachMetrics(MetricsRegistry* metrics) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MetricsRegistry* previous = metrics_;
-  metrics_ = metrics;
-  return previous;
-}
-
-TraceRecorder* EngineContext::AttachTrace(TraceRecorder* trace) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TraceRecorder* previous = trace_;
-  trace_ = trace;
-  return previous;
-}
-
-EventLog* EngineContext::AttachEventLog(EventLog* event_log) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  EventLog* previous = event_log_;
-  event_log_ = event_log;
-  return previous;
-}
-
-SeriesRecorder* EngineContext::AttachSeries(SeriesRecorder* series) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SeriesRecorder* previous = series_;
-  series_ = series;
-  return previous;
-}
-
 }  // namespace sdc

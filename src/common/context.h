@@ -4,16 +4,17 @@
 // from mutable process-wide state on each call: ThreadPool construction re-read
 // SDC_THREADS, screening re-read SDC_SIMD, and metric/trace sinks were wired through
 // attach-style globals. That is harmless for a one-shot CLI and a latent bug class for a
-// long-lived service -- the moment two campaigns share a process, a setenv or an
-// AttachMetrics aimed at one campaign silently bleeds into the other.
+// long-lived service -- the moment two campaigns share a process, a setenv or a sink
+// attachment aimed at one campaign silently bleeds into the other.
 //
 // EngineContext is the fix. It captures everything the engine needs to execute --
 // worker lanes (an owned ThreadPool), the vector level of the generation kernel
 // (ClassifyDrawPairs), and the optional telemetry sinks (MetricsRegistry, TraceRecorder,
 // SeriesRecorder, EventLog) -- and the environment (SDC_THREADS, SDC_SIMD) is consulted
-// exactly once, inside the constructor. For the fleet engine and the session layer the
-// context is the only authority: FleetShardStream::Drive (the one production fleet
-// path), FleetScrubber::Run, TestFramework::RunPlan and Farron -- and
+// exactly once, inside the constructor. The sinks are fixed there too, so no pass can see
+// one change mid-flight. For the fleet engine and the session layer the context is the
+// only authority: FleetShardStream::Drive (the one production fleet path),
+// FleetScrubber::Run, TestFramework::RunPlan and Farron -- and
 // FleetPopulation::Generate / ScreeningPipeline::RunBatch, the materialized pair (the
 // stream's shards kept, then replayed) that perfbench's digest gate and the tests use --
 // each exist only in a form that takes one, and their configs describe the experiment
@@ -22,21 +23,12 @@
 // campaign daemon (docs/daemon.md) and the concurrent-campaign tests
 // (tests/context_test.cc) are built on.
 //
-// Sink lifecycle: Attach*/Detach may be called at any time, from any thread, but engine
-// passes PIN the attached sinks once when the pass starts and keep merging per-shard
-// deltas into the pinned sink until the pass ends. Detaching between shards therefore
-// never drops or double-merges a delta: the in-flight pass completes against the sink it
-// started with, and only the NEXT pass observes the new attachment
-// (tests/context_test.cc pins this by detaching mid-stream).
-//
-// Concurrency: one context serves one campaign at a time. Accessors and Attach* are
-// thread-safe, but the pool must not be used by two concurrent passes -- campaigns that
-// run concurrently each get their own context, which is exactly how sdcd isolates them.
+// Concurrency: one context serves one campaign at a time. Its accessors are immutable
+// reads, but the pool must not be used by two concurrent passes -- campaigns that run
+// concurrently each get their own context, which is exactly how sdcd isolates them.
 
 #ifndef SDC_SRC_COMMON_CONTEXT_H_
 #define SDC_SRC_COMMON_CONTEXT_H_
-
-#include <mutex>
 
 #include "src/common/parallel.h"
 #include "src/common/simd.h"
@@ -57,7 +49,7 @@ struct EngineOptions {
   // Consult SDC_THREADS / SDC_SIMD (once, at construction). The sdcd daemon sets this
   // false so per-campaign lane budgets cannot be overridden by the daemon's environment.
   bool env_overrides = true;
-  // Initial sink attachments; all optional (null = disabled) and re-attachable later.
+  // Telemetry sinks, fixed for the context's lifetime; all optional (null = disabled).
   MetricsRegistry* metrics = nullptr;
   TraceRecorder* trace = nullptr;
   EventLog* event_log = nullptr;
@@ -76,29 +68,20 @@ class EngineContext {
   SimdLevel simd() const { return simd_; }
   ThreadPool& pool() { return pool_; }
 
-  // Currently attached sinks (null = disabled). Engine passes call these once at pass
-  // start and pin the result; see the header comment for the lifecycle contract.
-  MetricsRegistry* metrics() const;
-  TraceRecorder* trace() const;
-  EventLog* event_log() const;
-  SeriesRecorder* series() const;
-
-  // Attach a sink (nullptr detaches); returns the previously attached sink. Thread-safe;
-  // in-flight passes keep their pinned sink, the next pass observes the change.
-  MetricsRegistry* AttachMetrics(MetricsRegistry* metrics);
-  TraceRecorder* AttachTrace(TraceRecorder* trace);
-  EventLog* AttachEventLog(EventLog* event_log);
-  SeriesRecorder* AttachSeries(SeriesRecorder* series);
+  // The sinks given at construction (null = disabled).
+  MetricsRegistry* metrics() const { return metrics_; }
+  TraceRecorder* trace() const { return trace_; }
+  EventLog* event_log() const { return event_log_; }
+  SeriesRecorder* series() const { return series_; }
 
  private:
   int threads_;
   SimdLevel simd_;
   ThreadPool pool_;
-  mutable std::mutex mutex_;
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
-  EventLog* event_log_;
-  SeriesRecorder* series_;
+  MetricsRegistry* const metrics_;
+  TraceRecorder* const trace_;
+  EventLog* const event_log_;
+  SeriesRecorder* const series_;
 };
 
 }  // namespace sdc

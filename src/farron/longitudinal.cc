@@ -82,8 +82,7 @@ LifecycleReport RunLifecycle(Farron& farron, FaultyMachine& machine, const TestS
   return report;
 }
 
-void WearoutExposureObserver::BeginStream(const PopulationConfig& /*population*/,
-                                          const ScreeningConfig& /*screening*/,
+void WearoutExposureObserver::BeginStream(const ScreeningConfig& /*screening*/,
                                           uint64_t shard_count) {
   partials_.assign(shard_count, {});
   exposures_.clear();
@@ -97,11 +96,13 @@ void WearoutExposureObserver::ObserveShard(const FleetShard& shard,
       continue;
     }
     // Last-in-storage-order active onset, exactly as the materialized cadence derivation
-    // walks DefectsOf(serial) -- equivalence is bitwise, so the tie-break must match.
+    // walks the part's defects -- equivalence is bitwise, so the tie-break must match.
     double onset = 0.0;
-    for (const Defect& defect : shard.DefectsOf(outcome.serial)) {
-      if (defect.onset_months > 0.0 && defect.onset_months <= outcome.month) {
-        onset = defect.onset_months;
+    if (const FaultyPart* part = shard.FindFaulty(outcome.serial); part != nullptr) {
+      for (const Defect& defect : shard.Defects(*part)) {
+        if (defect.onset_months > 0.0 && defect.onset_months <= outcome.month) {
+          onset = defect.onset_months;
+        }
       }
     }
     partial.push_back({outcome.serial, onset, outcome.month});

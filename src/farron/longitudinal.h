@@ -75,15 +75,14 @@ struct WearoutExposure {
   double exposure_months() const { return detection_month - onset_months; }
 };
 
-// Streaming derivation of the exposure windows. The materialized cadence study random-
-// accesses fleet.processor(serial).defects after Run; a streamed fleet has no such
-// access once a shard is gone, so this observer derives the same records shard by shard while the
-// defect spans are alive. Per-shard lists are concatenated in shard order, so exposures()
-// equals the materialized serial-order derivation exactly (tests/stream_test.cc).
+// Streaming derivation of the exposure windows. A shard's defects are gone once the
+// stream moves past it, so this observer looks up each regular-round detection in its
+// shard (FleetShard::FindFaulty) while the defect spans are alive. Per-shard lists are
+// concatenated in shard order, so exposures() equals a serial-order derivation over a
+// materialized fleet exactly (tests/stream_test.cc).
 class WearoutExposureObserver : public ShardOutcomeObserver {
  public:
-  void BeginStream(const PopulationConfig& population, const ScreeningConfig& screening,
-                   uint64_t shard_count) override;
+  void BeginStream(const ScreeningConfig& screening, uint64_t shard_count) override;
   void ObserveShard(const FleetShard& shard, const ScreeningStats& shard_stats) override;
   void EndStream() override;
 

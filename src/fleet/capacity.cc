@@ -1,6 +1,7 @@
 #include "src/fleet/capacity.h"
 
 #include <set>
+#include <span>
 #include <utility>
 
 namespace sdc {
@@ -19,11 +20,11 @@ void InitTimeline(CapacityReport& report, const ScreeningConfig& config) {
 
 // Applies one in-production detection to both decommission policies; report.timeline
 // must already be sized by InitTimeline.
-void ApplyProductionDetection(const FleetProcessorView& processor,
+void ApplyProductionDetection(int arch_index, std::span<const Defect> defects,
                               const ProcessorOutcome& outcome,
                               const ScreeningConfig& config, CapacityReport& report) {
-  const int total_cores = MakeArchSpec(processor.arch_index).physical_cores;
-  const int defective = DefectiveCoreCount(processor);
+  const int total_cores = MakeArchSpec(arch_index).physical_cores;
+  const int defective = DefectiveCoreCount(arch_index, defects);
   ++report.production_detections;
   const uint64_t baseline_loss = static_cast<uint64_t>(total_cores);
   uint64_t fine_loss = static_cast<uint64_t>(defective);
@@ -42,10 +43,10 @@ void ApplyProductionDetection(const FleetProcessorView& processor,
 
 }  // namespace
 
-int DefectiveCoreCount(const FleetProcessorView& processor) {
-  const int total = MakeArchSpec(processor.arch_index).physical_cores;
+int DefectiveCoreCount(int arch_index, std::span<const Defect> defects) {
+  const int total = MakeArchSpec(arch_index).physical_cores;
   std::set<int> cores;
-  for (const Defect& defect : processor.defects) {
+  for (const Defect& defect : defects) {
     if (defect.affected_pcores.empty()) {
       return total;
     }
@@ -54,8 +55,7 @@ int DefectiveCoreCount(const FleetProcessorView& processor) {
   return static_cast<int>(cores.size());
 }
 
-void CapacityAccumulator::BeginStream(const PopulationConfig& /*population*/,
-                                      const ScreeningConfig& screening,
+void CapacityAccumulator::BeginStream(const ScreeningConfig& screening,
                                       uint64_t shard_count) {
   config_ = screening;
   partials_.assign(shard_count, CapacityReport{});
@@ -75,10 +75,12 @@ void CapacityAccumulator::ObserveShard(const FleetShard& shard,
     if (outcome.stage != TestStage::kRegular) {
       continue;  // pre-production: the part never carried production load
     }
-    if (!shard.faulty(outcome.serial)) {
+    const FaultyPart* part = shard.FindFaulty(outcome.serial);
+    if (part == nullptr) {
       continue;
     }
-    ApplyProductionDetection(shard.processor(outcome.serial), outcome, config_, partial);
+    ApplyProductionDetection(shard.arch_index(part->serial), shard.Defects(*part), outcome,
+                             config_, partial);
   }
 }
 

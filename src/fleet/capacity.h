@@ -12,6 +12,7 @@
 #define SDC_SRC_FLEET_CAPACITY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/fleet/pipeline.h"
@@ -42,9 +43,9 @@ struct CapacityReport {
   }
 };
 
-// Number of defective physical cores of a fleet part (union over its defects; a defect with
-// no core list affects every core).
-int DefectiveCoreCount(const FleetProcessorView& processor);
+// Number of defective physical cores of a fleet part of arch `arch_index` (union over its
+// defects; a defect with no core list affects every core).
+int DefectiveCoreCount(int arch_index, std::span<const Defect> defects);
 
 // Replays the screening outcome's production detections against both policies. Attach
 // to a StreamingScreen and the capacity replay fuses into the generate+screen pass,
@@ -53,8 +54,7 @@ int DefectiveCoreCount(const FleetProcessorView& processor);
 // the same at any thread count (tests/stream_test.cc).
 class CapacityAccumulator : public ShardOutcomeObserver {
  public:
-  void BeginStream(const PopulationConfig& population, const ScreeningConfig& screening,
-                   uint64_t shard_count) override;
+  void BeginStream(const ScreeningConfig& screening, uint64_t shard_count) override;
   void ObserveShard(const FleetShard& shard, const ScreeningStats& shard_stats) override;
   void EndStream() override;
 

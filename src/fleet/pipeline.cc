@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <ranges>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -384,11 +385,12 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     const std::array<ProcessorSpec, kArchCount>& arch_specs, std::span<Rng> rngs,
     std::span<ScreeningStats> stats, std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
-  // Scenario-invariant work, paid once for the whole batch: the faulty-range lookup.
-  // Clean parts cost nothing here: ConsumeShard counts them from the generator's tally.
-  const auto first =
-      std::lower_bound(shard.faulty_serials.begin(), shard.faulty_serials.end(), begin);
-  const auto last = std::lower_bound(first, shard.faulty_serials.end(), end);
+  // Scenario-invariant work, paid once for the whole batch: the sub-shard's slice of the
+  // faulty list. Clean parts cost nothing here: ConsumeShard counts them from the
+  // generator's tally.
+  const auto first = std::ranges::lower_bound(shard.faulty, begin, {}, &FaultyPart::serial);
+  const auto last =
+      std::ranges::lower_bound(first, shard.faulty.end(), end, {}, &FaultyPart::serial);
 
   std::vector<size_t> first_detection(k_count);
   std::vector<uint64_t> faulty_before(k_count);
@@ -425,13 +427,10 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<int> matching;
   std::vector<double> sorted_onsets;
   std::vector<std::vector<std::array<double, kStageCount>>> group_terms(group_rep.size());
-  for (auto it = first; it != last; ++it) {
-    const uint64_t faulty_serial = *it;
-    const bool detectable = shard.toolchain_detectable(faulty_serial);
-    const int arch_index = shard.arch_index(faulty_serial);
-    const size_t ordinal = static_cast<size_t>(it - shard.faulty_serials.begin());
-    const std::span<const Defect> defects = shard.FaultyDefects(ordinal);
-    if (detectable) {
+  for (const FaultyPart& part : std::ranges::subrange(first, last)) {
+    const int arch_index = shard.arch_index(part.serial);
+    const std::span<const Defect> defects = shard.Defects(part);
+    if (part.detectable) {
       matching.resize(defects.size());
       for (size_t d = 0; d < defects.size(); ++d) {
         matching[d] = MatchingTestcases(defects[d]);
@@ -450,10 +449,10 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     }
     for (size_t k = 0; k < k_count; ++k) {
       ++stats[k].faulty;
-      if (!detectable) {
+      if (!part.detectable) {
         continue;  // escapes every stage (Section 2.3's false negatives)
       }
-      ReplayFaultyProbes(faulty_serial, arch_index, defects, group_terms[group_of[k]],
+      ReplayFaultyProbes(part.serial, arch_index, defects, group_terms[group_of[k]],
                          sorted_onsets, scenarios[k], rngs[k], stats[k]);
     }
   }
@@ -512,8 +511,7 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
 
 ShardOutcomeObserver::~ShardOutcomeObserver() = default;
 
-void ShardOutcomeObserver::BeginStream(const PopulationConfig& /*population*/,
-                                       const ScreeningConfig& /*screening*/,
+void ShardOutcomeObserver::BeginStream(const ScreeningConfig& /*screening*/,
                                        uint64_t /*shard_count*/) {}
 
 void ShardOutcomeObserver::EndStream() {}
@@ -562,9 +560,6 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
                                              const PopulationConfig& config,
                                              uint64_t shard_count) {
   const size_t k_count = scenarios_.size();
-  // Pin the context's sinks as of *now* for the whole pass. ConsumeShard / EndStream only
-  // ever look at these pins, so a detach on the context mid-stream can neither drop nor
-  // double-merge a shard's delta.
   metrics_ = context->metrics();
   trace_ = context->trace();
   series_ = context->series();
@@ -574,7 +569,7 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
   shard_traces_.assign(shard_count, std::vector<TraceDelta>(k_count));
   stats_.assign(k_count, ScreeningStats{});
   for (const ObserverEntry& entry : observers_) {
-    entry.observer->BeginStream(config, scenarios_[entry.scenario], shard_count);
+    entry.observer->BeginStream(scenarios_[entry.scenario], shard_count);
   }
 }
 

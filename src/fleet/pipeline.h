@@ -21,7 +21,7 @@
 // only when a wear-out defect's onset month is crossed -- every other cycle is a cached
 // lookup. The clean-processor fast path touches neither the model nor the columns: a
 // shard's tested counts are the generator's per-arch tally, and the kernel jumps between
-// faulty parts via the shard's sorted faulty-serial index. The pre-memoization
+// faulty parts by walking the shard's ascending faulty list. The pre-memoization
 // implementation lives outside the engine as a test oracle (ReferenceScreen,
 // tests/oracles/oracles.h), and the equivalence suite asserts byte-identical stats
 // between the two at several thread counts.
@@ -107,7 +107,7 @@ bool CheckStepCount(double horizon_months, double step_months, double limit,
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
 // The paper-style sweeps (seed, cadence, stage-temperature scans) re-screen the same
 // fleet K times; batching them shares everything scenario-invariant per shard -- the
-// generated shard with its per-arch tally, the faulty-range lookup, and the per-defect
+// generated shard with its per-arch tally, the faulty-list slice, and the per-defect
 // MatchingTestcases suite scan -- so one pass costs ~one generate plus K cheap probe
 // replays. Scenario k draws from Rng(scenarios[k].seed).Fork(shard), exactly the
 // streams its independent run would use, so every batched ScreeningStats is
@@ -186,14 +186,14 @@ class ScreeningPipeline {
   // shards. Production screens the stream (StreamingScreen); this overload stays only
   // for perfbench's digest gate and the tests that compare the two. Result k is
   // byte-identical to the batch of scenarios[k] alone -- counters, detections, detection
-  // months bitwise -- at any thread count; the faulty-range lookup and the per-defect
+  // months bitwise -- at any thread count; the faulty-list slice and the per-defect
   // suite matching are paid once per shard instead of once per scenario. Returns one
   // ScreeningStats per scenario, in batch order. The pass is a StreamingScreen fed the
   // fleet's kept shard views (FleetPopulation::shard) through ConsumeShard on the
   // context's lanes, then the stream's ordered fold -- so stats, metrics, trace and series are
   // byte-identical to a fused streaming pass over the same fleet. It runs on `context`:
-  // its pool supplies the lanes, and its sinks are pinned once at pass start
-  // (src/common/context.h). Every scenario's per-shard "screening.*" metric deltas and
+  // its pool supplies the lanes, and its sinks (src/common/context.h) receive the
+  // pass's telemetry. Every scenario's per-shard "screening.*" metric deltas and
   // "screen.subshard"/"detection" sim trace events merge into those sinks shard-major,
   // scenario after scenario within each shard; the series sink samples scenario 0's
   // cumulative "screening.tested" / "screening.detected" / "screening.escapes" once per
@@ -222,8 +222,8 @@ class ScreeningPipeline {
   // index begin / kScreeningShardGrain is stamped into every new provenance record and,
   // when traces[k] is non-null, emitted as the "screen.subshard" span plus one
   // "detection" instant per new detection. It screens only the faulty parts: the caller
-  // adds the tested counts from the shard's tally. Scenarios share the faulty-range
-  // lookup and the per-defect MatchingTestcases memo. All spans must have
+  // adds the tested counts from the shard's tally. Scenarios share the faulty-list
+  // slice and the per-defect MatchingTestcases memo. All spans must have
   // scenarios.size() entries.
   void ScreenShardRangeBatch(const FleetShard& shard, uint64_t begin, uint64_t end,
                              std::span<const ScreeningConfig> scenarios,
@@ -245,8 +245,7 @@ class ShardOutcomeObserver {
  public:
   virtual ~ShardOutcomeObserver();
 
-  virtual void BeginStream(const PopulationConfig& population,
-                           const ScreeningConfig& screening, uint64_t shard_count);
+  virtual void BeginStream(const ScreeningConfig& screening, uint64_t shard_count);
   // `shard_stats` holds exactly the shard's outcomes: detections ascending by serial,
   // all within [shard.begin, shard.end).
   virtual void ObserveShard(const FleetShard& shard, const ScreeningStats& shard_stats) = 0;
@@ -280,9 +279,7 @@ class StreamingScreen : public ShardConsumer {
   // scenario's shard stats.
   void AddObserver(ShardOutcomeObserver* observer, size_t scenario = 0);
 
-  // Pins the driving context's sinks -- no environment read. A detach on the context
-  // between shards cannot drop or double-merge a delta: the pass completes against what
-  // was pinned here.
+  // Takes the driving context's sinks for the pass -- no environment read.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
   // Adds the shard's tally to the tested counts of its per-shard slots, screens the
@@ -311,7 +308,7 @@ class StreamingScreen : public ShardConsumer {
   std::vector<Rng> bases_;  // one base RNG per scenario, forked per screening shard
   std::array<ProcessorSpec, kArchCount> arch_specs_;
   std::vector<ObserverEntry> observers_;
-  // The context's sinks, pinned at pass start; every scenario merges into them. The
+  // The context's sinks, taken at pass start; every scenario merges into them. The
   // series samples scenario 0 only (the RunBatch contract): EndStream appends one
   // cumulative point per stream shard during its ordered fold.
   MetricsRegistry* metrics_ = nullptr;

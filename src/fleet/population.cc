@@ -15,27 +15,18 @@ namespace sdc {
 
 void FleetShardBuffer::Clear() {
   arch_bytes.clear();
-  flag_bytes.clear();
-  faulty_serials.clear();
-  faulty_ranges.clear();
+  faulty.clear();
   defects.clear();
   tally = FleetShardTally{};
 }
 
-std::span<const Defect> FleetShard::DefectsOf(uint64_t serial) const {
-  const auto it =
-      std::lower_bound(faulty_serials.begin(), faulty_serials.end(), serial);
-  if (it == faulty_serials.end() || *it != serial) {
-    return {};
-  }
-  return FaultyDefects(static_cast<size_t>(it - faulty_serials.begin()));
+const FaultyPart* FleetShard::FindFaulty(uint64_t serial) const {
+  const auto it = std::ranges::lower_bound(faulty, serial, {}, &FaultyPart::serial);
+  return it != faulty.end() && it->serial == serial ? &*it : nullptr;
 }
 
 uint64_t FleetShardBuffer::CapacityBytes() const {
-  return arch_bytes.capacity() * sizeof(uint8_t) +
-         flag_bytes.capacity() * sizeof(uint8_t) +
-         faulty_serials.capacity() * sizeof(uint64_t) +
-         faulty_ranges.capacity() * sizeof(DefectRange) +
+  return arch_bytes.capacity() * sizeof(uint8_t) + faulty.capacity() * sizeof(FaultyPart) +
          defects.capacity() * sizeof(Defect);
 }
 
@@ -45,9 +36,7 @@ FleetShard FleetShardBuffer::View() const {
           .end = end,
           .tally = &tally,
           .arch_bytes = arch_bytes,
-          .flag_bytes = flag_bytes,
-          .faulty_serials = faulty_serials,
-          .faulty_ranges = faulty_ranges,
+          .faulty = faulty,
           .defects = defects};
 }
 
@@ -94,15 +83,14 @@ void EmitFaultyProcessor(const PopulationConfig& config, const GenerationPlan& p
       rng, arch_index, plan.pcores_by_arch[static_cast<size_t>(arch_index)],
       buffer.defects);
   const bool detectable = !rng.NextBernoulli(config.undetectable_share);
-  buffer.flag_bytes[at] = detectable ? (kFaultyFlag | kDetectableFlag) : kFaultyFlag;
   ++tally.faulty;
   tally.defects += defect_count;
   tally.defects_by_arch[static_cast<size_t>(arch_index)] += defect_count;
   if (!detectable) {
     ++tally.undetectable;
   }
-  buffer.faulty_serials.push_back(begin + at);
-  buffer.faulty_ranges.push_back({defect_start, static_cast<uint32_t>(defect_count)});
+  buffer.faulty.push_back(
+      {begin + at, defect_start, static_cast<uint32_t>(defect_count), detectable});
 }
 
 // The blocked kernel (docs/performance.md): snapshot the (copyable) Rng, bulk-fill a
@@ -112,9 +100,8 @@ void EmitFaultyProcessor(const PopulationConfig& config, const GenerationPlan& p
 // BernoulliThresholdU53, src/common/rng.h). On the rare faulty hit the stream re-syncs
 // from the snapshot to just past that processor's two clean-path draws and takes the
 // scalar tail, so defect draws land at exactly the reference positions; everything after
-// the hit is re-blocked. flag_bytes arrive pre-filled with kDetectableFlag, and the
-// per-arch tally is one histogram over the finished column instead of a per-processor
-// increment.
+// the hit is re-blocked. The per-arch tally is one histogram over the finished column
+// instead of a per-processor increment.
 void GenerateShardBlocked(const PopulationConfig& config, const GenerationPlan& plan,
                           Rng rng, uint64_t begin, uint64_t end,
                           FleetShardBuffer& buffer) {
@@ -197,26 +184,21 @@ void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& pl
   buffer.end = end;
   buffer.arch_bytes.resize(end - begin);
   if (plan.blocked) {
-    buffer.flag_bytes.assign(end - begin, kDetectableFlag);
     GenerateShardBlocked(config, plan, base.Fork(shard), begin, end, buffer);
     return;
   }
   // Reference path: the original per-processor loop, with the per-shard share copy and
   // pcore-table rebuild hoisted into the plan and defects appended straight into the
   // shard arena (same draws, same bytes, no per-faulty vector churn).
-  buffer.flag_bytes.resize(end - begin);
   FleetShardTally& tally = buffer.tally;
   Rng rng = base.Fork(shard);
   for (uint64_t serial = begin; serial < end; ++serial) {
     const int arch_index = static_cast<int>(rng.NextWeighted(plan.shares));
     buffer.arch_bytes[serial - begin] = static_cast<uint8_t>(arch_index);
     const double prevalence = config.detected_rate[arch_index] / config.detectability;
-    uint8_t flags = kDetectableFlag;
     if (rng.NextBernoulli(prevalence)) {
       EmitFaultyProcessor(config, plan, rng, begin, serial - begin, buffer);
-      flags = buffer.flag_bytes[serial - begin];
     }
-    buffer.flag_bytes[serial - begin] = flags;
     ++tally.by_arch[static_cast<size_t>(arch_index)];
   }
 }
@@ -235,9 +217,7 @@ class ShardCollector : public ShardConsumer {
     slot.begin = shard.begin;
     slot.end = shard.end;
     slot.arch_bytes.assign(shard.arch_bytes.begin(), shard.arch_bytes.end());
-    slot.flag_bytes.assign(shard.flag_bytes.begin(), shard.flag_bytes.end());
-    slot.faulty_serials.assign(shard.faulty_serials.begin(), shard.faulty_serials.end());
-    slot.faulty_ranges.assign(shard.faulty_ranges.begin(), shard.faulty_ranges.end());
+    slot.faulty.assign(shard.faulty.begin(), shard.faulty.end());
     slot.defects.assign(shard.defects.begin(), shard.defects.end());
     slot.tally = *shard.tally;
   }

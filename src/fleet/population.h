@@ -6,13 +6,15 @@
 // (Section 2.3 observes such escapes).
 //
 // Storage layout (docs/performance.md): the fleet is its kFleetShardGrain-wide shards,
-// each one FleetShardBuffer written by the one generation kernel. A shard holds packed
-// byte columns (`arch_bytes`, `flag_bytes`), so the 99.96%-clean fleet costs 2 bytes per
-// processor, plus a sparse faulty index whose {offset, count} ranges address the shard's
-// own defect arena. Every shard draws from its own Rng::Fork stream, so the layout -- like
-// the fleet content itself -- is a pure function of (config, seed) at any thread count.
-// Consumers read a shard through its FleetShard view: the stream hands them the view of
-// a lane's scratch buffer, the materialized FleetPopulation the view of a kept one.
+// each one FleetShardBuffer written by the one generation kernel. A shard holds one
+// packed byte column (`arch_bytes`, the classifier's output), so the 99.96%-clean fleet
+// costs 1 byte per processor, plus one ascending list of FaultyPart records whose
+// {offset, count} slices address the shard's own defect arena. A part absent from that
+// list is clean (and detectable: nothing to detect, nothing escapes). Every shard draws
+// from its own Rng::Fork stream, so the layout -- like the fleet content itself -- is a
+// pure function of (config, seed) at any thread count. Consumers read a shard through
+// its FleetShard view: the stream hands them the view of a lane's scratch buffer, the
+// materialized FleetPopulation the view of a kept one.
 
 #ifndef SDC_SRC_FLEET_POPULATION_H_
 #define SDC_SRC_FLEET_POPULATION_H_
@@ -37,20 +39,13 @@ class Rng;
 // re-partitions the RNG streams and is a behavior change.
 inline constexpr uint64_t kFleetShardGrain = 8192;
 
-// Slice of the defect arena owned by one faulty processor.
-struct DefectRange {
-  uint64_t offset = 0;
-  uint32_t count = 0;
-};
-
-// Borrowed view of one fleet processor, assembled from its shard's columns. Cheap to
-// copy; valid only while the shard's buffer is alive and unchanged.
-struct FleetProcessorView {
+// One faulty part of a shard: its global serial, its slice of the shard's defect arena,
+// and whether any testcase can expose it.
+struct FaultyPart {
   uint64_t serial = 0;
-  int arch_index = 0;
-  bool faulty = false;
-  bool toolchain_detectable = true;  // false: fails only under conditions no testcase covers
-  std::span<const Defect> defects;   // non-empty only for faulty parts
+  uint64_t defect_offset = 0;  // into the shard's `defects`
+  uint32_t defect_count = 0;
+  bool detectable = true;  // false: fails only under conditions no testcase covers
 };
 
 struct PopulationConfig {
@@ -83,49 +78,26 @@ struct FleetShardTally {
   std::array<uint64_t, kArchCount> defects_by_arch{};
 };
 
-// Flag bits of flag_bytes entries. Clean processors carry kDetectableFlag alone (nothing
-// to detect, but nothing escapes either).
-inline constexpr uint8_t kFaultyFlag = 1;
-inline constexpr uint8_t kDetectableFlag = 2;
-
 // Borrowed view of one generated shard: what every shard consumer reads. Valid only while
 // the FleetShardBuffer it was built from is alive and unchanged -- for a stream pass, the
-// duration of ShardConsumer::ConsumeShard. Serial-indexed accessors take global serials
-// in [begin, end); the packed columns are indexed serial - begin.
+// duration of ShardConsumer::ConsumeShard. `arch_bytes` is indexed serial - begin; the
+// faulty list is the only per-part record of anything else.
 struct FleetShard {
   uint64_t shard = 0;
   uint64_t begin = 0;
   uint64_t end = 0;
-  const FleetShardTally* tally = nullptr;     // the generator's tally; never null
-  std::span<const uint8_t> arch_bytes;        // indexed by serial - begin
-  std::span<const uint8_t> flag_bytes;        // indexed by serial - begin
-  std::span<const uint64_t> faulty_serials;   // global serials, ascending
-  std::span<const DefectRange> faulty_ranges; // offsets into `defects`
-  std::span<const Defect> defects;            // shard-local arena
+  const FleetShardTally* tally = nullptr;  // the generator's tally; never null
+  std::span<const uint8_t> arch_bytes;     // indexed by serial - begin
+  std::span<const FaultyPart> faulty;      // ascending by serial, all in [begin, end)
+  std::span<const Defect> defects;         // shard-local arena
 
   uint64_t size() const { return end - begin; }
   int arch_index(uint64_t serial) const { return arch_bytes[serial - begin]; }
-  bool faulty(uint64_t serial) const {
-    return (flag_bytes[serial - begin] & kFaultyFlag) != 0;
+  std::span<const Defect> Defects(const FaultyPart& part) const {
+    return defects.subspan(part.defect_offset, part.defect_count);
   }
-  bool toolchain_detectable(uint64_t serial) const {
-    return (flag_bytes[serial - begin] & kDetectableFlag) != 0;
-  }
-
-  // Defects of the faulty part at `ordinal` within faulty_serials.
-  std::span<const Defect> FaultyDefects(size_t ordinal) const {
-    const DefectRange& range = faulty_ranges[ordinal];
-    return {defects.data() + range.offset, range.count};
-  }
-
-  // Defects of an arbitrary in-shard processor (empty for clean parts).
-  std::span<const Defect> DefectsOf(uint64_t serial) const;
-
-  // Assembled per-processor view for callers that want all fields together.
-  FleetProcessorView processor(uint64_t serial) const {
-    return {serial, arch_index(serial), faulty(serial), toolchain_detectable(serial),
-            DefectsOf(serial)};
-  }
+  // The faulty record of an in-shard serial; nullptr for a clean part.
+  const FaultyPart* FindFaulty(uint64_t serial) const;
 };
 
 // Shard-local storage filled by GenerateFleetShard. Streaming drivers keep one buffer per
@@ -137,13 +109,11 @@ struct FleetShardBuffer {
   uint64_t shard = 0;
   uint64_t begin = 0;
   uint64_t end = 0;
-  // Packed per-processor columns, indexed by serial - begin.
+  // Packed per-processor arch column, indexed by serial - begin.
   std::vector<uint8_t> arch_bytes;
-  std::vector<uint8_t> flag_bytes;
-  // Sparse faulty index for the shard: global serials (ascending) and arena slices whose
-  // offsets point into `defects` below (shard-local, starting at 0).
-  std::vector<uint64_t> faulty_serials;
-  std::vector<DefectRange> faulty_ranges;
+  // The shard's faulty parts, ascending by serial, whose arena slices point into
+  // `defects` below (shard-local, starting at 0).
+  std::vector<FaultyPart> faulty;
   std::vector<Defect> defects;
   FleetShardTally tally;
 
@@ -202,10 +172,10 @@ class FleetPopulation {
 
   // Generates on `context` through one FleetShardStream pass, copying every shard into
   // its slot: its pool supplies the lanes, its vector level drives the blocked kernel,
-  // and its sinks ("fleet.generate.*" metrics and series, generate-track trace spans)
-  // are pinned once at pass start -- no mutable process-global state is read after the
-  // context was built (src/common/context.h). Output is bit-identical for a given seed at
-  // any lane count and vector level (docs/parallelism.md).
+  // and its sinks receive "fleet.generate.*" metrics and series and generate-track trace
+  // spans -- no mutable process-global state is read after the context was built
+  // (src/common/context.h). Output is bit-identical for a given seed at any lane count
+  // and vector level (docs/parallelism.md).
   static FleetPopulation Generate(const PopulationConfig& config, EngineContext& context);
 
   uint64_t size() const { return config_.processor_count; }
@@ -215,11 +185,6 @@ class FleetPopulation {
   // the one a stream pass over the same config hands its consumers.
   uint64_t shard_count() const { return shards_.size(); }
   FleetShard shard(uint64_t s) const { return shards_[s].View(); }
-
-  // Assembled view of any processor, read from its shard.
-  FleetProcessorView processor(uint64_t serial) const {
-    return shard(serial / kFleetShardGrain).processor(serial);
-  }
 
   // O(1): summed from the shard tallies, not recomputed by scanning.
   uint64_t faulty_count() const { return faulty_count_; }

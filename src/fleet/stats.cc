@@ -65,9 +65,8 @@ void EffectivenessAccumulator::ConsumeShard(const FleetShard& shard) {
     pcores_by_arch[static_cast<size_t>(arch)] = MakeArchSpec(arch).physical_cores;
   }
   std::vector<uint8_t>* effective = nullptr;  // allocated on the first detectable part
-  for (size_t ordinal = 0; ordinal < shard.faulty_serials.size(); ++ordinal) {
-    const uint64_t serial = shard.faulty_serials[ordinal];
-    if (!shard.toolchain_detectable(serial)) {
+  for (const FaultyPart& part : shard.faulty) {
+    if (!part.detectable) {
       continue;
     }
     if (effective == nullptr) {
@@ -75,8 +74,8 @@ void EffectivenessAccumulator::ConsumeShard(const FleetShard& shard) {
       effective->assign(suite_->size(), 0);
     }
     const int pcores =
-        pcores_by_arch[static_cast<size_t>(shard.arch_index(serial))];
-    const std::span<const Defect> defects = shard.FaultyDefects(ordinal);
+        pcores_by_arch[static_cast<size_t>(shard.arch_index(part.serial))];
+    const std::span<const Defect> defects = shard.Defects(part);
     for (size_t i = 0; i < suite_->size(); ++i) {
       if ((*effective)[i] != 0) {
         continue;  // this shard already proved the testcase effective

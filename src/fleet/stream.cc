@@ -51,8 +51,6 @@ uint64_t FleetShardStream::shard_count() const {
 
 StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
                                      EngineContext& context) const {
-  // Sinks are pinned here, once, for the whole pass: a detach between shards cannot drop
-  // or double-merge a delta -- the in-flight pass completes against what was pinned.
   MetricsRegistry* metrics = context.metrics();
   TraceRecorder* trace = context.trace();
   SeriesRecorder* series = context.series();

@@ -37,8 +37,8 @@ class ShardConsumer {
   virtual ~ShardConsumer();
 
   // Called once before any shard, on the driving thread. Drive always passes the context
-  // it runs on (never null), so consumers can resolve telemetry sinks from it -- and PIN
-  // them for the whole pass (src/common/context.h). Does nothing by default.
+  // it runs on (never null), so consumers can take its telemetry sinks
+  // (src/common/context.h). Does nothing by default.
   virtual void BeginStreamWithContext(EngineContext* context,
                                       const PopulationConfig& config,
                                       uint64_t shard_count);
@@ -69,8 +69,8 @@ class FleetShardStream {
 
   // Runs the pass on `context`; consumers are invoked in the given order on every shard.
   // Blocks until every shard has been consumed and EndStream ran on every consumer. The
-  // context's pool supplies the lanes and its sinks are pinned once at pass start
-  // (src/common/context.h): per-shard "fleet.generate.*" metric deltas, "generate.shard"
+  // context's pool supplies the lanes and its sinks (src/common/context.h) receive the
+  // pass's telemetry: per-shard "fleet.generate.*" metric deltas, "generate.shard"
   // sim spans (serial-space clock) and "fleet.generate.*" series points are merged in
   // shard order after the pass, so each is byte-identical at any lane count.
   StreamReport Drive(std::span<ShardConsumer* const> consumers,

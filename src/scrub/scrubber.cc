@@ -22,18 +22,18 @@ namespace {
 
 constexpr double kSecondsPerMonth = 30.44 * 24.0 * 3600.0;  // as Farron::TestOverhead
 
-// Walks one shard's faulty index against its screening outcomes (both ascending by
+// Walks one shard's faulty list against its screening outcomes (both ascending by
 // serial) and appends one candidate per faulty part.
 void AppendCandidates(const FleetShard& shard, std::span<const ProcessorOutcome> detections,
                       std::vector<ScrubCandidate>& out) {
   size_t cursor = 0;
-  for (size_t ordinal = 0; ordinal < shard.faulty_serials.size(); ++ordinal) {
-    const uint64_t serial = shard.faulty_serials[ordinal];
+  for (const FaultyPart& part : shard.faulty) {
+    const uint64_t serial = part.serial;
     ScrubCandidate candidate;
     candidate.serial = serial;
     candidate.arch_index = shard.arch_index(serial);
-    candidate.toolchain_detectable = shard.toolchain_detectable(serial);
-    std::span<const Defect> defects = shard.FaultyDefects(ordinal);
+    candidate.toolchain_detectable = part.detectable;
+    const std::span<const Defect> defects = shard.Defects(part);
     candidate.defects.assign(defects.begin(), defects.end());
     while (cursor < detections.size() && detections[cursor].serial < serial) {
       ++cursor;
@@ -107,8 +107,7 @@ double ScrubReport::MeanTimeToDetectMonths() const {
   return sum / static_cast<double>(detections.size());
 }
 
-void ScrubDiscoveryObserver::BeginStream(const PopulationConfig& /*population*/,
-                                         const ScreeningConfig& /*screening*/,
+void ScrubDiscoveryObserver::BeginStream(const ScreeningConfig& /*screening*/,
                                          uint64_t shard_count) {
   partials_.assign(shard_count, {});
   candidates_.clear();
@@ -142,8 +141,7 @@ ScrubReport FleetScrubber::Run(const ScrubConfig& config, EngineContext& context
                                          kMaxScrubEpochs, "epoch_months", error)) {
     throw std::invalid_argument(error);
   }
-  // The context's sinks, pinned here for the whole run; the discovery passes pin the
-  // same attachments at their own start.
+  // The context's sinks, which the discovery passes record into too.
   MetricsRegistry* metrics = context.metrics();
   TraceRecorder* trace = context.trace();
   SeriesRecorder* series = context.series();

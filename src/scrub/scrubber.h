@@ -177,15 +177,14 @@ struct ScrubReport {
   double MeanTimeToDetectMonths() const;
 };
 
-// Streaming discovery hook: a ShardOutcomeObserver that walks each shard's faulty index
+// Streaming discovery hook: a ShardOutcomeObserver that walks each shard's faulty list
 // against the shard's screening outcomes (both ascending by serial) and copies out one
 // ScrubCandidate per faulty part while the defect spans are alive. Per-shard partials
 // fold in shard order, so TakeCandidates() is byte-identical at any thread count and to
 // the same walk over a materialized fleet and its Run (tests/scrub_test.cc).
 class ScrubDiscoveryObserver : public ShardOutcomeObserver {
  public:
-  void BeginStream(const PopulationConfig& population, const ScreeningConfig& screening,
-                   uint64_t shard_count) override;
+  void BeginStream(const ScreeningConfig& screening, uint64_t shard_count) override;
   void ObserveShard(const FleetShard& shard, const ScreeningStats& shard_stats) override;
   void EndStream() override;
 
@@ -211,7 +210,7 @@ class FleetScrubber {
   explicit FleetScrubber(const TestSuite* suite);
 
   // Runs discovery plus the budgeted epoch loop on `context`: its pool supplies the lanes
-  // and its sinks are pinned once at run start (src/common/context.h). Discovery's
+  // and its sinks (src/common/context.h) receive the run's telemetry. Discovery's
   // generate and screen passes record into them like any other fleet pass; the epoch
   // loop adds "scrub.*" metrics, scrub-track trace events, and cumulative
   // "scrub.budget" / "scrub.spent" / "scrub.detections" / "scrub.sessions_funded"

@@ -63,7 +63,7 @@ struct SeriesSnapshot {
 };
 
 // Shared, mutex-guarded series sink. Engine paths accept an optional SeriesRecorder*
-// (config field or EngineContext attachment) and stay silent when it is null.
+// (the EngineContext's series sink) and stay silent when it is null.
 class SeriesRecorder {
  public:
   // `capacity` bounds every ring; once full, the oldest point is evicted and counted in

@@ -163,8 +163,6 @@ RunReport TestFramework::RunPlan(FaultyMachine& machine,
                                  const std::vector<TestPlanEntry>& plan,
                                  const TestRunConfig& config,
                                  EngineContext& context) const {
-  // Sinks are read from the context once, at plan start; a detach mid-plan cannot drop
-  // or double-merge the plan's telemetry.
   MetricsRegistry* metrics = context.metrics();
   TraceRecorder* trace = context.trace();
   TraceRecorder::ScopedHostSpan plan_span(trace, "toolchain.plan", "toolchain",

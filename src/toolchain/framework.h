@@ -111,7 +111,7 @@ class TestFramework {
  private:
   void RunEntry(FaultyMachine& machine, const TestPlanEntry& entry,
                 const TestRunConfig& config, RunReport& report) const;
-  // The two schedules of RunPlan, writing to the sinks it pinned.
+  // The two schedules of RunPlan, writing to the context's sinks.
   RunReport RunPlanSerial(FaultyMachine& machine, const std::vector<TestPlanEntry>& plan,
                           const TestRunConfig& config, MetricsRegistry* metrics,
                           TraceRecorder* trace) const;

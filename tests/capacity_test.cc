@@ -42,18 +42,15 @@ ScreeningStats* CapacityTest::stats_ = nullptr;
 CapacityReport* CapacityTest::report_ = nullptr;
 
 TEST_F(CapacityTest, DefectiveCoreCountUnionsDefects) {
-  FleetProcessorView processor;
-  processor.arch_index = 1;  // M2: 16 cores
+  const int arch_index = 1;  // M2: 16 cores
   Defect a;
   a.affected_pcores = {1, 2};
   Defect b;
   b.affected_pcores = {2, 3};
   const std::vector<Defect> two_defects = {a, b};
-  processor.defects = two_defects;
-  EXPECT_EQ(DefectiveCoreCount(processor), 3);
+  EXPECT_EQ(DefectiveCoreCount(arch_index, two_defects), 3);
   const std::vector<Defect> all_cores(1);  // empty pcore list = every core
-  processor.defects = all_cores;
-  EXPECT_EQ(DefectiveCoreCount(processor), 16);
+  EXPECT_EQ(DefectiveCoreCount(arch_index, all_cores), 16);
 }
 
 TEST_F(CapacityTest, FineGrainedNeverLosesMoreThanBaseline) {

@@ -40,8 +40,8 @@ namespace {
 
 // ---- Byte-identity helpers for the blocked-vs-reference generator contract ----------
 //
-// "Identical fleet" means identical everything: packed columns, sparse faulty index,
-// arena ranges, every Defect field (doubles compared by bit pattern, not value), and the
+// "Identical fleet" means identical everything: the arch column, the faulty list,
+// every Defect field (doubles compared by bit pattern, not value), and the
 // merged tallies. The blocked generator (docs/performance.md) promises exactly this.
 
 uint64_t Fnv1a(uint64_t hash, const void* data, size_t size) {
@@ -92,10 +92,11 @@ uint64_t HashDefect(uint64_t hash, const Defect& defect) {
   return hash;
 }
 
-// Hashes the fleet as one fleet-wide byte stream -- every arch byte, every flag byte,
-// every faulty serial, every arena range with its offset into the concatenation of the
-// shard arenas, every defect, then the per-arch counts -- so the pinned golden digest
-// does not depend on how the fleet is stored.
+// Hashes the fleet as one fleet-wide byte stream -- every arch byte, one flag byte per
+// part, every faulty serial, every arena slice with its offset into the concatenation of
+// the shard arenas, every defect, then the per-arch counts -- so the pinned golden digest
+// does not depend on how the fleet is stored. The flag byte is 2 (detectable) for a clean
+// part and 1 (faulty), plus 2 if detectable, for a faulty one.
 uint64_t HashFleet(const FleetPopulation& fleet) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
@@ -104,20 +105,28 @@ uint64_t HashFleet(const FleetPopulation& fleet) {
   }
   for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
     const FleetShard shard = fleet.shard(s);
-    hash = Fnv1a(hash, shard.flag_bytes.data(), shard.flag_bytes.size());
+    size_t next = 0;  // cursor over the ascending faulty list
+    for (uint64_t serial = shard.begin; serial < shard.end; ++serial) {
+      uint8_t flags = 2;
+      if (next < shard.faulty.size() && shard.faulty[next].serial == serial) {
+        flags = shard.faulty[next].detectable ? 3 : 1;
+        ++next;
+      }
+      hash = Fnv1a(hash, &flags, sizeof(flags));
+    }
   }
   for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
-    for (const uint64_t serial : fleet.shard(s).faulty_serials) {
-      hash = Fnv1a(hash, &serial, sizeof(serial));
+    for (const FaultyPart& part : fleet.shard(s).faulty) {
+      hash = Fnv1a(hash, &part.serial, sizeof(part.serial));
     }
   }
   uint64_t arena_base = 0;  // running sum of the arenas of earlier shards
   for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
     const FleetShard shard = fleet.shard(s);
-    for (const DefectRange& range : shard.faulty_ranges) {
-      const uint64_t offset = arena_base + range.offset;
+    for (const FaultyPart& part : shard.faulty) {
+      const uint64_t offset = arena_base + part.defect_offset;
       hash = Fnv1a(hash, &offset, sizeof(offset));
-      hash = Fnv1a(hash, &range.count, sizeof(range.count));
+      hash = Fnv1a(hash, &part.defect_count, sizeof(part.defect_count));
     }
     arena_base += shard.defects.size();
   }
@@ -148,15 +157,15 @@ void ExpectFleetsIdentical(const FleetPopulation& a, const FleetPopulation& b) {
     EXPECT_EQ(x.begin, y.begin);
     EXPECT_EQ(x.end, y.end);
     EXPECT_TRUE(std::ranges::equal(x.arch_bytes, y.arch_bytes));
-    EXPECT_TRUE(std::ranges::equal(x.flag_bytes, y.flag_bytes));
-    EXPECT_TRUE(std::ranges::equal(x.faulty_serials, y.faulty_serials));
-    ASSERT_EQ(x.faulty_ranges.size(), y.faulty_ranges.size());
-    for (size_t i = 0; i < x.faulty_ranges.size(); ++i) {
-      EXPECT_EQ(x.faulty_ranges[i].offset, y.faulty_ranges[i].offset);
-      EXPECT_EQ(x.faulty_ranges[i].count, y.faulty_ranges[i].count);
+    ASSERT_EQ(x.faulty.size(), y.faulty.size());
+    for (size_t i = 0; i < x.faulty.size(); ++i) {
+      EXPECT_EQ(x.faulty[i].serial, y.faulty[i].serial);
+      EXPECT_EQ(x.faulty[i].defect_offset, y.faulty[i].defect_offset);
+      EXPECT_EQ(x.faulty[i].defect_count, y.faulty[i].defect_count);
+      EXPECT_EQ(x.faulty[i].detectable, y.faulty[i].detectable);
     }
     // Every shard's tally, not only their sum: the screen and the other shard consumers
-    // read shard s's tally beside shard s's columns. The blocked generator histograms
+    // read shard s's tally beside shard s's column and list. The blocked generator histograms
     // the arch column; the reference loop counts one part at a time.
     EXPECT_EQ(x.tally->faulty, y.tally->faulty);
     EXPECT_EQ(x.tally->defects, y.tally->defects);
@@ -222,21 +231,26 @@ TEST_F(FleetTest, TruePrevalenceAboveDetectedTargets) {
 }
 
 TEST_F(FleetTest, FaultyPartsHaveDefects) {
+  // Every serial is looked up in its shard: the faulty ones carry defects, and the rest
+  // (clean, so without defects) are exactly the serials the lookup misses.
+  uint64_t found = 0;
   for (uint64_t serial = 0; serial < fleet_->size(); ++serial) {
-    const FleetProcessorView processor = fleet_->processor(serial);
-    EXPECT_EQ(processor.serial, serial);
-    if (processor.faulty) {
-      EXPECT_FALSE(processor.defects.empty());
-    } else {
-      EXPECT_TRUE(processor.defects.empty());
+    const FleetShard shard = fleet_->shard(serial / kFleetShardGrain);
+    const FaultyPart* part = shard.FindFaulty(serial);
+    if (part != nullptr) {
+      EXPECT_EQ(part->serial, serial);
+      EXPECT_FALSE(shard.Defects(*part).empty());
+      ++found;
     }
   }
+  EXPECT_EQ(found, fleet_->faulty_count());
 }
 
 TEST_F(FleetTest, FaultyIndexMatchesFlagColumns) {
-  // Within every shard, the sorted faulty-serial index, the packed flag bytes and the
-  // defect arena ranges describe the same parts (docs/performance.md layout invariants),
-  // and the shard tallies add up to the fleet's counts.
+  // Within every shard, the faulty list is strictly ascending inside the shard's serials,
+  // its defect slices tile the shard arena contiguously in serial order, and the
+  // generator's tally counts the same parts, escapes and defects (docs/performance.md
+  // layout invariants); the shard tallies add up to the fleet's counts.
   uint64_t faulty = 0;
   std::array<uint64_t, kArchCount> by_arch{};
   for (uint64_t s = 0; s < fleet_->shard_count(); ++s) {
@@ -246,33 +260,30 @@ TEST_F(FleetTest, FaultyIndexMatchesFlagColumns) {
     EXPECT_EQ(shard.begin, s * kFleetShardGrain);
     EXPECT_EQ(shard.end, std::min(shard.begin + kFleetShardGrain, fleet_->size()));
     ASSERT_EQ(shard.arch_bytes.size(), shard.size());
-    ASSERT_EQ(shard.flag_bytes.size(), shard.size());
-    ASSERT_EQ(shard.faulty_ranges.size(), shard.faulty_serials.size());
     uint64_t arena_cursor = 0;
-    for (size_t ordinal = 0; ordinal < shard.faulty_serials.size(); ++ordinal) {
-      const uint64_t serial = shard.faulty_serials[ordinal];
-      EXPECT_GE(serial, shard.begin);
-      EXPECT_LT(serial, shard.end);
-      if (ordinal > 0) {
-        EXPECT_GT(serial, shard.faulty_serials[ordinal - 1]);  // strictly ascending
+    uint64_t undetectable = 0;
+    for (size_t i = 0; i < shard.faulty.size(); ++i) {
+      const FaultyPart& part = shard.faulty[i];
+      EXPECT_GE(part.serial, shard.begin);
+      EXPECT_LT(part.serial, shard.end);
+      if (i > 0) {
+        EXPECT_GT(part.serial, shard.faulty[i - 1].serial);  // strictly ascending
       }
-      EXPECT_TRUE(shard.faulty(serial));
-      const auto defects = shard.FaultyDefects(ordinal);
-      EXPECT_FALSE(defects.empty());
-      EXPECT_EQ(defects.data(), shard.defects.data() + arena_cursor)
-          << "arena ranges must tile the shard arena contiguously in serial order";
-      arena_cursor += defects.size();
+      EXPECT_EQ(shard.FindFaulty(part.serial), &part);
+      EXPECT_GT(part.defect_count, 0u);
+      EXPECT_EQ(part.defect_offset, arena_cursor)
+          << "arena slices must tile the shard arena contiguously in serial order";
+      arena_cursor += part.defect_count;
+      undetectable += part.detectable ? 0 : 1;
     }
     EXPECT_EQ(arena_cursor, shard.defects.size());
-    uint64_t flagged = 0;
+    uint64_t found = 0;
     for (uint64_t serial = shard.begin; serial < shard.end; ++serial) {
-      flagged += shard.faulty(serial) ? 1 : 0;
-      if (!shard.faulty(serial)) {
-        EXPECT_TRUE(shard.toolchain_detectable(serial));
-      }
+      found += shard.FindFaulty(serial) != nullptr ? 1 : 0;
     }
-    EXPECT_EQ(flagged, shard.faulty_serials.size());
-    EXPECT_EQ(shard.tally->faulty, shard.faulty_serials.size());
+    EXPECT_EQ(found, shard.faulty.size());
+    EXPECT_EQ(shard.tally->faulty, shard.faulty.size());
+    EXPECT_EQ(shard.tally->undetectable, undetectable);
     EXPECT_EQ(shard.tally->defects, shard.defects.size());
     faulty += shard.tally->faulty;
     for (size_t arch = 0; arch < by_arch.size(); ++arch) {
@@ -292,16 +303,20 @@ TEST_F(FleetTest, GenerationDeterministic) {
   const FleetPopulation a = GenerateFleet(config);
   const FleetPopulation b = GenerateFleet(config);
   EXPECT_EQ(a.faulty_count(), b.faulty_count());
-  for (uint64_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.processor(i).arch_index, b.processor(i).arch_index);
-    EXPECT_EQ(a.processor(i).faulty, b.processor(i).faulty);
+  ASSERT_EQ(a.shard_count(), b.shard_count());
+  for (uint64_t s = 0; s < a.shard_count(); ++s) {
+    const FleetShard x = a.shard(s);
+    const FleetShard y = b.shard(s);
+    EXPECT_TRUE(std::ranges::equal(x.arch_bytes, y.arch_bytes));
+    EXPECT_TRUE(std::ranges::equal(x.faulty, y.faulty, {}, &FaultyPart::serial,
+                                   &FaultyPart::serial));
   }
 }
 
 TEST_F(FleetTest, BlockedGeneratorMatchesReferenceAcrossThreadsAndSimd) {
   // The tentpole contract: the blocked SIMD generator and the original per-processor
-  // loop (the GenerateFleetReference oracle) produce byte-identical fleets -- columns,
-  // faulty index, defect arena, tallies -- at every thread count and dispatch level.
+  // loop (the GenerateFleetReference oracle) produce byte-identical fleets -- arch column,
+  // faulty list, defect arena, tallies -- at every thread count and dispatch level.
   // 100k parts spans 13 shards including a partial tail shard, so block tails and shard
   // boundaries are both exercised. 100003 parts ends on a tail of 1699, which is not a
   // multiple of 4, so the arch histogram's unrolled loop leaves a remainder too.
@@ -344,7 +359,7 @@ TEST_F(FleetTest, DegenerateConfigsFallBackToReferenceBehavior) {
 }
 
 TEST_F(FleetTest, GoldenFleetSnapshotHash) {
-  // Pinned digest of a full fleet (columns, faulty index, defect arena fields, tallies)
+  // Pinned digest of a full fleet (arch column, faulty list, defect arena fields, tallies)
   // for the default config at 100k parts, seed 20210101. Any change here is a format
   // break: the fleet is part of the determinism contract (docs/parallelism.md), and this
   // constant is what lets a future refactor prove it moved no byte. Regenerate only for

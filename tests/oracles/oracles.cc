@@ -45,26 +45,27 @@ DetectionProvenance ProvenanceOf(uint64_t serial, int arch_index,
   return record;
 }
 
-// Screens one processor (clean parts included), recomputing MatchingTestcases /
-// ExpectedErrors at every probe.
-void ScreenProcessor(const ScreeningPipeline& pipeline, const FleetProcessorView& processor,
+// Screens one processor (clean parts included: `part` is null for them), recomputing
+// MatchingTestcases / ExpectedErrors at every probe.
+void ScreenProcessor(const ScreeningPipeline& pipeline, uint64_t serial, int arch_index,
+                     const FaultyPart* part, std::span<const Defect> defects,
                      const ScreeningConfig& config, Rng& rng, ScreeningStats& stats) {
   ++stats.tested;
-  ++stats.tested_by_arch[processor.arch_index];
-  if (!processor.faulty) {
+  ++stats.tested_by_arch[arch_index];
+  if (part == nullptr) {
     return;
   }
   ++stats.faulty;
-  if (!processor.toolchain_detectable) {
+  if (!part->detectable) {
     return;  // escapes every stage (Section 2.3's false negatives)
   }
-  const int pcores = MakeArchSpec(processor.arch_index).physical_cores;
+  const int pcores = MakeArchSpec(arch_index).physical_cores;
 
   // Per-stage detection probabilities recomputed from scratch at every probe (a part is
   // detected when any defect reproduces).
   auto stage_probability = [&](const StageParams& stage, double age_months) {
     double survive = 1.0;
-    for (const Defect& defect : processor.defects) {
+    for (const Defect& defect : defects) {
       if (defect.onset_months > age_months) {
         continue;  // not yet developed
       }
@@ -89,7 +90,7 @@ void ScreenProcessor(const ScreeningPipeline& pipeline, const FleetProcessorView
   }
   if (!detected) {
     for (int cycle = 1;; ++cycle) {
-      const double month = RegularRoundMonth(processor.serial, cycle, config);
+      const double month = RegularRoundMonth(serial, cycle, config);
       if (month > config.horizon_months) {
         break;
       }
@@ -104,12 +105,10 @@ void ScreenProcessor(const ScreeningPipeline& pipeline, const FleetProcessorView
   }
   if (detected) {
     ++stats.detected_by_stage[static_cast<int>(detected_stage)];
-    ++stats.detected_by_arch[processor.arch_index];
-    stats.detections.push_back({processor.serial, processor.arch_index, true,
-                                detected_stage, detected_month});
-    stats.provenance.push_back(ProvenanceOf(processor.serial, processor.arch_index,
-                                            processor.defects, config, detected_stage,
-                                            detected_month));
+    ++stats.detected_by_arch[arch_index];
+    stats.detections.push_back({serial, arch_index, true, detected_stage, detected_month});
+    stats.provenance.push_back(
+        ProvenanceOf(serial, arch_index, defects, config, detected_stage, detected_month));
   }
 }
 
@@ -137,17 +136,31 @@ ScreeningStats ReferenceScreen(const ScreeningPipeline& pipeline, const FleetPop
                                const ScreeningConfig& config) {
   ScreeningStats stats;
   const Rng base(config.seed);
-  for (uint64_t shard = 0; shard * kScreeningShardGrain < fleet.size(); ++shard) {
-    const uint64_t begin = shard * kScreeningShardGrain;
-    const uint64_t end = std::min(begin + kScreeningShardGrain, fleet.size());
-    Rng rng = base.Fork(shard);
-    const size_t first_detection = stats.provenance.size();
-    for (uint64_t serial = begin; serial < end; ++serial) {
-      ScreenProcessor(pipeline, fleet.processor(serial), config, rng, stats);
-    }
-    for (size_t i = first_detection; i < stats.provenance.size(); ++i) {
-      stats.provenance[i].sub_shard = shard;
-      stats.provenance[i].rng_stream = shard;
+  // Every serial in order, clean parts included: the arch byte from the column, the
+  // faulty record (if any) from a cursor over the shard's ascending faulty list. A fleet
+  // shard is a whole number of screening shards, each drawing from its own stream.
+  for (uint64_t s = 0; s < fleet.shard_count(); ++s) {
+    const FleetShard shard = fleet.shard(s);
+    size_t next = 0;
+    for (uint64_t begin = shard.begin; begin < shard.end; begin += kScreeningShardGrain) {
+      const uint64_t sub_shard = begin / kScreeningShardGrain;
+      const uint64_t end = std::min(begin + kScreeningShardGrain, shard.end);
+      Rng rng = base.Fork(sub_shard);
+      const size_t first_detection = stats.provenance.size();
+      for (uint64_t serial = begin; serial < end; ++serial) {
+        const FaultyPart* part = nullptr;
+        std::span<const Defect> defects;
+        if (next < shard.faulty.size() && shard.faulty[next].serial == serial) {
+          part = &shard.faulty[next++];
+          defects = shard.Defects(*part);
+        }
+        ScreenProcessor(pipeline, serial, shard.arch_index(serial), part, defects, config,
+                        rng, stats);
+      }
+      for (size_t i = first_detection; i < stats.provenance.size(); ++i) {
+        stats.provenance[i].sub_shard = sub_shard;
+        stats.provenance[i].rng_stream = sub_shard;
+      }
     }
   }
   return stats;

@@ -2,9 +2,11 @@
 // paths: fleet generation, fleet screening, and parallel plan execution must produce
 // bit-identical results at any thread count (docs/parallelism.md).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -137,20 +139,35 @@ TEST(ThreadPoolTest, ResolveThreadCountHonorsEnvOverride) {
 
 // --- Determinism across thread counts (the regression the refactor must never break) ---
 
-bool SameProcessor(const FleetProcessorView& a, const FleetProcessorView& b) {
-  if (a.serial != b.serial || a.arch_index != b.arch_index || a.faulty != b.faulty ||
-      a.toolchain_detectable != b.toolchain_detectable ||
-      a.defects.size() != b.defects.size()) {
+bool SameDefects(std::span<const Defect> a, std::span<const Defect> b) {
+  if (a.size() != b.size()) {
     return false;
   }
-  for (size_t i = 0; i < a.defects.size(); ++i) {
-    const Defect& x = a.defects[i];
-    const Defect& y = b.defects[i];
+  for (size_t i = 0; i < a.size(); ++i) {
+    const Defect& x = a[i];
+    const Defect& y = b[i];
     if (x.id != y.id || x.feature != y.feature || x.affected_ops != y.affected_ops ||
         x.affected_types != y.affected_types || x.affected_pcores != y.affected_pcores ||
         x.base_log10_rate != y.base_log10_rate ||
         x.min_trigger_celsius != y.min_trigger_celsius ||
         x.onset_months != y.onset_months) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every part of one shard: arch bytes, then each faulty part's serial, detectability and
+// defects.
+bool SameShard(const FleetShard& a, const FleetShard& b) {
+  if (a.begin != b.begin || a.end != b.end ||
+      !std::ranges::equal(a.arch_bytes, b.arch_bytes) || a.faulty.size() != b.faulty.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.faulty.size(); ++i) {
+    if (a.faulty[i].serial != b.faulty[i].serial ||
+        a.faulty[i].detectable != b.faulty[i].detectable ||
+        !SameDefects(a.Defects(a.faulty[i]), b.Defects(b.faulty[i]))) {
       return false;
     }
   }
@@ -169,9 +186,10 @@ TEST(ParallelDeterminismTest, GenerationIsThreadCountInvariant) {
     for (int arch = 0; arch < kArchCount; ++arch) {
       EXPECT_EQ(parallel.CountByArch(arch), serial.CountByArch(arch));
     }
-    for (uint64_t i = 0; i < serial.size(); ++i) {
-      ASSERT_TRUE(SameProcessor(serial.processor(i), parallel.processor(i)))
-          << "serial " << i << " differs at threads=" << threads;
+    ASSERT_EQ(parallel.shard_count(), serial.shard_count());
+    for (uint64_t s = 0; s < serial.shard_count(); ++s) {
+      ASSERT_TRUE(SameShard(serial.shard(s), parallel.shard(s)))
+          << "shard " << s << " differs at threads=" << threads;
     }
   }
 }
@@ -345,9 +363,9 @@ TEST(PopulationCountsTest, CachedCountsMatchFullScan) {
   uint64_t scanned_faulty = 0;
   std::vector<uint64_t> scanned_by_arch(kArchCount, 0);
   for (uint64_t serial = 0; serial < fleet.size(); ++serial) {
-    const FleetProcessorView processor = fleet.processor(serial);
-    scanned_faulty += processor.faulty ? 1 : 0;
-    ++scanned_by_arch[static_cast<size_t>(processor.arch_index)];
+    const FleetShard shard = fleet.shard(serial / kFleetShardGrain);
+    scanned_faulty += shard.FindFaulty(serial) != nullptr ? 1 : 0;
+    ++scanned_by_arch[static_cast<size_t>(shard.arch_index(serial))];
   }
   EXPECT_EQ(fleet.faulty_count(), scanned_faulty);
   uint64_t total = 0;

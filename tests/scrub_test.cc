@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <iomanip>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -110,15 +111,17 @@ std::vector<ScrubCandidate> ReferenceCandidates(const FleetPopulation& fleet,
   std::vector<ScrubCandidate> candidates;
   size_t cursor = 0;
   for (uint64_t serial = 0; serial < fleet.size(); ++serial) {
-    const FleetProcessorView processor = fleet.processor(serial);
-    if (!processor.faulty) {
+    const FleetShard shard = fleet.shard(serial / kFleetShardGrain);
+    const FaultyPart* part = shard.FindFaulty(serial);
+    if (part == nullptr) {
       continue;
     }
     ScrubCandidate candidate;
     candidate.serial = serial;
-    candidate.arch_index = processor.arch_index;
-    candidate.toolchain_detectable = processor.toolchain_detectable;
-    candidate.defects.assign(processor.defects.begin(), processor.defects.end());
+    candidate.arch_index = shard.arch_index(serial);
+    candidate.toolchain_detectable = part->detectable;
+    const std::span<const Defect> defects = shard.Defects(*part);
+    candidate.defects.assign(defects.begin(), defects.end());
     while (cursor < stats.detections.size() && stats.detections[cursor].serial < serial) {
       ++cursor;
     }

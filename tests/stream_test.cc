@@ -57,7 +57,7 @@ class StreamEquivalenceTest : public ::testing::Test {
   }
 
   // The materialized baseline: build the fleet, screen it, and derive the exposures
-  // through its random-access processor(serial).defects.
+  // through a random-access lookup of each detected serial in its kept shard.
   static PassResults RunMaterialized(uint64_t processors, int threads,
                                      MetricsRegistry* metrics = nullptr) {
     EngineContext context(PinnedEngine(threads, metrics));
@@ -72,8 +72,12 @@ class StreamEquivalenceTest : public ::testing::Test {
       if (outcome.stage != TestStage::kRegular) {
         continue;
       }
+      const FleetShard shard = fleet.shard(outcome.serial / kFleetShardGrain);
+      const FaultyPart* part = shard.FindFaulty(outcome.serial);
+      EXPECT_NE(part, nullptr) << "detected serial " << outcome.serial << " is clean";
       double onset = 0.0;
-      for (const Defect& defect : fleet.processor(outcome.serial).defects) {
+      for (const Defect& defect :
+           part != nullptr ? shard.Defects(*part) : std::span<const Defect>()) {
         if (defect.onset_months > 0.0 && defect.onset_months <= outcome.month) {
           onset = defect.onset_months;
         }
@@ -243,14 +247,15 @@ TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
       const FleetShard want = expected_->shard(shard.shard);
       bool same = shard.begin == want.begin && shard.end == want.end &&
                   std::ranges::equal(shard.arch_bytes, want.arch_bytes) &&
-                  std::ranges::equal(shard.flag_bytes, want.flag_bytes) &&
-                  std::ranges::equal(shard.faulty_serials, want.faulty_serials) &&
+                  shard.faulty.size() == want.faulty.size() &&
                   shard.defects.size() == want.defects.size() &&
                   shard.tally->by_arch == want.tally->by_arch;
-      for (size_t ordinal = 0; same && ordinal < shard.faulty_serials.size(); ++ordinal) {
-        const std::span<const Defect> got = shard.FaultyDefects(ordinal);
-        const std::span<const Defect> expected = want.FaultyDefects(ordinal);
-        same = got.size() == expected.size();
+      for (size_t i = 0; same && i < shard.faulty.size(); ++i) {
+        same = shard.faulty[i].serial == want.faulty[i].serial &&
+               shard.faulty[i].detectable == want.faulty[i].detectable;
+        const std::span<const Defect> got = shard.Defects(shard.faulty[i]);
+        const std::span<const Defect> expected = want.Defects(want.faulty[i]);
+        same = same && got.size() == expected.size();
         for (size_t d = 0; same && d < got.size(); ++d) {
           same = got[d].id == expected[d].id;
         }
@@ -414,7 +419,7 @@ TEST_F(StreamBatchTest, BatchedScenariosNotVacuouslyEqual) {
 
 TEST(StreamMemoryTest, TenMillionProcessorsStayWithinShardBudget) {
   // The point of the tentpole: a 10M-processor generate+screen pass must peak at
-  // O(lanes * shard) scratch, orders of magnitude below the ~20 MB of fleet columns a
+  // O(lanes * shard) scratch, orders of magnitude below the ~10 MB arch column a
   // materialized run would hold (let alone its defect arena).
   constexpr uint64_t kBigFleet = 10'000'000;
   TestSuite suite = TestSuite::BuildFull();
@@ -430,9 +435,9 @@ TEST(StreamMemoryTest, TenMillionProcessorsStayWithinShardBudget) {
   EXPECT_GT(stats.faulty, 0u);
   EXPECT_GT(stats.total_detected(), 0u);
   EXPECT_EQ(report.shards, (kBigFleet + kFleetShardGrain - 1) / kFleetShardGrain);
-  // Budget: half a MiB of scratch per lane comfortably covers the two 8 KiB byte columns
-  // plus the shard's handful of faulty parts and their defects -- and is ~40x below what
-  // materializing this fleet's columns alone would take.
+  // Budget: half a MiB of scratch per lane comfortably covers the 8 KiB arch column plus
+  // the shard's handful of faulty parts and their defects -- and is ~20x below what
+  // materializing this fleet's arch column alone would take.
   const uint64_t budget = static_cast<uint64_t>(report.lanes) * 512 * 1024;
   EXPECT_GT(report.peak_scratch_bytes, 0u);
   EXPECT_LT(report.peak_scratch_bytes, budget)

@@ -341,8 +341,9 @@ int CmdProtect(const std::string& cpu_id, double hours, const GlobalOptions& opt
   // each kind into an "events.*" counter alongside the protection loop's own metrics.
   EventLog event_log;
   event_log.AttachMetrics(options.metrics);
-  EngineContext context(FleetEngineOptions(options));
-  context.AttachEventLog(&event_log);
+  EngineOptions engine = FleetEngineOptions(options);
+  engine.event_log = &event_log;
+  EngineContext context(engine);
   Farron farron(&suite, &machine, FarronConfig(), context);
   std::cout << "[pre-production] testing " << cpu_id << "...\n";
   const FarronRoundSummary pre = farron.RunPreProduction();
